@@ -7,7 +7,6 @@ laws, the twisted product law, recurrence relations, orthogonality-like
 relations, RTT relations and the boson-operator realizations.
 """
 
-from .kernel import KERNEL_BACKEND
 from ._rat import Q, RAT_BACKEND
 from .scalar import G, H, ONE, ZERO, RadScalar, rational, sqrt_nat
 from .ncalg import GL, SL, NCPoly, gen, normal_form, quantum_determinant
@@ -18,7 +17,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Q",
     "RAT_BACKEND",
-    "KERNEL_BACKEND",
     "RadScalar",
     "rational",
     "sqrt_nat",

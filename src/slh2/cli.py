@@ -3,7 +3,8 @@
 Subcommands construct objects (dmatrix, cgc, fmatrix, rmatrix, normalform)
 or run verification suites (verify).  All output goes to stdout unless
 --out is given; reports are machine-readable JSON by default.  Exit status
-is 0 on success or all-pass, 1 on verification failure, 2 on usage errors.
+is 0 on success or all-pass, 1 on verification failure, 2 on usage errors
+(bad arguments, or any ValueError the library raises on invalid input).
 """
 
 import argparse
@@ -144,17 +145,15 @@ def _cmd_rmatrix(args):
 
 
 def _cmd_normalform(args):
-    try:
-        p = exprio.parse(args.expr, args.ring)
-    except exprio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    p = exprio.parse(args.expr, args.ring)
     _emit(exprio.render(p, args.format), args)
     return 0
 
 
 def _cmd_verify(args):
     report = _run_suite(args)
+    if not report.cases:
+        raise ValueError(f"suite {report.suite} has no cases for these arguments")
     if args.format == "text":
         _emit(_report_text(report), args)
     else:
@@ -226,7 +225,11 @@ def build_parser():
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # invalid input, including ParseError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main():  # console entry point

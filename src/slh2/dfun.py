@@ -24,7 +24,7 @@ from ._rat import Q
 from . import ncalg
 from .exprio import render_latex, render_text
 from .ncalg import GL, SL, NCPoly
-from .rep import mag_index, magnetics
+from .rep import check_spin, mag_index, magnetics
 from .scalar import H, RadScalar, rational, sqrt_nat
 
 ORDERED1 = "ordered1"
@@ -44,8 +44,7 @@ def iter_klmn(twoj, twomp, twom):
 
 
 def check_indices(twoj, twomp, twom):
-    if twoj < 0:
-        raise ValueError("spin must be non-negative")
+    check_spin(twoj)
     for twomm in (twomp, twom):
         if abs(twomm) > twoj or (twoj - twomm) % 2:
             raise ValueError(
@@ -287,6 +286,7 @@ class DFunctionMatrix:
 
 def dmatrix(twoj: int, scheme=ORDERED1, ring=SL) -> DFunctionMatrix:
     """The full D^j matrix in the requested scheme."""
+    check_spin(twoj)
     entries = [
         [dfunc(twoj, twomp, twom, scheme, ring) for twom in magnetics(twoj)]
         for twomp in magnetics(twoj)

@@ -28,7 +28,7 @@ from . import ncalg
 from .dfun import ORDERED1, check_indices, dfunc, iter_klmn, norm_factor
 from .kernel import rad_add, rad_mul
 from .ncalg import GL, NCPoly, normal_form
-from .rep import magnetics
+from .rep import _binom, magnetics
 from .report import Report
 from .scalar import G, H, ONE, ZERO, RadScalar, sqrt_nat
 
@@ -264,13 +264,6 @@ def z_r(n):
     return _diag(n, lambda s: sum(s))
 
 
-def _binom(e, k):
-    out = Q(1)
-    for i in range(k):
-        out = out * (e - i) / (k - i)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _one_minus_pow(which, n, exponent):
     """(1 - 2h P)^exponent with P = J+ or K+ on grade n; finite series."""
@@ -488,8 +481,15 @@ def _letters(word):
     return tuple(ncalg.GEN_INDEX[ch] for ch in word)
 
 
+def _check_nmax(nmax):
+    # a negative cutoff evaluates no grade, so every case would pass vacuously
+    if nmax < 0:
+        raise ValueError(f"grade cutoff nmax={nmax} must be non-negative")
+
+
 def relations_check(nmax: int = 4) -> Report:
     """All six defining relations for the twisted generators, grades <= nmax."""
+    _check_nmax(nmax)
     rep = Report("fock-relations")
     for name, combo in _GL_FREE_RELATIONS.items():
         terms = [(_letters(w), c) for w, c in combo]
@@ -501,6 +501,7 @@ def relations_check(nmax: int = 4) -> Report:
 
 def determinant_check(nmax: int = 4) -> Report:
     """x y - u v - h x v equals the undeformed boson determinant."""
+    _check_nmax(nmax)
     rep = Report("fock-determinant")
     terms = [(_letters("xy"), ONE), (_letters("uv"), -ONE), (_letters("xv"), -H)]
     for n in range(nmax + 1):
@@ -513,6 +514,7 @@ def determinant_check(nmax: int = 4) -> Report:
 
 def homomorphism_check(nmax: int = 4, words: int = 200, maxlen: int = 4, seed: int = 7) -> Report:
     """evaluate(normal_form(w)) equals direct evaluation of w, random words."""
+    _check_nmax(nmax)
     rep = Report("fock-homomorphism")
     rng = random.Random(seed)
     for i in range(words):
@@ -533,6 +535,7 @@ def homomorphism_check(nmax: int = 4, words: int = 200, maxlen: int = 4, seed: i
 
 def twisted_dop_check(max_twoj: int = 2, nmax: int = 3) -> Report:
     """The ordered closed form evaluates to D0 e^{-m' sigma_L + m sigma_R}."""
+    _check_nmax(nmax)
     rep = Report("fock-dfunction")
     for twoj in range(max_twoj + 1):
         for twomp in magnetics(twoj):
@@ -550,6 +553,7 @@ def twisted_dop_check(max_twoj: int = 2, nmax: int = 3) -> Report:
 # Two-parameter ring: [a,b] = -(h+g)(D'-a^2) and friends, checked as
 # grade maps with both parameters symbolic.
 def two_parameter_check(nmax: int = 3) -> Report:
+    _check_nmax(nmax)
     rep = Report("fock-two-parameter")
     hpg = H + G
     hmg = H - G

@@ -27,7 +27,7 @@ from .exprio import render_text
 from .ncalg import GL, SL, NCPoly, _word_mul_word
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, prod_index, r_matrix, triangle_ok
 from .report import Report
-from .scalar import H, ONE, ZERO, RadScalar, sqrt_nat
+from .scalar import H, ONE, ZERO, RadScalar, accumulate, sqrt_nat
 
 # generator images under the coproduct: letter -> ((left, right), ...)
 _DELTA_GEN = {
@@ -63,7 +63,7 @@ class TensorPoly:
             out = {}
             for words, c in terms.items():
                 for w, cw in p.terms().items():
-                    _accum(out, words + (w,), c * cw)
+                    accumulate(out, words + (w,), c * cw)
             terms = out
         return TensorPoly(ring, len(polys), terms)
 
@@ -71,7 +71,7 @@ class TensorPoly:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            _accum(out, k, c)
+            accumulate(out, k, c)
         return TensorPoly(self.ring, self.arity, out)
 
     def __neg__(self):
@@ -122,7 +122,7 @@ class TensorPoly:
         for words, c in self.terms.items():
             for (w1, w2), cd in _word_coproduct(words[slot], self.ring).items():
                 key = words[:slot] + (w1, w2) + words[slot + 1 :]
-                _accum(out, key, c * cd)
+                accumulate(out, key, c * cd)
         return TensorPoly(self.ring, self.arity + 1, out)
 
     def apply_counit(self, slot=0):
@@ -130,7 +130,7 @@ class TensorPoly:
         out = {}
         for words, c in self.terms.items():
             if _word_counit(words[slot]):
-                _accum(out, words[:slot] + words[slot + 1 :], c)
+                accumulate(out, words[:slot] + words[slot + 1 :], c)
         return TensorPoly(self.ring, self.arity - 1, out)
 
     def __repr__(self):
@@ -143,19 +143,10 @@ class TensorPoly:
         return " + ".join(bits)
 
 
-def _accum(out, key, c):
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
 def _spread(out, slot_polys, coef, prefix=()):
     """Accumulate coef * (x) slot_polys expanded into tensor words."""
     if not slot_polys:
-        _accum(out, prefix, coef)
+        accumulate(out, prefix, coef)
         return
     head, *rest = slot_polys
     for w, c in head.items():
@@ -198,7 +189,7 @@ def coproduct(p: NCPoly) -> TensorPoly:
     out = {}
     for w, c in p.terms().items():
         for key, cd in _word_coproduct(w, p.ring).items():
-            _accum(out, key, c * cd)
+            accumulate(out, key, c * cd)
     return TensorPoly(p.ring, 2, out)
 
 
@@ -692,11 +683,11 @@ def _free_rtt_elements():
                             c = rentry(m1, m2, s1, s2)
                             if not c.is_zero():
                                 word = (_GEN_AT[(s1, k1)], _GEN_AT[(s2, k2)])
-                                _accum(vec, word, c)
+                                accumulate(vec, word, c)
                             c = rentry(s1, s2, k1, k2)
                             if not c.is_zero():
                                 word = (_GEN_AT[(m2, s2)], _GEN_AT[(m1, s1)])
-                                _accum(vec, word, -c)
+                                accumulate(vec, word, -c)
                     if vec:
                         vecs.append(vec)
     return vecs
@@ -708,35 +699,13 @@ def _free_defining_relations():
     for pair, repl in ncalg.GL_RULES.items():
         vec = {pair: ONE}
         for word, coef in repl:
-            _accum(vec, word, -coef)
+            accumulate(vec, word, -coef)
         vecs.append(vec)
     return vecs
 
 
-def _echelon(vecs):
-    """Fraction-free row reduction over the polynomial coefficient ring."""
-    basis = []  # list of (pivot_word, vec)
-    for vec in vecs:
-        vec = dict(vec)
-        for pivot, bvec in basis:
-            c = vec.get(pivot)
-            if c is None:
-                continue
-            p = bvec[pivot]
-            out = {}
-            for w, cv in vec.items():
-                _accum(out, w, p * cv)
-            for w, cv in bvec.items():
-                _accum(out, w, -(c * cv))
-            vec = out
-        if vec:
-            pivot = sorted(vec)[0]
-            basis.append((pivot, vec))
-    return basis
-
-
-def _in_span(vec, basis):
-    vec = dict(vec)
+def _reduce(vec, basis):
+    """Eliminate every basis pivot from vec by fraction-free row steps."""
     for pivot, bvec in basis:
         c = vec.get(pivot)
         if c is None:
@@ -744,11 +713,25 @@ def _in_span(vec, basis):
         p = bvec[pivot]
         out = {}
         for w, cv in vec.items():
-            _accum(out, w, p * cv)
+            accumulate(out, w, p * cv)
         for w, cv in bvec.items():
-            _accum(out, w, -(c * cv))
+            accumulate(out, w, -(c * cv))
         vec = out
-    return not vec
+    return vec
+
+
+def _echelon(vecs):
+    """Fraction-free row reduction over the polynomial coefficient ring."""
+    basis = []  # list of (pivot_word, vec)
+    for vec in vecs:
+        vec = _reduce(vec, basis)
+        if vec:
+            basis.append((sorted(vec)[0], vec))
+    return basis
+
+
+def _in_span(vec, basis):
+    return not _reduce(vec, basis)
 
 
 def rtt_frt_check() -> Report:

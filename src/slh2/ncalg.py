@@ -446,9 +446,3 @@ def count_normal_words(degree: int, ring=GL) -> int:
                     continue
                 n += 1
     return n
-
-
-def clear_caches():
-    for ring in RINGS:
-        _MEMO[ring].clear()
-        _WW_MEMO[ring].clear()

@@ -14,7 +14,7 @@ from itertools import product
 from . import ncalg
 from .ncalg import GL, SL, NCPoly, RINGS
 from .report import Report
-from .scalar import ONE
+from .scalar import ONE, accumulate
 
 
 def reducible_positions(letters, ring):
@@ -60,12 +60,7 @@ def naive_normal_form(letters, ring):
         res = {}
         for word, coef in rewrite_at(letters, positions[0], ring):
             for exps, c in naive_normal_form(word, ring).items():
-                s = res.get(exps)
-                s = coef * c if s is None else s + coef * c
-                if s.is_zero():
-                    res.pop(exps, None)
-                else:
-                    res[exps] = s
+                accumulate(res, exps, coef * c)
     memo[letters] = res
     return res
 
@@ -74,12 +69,7 @@ def _poly_naive(terms, ring):
     out = {}
     for letters, coef in terms:
         for exps, c in naive_normal_form(letters, ring).items():
-            s = out.get(exps)
-            s = coef * c if s is None else s + coef * c
-            if s.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+            accumulate(out, exps, coef * c)
     return out
 
 

@@ -25,6 +25,12 @@ def magnetics(twoj):
     return range(twoj, -twoj - 2, -2)
 
 
+def check_spin(*twojs):
+    for twoj in twojs:
+        if twoj < 0:
+            raise ValueError(f"spin {twoj}/2 must be non-negative")
+
+
 def mag_index(twoj, twom):
     if abs(twom) > twoj or (twoj - twom) % 2:
         raise ValueError(f"invalid magnetic number {twom}/2 for spin {twoj}/2")
@@ -224,6 +230,7 @@ def f_inv_matrix(twoj1: int, twoj2: int) -> RepMatrix:
 
 
 def _f_like(twoj1, twoj2, sign):
+    check_spin(twoj1, twoj2)
     n1, n2 = twoj1 + 1, twoj2 + 1
     out = RepMatrix.zeros(n1 * n2)
     for i1, twos1 in enumerate(magnetics(twoj1)):

@@ -36,7 +36,8 @@ class Report:
 
     @property
     def ok(self):
-        return self.failed == 0
+        """All cases pass, and there is at least one: an empty report proves nothing."""
+        return bool(self.cases) and self.failed == 0
 
     def first_failure(self):
         for c in self.cases:

@@ -238,3 +238,13 @@ G = RadScalar({1: {(0, 1): Q(1)}})
 
 def rational(p, q=1) -> RadScalar:
     return RadScalar.from_rational(Q(p, q))
+
+
+def accumulate(out, key, c):
+    """out[key] += c for a dict of RadScalar values, dropping zero entries."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s

@@ -73,9 +73,33 @@ def test_cgc_json(capsys):
     assert obj["omega"]
 
 
-def test_cgc_triangle_error():
-    with pytest.raises(ValueError):
-        cli.run(["cgc", "--twoj1", "1", "--twoj2", "1", "--twoj3", "3"])
+def _assert_usage_error(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cgc_triangle_error(capsys):
+    _assert_usage_error(capsys, ["cgc", "--twoj1", "1", "--twoj2", "1", "--twoj3", "3"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dmatrix", "--twoj", "2", "--scheme", "jacobi", "--ring", "gl"],
+        ["dmatrix", "--twoj", "-1"],
+        ["fmatrix", "--twoj1", "-2", "--twoj2", "1"],
+        ["rmatrix", "--twoj1", "-1", "--twoj2", "1"],
+        ["verify", "--suite", "fock", "--nmax", "-1"],
+        ["verify", "--suite", "recurrence", "--max-twoj", "0"],
+        ["verify", "--suite", "corep", "--max-twoj", "-1"],
+    ],
+    ids=["jacobi-gl", "dmatrix-neg", "fmatrix-neg", "rmatrix-neg", "fock-neg", "no-recurrence", "no-corep"],
+)
+def test_invalid_input_exit_2(capsys, argv):
+    _assert_usage_error(capsys, argv)
 
 
 def test_fmatrix_and_rmatrix(capsys):
@@ -165,6 +189,16 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--suite", "corep", "--format", "text")
     assert code == 1
     assert "[FAIL]" in out and "lhs: a" in out
+
+
+def test_empty_report_is_not_ok():
+    from slh2.report import Report
+
+    empty = Report("stub")
+    assert empty.passed == empty.failed == 0
+    assert not empty.ok
+    empty.add({"case": 1}, True)
+    assert empty.ok
 
 
 def test_verify_recurrence_and_wigner_quick(capsys):

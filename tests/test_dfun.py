@@ -103,6 +103,11 @@ def test_jacobi_requires_sl():
         dfunc(2, 0, 0, JACOBI, GL)
 
 
+def test_dmatrix_rejects_negative_spin():
+    with pytest.raises(ValueError):
+        dmatrix(-1)
+
+
 def test_invalid_indices_rejected():
     with pytest.raises(ValueError):
         dfunc(2, 4, 0, ORDERED1, SL)

@@ -402,3 +402,20 @@ def test_two_parameter_ac_relation_explicit():
 def test_fock_suite_aggregate():
     rep = fock.fock_suite(nmax=2, with_g=True)
     assert rep.ok, rep.first_failure()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        fock.relations_check,
+        fock.determinant_check,
+        fock.homomorphism_check,
+        lambda nmax: fock.twisted_dop_check(2, nmax),
+        fock.two_parameter_check,
+    ],
+    ids=["relations", "determinant", "homomorphism", "dfunction", "two-parameter"],
+)
+def test_negative_grade_cutoff_rejected(check):
+    # with nmax < 0 no grade is evaluated, so every case would pass vacuously
+    with pytest.raises(ValueError):
+        check(-1)

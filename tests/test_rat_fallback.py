@@ -6,13 +6,7 @@ import sys
 _SCRIPT = r"""
 import sys
 
-class _Block:
-    def find_module(self, name, path=None):
-        return self if name == "gmpy2" else None
-    def load_module(self, name):
-        raise ImportError("gmpy2 blocked for this test")
-
-sys.meta_path.insert(0, _Block())
+sys.modules["gmpy2"] = None  # any later "import gmpy2" raises ImportError
 
 import slh2
 assert slh2.RAT_BACKEND == "fractions", slh2.RAT_BACKEND

@@ -361,3 +361,11 @@ def test_omega_selection_rule():
     om = omega(2, 2, 2)
     for (m1, m2, m), _ in om.items():
         assert m1 + m2 >= m
+
+
+@pytest.mark.parametrize("build", [f_matrix, f_inv_matrix, r_matrix])
+def test_twist_and_r_reject_negative_spin(build):
+    with pytest.raises(ValueError):
+        build(-2, 1)
+    with pytest.raises(ValueError):
+        build(1, -1)

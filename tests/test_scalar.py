@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slh2 import kernel
 from slh2._rat import Q, qstr
 from slh2.kernel import sqrt_split
 from slh2.scalar import G, H, ONE, ZERO, RadScalar, rational, sqrt_nat
@@ -143,3 +146,32 @@ def test_hash_consistency():
     a = sqrt_nat(8)
     b = sqrt_nat(2).scaled(2)
     assert a == b and hash(a) == hash(b)
+
+
+# the raw kernel never mutates its arguments ----------------------------
+
+
+def _rand_poly(rng):
+    return {
+        (rng.randint(0, 3), rng.randint(0, 2)): Q(rng.randint(-6, 6), rng.randint(1, 5))
+        for _ in range(rng.randint(1, 4))
+    }
+
+
+def _rand_rad(rng):
+    out = {}
+    for _ in range(rng.randint(0, 3)):
+        out[rng.choice([1, 2, 3, 5, 6, 10])] = _rand_poly(rng)
+    return out
+
+
+def test_inputs_never_mutated():
+    rng = random.Random(3)
+    for _ in range(200):
+        a, b = _rand_rad(rng), _rand_rad(rng)
+        snap_a = {r: dict(p) for r, p in a.items()}
+        snap_b = {r: dict(p) for r, p in b.items()}
+        kernel.rad_add(a, b)
+        kernel.rad_mul(a, b)
+        kernel.rad_sub(a, b)
+        assert a == snap_a and b == snap_b
