@@ -25,7 +25,7 @@ from . import ncalg
 from .exprio import render_latex, render_text
 from .ncalg import GL, SL, NCPoly
 from .rep import check_spin, mag_index, magnetics
-from .scalar import H, RadScalar, rational, sqrt_nat
+from .scalar import ONE, H, RadScalar, sqrt_nat
 
 ORDERED1 = "ordered1"
 ORDERED2 = "ordered2"
@@ -35,12 +35,18 @@ SCHEMES = (ORDERED1, ORDERED2, JACOBI, CLASSICAL)
 
 
 def iter_klmn(twoj, twomp, twom):
-    """All (K, L, M, N) solving the four exponent-sum constraints."""
+    """All (K, L, M, N) solving the four exponent-sum constraints.
+
+    Yields ((K, L, M, N), norm_factor / (K! L! M! N!)).
+    """
+    norm = norm_factor(twoj, twomp, twom)
     p = (twoj + twom) // 2  # K + L
     q = (twoj - twom) // 2  # M + N
     r = (twoj + twomp) // 2  # K + M
     for K in range(max(0, r - q), min(p, r) + 1):
-        yield K, p - K, r - K, q - r + K
+        L, M, N = p - K, r - K, q - r + K
+        coef = norm.scaled(Q(1, factorial(K) * factorial(L) * factorial(M) * factorial(N)))
+        yield (K, L, M, N), coef
 
 
 def check_indices(twoj, twomp, twom):
@@ -60,14 +66,8 @@ def norm_factor(twoj, twomp, twom) -> RadScalar:
 
 
 def _lin(ring, parts):
-    """Linear combination of generators: parts maps name -> RadScalar."""
-    out = NCPoly.zero(ring)
-    for name, coef in parts:
-        if isinstance(coef, int):
-            coef = rational(coef)
-        if not coef.is_zero():
-            out = out + NCPoly.generator(name, ring).scaled(coef)
-    return out
+    """Linear combination of generators: parts holds (name, coefficient) pairs."""
+    return ncalg.lincomb(((c, NCPoly.generator(name, ring)) for name, c in parts), ring)
 
 
 def _hmul(k: int) -> RadScalar:
@@ -83,23 +83,55 @@ def jacobi_poly(n: int, alpha: int, beta: int, z: NCPoly) -> NCPoly:
         raise ValueError("degree must be non-negative")
     if alpha < 0:
         raise ValueError("alpha must be non-negative for this series")
-    out = NCPoly.one(z.ring)
     zr = NCPoly.one(z.ring)
     c = Q(1)
+    pairs = [(ONE, zr)]
     for r in range(n):
         c = c * (-n + r) * (alpha + beta + n + 1 + r)
         c = c / ((1 + r) * (alpha + 1 + r))
         zr = zr * z
-        out = out + zr.scaled(c)
-    return out
+        pairs.append((c, zr))
+    return ncalg.lincomb(pairs, z.ring)
+
+
+# Runs of linear factors; each multiplies term on the right by one factor
+# per t, in the order of ts.
+
+
+def _x_run(term, ts):
+    """term * prod_t (x + h t v)."""
+    for t in ts:
+        term = term * _lin(term.ring, [("x", 1), ("v", _hmul(t))])
+    return term
+
+
+def _y_run(term, ts):
+    """term * prod_t (y - h t v)."""
+    for t in ts:
+        term = term * _lin(term.ring, [("y", 1), ("v", -_hmul(t))])
+    return term
+
+
+def _u_run(term, ts):
+    """term * prod_t (u + h t x + h t y + h^2 t^2 v)."""
+    for t in ts:
+        term = term * _lin(
+            term.ring,
+            [("u", 1), ("x", _hmul(t)), ("y", _hmul(t)), ("v", (H * H).scaled(Q(t * t)))],
+        )
+    return term
+
+
+def _v_run(term, n):
+    """term * v^n."""
+    v = NCPoly.generator("v", term.ring)
+    for _ in range(n):
+        term = term * v
+    return term
 
 
 def _ordered1_term(K, L, M, N, ring):
-    term = NCPoly.one(ring)
-    for i in range(K):
-        term = term * _lin(ring, [("x", 1), ("v", _hmul(i))])
-    for _ in range(L):
-        term = term * NCPoly.generator("v", ring)
+    term = _v_run(_x_run(NCPoly.one(ring), range(K)), L)
     for i in range(M, 0, -1):
         term = term * _lin(
             ring,
@@ -110,45 +142,24 @@ def _ordered1_term(K, L, M, N, ring):
                 ("v", -(H * H).scaled(Q(K * K - (L - M + i) ** 2))),
             ],
         )
-    for t in range(N):
-        term = term * _lin(ring, [("y", 1), ("v", -_hmul(K + L - M - t))])
-    return term
+    return _y_run(term, (K + L - M - t for t in range(N)))
 
 
 def _ordered2_term(K, L, M, N, ring):
-    term = NCPoly.one(ring)
-    for i in range(M):
-        term = term * _lin(
-            ring,
-            [
-                ("u", 1),
-                ("x", _hmul(i)),
-                ("y", _hmul(i)),
-                ("v", (H * H).scaled(Q(i * i))),
-            ],
-        )
-    for t in range(K):
-        term = term * _lin(ring, [("x", 1), ("v", _hmul(M + t))])
-    for t in range(N):
-        term = term * _lin(ring, [("y", 1), ("v", -_hmul(K - M - t))])
-    for _ in range(L):
-        term = term * NCPoly.generator("v", ring)
-    return term
+    term = _x_run(_u_run(NCPoly.one(ring), range(M)), range(M, M + K))
+    return _v_run(_y_run(term, (K - M - t for t in range(N))), L)
 
 
 def _ordered_sum(twoj, twomp, twom, ring, term_builder):
-    out = NCPoly.zero(ring)
-    norm = norm_factor(twoj, twomp, twom)
-    for K, L, M, N in iter_klmn(twoj, twomp, twom):
-        coef = norm.scaled(
-            Q(1, factorial(K) * factorial(L) * factorial(M) * factorial(N))
-        )
-        out = out + term_builder(K, L, M, N, ring).scaled(coef)
-    return out
+    return ncalg.lincomb(
+        ((coef, term_builder(*klmn, ring)) for klmn, coef in iter_klmn(twoj, twomp, twom)),
+        ring,
+    )
 
 
 def _jacobi_form(twoj, twomp, twom):
     ring = SL
+    one = NCPoly.one(ring)
     z = -(NCPoly.generator("u", ring) * NCPoly.generator("v", ring))
     mp_minus_m = (twomp - twom) // 2
     mp_plus_m = (twomp + twom) // 2
@@ -157,69 +168,42 @@ def _jacobi_form(twoj, twomp, twom):
 
     if upper:
         # factors u (u + h(x+y) + h^2 v) ... for the m' >= m cases
-        lead = NCPoly.one(ring)
-        for i in range(mp_minus_m):
-            lead = lead * _lin(
-                ring,
-                [
-                    ("u", 1),
-                    ("x", _hmul(i)),
-                    ("y", _hmul(i)),
-                    ("v", (H * H).scaled(Q(i * i))),
-                ],
-            )
+        lead = _u_run(one, range(mp_minus_m))
     if plus and upper:
         n = (twoj - twomp) // 2
         series = jacobi_poly(n, mp_minus_m, mp_plus_m, z)
-        tail = NCPoly.one(ring)
-        for t in range(mp_minus_m, mp_minus_m + mp_plus_m):
-            tail = tail * _lin(ring, [("x", 1), ("v", _hmul(t))])
+        tail = _x_run(one, range(mp_minus_m, mp_minus_m + mp_plus_m))
         nrm = sqrt_nat(comb((twoj + twomp) // 2, mp_minus_m))
         nrm = nrm * sqrt_nat(comb((twoj - twom) // 2, mp_minus_m))
         return (series * lead * tail).scaled(nrm)
+    # t runs from m - m' down to 2m + 1 in the y factors
+    y_ts = range(-mp_minus_m, -mp_minus_m + mp_plus_m, -1)
     if plus and not upper:
         n = (twoj - twom) // 2
         series = jacobi_poly(n, -mp_minus_m, mp_plus_m, z)
-        tail = NCPoly.one(ring)
-        for t in range(mp_plus_m):
-            tail = tail * _lin(ring, [("x", 1), ("v", _hmul(t))])
-        for _ in range(-mp_minus_m):
-            tail = tail * NCPoly.generator("v", ring)
+        tail = _v_run(_x_run(one, range(mp_plus_m)), -mp_minus_m)
         nrm = sqrt_nat(comb((twoj - twomp) // 2, -mp_minus_m))
         nrm = nrm * sqrt_nat(comb((twoj + twom) // 2, -mp_minus_m))
         return (series * tail).scaled(nrm)
     if not plus and upper:
         n = (twoj + twom) // 2
         series = jacobi_poly(n, mp_minus_m, -mp_plus_m, z)
-        tail = NCPoly.one(ring)
-        for s in range(-mp_plus_m):
-            t = -mp_minus_m - s  # from m - m' down to 2m + 1
-            tail = tail * _lin(ring, [("y", 1), ("v", -_hmul(t))])
+        tail = _y_run(one, y_ts)
         nrm = sqrt_nat(comb((twoj + twomp) // 2, mp_minus_m))
         nrm = nrm * sqrt_nat(comb((twoj - twom) // 2, mp_minus_m))
         return (series * lead * tail).scaled(nrm)
     # m' + m <= 0, m' <= m
     n = (twoj + twomp) // 2
     series = jacobi_poly(n, -mp_minus_m, -mp_plus_m, z)
-    tail = NCPoly.one(ring)
-    for _ in range(-mp_minus_m):
-        tail = tail * NCPoly.generator("v", ring)
-    for s in range(-mp_plus_m):
-        t = -mp_minus_m - s
-        tail = tail * _lin(ring, [("y", 1), ("v", -_hmul(t))])
+    tail = _y_run(_v_run(one, -mp_minus_m), y_ts)
     nrm = sqrt_nat(comb((twoj - twomp) // 2, -mp_minus_m))
     nrm = nrm * sqrt_nat(comb((twoj + twom) // 2, -mp_minus_m))
     return (series * tail).scaled(nrm)
 
 
 def _classical(twoj, twomp, twom, ring):
-    terms = {}
-    norm = norm_factor(twoj, twomp, twom)
-    for K, L, M, N in iter_klmn(twoj, twomp, twom):
-        coef = norm.scaled(
-            Q(1, factorial(K) * factorial(L) * factorial(M) * factorial(N))
-        )
-        terms[(L, K, N, M)] = coef  # v^L x^K y^N u^M, a normal GL word
+    # v^L x^K y^N u^M, a normal GL word
+    terms = {(L, K, N, M): coef for (K, L, M, N), coef in iter_klmn(twoj, twomp, twom)}
     out = NCPoly(GL, terms)
     if ring == SL:
         out = out.with_ring(SL)

@@ -115,6 +115,8 @@ class _Parser:
             if self.peek()[0] == "/":
                 self.take()
                 den = self.take("int", "a denominator")
+                if int(den[1]) == 0:
+                    raise ParseError("zero denominator", den[2])
                 return NCPoly.scalar(Q(num, int(den[1])), self.ring)
             return NCPoly.scalar(Q(num), self.ring)
         if kind == "(":

@@ -21,11 +21,10 @@ normal-ordering rewrites.
 
 import random
 from functools import lru_cache
-from math import factorial
 
 from ._rat import Q
 from . import ncalg
-from .dfun import ORDERED1, check_indices, dfunc, iter_klmn, norm_factor
+from .dfun import ORDERED1, check_indices, dfunc, iter_klmn
 from .kernel import rad_add, rad_mul
 from .ncalg import GL, NCPoly, normal_form
 from .rep import _binom, magnetics
@@ -381,12 +380,8 @@ def classical_dop(twoj, twomp, twom, n: int) -> FockOp:
     """Undeformed matrix-element operator, a pure creation polynomial."""
     check_indices(twoj, twomp, twom)
     out = FockOp.zero(n, n + twoj)
-    norm = norm_factor(twoj, twomp, twom)
-    for K, L, M, Nq in iter_klmn(twoj, twomp, twom):
-        coef = norm.scaled(
-            Q(1, factorial(K) * factorial(L) * factorial(M) * factorial(Nq))
-        )
-        out = out + _creation_monomial((K, L, M, Nq), n).scaled(coef)
+    for klmn, coef in iter_klmn(twoj, twomp, twom):
+        out = out + _creation_monomial(klmn, n).scaled(coef)
     return out
 
 

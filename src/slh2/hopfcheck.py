@@ -25,7 +25,7 @@ from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
 from .exprio import render_text
 from .ncalg import GL, SL, NCPoly, _word_mul_word
-from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, prod_index, r_matrix, triangle_ok
+from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_entry, r_matrix, triangle_ok
 from .report import Report
 from .scalar import H, ONE, ZERO, RadScalar, accumulate, sqrt_nat
 
@@ -55,9 +55,10 @@ class TensorPoly:
     @staticmethod
     def of(*polys):
         """Outer product p1 (x) p2 (x) ... of NCPoly factors."""
-        ring = polys[0].ring
-        terms = {(): ONE}
-        for p in polys:
+        first, *rest = polys
+        ring = first.ring
+        terms = {(w,): c for w, c in first.terms().items()}
+        for p in rest:
             if p.ring != ring:
                 raise ValueError("ring mismatch in tensor product")
             out = {}
@@ -186,11 +187,7 @@ def _word_counit(exps):
 
 def coproduct(p: NCPoly) -> TensorPoly:
     """Algebra-homomorphism extension of the generator coproduct."""
-    out = {}
-    for w, c in p.terms().items():
-        for key, cd in _word_coproduct(w, p.ring).items():
-            accumulate(out, key, c * cd)
-    return TensorPoly(p.ring, 2, out)
+    return TensorPoly.of(p).apply_coproduct(0)
 
 
 def counit(p: NCPoly) -> RadScalar:
@@ -204,10 +201,6 @@ def counit(p: NCPoly) -> RadScalar:
 # ---------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------
-
-
-def _tensor_repr(t):
-    return repr(t)
 
 
 def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
@@ -226,7 +219,6 @@ def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
                 {"twoj": twoj, "twomp": twomp, "twom": twom, "law": "coproduct"},
                 lhs,
                 rhs,
-                _tensor_repr,
             )
             eps = counit(entry)
             want = ONE if twomp == twom else ZERO
@@ -245,6 +237,13 @@ def _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring):
     )
 
 
+def _dref(twoj, twomp, twom, ring):
+    # matrix elements vanish outside the magnetic band
+    if abs(twomp) > twoj or abs(twom) > twoj:
+        return NCPoly.zero(ring)
+    return dfunc(twoj, twomp, twom, ORDERED1, ring)
+
+
 def _triangle(twoj1, twoj2):
     return range(abs(twoj1 - twoj2), twoj1 + twoj2 + 2, 2)
 
@@ -255,37 +254,31 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     if not triangle_ok(twoj1, twoj2, twoj):
         raise ValueError("spin triple violates the triangle condition")
     om = omega(twoj1, twoj2, twoj)
+    mh = mho(twoj1, twoj2, twoj)
     m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
+
     # A[k1, k2, m] = sum_{m1,m2} Omega^j_{m1,m2,m} D^{j1}_{k1,m1} D^{j2}_{k2,m2}
     acc = {}
     for twok1 in m1s:
         for twok2 in m2s:
             for twom in magnetics(twoj):
-                val = NCPoly.zero(ring)
-                for twom1 in m1s:
-                    for twom2 in m2s:
-                        c = om.get(twom1, twom2, twom)
-                        if not c.is_zero():
-                            val = val + _dprod(
-                                twoj1, twok1, twom1, twoj2, twok2, twom2, ring
-                            ).scaled(c)
-                acc[(twok1, twok2, twom)] = val
+                acc[(twok1, twok2, twom)] = ncalg.lincomb(
+                    ((c, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring))
+                     for (twom1, twom2, tm), c in om.items() if tm == twom),
+                    ring,
+                )
 
     # product law: delta_{j,j'} D^j_{m'm} = sum mho^{j'} Omega^{j} D D
     for twojp in _triangle(twoj1, twoj2):
-        mh = mho(twoj1, twoj2, twojp)
+        mhp = mho(twoj1, twoj2, twojp)
         for twomp in magnetics(twojp):
             for twom in magnetics(twoj):
-                rhs = NCPoly.zero(ring)
-                for twok1 in m1s:
-                    for twok2 in m2s:
-                        c = mh.get(twok1, twok2, twomp)
-                        if not c.is_zero():
-                            rhs = rhs + acc[(twok1, twok2, twom)].scaled(c)
-                if twojp == twoj:
-                    lhs = dfunc(twoj, twomp, twom, ORDERED1, ring)
-                else:
-                    lhs = NCPoly.zero(ring)
+                rhs = ncalg.lincomb(
+                    ((c, acc[(twok1, twok2, twom)])
+                     for (twok1, twok2, tmp), c in mhp.items() if tmp == twomp),
+                    ring,
+                )
+                lhs = _dref(twoj, twomp, twom, ring) if twojp == twoj else NCPoly.zero(ring)
                 rep.record(
                     {
                         "law": "product",
@@ -305,11 +298,11 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     for twok1 in m1s:
         for twok2 in m2s:
             for twom in magnetics(twoj):
-                lhs = NCPoly.zero(ring)
-                for twomp in magnetics(twoj):
-                    c = om.get(twok1, twok2, twomp)
-                    if not c.is_zero():
-                        lhs = lhs + dfunc(twoj, twomp, twom, ORDERED1, ring).scaled(c)
+                lhs = ncalg.lincomb(
+                    ((c, _dref(twoj, twomp, twom, ring))
+                     for (a1, a2, twomp), c in om.items() if (a1, a2) == (twok1, twok2)),
+                    ring,
+                )
                 rep.record(
                     {
                         "law": "rel1",
@@ -326,23 +319,19 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
                 )
 
     # rel2: sum_m mho_{m1,m2,m} D^j_{m'm} = sum_{k1,k2} mho_{k1,k2,m'} D D
-    mh = mho(twoj1, twoj2, twoj)
     for twom1 in m1s:
         for twom2 in m2s:
             for twomp in magnetics(twoj):
-                lhs = NCPoly.zero(ring)
-                for twom in magnetics(twoj):
-                    c = mh.get(twom1, twom2, twom)
-                    if not c.is_zero():
-                        lhs = lhs + dfunc(twoj, twomp, twom, ORDERED1, ring).scaled(c)
-                rhs = NCPoly.zero(ring)
-                for twok1 in m1s:
-                    for twok2 in m2s:
-                        c = mh.get(twok1, twok2, twomp)
-                        if not c.is_zero():
-                            rhs = rhs + _dprod(
-                                twoj1, twok1, twom1, twoj2, twok2, twom2, ring
-                            ).scaled(c)
+                lhs = ncalg.lincomb(
+                    ((c, _dref(twoj, twomp, twom, ring))
+                     for (a1, a2, twom), c in mh.items() if (a1, a2) == (twom1, twom2)),
+                    ring,
+                )
+                rhs = ncalg.lincomb(
+                    ((c, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring))
+                     for (twok1, twok2, tmp), c in mh.items() if tmp == twomp),
+                    ring,
+                )
                 rep.record(
                     {
                         "law": "rel2",
@@ -359,24 +348,21 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
                 )
 
     # rel3: D^{j1}_{k1m1} D^{j2}_{k2m2} = sum_{j,m,m'} mho^j Omega^j D^j_{m'm}
+    tables = [
+        (twojs, omega(twoj1, twoj2, twojs), mho(twoj1, twoj2, twojs))
+        for twojs in _triangle(twoj1, twoj2)
+    ]
     for twok1 in m1s:
         for twom1 in m1s:
             for twok2 in m2s:
                 for twom2 in m2s:
-                    rhs = NCPoly.zero(ring)
-                    for twojs in _triangle(twoj1, twoj2):
-                        oms = omega(twoj1, twoj2, twojs)
-                        mhs = mho(twoj1, twoj2, twojs)
-                        for twom in magnetics(twojs):
-                            cm = mhs.get(twom1, twom2, twom)
-                            if cm.is_zero():
-                                continue
-                            for twomp in magnetics(twojs):
-                                co = oms.get(twok1, twok2, twomp)
-                                if not co.is_zero():
-                                    rhs = rhs + dfunc(
-                                        twojs, twomp, twom, ORDERED1, ring
-                                    ).scaled(cm * co)
+                    rhs = ncalg.lincomb(
+                        ((cm * co, _dref(twojs, twomp, twom, ring))
+                         for twojs, oms, mhs in tables
+                         for (a1, a2, twom), cm in mhs.items() if (a1, a2) == (twom1, twom2)
+                         for (b1, b2, twomp), co in oms.items() if (b1, b2) == (twok1, twok2)),
+                        ring,
+                    )
                     rep.record(
                         {
                             "law": "rel3",
@@ -412,26 +398,13 @@ def _sq(twoint):
     return sqrt_nat(twoint // 2)
 
 
-def _dref(twoj, twomp, twom, ring):
-    # matrix elements vanish outside the magnetic band
-    if abs(twomp) > twoj or abs(twom) > twoj:
-        return NCPoly.zero(ring)
-    return dfunc(twoj, twomp, twom, ORDERED1, ring)
-
-
 def _combine(side_terms, ring):
-    out = NCPoly.zero(ring)
+    pairs = []
     for coef, dspec, rightmul in side_terms:
-        if coef.is_zero():
-            continue
-        d = _dref(*dspec, ring)
-        term = d if rightmul is None else d * rightmul
-        out = out + term.scaled(coef)
-    return out
-
-
-def _gp(ring, name):
-    return NCPoly.generator(name, ring)
+        if not coef.is_zero():
+            d = _dref(*dspec, ring)
+            pairs.append((coef, d if rightmul is None else d * rightmul))
+    return ncalg.lincomb(pairs, ring)
 
 
 def recurrence_terms(which, twoj, twok, twom, ring):
@@ -442,7 +415,7 @@ def recurrence_terms(which, twoj, twok, twom, ring):
     column relations iii/iv/vii/viii, where twom is the row index.
     """
     J, k, m = twoj, twok, twom
-    x, u, v, y = (_gp(ring, n) for n in "xuvy")
+    x, u, v, y = (NCPoly.generator(n, ring) for n in "xuvy")
     hm = lambda c: H.scaled(Q(c))
     if which == "i":
         lhs = [
@@ -543,61 +516,56 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
 # ---------------------------------------------------------------------
 
 
+def _sign(twodiff):
+    """(-1)^(k - m) for twodiff = 2(k - m)."""
+    return Q(-1 if (twodiff // 2) % 2 else 1)
+
+
 def ortho_like_check(twoj, ring=SL) -> Report:
     rep = Report("ortho")
     fmat = f_matrix(twoj, twoj)
     finv = f_inv_matrix(twoj, twoj)
     mags = list(magnetics(twoj))
+    mag_pairs = [(a, b) for a in mags for b in mags]
 
-    def fm(row1, row2, col1, col2):
-        return fmat.rows[prod_index(twoj, twoj, row1, row2)][
-            prod_index(twoj, twoj, col1, col2)
-        ]
+    # F[(m1, m2), (m1, -m1)] and F^-1[(k1, -k1), (k1, k2)], zeros left out
+    f_diag = {}
+    finv_diag = {}
+    for a, b in mag_pairs:
+        c = pair_entry(fmat, twoj, twoj, (a, b), (a, -a))
+        if not c.is_zero():
+            f_diag[(a, b)] = c
+        c = pair_entry(finv, twoj, twoj, (a, -a), (a, b))
+        if not c.is_zero():
+            finv_diag[(a, b)] = c
 
-    def fi(row1, row2, col1, col2):
-        return finv.rows[prod_index(twoj, twoj, row1, row2)][
-            prod_index(twoj, twoj, col1, col2)
-        ]
+    for twok1, twok2 in mag_pairs:
+        lhs = ncalg.lincomb(
+            ((c.scaled(_sign(twok1 - twom1)), _dprod(twoj, twok1, twom1, twoj, twok2, twom2, ring))
+             for (twom1, twom2), c in f_diag.items()),
+            ring,
+        )
+        rhs = NCPoly.scalar(f_diag.get((twok1, twok2), ZERO), ring)
+        rep.record(
+            {"law": "ortho1", "twoj": twoj, "twok1": twok1, "twok2": twok2},
+            lhs,
+            rhs,
+            render_text,
+        )
 
-    for twok1 in mags:
-        for twok2 in mags:
-            lhs = NCPoly.zero(ring)
-            for twom1 in mags:
-                for twom2 in mags:
-                    c = fm(twom1, twom2, twom1, -twom1)
-                    if c.is_zero():
-                        continue
-                    sign = -1 if ((twok1 - twom1) // 2) % 2 else 1
-                    lhs = lhs + _dprod(
-                        twoj, twok1, twom1, twoj, twok2, twom2, ring
-                    ).scaled(c.scaled(Q(sign)))
-            rhs = NCPoly.scalar(fm(twok1, twok2, twok1, -twok1), ring)
-            rep.record(
-                {"law": "ortho1", "twoj": twoj, "twok1": twok1, "twok2": twok2},
-                lhs,
-                rhs,
-                render_text,
-            )
-
-    for twom1 in mags:
-        for twom2 in mags:
-            lhs = NCPoly.zero(ring)
-            for twok1 in mags:
-                for twok2 in mags:
-                    c = fi(twok1, -twok1, twok1, twok2)
-                    if c.is_zero():
-                        continue
-                    sign = -1 if ((twom1 - twok1) // 2) % 2 else 1
-                    lhs = lhs + _dprod(
-                        twoj, twok1, twom1, twoj, twok2, twom2, ring
-                    ).scaled(c.scaled(Q(sign)))
-            rhs = NCPoly.scalar(fi(twom1, -twom1, twom1, twom2), ring)
-            rep.record(
-                {"law": "ortho2", "twoj": twoj, "twom1": twom1, "twom2": twom2},
-                lhs,
-                rhs,
-                render_text,
-            )
+    for twom1, twom2 in mag_pairs:
+        lhs = ncalg.lincomb(
+            ((c.scaled(_sign(twom1 - twok1)), _dprod(twoj, twok1, twom1, twoj, twok2, twom2, ring))
+             for (twok1, twok2), c in finv_diag.items()),
+            ring,
+        )
+        rhs = NCPoly.scalar(finv_diag.get((twom1, twom2), ZERO), ring)
+        rep.record(
+            {"law": "ortho2", "twoj": twoj, "twom1": twom1, "twom2": twom2},
+            lhs,
+            rhs,
+            render_text,
+        )
     return rep
 
 
@@ -611,44 +579,34 @@ def rtt_check(twoj1, twoj2, ring=SL) -> Report:
     rep = Report("rtt")
     rmat = r_matrix(twoj1, twoj2)
     m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
-
-    def rentry(rm1, rm2, cs1, cs2):
-        return rmat.rows[prod_index(twoj1, twoj2, rm1, rm2)][
-            prod_index(twoj1, twoj2, cs1, cs2)
-        ]
-
-    for twom1 in m1s:
-        for twom2 in m2s:
-            for twok1 in m1s:
-                for twok2 in m2s:
-                    lhs = NCPoly.zero(ring)
-                    rhs = NCPoly.zero(ring)
-                    for twos1 in m1s:
-                        for twos2 in m2s:
-                            c = rentry(twom1, twom2, twos1, twos2)
-                            if not c.is_zero():
-                                lhs = lhs + _dprod(
-                                    twoj1, twos1, twok1, twoj2, twos2, twok2, ring
-                                ).scaled(c)
-                            c = rentry(twos1, twos2, twok1, twok2)
-                            if not c.is_zero():
-                                rhs = rhs + (
-                                    dfunc(twoj2, twom2, twos2, ORDERED1, ring)
-                                    * dfunc(twoj1, twom1, twos1, ORDERED1, ring)
-                                ).scaled(c)
-                    rep.record(
-                        {
-                            "twoj1": twoj1,
-                            "twoj2": twoj2,
-                            "twom1": twom1,
-                            "twom2": twom2,
-                            "twok1": twok1,
-                            "twok2": twok2,
-                        },
-                        lhs,
-                        rhs,
-                        render_text,
-                    )
+    mag_pairs = [(a, b) for a in m1s for b in m2s]
+    for twom1, twom2 in mag_pairs:
+        for twok1, twok2 in mag_pairs:
+            r_left = ((s, pair_entry(rmat, twoj1, twoj2, (twom1, twom2), s)) for s in mag_pairs)
+            r_right = ((s, pair_entry(rmat, twoj1, twoj2, s, (twok1, twok2))) for s in mag_pairs)
+            lhs = ncalg.lincomb(
+                ((c, _dprod(twoj1, twos1, twok1, twoj2, twos2, twok2, ring))
+                 for (twos1, twos2), c in r_left if not c.is_zero()),
+                ring,
+            )
+            rhs = ncalg.lincomb(
+                ((c, _dref(twoj2, twom2, twos2, ring) * _dref(twoj1, twom1, twos1, ring))
+                 for (twos1, twos2), c in r_right if not c.is_zero()),
+                ring,
+            )
+            rep.record(
+                {
+                    "twoj1": twoj1,
+                    "twoj2": twoj2,
+                    "twom1": twom1,
+                    "twom2": twom2,
+                    "twok1": twok1,
+                    "twok2": twok2,
+                },
+                lhs,
+                rhs,
+                render_text,
+            )
     return rep
 
 
@@ -669,9 +627,6 @@ def _free_rtt_elements():
     rmat = r_matrix(1, 1)
     mags = (1, -1)
 
-    def rentry(rm1, rm2, cs1, cs2):
-        return rmat.rows[prod_index(1, 1, rm1, rm2)][prod_index(1, 1, cs1, cs2)]
-
     vecs = []
     for m1 in mags:
         for m2 in mags:
@@ -680,11 +635,11 @@ def _free_rtt_elements():
                     vec = {}
                     for s1 in mags:
                         for s2 in mags:
-                            c = rentry(m1, m2, s1, s2)
+                            c = pair_entry(rmat, 1, 1, (m1, m2), (s1, s2))
                             if not c.is_zero():
                                 word = (_GEN_AT[(s1, k1)], _GEN_AT[(s2, k2)])
                                 accumulate(vec, word, c)
-                            c = rentry(s1, s2, k1, k2)
+                            c = pair_entry(rmat, 1, 1, (s1, s2), (k1, k2))
                             if not c.is_zero():
                                 word = (_GEN_AT[(m2, s2)], _GEN_AT[(m1, s1)])
                                 accumulate(vec, word, -c)

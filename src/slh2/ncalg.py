@@ -18,6 +18,11 @@ so an SL-normal word never contains both x and y.  Every right-hand side
 term is strictly smaller than the rewritten pair in (weight, lex) order,
 which gives termination; confluence is exercised by the test suite rather
 than assumed.
+
+RULES is the single definition of these rules: the engine below, the
+naive rewriter in pbwcheck and hopfcheck.rtt_frt_check all read it.  The
+Fock oracle keeps its own copy of the relations on purpose, so that it
+stays a witness independent of this table.
 """
 
 from .scalar import ONE, ZERO, H, RadScalar
@@ -35,9 +40,8 @@ _MINUS_H = -H
 _H2 = H * H
 _MINUS_H2 = -_H2
 
-# Free-word form of the rules, usable by independent (test-side) rewriters.
-# Each entry maps a reducible pair to its replacement as (word, coefficient)
-# pairs; words are tuples of generator indices.
+# The rule table.  Each entry maps a reducible pair to its replacement as
+# (word, coefficient) pairs; words are tuples of generator indices.
 GL_RULES = {
     (X, V): (((V, X), ONE), ((V, V), _MINUS_H)),
     (Y, V): (((V, Y), ONE), ((V, V), _MINUS_H)),
@@ -133,73 +137,20 @@ def _word_mul_gen(w, g, ring):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    a, b, c, d = w
-    if g == U:
-        res = {(a, b, c, d + 1): ONE}
-    elif g == Y:
-        if d == 0:
-            if ring == SL and b > 0:
-                # w ends in x; the junction pair rewrites by xy -> 1+vu-h vy
-                base = {(a, b - 1, 0, 0): ONE}
-                bv = _mul_gen(base, V, ring)
-                res = dict(base)
-                _acc(res, _mul_gen(bv, U, ring), ONE)
-                _acc(res, _mul_gen(bv, Y, ring), _MINUS_H)
-            else:
-                res = {(a, b, c + 1, 0): ONE}
-        else:
-            # uy -> yu + h xy - h uv - h^2 xv - h y^2
-            base = {(a, b, c, d - 1): ONE}
-            by = _mul_gen(base, Y, ring)
-            bx = _mul_gen(base, X, ring)
-            res = _mul_gen(by, U, ring)
-            _acc(res, _mul_gen(bx, Y, ring), H)
-            _acc(res, _word_mul_gen(w, V, ring), _MINUS_H)
-            _acc(res, _mul_gen(bx, V, ring), _MINUS_H2)
-            _acc(res, _mul_gen(by, Y, ring), _MINUS_H)
-    elif g == X:
-        if c == 0 and d == 0:
-            res = {(a, b + 1, 0, 0): ONE}
-        elif d > 0:
-            # ux -> xu + h xy - h uv - h^2 xv - h x^2
-            base = {(a, b, c, d - 1): ONE}
-            bx = _mul_gen(base, X, ring)
-            res = _mul_gen(bx, U, ring)
-            _acc(res, _mul_gen(bx, Y, ring), H)
-            _acc(res, _word_mul_gen(w, V, ring), _MINUS_H)
-            _acc(res, _mul_gen(bx, V, ring), _MINUS_H2)
-            _acc(res, _mul_gen(bx, X, ring), _MINUS_H)
-        else:
-            # yx -> xy - h xv + h yv
-            base = {(a, b, c - 1, 0): ONE}
-            bx = _mul_gen(base, X, ring)
-            by = _mul_gen(base, Y, ring)
-            res = _mul_gen(bx, Y, ring)
-            _acc(res, _mul_gen(bx, V, ring), _MINUS_H)
-            _acc(res, _mul_gen(by, V, ring), H)
-    else:  # g == V
-        if b == 0 and c == 0 and d == 0:
-            res = {(a + 1, 0, 0, 0): ONE}
-        elif d > 0:
-            # uv -> vu - h xv - h vy
-            base = {(a, b, c, d - 1): ONE}
-            bv = _mul_gen(base, V, ring)
-            bx = _mul_gen(base, X, ring)
-            res = _mul_gen(bv, U, ring)
-            _acc(res, _mul_gen(bx, V, ring), _MINUS_H)
-            _acc(res, _mul_gen(bv, Y, ring), _MINUS_H)
-        elif c > 0:
-            # yv -> vy - h v^2
-            base = {(a, b, c - 1, 0): ONE}
-            bv = _mul_gen(base, V, ring)
-            res = _mul_gen(bv, Y, ring)
-            _acc(res, _mul_gen(bv, V, ring), _MINUS_H)
-        else:
-            # xv -> vx - h v^2
-            base = {(a, b - 1, 0, 0): ONE}
-            bv = _mul_gen(base, V, ring)
-            res = _mul_gen(bv, X, ring)
-            _acc(res, _mul_gen(bv, V, ring), _MINUS_H)
+    last = max((i for i in range(4) if w[i]), default=None)
+    rule = RULES[ring].get((last, g))
+    if rule is None:
+        # w g is already normal
+        res = {w[:g] + (w[g] + 1,) + w[g + 1 :]: ONE}
+    else:
+        # w = base last; fold each replacement word of (last, g) onto base
+        base = w[:last] + (w[last] - 1,) + w[last + 1 :]
+        res = {}
+        for word, coef in rule:
+            terms = {base: ONE}
+            for letter in word:
+                terms = _mul_gen(terms, letter, ring)
+            _acc(res, terms, coef)
     memo[key] = res
     return res
 
@@ -423,6 +374,23 @@ def normal_form(pairs, ring) -> NCPoly:
             continue
         _acc(out, _nf_letters(_as_letters(word), ring), coef)
     return NCPoly(ring, out)
+
+
+def lincomb(pairs, ring) -> NCPoly:
+    """The sum of coef * p over (coef, p) pairs, accumulated in one dict.
+
+    Pairs with a zero coefficient are skipped; a caller that must not
+    even build such a p filters them out before p is made.
+    """
+    out = {}
+    for coef, p in pairs:
+        coef = RadScalar.coerce(coef)
+        if coef.is_zero():
+            continue
+        if p.ring != ring:
+            raise ValueError(f"ring mismatch: {p.ring} vs {ring}")
+        _acc(out, p._terms, coef)
+    return NCPoly(check_ring(ring), out)
 
 
 def gen(name, ring) -> NCPoly:

@@ -99,6 +99,19 @@ class RepMatrix:
     def scaled(self, c):
         return RepMatrix([[c * a for a in row] for row in self.rows])
 
+    @staticmethod
+    def lincomb(pairs, n):
+        """The n x n sum of c * m over (c, m) pairs."""
+        rows = [[ZERO] * n for _ in range(n)]
+        for c, m in pairs:
+            if c.is_zero():
+                continue
+            for row, mrow in zip(rows, m.rows):
+                for j, a in enumerate(mrow):
+                    if not a.is_zero():
+                        row[j] = row[j] + c * a
+        return RepMatrix(rows)
+
     def is_zero(self):
         return all(a.is_zero() for row in self.rows for a in row)
 
@@ -137,17 +150,15 @@ def kron(a: RepMatrix, b: RepMatrix) -> RepMatrix:
 
 def nilpotent_exp(m: RepMatrix) -> RepMatrix:
     """exp of a nilpotent matrix, summed until the power vanishes."""
-    out = RepMatrix.identity(m.n)
-    term = RepMatrix.identity(m.n)
-    k = 1
+    powers = [RepMatrix.identity(m.n)]
     while True:
-        term = term * m
+        term = powers[-1] * m
         if term.is_zero():
-            return out
-        out = out + term.scaled(rational(1, factorial(k)))
-        k += 1
-        if k > m.n + 1:
+            pairs = ((rational(1, factorial(k)), p) for k, p in enumerate(powers))
+            return RepMatrix.lincomb(pairs, m.n)
+        if len(powers) > m.n:
             raise ArithmeticError("matrix is not nilpotent")
+        powers.append(term)
 
 
 @lru_cache(maxsize=None)
@@ -179,12 +190,8 @@ def _jp_power(twoj: int, k: int) -> RepMatrix:
 @lru_cache(maxsize=None)
 def sigma_matrix(twoj: int) -> RepMatrix:
     """sigma = -ln(1 - 2h J+) = sum_{n>=1} (2h J+)^n / n, a finite sum."""
-    out = RepMatrix.zeros(twoj + 1)
-    coef = ONE
-    for k in range(1, twoj + 1):
-        coef = coef * _TWO_H
-        out = out + _jp_power(twoj, k).scaled(coef.scaled(Q(1, k)))
-    return out
+    pairs = (((_TWO_H**k).scaled(Q(1, k)), _jp_power(twoj, k)) for k in range(1, twoj + 1))
+    return RepMatrix.lincomb(pairs, twoj + 1)
 
 
 def _binom(e, k: int):
@@ -202,16 +209,17 @@ def power_one_minus(twoj: int, exponent) -> RepMatrix:
     twist); the result equals exp(-exponent * sigma).
     """
     e = Q(exponent)
-    out = RepMatrix.identity(twoj + 1)
-    coef = ONE
-    for k in range(1, twoj + 1):
-        coef = coef * (-_TWO_H)
-        out = out + _jp_power(twoj, k).scaled(coef.scaled(_binom(e, k)))
-    return out
+    pairs = ((((-_TWO_H) ** k).scaled(_binom(e, k)), _jp_power(twoj, k)) for k in range(twoj + 1))
+    return RepMatrix.lincomb(pairs, twoj + 1)
 
 
 def prod_index(twoj1, twoj2, twom1, twom2):
     return mag_index(twoj1, twom1) * (twoj2 + 1) + mag_index(twoj2, twom2)
+
+
+def pair_entry(mat, twoj1, twoj2, row, col):
+    """Entry of a product-basis matrix; row and col are (m1, m2) pairs."""
+    return mat.rows[prod_index(twoj1, twoj2, *row)][prod_index(twoj1, twoj2, *col)]
 
 
 @lru_cache(maxsize=None)
@@ -350,42 +358,33 @@ def cgc_classical(twoj1: int, twoj2: int, twoj: int) -> CgcTable:
 @lru_cache(maxsize=None)
 def omega(twoj1: int, twoj2: int, twoj: int) -> CgcTable:
     """Coupling CGC of the twisted algebra: classical CGC contracted with F."""
-    _check_triangle(twoj1, twoj2, twoj)
-    cgc = cgc_classical(twoj1, twoj2, twoj)
-    fmat = f_matrix(twoj1, twoj2)
-    table = {}
-    for twom in magnetics(twoj):
-        for twom1 in magnetics(twoj1):
-            for twom2 in magnetics(twoj2):
-                row = prod_index(twoj1, twoj2, twom1, twom2)
-                val = ZERO
-                for (twos1, twos2, tm), c in cgc.items():
-                    if tm != twom:
-                        continue
-                    a = fmat.rows[row][prod_index(twoj1, twoj2, twos1, twos2)]
-                    if not a.is_zero():
-                        val = val + c * a
-                if not val.is_zero():
-                    table[(twom1, twom2, twom)] = val
-    return CgcTable(twoj1, twoj2, twoj, table)
+    return _twisted_cgc(twoj1, twoj2, twoj, f_matrix, False)
 
 
 @lru_cache(maxsize=None)
 def mho(twoj1: int, twoj2: int, twoj: int) -> CgcTable:
     """Decoupling CGC of the twisted algebra, via the inverse twist."""
-    _check_triangle(twoj1, twoj2, twoj)
+    return _twisted_cgc(twoj1, twoj2, twoj, f_inv_matrix, True)
+
+
+def _twisted_cgc(twoj1, twoj2, twoj, twist, transpose):
+    """table[m1, m2, m] = sum_{s1,s2} C(s1, s2, m) T[(m1, m2), (s1, s2)].
+
+    T is twist(twoj1, twoj2), transposed when transpose is set.
+    """
     cgc = cgc_classical(twoj1, twoj2, twoj)
-    finv = f_inv_matrix(twoj1, twoj2)
+    mat = twist(twoj1, twoj2)
+    if transpose:
+        mat = RepMatrix([list(col) for col in zip(*mat.rows)])
     table = {}
     for twom in magnetics(twoj):
         for twom1 in magnetics(twoj1):
             for twom2 in magnetics(twoj2):
-                col = prod_index(twoj1, twoj2, twom1, twom2)
                 val = ZERO
                 for (twos1, twos2, tm), c in cgc.items():
                     if tm != twom:
                         continue
-                    a = finv.rows[prod_index(twoj1, twoj2, twos1, twos2)][col]
+                    a = pair_entry(mat, twoj1, twoj2, (twom1, twom2), (twos1, twos2))
                     if not a.is_zero():
                         val = val + c * a
                 if not val.is_zero():

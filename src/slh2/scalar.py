@@ -199,27 +199,9 @@ class RadScalar:
         return out
 
     def __repr__(self):
-        if not self._t:
-            return "0"
-        parts = []
-        for r, i, j, q in self.terms():
-            neg = q < 0
-            qa = -q if neg else q
-            factors = []
-            if qa != 1 or (r == 1 and i == 0 and j == 0):
-                factors.append(str(qa) if qa.denominator == 1 else qstr(qa))
-            if r != 1:
-                factors.append(f"sqrt({r})")
-            if i:
-                factors.append("h" if i == 1 else f"h^{i}")
-            if j:
-                factors.append("g" if j == 1 else f"g^{j}")
-            body = "*".join(factors)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        from .exprio import scalar_text
+
+        return scalar_text(self)
 
 
 def sqrt_nat(n: int) -> RadScalar:

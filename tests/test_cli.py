@@ -95,8 +95,18 @@ def test_cgc_triangle_error(capsys):
         ["verify", "--suite", "fock", "--nmax", "-1"],
         ["verify", "--suite", "recurrence", "--max-twoj", "0"],
         ["verify", "--suite", "corep", "--max-twoj", "-1"],
+        ["normalform", "1/0"],
     ],
-    ids=["jacobi-gl", "dmatrix-neg", "fmatrix-neg", "rmatrix-neg", "fock-neg", "no-recurrence", "no-corep"],
+    ids=[
+        "jacobi-gl",
+        "dmatrix-neg",
+        "fmatrix-neg",
+        "rmatrix-neg",
+        "fock-neg",
+        "no-recurrence",
+        "no-corep",
+        "zero-denominator",
+    ],
 )
 def test_invalid_input_exit_2(capsys, argv):
     _assert_usage_error(capsys, argv)

@@ -286,6 +286,18 @@ def test_rtt_detects_a_wrong_intertwiner(monkeypatch):
     assert not rep_report.ok and rep_report.failed == 15
 
 
+def test_suites_build_no_product_with_zero_coefficient():
+    # the suites multiply D-entries only where a coupling or twist
+    # coefficient is non-zero; the miss counts pin that
+    hc._dprod.cache_clear()
+    hc.wigner_check(1, 2, 3)
+    hc.rtt_check(1, 2)
+    assert hc._dprod.cache_info().misses == 36
+    hc._dprod.cache_clear()
+    hc.ortho_like_check(2)
+    assert hc._dprod.cache_info().misses == 56  # of 81 entry pairs
+
+
 def test_rtt_spans_defining_relations():
     rep = hc.rtt_frt_check()
     assert rep.ok, rep.first_failure()

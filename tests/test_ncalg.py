@@ -12,10 +12,11 @@ from slh2.ncalg import (
     NCPoly,
     count_normal_words,
     gen,
+    lincomb,
     normal_form,
     quantum_determinant,
 )
-from slh2.scalar import H, rational
+from slh2.scalar import ONE, ZERO, H, rational
 
 
 def test_nf_xv():
@@ -97,6 +98,46 @@ def test_engine_matches_naive_random_len6():
                 normal_form([(w, 1)], ring).terms()
                 == pbwcheck.naive_normal_form(w, ring)
             ), (w, ring)
+
+
+def test_engine_matches_naive_exhaustive_len5():
+    for ring in (GL, SL):
+        for w in product(range(4), repeat=5):
+            assert (
+                normal_form([(w, 1)], ring).terms()
+                == pbwcheck.naive_normal_form(w, ring)
+            ), (w, ring)
+
+
+def _rand_poly(rng, ring):
+    words = ["".join(rng.choice("vxyu") for _ in range(rng.randint(0, 3))) for _ in range(3)]
+    return normal_form([(w, rational(rng.randint(-3, 3), rng.randint(1, 3))) for w in words], ring)
+
+
+def test_lincomb_equals_fold():
+    rng = random.Random(9)
+    for _ in range(60):
+        ring = rng.choice((GL, SL))
+        coefs = [
+            rational(rng.randint(-4, 4), rng.randint(1, 4)) + H.scaled(rng.randint(-2, 2))
+            for _ in range(rng.randint(0, 5))
+        ]
+        pairs = [(c, _rand_poly(rng, ring)) for c in coefs]
+        fold = NCPoly.zero(ring)
+        for c, p in pairs:
+            fold = fold + p.scaled(c)
+        assert lincomb(pairs, ring) == fold
+
+
+def test_lincomb_drops_zero_coefficients():
+    x, v = gen("x", GL), gen("v", GL)
+    out = lincomb([(0, x), (rational(2), v), (ZERO, v), (rational(1), x), (-ONE, x)], GL)
+    assert out.terms() == {(1, 0, 0, 0): rational(2)}
+    assert lincomb([(0, x)], GL).is_zero()
+    # a zero coefficient is skipped before its polynomial is read
+    assert lincomb([(ZERO, object())], GL).is_zero()
+    with pytest.raises(ValueError):
+        lincomb([(1, gen("x", SL))], GL)
 
 
 def test_with_ring_gl_to_sl():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from slh2 import kernel
 from slh2._rat import Q, qstr
+from slh2.exprio import scalar_text
 from slh2.kernel import sqrt_split
 from slh2.scalar import G, H, ONE, ZERO, RadScalar, rational, sqrt_nat
 
@@ -140,6 +141,18 @@ def test_rational_value():
     assert ZERO.rational_value() == 0
     with pytest.raises(ValueError):
         (H + ONE).rational_value()
+
+
+def test_repr_is_scalar_text():
+    # repr has no printer of its own: it is the expression-grammar text
+    rng = random.Random(7)
+    for _ in range(500):
+        c = ZERO
+        for _ in range(rng.randint(0, 4)):
+            q = Q(rng.randint(-6, 6), rng.randint(1, 5))
+            term = sqrt_nat(rng.choice([1, 2, 3, 4, 6, 8, 10])).scaled(q)
+            c = c + term * H ** rng.randint(0, 3) * G ** rng.randint(0, 2)
+        assert repr(c) == scalar_text(c)
 
 
 def test_hash_consistency():
