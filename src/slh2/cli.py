@@ -38,7 +38,7 @@ def _run_suite(args) -> Report:
     if suite == "recurrence":
         out = Report("recurrence")
         for twoj in range(1, k + 1):
-            for which in hopfcheck.RECURRENCES:
+            for which in hopfcheck.RING_RECURRENCES[args.ring]:
                 out.extend(hopfcheck.recurrence_check(which, twoj, args.ring))
         return out
     if suite == "ortho":

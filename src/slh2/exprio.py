@@ -17,9 +17,10 @@ is the inverse of the parser on normal forms: parse(render_text(p)) == p.
 
 import json
 import re
+from typing import NamedTuple
 
 from . import ncalg
-from ._rat import Q, qstr
+from ._rat import Q
 from .ncalg import NCPoly
 from .scalar import G, H, RadScalar, sqrt_nat
 
@@ -154,133 +155,84 @@ def parse(text: str, ring=ncalg.SL) -> NCPoly:
 # ---------------------------------------------------------------------
 
 
-def _monomial_text(rad, hp, gp, q):
+class _Style(NamedTuple):
+    """How one output format spells a fraction, a root and a power."""
+
+    frac: str  # format of p/q, from numerator and denominator
+    root: str  # format of sqrt(r)
+    power: str  # format of base^e, from base and exponent
+    sep: str  # between the factors of a monomial
+
+
+_TEXT = _Style("{}/{}", "sqrt({})", "{}^{}", "*")
+_LATEX = _Style(r"\frac{{{}}}{{{}}}", r"\sqrt{{{}}}", "{}^{{{}}}", " ")
+
+
+def _power(style, base, e):
+    return base if e == 1 else style.power.format(base, e)
+
+
+def _monomial(style, rad, hp, gp, q):
+    """(sign, factors) of one monomial q*sqrt(rad)*h^hp*g^gp."""
+    a = abs(q)
     factors = []
-    if q.denominator != 1:
-        factors.append(qstr(q if q > 0 else -q))
-    elif abs(q) != 1:
-        factors.append(str(q if q > 0 else -q))
+    if a.denominator != 1:
+        factors.append(style.frac.format(a.numerator, a.denominator))
+    elif a != 1:
+        factors.append(str(a))
     if rad != 1:
-        factors.append(f"sqrt({rad})")
+        factors.append(style.root.format(rad))
     if hp:
-        factors.append("h" if hp == 1 else f"h^{hp}")
+        factors.append(_power(style, "h", hp))
     if gp:
-        factors.append("g" if gp == 1 else f"g^{gp}")
+        factors.append(_power(style, "g", gp))
     return ("-" if q < 0 else ""), factors
+
+
+def _signed_sum(style, pieces):
+    """Join (sign, factors) pairs as 'a - b + c'; no factors reads 1."""
+    out = []
+    for sign, factors in pieces:
+        body = style.sep.join(factors) or "1"
+        if not out:
+            out.append(sign + body)
+        else:
+            out.append(("- " if sign else "+ ") + body)
+    return " ".join(out) or "0"
+
+
+def _scalar(c, style):
+    return _signed_sum(style, (_monomial(style, *t) for t in c.terms()))
+
+
+def _render(p, style):
+    pieces = []
+    for exps, coef in p.sorted_terms():
+        monos = list(coef.terms())
+        if len(monos) > 1:
+            sign, factors = "", [f"({_scalar(coef, style)})"]
+        else:
+            sign, factors = _monomial(style, *monos[0])
+        factors += (_power(style, g, e) for g, e in zip(ncalg.GEN_NAMES, exps) if e)
+        pieces.append((sign, factors))
+    return _signed_sum(style, pieces)
 
 
 def scalar_text(c: RadScalar) -> str:
     """Render a RadScalar in the expression grammar."""
-    if c.is_zero():
-        return "0"
-    parts = []
-    for rad, hp, gp, q in c.terms():
-        sign, factors = _monomial_text(rad, hp, gp, q)
-        body = "*".join(factors) if factors else "1"
-        if not parts:
-            parts.append(sign + body)
-        else:
-            parts.append(("- " if sign else "+ ") + body)
-    return " ".join(parts)
-
-
-def _word_text(exps, sep="*"):
-    parts = []
-    for g, e in zip(ncalg.GEN_NAMES, exps):
-        if e == 1:
-            parts.append(g)
-        elif e > 1:
-            parts.append(f"{g}^{e}")
-    return sep.join(parts)
-
-
-def render_text(p: NCPoly) -> str:
-    if p.is_zero():
-        return "0"
-    out = []
-    for exps, coef in p.sorted_terms():
-        word = _word_text(exps)
-        monos = list(coef.terms())
-        if len(monos) > 1:
-            piece = f"({scalar_text(coef)})"
-            if word:
-                piece += "*" + word
-            sign, body = "", piece
-        else:
-            rad, hp, gp, q = monos[0]
-            sign, factors = _monomial_text(rad, hp, gp, q)
-            if word:
-                factors.append(word)
-            body = "*".join(factors) if factors else "1"
-        if not out:
-            out.append(sign + body)
-        else:
-            out.append(("- " if sign else "+ ") + body)
-    return " ".join(out)
-
-
-def _monomial_latex(rad, hp, gp, q):
-    factors = []
-    if q.denominator != 1:
-        a = abs(q)
-        factors.append(rf"\frac{{{a.numerator}}}{{{a.denominator}}}")
-    elif abs(q) != 1:
-        factors.append(str(abs(q)))
-    if rad != 1:
-        factors.append(rf"\sqrt{{{rad}}}")
-    if hp:
-        factors.append("h" if hp == 1 else f"h^{{{hp}}}")
-    if gp:
-        factors.append("g" if gp == 1 else f"g^{{{gp}}}")
-    return ("-" if q < 0 else ""), factors
+    return _scalar(c, _TEXT)
 
 
 def scalar_latex(c: RadScalar) -> str:
-    if c.is_zero():
-        return "0"
-    parts = []
-    for rad, hp, gp, q in c.terms():
-        sign, factors = _monomial_latex(rad, hp, gp, q)
-        body = " ".join(factors) if factors else "1"
-        if not parts:
-            parts.append(sign + body)
-        else:
-            parts.append(("- " if sign else "+ ") + body)
-    return " ".join(parts)
+    return _scalar(c, _LATEX)
 
 
-def _word_latex(exps):
-    parts = []
-    for g, e in zip(ncalg.GEN_NAMES, exps):
-        if e == 1:
-            parts.append(g)
-        elif e > 1:
-            parts.append(f"{g}^{{{e}}}")
-    return " ".join(parts)
+def render_text(p: NCPoly) -> str:
+    return _render(p, _TEXT)
 
 
 def render_latex(p: NCPoly) -> str:
-    if p.is_zero():
-        return "0"
-    out = []
-    for exps, coef in p.sorted_terms():
-        word = _word_latex(exps)
-        monos = list(coef.terms())
-        if len(monos) > 1:
-            piece = f"({scalar_latex(coef)})"
-            body = f"{piece} {word}" if word else piece
-            sign = ""
-        else:
-            rad, hp, gp, q = monos[0]
-            sign, factors = _monomial_latex(rad, hp, gp, q)
-            if word:
-                factors.append(word)
-            body = " ".join(factors) if factors else "1"
-        if not out:
-            out.append(sign + body)
-        else:
-            out.append(("- " if sign else "+ ") + body)
-    return " ".join(out)
+    return _render(p, _LATEX)
 
 
 def render(p: NCPoly, fmt: str = "text") -> str:

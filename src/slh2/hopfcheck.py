@@ -212,13 +212,16 @@ def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
         for twom in mags:
             entry = d.entry(twomp, twom)
             lhs = coproduct(entry)
-            rhs = TensorPoly.zero(ring, 2)
+            rhs = {}
             for twok in mags:
-                rhs = rhs + TensorPoly.of(d.entry(twomp, twok), d.entry(twok, twom))
+                right = d.entry(twok, twom).terms()
+                for w1, c1 in d.entry(twomp, twok).terms().items():
+                    for w2, c2 in right.items():
+                        accumulate(rhs, (w1, w2), c1 * c2)
             rep.record(
                 {"twoj": twoj, "twomp": twomp, "twom": twom, "law": "coproduct"},
                 lhs,
-                rhs,
+                TensorPoly(ring, 2, rhs),
             )
             eps = counit(entry)
             want = ONE if twomp == twom else ZERO
@@ -248,8 +251,17 @@ def _triangle(twoj1, twoj2):
     return range(abs(twoj1 - twoj2), twoj1 + twoj2 + 2, 2)
 
 
+def _need_determinant_one(ring, what):
+    if ncalg.check_ring(ring) != SL:
+        raise ValueError(f"{what} assume determinant 1 (SL ring)")
+
+
 def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
-    """The twisted product law for D^j plus its three corollaries."""
+    """The twisted product law for D^j plus its three corollaries.
+
+    SL only: the singlet projection of the product law is D = 1.
+    """
+    _need_determinant_one(ring, "the product law and its corollaries")
     rep = Report("wigner")
     if not triangle_ok(twoj1, twoj2, twoj):
         raise ValueError("spin triple violates the triangle condition")
@@ -485,6 +497,8 @@ def recurrence_terms(which, twoj, twok, twom, ring):
 
 
 RECURRENCES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
+# the recurrences that hold in each ring (v-viii use D = 1)
+RING_RECURRENCES = {SL: RECURRENCES, GL: RECURRENCES[:4]}
 
 
 def recurrence_check(which, twoj, ring=SL) -> Report:
@@ -494,8 +508,10 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
     sides, so the boundary instances (where a vanishing square root or a
     vanishing out-of-band matrix element kills one side) are exercised
     too.  The relations v-viii relating D^j to D^{j+1/2} use D = 1 and are
-    SL statements; i-iv hold in GL as well.
+    SL statements, refused in GL; i-iv hold in GL as well.
     """
+    if which in RECURRENCES and which not in RING_RECURRENCES[ncalg.check_ring(ring)]:
+        raise ValueError(f"recurrence {which} assumes determinant 1 (SL ring)")
     rep = Report("recurrence")
     if twoj < 1:
         raise ValueError("recurrences relate spins j and j -+ 1/2; need 2j >= 1")
@@ -522,6 +538,7 @@ def _sign(twodiff):
 
 
 def ortho_like_check(twoj, ring=SL) -> Report:
+    _need_determinant_one(ring, "the orthogonality-like relations")
     rep = Report("ortho")
     fmat = f_matrix(twoj, twoj)
     finv = f_inv_matrix(twoj, twoj)

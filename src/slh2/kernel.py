@@ -1,21 +1,19 @@
 """Scalar kernel: the flat dict arithmetic everything sits on.
 
-Two raw representations, chosen for speed rather than beauty:
+One raw representation, chosen for speed rather than beauty: a dict
 
-  poly: dict mapping (h_power, g_power) -> nonzero rational
-  rad:  dict mapping squarefree radicand -> nonzero poly
+    (radicand, h_power, g_power) -> nonzero rational
 
-A rad dict encodes  sum_r  p_r(h, g) * sqrt(r).  Radicand 1 carries the
-rational-polynomial part.  Functions never mutate their arguments and
-never store zero entries, so values can be shared freely.
+with a squarefree positive radicand r.  It encodes the sum of
+q * sqrt(r) * h^h_power * g^g_power over its items; radicand 1 carries
+the rational-polynomial part.  Functions never mutate their arguments
+and never store zero entries, so values can be shared freely.
 """
 
 from math import gcd
 
-from ._rat import Q
 
-
-def poly_add(a, b):
+def rad_add(a, b):
     if not a:
         return b
     if not b:
@@ -34,60 +32,8 @@ def poly_add(a, b):
     return out
 
 
-def poly_neg(a):
-    return {k: -v for k, v in a.items()}
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b)) if b else a
-
-
-def poly_scale(a, q):
-    if not q:
-        return {}
-    return {k: v * q for k, v in a.items()}
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return {}
-    out = {}
-    for (ha, ga), va in a.items():
-        for (hb, gb), vb in b.items():
-            k = (ha + hb, ga + gb)
-            s = out.get(k)
-            if s is None:
-                out[k] = va * vb
-            else:
-                s = s + va * vb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
-
-
-def rad_add(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for r, p in b.items():
-        q = out.get(r)
-        if q is None:
-            out[r] = p
-        else:
-            q = poly_add(q, p)
-            if q:
-                out[r] = q
-            else:
-                del out[r]
-    return out
-
-
 def rad_neg(a):
-    return {r: poly_neg(p) for r, p in a.items()}
+    return {k: -v for k, v in a.items()}
 
 
 def rad_sub(a, b):
@@ -97,7 +43,7 @@ def rad_sub(a, b):
 def rad_scale(a, q):
     if not q:
         return {}
-    return {r: poly_scale(p, q) for r, p in a.items()}
+    return {k: v * q for k, v in a.items()}
 
 
 def rad_mul(a, b):
@@ -107,22 +53,22 @@ def rad_mul(a, b):
     if not a or not b:
         return {}
     out = {}
-    for ra, pa in a.items():
-        for rb, pb in b.items():
+    for (ra, ha, ga), va in a.items():
+        for (rb, hb, gb), vb in b.items():
             g = gcd(ra, rb)
-            r = (ra // g) * (rb // g)
-            p = poly_mul(pa, pb)
+            v = va * vb
             if g != 1:
-                p = poly_scale(p, Q(g))
-            q = out.get(r)
-            if q is None:
-                out[r] = p
+                v = v * g
+            k = ((ra // g) * (rb // g), ha + hb, ga + gb)
+            s = out.get(k)
+            if s is None:
+                out[k] = v
             else:
-                q = poly_add(q, p)
-                if q:
-                    out[r] = q
+                s = s + v
+                if s:
+                    out[k] = s
                 else:
-                    del out[r]
+                    del out[k]
     return out
 
 
@@ -145,9 +91,3 @@ def sqrt_split(n):
                 r *= d
         d += 1 if d == 2 else 2
     return s, r * n
-
-
-def issquarefree(n):
-    if n <= 0:
-        return False
-    return sqrt_split(n)[0] == 1

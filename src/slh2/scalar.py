@@ -2,17 +2,20 @@
 
 A RadScalar is a finite sum
 
-    sum_r  p_r(h, g) * sqrt(r)
+    sum  q * sqrt(r) * h^i * g^j
 
-with r squarefree positive and p_r a polynomial in the deformation
-parameters with rational coefficients.  Distinct square roots are
-linearly independent over Q(h, g), so equality is structural equality
-of the reduced form and no approximation ever happens.
+with r squarefree positive and q a nonzero rational, stored as the flat
+kernel dict {(r, i, j): q}.  Distinct square roots are linearly
+independent over Q(h, g), so equality is structural equality of the
+reduced form and no approximation ever happens.
 
 This class is the coefficient field-like ring of the whole package: it
 carries every CGC normalization, every sqrt((j+m)!...) factor and every
 power of h appearing in the algebra relations.
 """
+
+from itertools import groupby
+from operator import itemgetter
 
 from . import kernel as K
 from ._rat import Q, qparse, qstr
@@ -24,8 +27,8 @@ class RadScalar:
     __slots__ = ("_t", "_hash")
 
     def __init__(self, terms):
-        # terms: {squarefree_radicand: {(hpow, gpow): rational}}, already
-        # reduced; use the constructors below rather than raw dicts.
+        # terms: {(squarefree_radicand, hpow, gpow): nonzero rational},
+        # already reduced; use the constructors below rather than raw dicts.
         self._t = terms
         self._hash = None
 
@@ -36,7 +39,9 @@ class RadScalar:
         q = Q(q)
         if not q:
             return ZERO
-        return RadScalar({1: {(0, 0): q}})
+        if q == 1:
+            return ONE
+        return RadScalar({(1, 0, 0): q})
 
     @staticmethod
     def from_int(n: int) -> "RadScalar":
@@ -55,11 +60,7 @@ class RadScalar:
 
     def is_rational(self) -> bool:
         """True when the value is a plain rational number."""
-        if not self._t:
-            return True
-        if set(self._t) != {1}:
-            return False
-        return set(self._t[1]) == {(0, 0)}
+        return not self._t or (len(self._t) == 1 and (1, 0, 0) in self._t)
 
     def rational_value(self):
         """The value as a rational; raises if radicals or h, g survive."""
@@ -67,14 +68,12 @@ class RadScalar:
             return Q(0)
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
-        return self._t[1][(0, 0)]
+        return self._t[(1, 0, 0)]
 
     def terms(self):
         """Iterate (radicand, hpow, gpow, coefficient) in canonical order."""
-        for r in sorted(self._t):
-            poly = self._t[r]
-            for hg in sorted(poly):
-                yield r, hg[0], hg[1], poly[hg]
+        for (r, i, j), q in sorted(self._t.items()):
+            yield r, i, j, q
 
     def raw(self):
         return self._t
@@ -131,13 +130,7 @@ class RadScalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                tuple(
-                    (r, hg, q)
-                    for r in sorted(self._t)
-                    for hg, q in sorted(self._t[r].items())
-                )
-            )
+            self._hash = hash(tuple(sorted(self._t.items())))
         return self._hash
 
     def __bool__(self):
@@ -155,37 +148,31 @@ class RadScalar:
         hq = None if h_value is None else Q(h_value)
         gq = None if g_value is None else Q(g_value)
         out = {}
-        for r, poly in self._t.items():
-            acc = {}
-            for (i, j), q in poly.items():
-                if hq is not None:
-                    q = q * hq**i
-                    i = 0
-                if gq is not None:
-                    q = q * gq**j
-                    j = 0
-                key = (i, j)
-                s = acc.get(key)
-                s = q if s is None else s + q
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-            if acc:
-                out[r] = acc
+        for (r, i, j), q in self._t.items():
+            if hq is not None:
+                q = q * hq**i
+                i = 0
+            if gq is not None:
+                q = q * gq**j
+                j = 0
+            key = (r, i, j)
+            s = out.get(key)
+            s = q if s is None else s + q
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
         return RadScalar(out)
 
     # -- encodings ----------------------------------------------------
 
     def to_json(self):
-        terms = []
-        for r in sorted(self._t):
-            poly = [
-                {"h": hg[0], "g": hg[1], "q": qstr(q)}
-                for hg, q in sorted(self._t[r].items())
+        return {
+            "terms": [
+                {"rad": r, "poly": [{"h": i, "g": j, "q": qstr(q)} for _, i, j, q in monos]}
+                for r, monos in groupby(self.terms(), key=itemgetter(0))
             ]
-            terms.append({"rad": r, "poly": poly})
-        return {"terms": terms}
+        }
 
     @staticmethod
     def from_json(obj) -> "RadScalar":
@@ -209,13 +196,13 @@ def sqrt_nat(n: int) -> RadScalar:
     s, r = K.sqrt_split(n)
     if s == 0:
         return ZERO
-    return RadScalar({r: {(0, 0): Q(s)}})
+    return RadScalar({(r, 0, 0): Q(s)})
 
 
 ZERO = RadScalar({})
-ONE = RadScalar({1: {(0, 0): Q(1)}})
-H = RadScalar({1: {(1, 0): Q(1)}})
-G = RadScalar({1: {(0, 1): Q(1)}})
+ONE = RadScalar({(1, 0, 0): Q(1)})
+H = RadScalar({(1, 1, 0): Q(1)})
+G = RadScalar({(1, 0, 1): Q(1)})
 
 
 def rational(p, q=1) -> RadScalar:

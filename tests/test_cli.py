@@ -96,6 +96,8 @@ def test_cgc_triangle_error(capsys):
         ["verify", "--suite", "recurrence", "--max-twoj", "0"],
         ["verify", "--suite", "corep", "--max-twoj", "-1"],
         ["normalform", "1/0"],
+        ["verify", "--suite", "wigner", "--ring", "gl"],
+        ["verify", "--suite", "ortho", "--ring", "gl"],
     ],
     ids=[
         "jacobi-gl",
@@ -106,6 +108,8 @@ def test_cgc_triangle_error(capsys):
         "no-recurrence",
         "no-corep",
         "zero-denominator",
+        "wigner-gl",
+        "ortho-gl",
     ],
 )
 def test_invalid_input_exit_2(capsys, argv):
@@ -214,6 +218,10 @@ def test_empty_report_is_not_ok():
 def test_verify_recurrence_and_wigner_quick(capsys):
     code, _ = run(capsys, "verify", "--suite", "recurrence", "--max-twoj", "1")
     assert code == 0
+    # GL runs the lowering recurrences only; v-viii need D = 1
+    code, out = run(capsys, "verify", "--suite", "recurrence", "--ring", "gl", "--max-twoj", "1")
+    assert code == 0
+    assert {c["params"]["which"] for c in json.loads(out)["cases"]} == {"i", "ii", "iii", "iv"}
     code, _ = run(capsys, "verify", "--suite", "wigner", "--max-twoj", "1")
     assert code == 0
     code, _ = run(capsys, "verify", "--suite", "pbw")

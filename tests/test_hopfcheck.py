@@ -207,9 +207,11 @@ def test_lowering_recurrences_hold_in_gl_too():
 
 def test_raising_recurrences_need_determinant_one():
     # v-viii mix degrees 2j and 2j+2, so in GL they pick up determinant
-    # factors and fail verbatim; this pins the SL-only reading
-    rep = hc.recurrence_check("vi", 1, ring=GL)
-    assert not rep.ok
+    # factors and fail verbatim; GL refuses them instead
+    for which in ("v", "vi", "vii", "viii"):
+        with pytest.raises(ValueError):
+            hc.recurrence_check(which, 1, ring=GL)
+    assert hc.RING_RECURRENCES[GL] == ("i", "ii", "iii", "iv")
 
 
 def test_recurrence_rejects_spin_zero():
