@@ -129,8 +129,12 @@ class RadScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value hashes like the int or Fraction it equals
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._t.items())))
+            if self.is_rational():
+                self._hash = hash(self.rational_value())
+            else:
+                self._hash = hash(tuple(sorted(self._t.items())))
         return self._hash
 
     def __bool__(self):
@@ -194,8 +198,8 @@ class RadScalar:
 def sqrt_nat(n: int) -> RadScalar:
     """Exact square root of a natural number, square part extracted."""
     s, r = K.sqrt_split(n)
-    if s == 0:
-        return ZERO
+    if r == 1:
+        return RadScalar.from_rational(s)
     return RadScalar({(r, 0, 0): Q(s)})
 
 

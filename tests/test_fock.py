@@ -1,3 +1,6 @@
+from functools import partial
+from math import comb
+
 import pytest
 
 from slh2 import fock, ncalg
@@ -18,9 +21,12 @@ from slh2.fock import (
 )
 from slh2.ncalg import GL, SL, normal_form
 from slh2.rep import magnetics
-from slh2.scalar import G, H, ONE, RadScalar, rational, sqrt_nat
+from slh2.scalar import G, H, ONE, ZERO, RadScalar, rational, sqrt_nat
 
 V, X, Y, U = ncalg.V, ncalg.X, ncalg.Y, ncalg.U
+
+# the points g = t h at which the two-parameter relations are checked
+T_POINTS = range(fock.g_degree_bound(fock._TWO_PARAMETER_RELATIONS) + 1)
 
 
 def test_states_dimension():
@@ -30,10 +36,8 @@ def test_states_dimension():
 
 def test_number_operator():
     # abar a counts quanta: on the pure mode-0 state with n = 3
-    n = 3
     num = boson(0, "create", 2) * boson(0, "annihilate", 3)
-    st = fock.state_index(3)[(3, 0, 0, 0)]
-    assert num.data.get((st, st)) == rational(3)
+    assert num.entry((3, 0, 0, 0), (3, 0, 0, 0)) == rational(3)
 
 
 def test_ccr():
@@ -384,19 +388,29 @@ def test_two_parameter_relations():
 
 
 def test_two_parameter_reduces_at_g_zero():
-    for n in range(4):
-        tp = two_parameter_generators(n)
-        tg = twisted_generators(n)
-        for a, b in (("a", "x"), ("b", "u"), ("c", "v"), ("d", "y")):
-            assert tp[a].specialize(g_value=0) == tg[b]
+    # at g = t h the g n terms are t n h multiples; t = 0 leaves x, u, v, y
+    for t in T_POINTS:
+        for n in range(4):
+            tp = two_parameter_generators(n, t)
+            tg = twisted_generators(n)
+            gn = H.scaled(t * n)
+            assert tp["a"] - tg["x"] == tg["v"].scaled(gn)
+            assert tp["b"] - tg["u"] == (tg["y"] - tg["x"]).scaled(gn) - tg["v"].scaled(gn * gn)
+            assert tp["c"] == tg["v"]
+            assert tp["d"] - tg["y"] == -tg["v"].scaled(gn)
+            if t == 0:
+                for a, b in (("a", "x"), ("b", "u"), ("c", "v"), ("d", "y")):
+                    assert tp[a] == tg[b]
 
 
 def test_two_parameter_ac_relation_explicit():
-    # [a, c] = -(h-g) c^2 on low grades
-    for n in range(3):
-        com = fock.commutator2(two_parameter_generators, "a", "c", n)
-        c2 = fock._pair(two_parameter_generators, "c", "c", n)
-        assert com == c2.scaled(-(H - G))
+    # [a, c] = -(h-g) c^2 on low grades, at every point g = t h
+    for t in T_POINTS:
+        builder = partial(two_parameter_generators, t=t)
+        for n in range(3):
+            com = fock.commutator2(builder, "a", "c", n)
+            c2 = builder(n + 1)["c"] * builder(n)["c"]
+            assert com == c2.scaled(H.scaled(t - 1))
 
 
 def test_fock_suite_aggregate():
@@ -419,3 +433,137 @@ def test_negative_grade_cutoff_rejected(check):
     # with nmax < 0 no grade is evaluated, so every case would pass vacuously
     with pytest.raises(ValueError):
         check(-1)
+
+
+# ---------------------------------------------------------------------
+# the integer representation: basis, offsets, radicands, mutations
+# ---------------------------------------------------------------------
+
+
+def _bumped(state, *changes):
+    t = list(state)
+    for mode, delta in changes:
+        t[mode] += delta
+    return tuple(t)
+
+
+def test_entry_is_the_normalized_amplitude():
+    for n in range(4):
+        for s in fock.states(n):
+            for m in range(4):
+                up = _bumped(s, (m, 1))
+                assert boson(m, "create", n).entry(up, s) == sqrt_nat(s[m] + 1)
+                assert boson(m, "create", n).scaled(H).entry(up, s) == H * sqrt_nat(s[m] + 1)
+                if n and s[m]:
+                    down = _bumped(s, (m, -1))
+                    assert boson(m, "annihilate", n).entry(down, s) == sqrt_nat(s[m])
+                for to in range(4):
+                    if to == m or not s[m]:
+                        continue
+                    hop = fock._hop(n, ((m, to),))
+                    moved = _bumped(s, (m, -1), (to, 1))
+                    assert hop.entry(moved, s) == sqrt_nat(s[m] * (s[to] + 1))
+                    assert hop.entry(s, s) == ZERO
+
+
+def test_entry_keeps_the_radicand_and_power_of_h():
+    # a radical and a power of h in the coefficient survive the basis change
+    op = boson(fock.A11, "create", 1).scaled(sqrt_nat(6) * H * H)
+    assert op.entry((2, 0, 0, 0), (1, 0, 0, 0)) == sqrt_nat(12) * H * H
+    x = fock.twisted_letter(X, 0)
+    assert x.entry((1, 0, 0, 0), (0, 0, 0, 0)) == ONE
+
+
+def test_sum_of_unlike_terms_raises():
+    x = fock.twisted_letter(X, 1)
+    v = fock.twisted_letter(V, 1)
+    with pytest.raises(ValueError):
+        x + v  # h-offsets 1 and 2
+    with pytest.raises(ValueError):
+        x - x.scaled(sqrt_nat(2))  # radicands 1 and 2
+    with pytest.raises(ValueError):
+        FockOp.lincomb(1, 2, [(ONE, x), (H * H, v)])
+    with pytest.raises(ValueError):
+        x.scaled(ONE + H)  # not one monomial
+    with pytest.raises(ValueError):
+        x.scaled(G)  # g enters only as g = t h
+    assert (x + v.scaled(H)).offset == x.offset
+    assert (x - x).is_zero()
+
+
+def test_two_parameter_degree_bound():
+    # the relation table gives degree 3 in g, so the check uses t = 0..3
+    assert list(T_POINTS) == [0, 1, 2, 3]
+    # each generator's stated g-degree is its true degree: the finite
+    # difference of that order over t = 0, 1, ... is the first to vanish
+    for n in range(1, 3):
+        gens = [two_parameter_generators(n, t) for t in range(4)]
+        for name, degree in fock._G_DEGREE.items():
+            for order in (degree, degree + 1):
+                weights = [(-1) ** (order - i) * comb(order, i) for i in range(order + 1)]
+                diff = FockOp.lincomb(n, n + 1, zip(weights, (g[name] for g in gens)))
+                assert diff.is_zero() == (order > degree), (name, n, order)
+
+
+def _mutated_relation(table, name, old, new):
+    out = dict(table)
+    out[name] = [new if term == old else term for term in table[name]]
+    assert out[name] != table[name]
+    return out
+
+
+def test_mutation_wrong_relation_coefficient_fails(monkeypatch):
+    table = _mutated_relation(
+        fock._GL_FREE_RELATIONS, "[v,x]=hv2", ("vv", -H), ("vv", -H.scaled(2))
+    )
+    monkeypatch.setattr(fock, "_GL_FREE_RELATIONS", table)
+    rep = fock.relations_check(3)
+    assert not rep.ok
+    assert {c["params"]["relation"] for c in rep.cases if not c["pass"]} == {"[v,x]=hv2"}
+
+
+def test_mutation_wrong_power_of_h_raises(monkeypatch):
+    table = _mutated_relation(
+        fock._GL_FREE_RELATIONS, "[u,x]=h(D-x2)", ("xv", H * H), ("xv", H)
+    )
+    monkeypatch.setattr(fock, "_GL_FREE_RELATIONS", table)
+    with pytest.raises(ValueError):
+        fock.relations_check(2)
+
+
+def test_mutation_b_without_g_squared_fails(monkeypatch):
+    real = fock.two_parameter_generators
+
+    def mutant(n, t):
+        gens = dict(real(n, t))
+        gn = H.scaled(t * n)
+        gens["b"] = gens["b"] + twisted_generators(n)["v"].scaled(gn * gn)
+        return gens
+
+    monkeypatch.setattr(fock, "two_parameter_generators", mutant)
+    rep = fock.two_parameter_check(2)
+    assert not rep.ok
+
+
+def test_mutation_h_plus_g_swapped_fails(monkeypatch):
+    name = "[c,d]=(h+g)c^2"
+    table = _mutated_relation(
+        fock._TWO_PARAMETER_RELATIONS, name, ("cc", 0, -1, -1), ("cc", 0, -1, 1)
+    )
+    monkeypatch.setattr(fock, "_TWO_PARAMETER_RELATIONS", table)
+    rep = fock.two_parameter_check(2)
+    assert [c["params"] for c in rep.cases if not c["pass"]] == [
+        {"relation": name, "grade": n} for n in range(3)
+    ]
+
+
+def test_defining_relations_to_grade_6():
+    rep = fock.relations_check(6)
+    assert rep.ok, rep.first_failure()
+    assert len(rep.cases) == 6 * 7
+
+
+def test_determinant_undeformed_to_grade_6():
+    rep = fock.determinant_check(6)
+    assert rep.ok, rep.first_failure()
+    assert [c["params"] for c in rep.cases] == [{"grade": n} for n in range(7)]

@@ -175,6 +175,26 @@ def test_hash_consistency():
     assert a == b and hash(a) == hash(b)
 
 
+def test_rational_scalars_hash_like_their_value():
+    # equal values must hash equally, or a set holds one value twice
+    assert ONE == 1 == Q(1)
+    assert hash(ONE) == hash(1) == hash(Q(1))
+    assert len({ONE, 1, Q(1)}) == 1
+    assert len({ZERO, 0}) == 1
+    for q in (Q(3, 4), Q(-5), Q(7, 2)):
+        a = RadScalar.coerce(q)
+        assert a == q and hash(a) == hash(q)
+        assert len({a, q}) == 1
+    assert len({sqrt_nat(2), 2, H, ONE + H}) == 4
+
+
+def test_sqrt_of_a_square_is_rational():
+    # ncalg._acc takes its fast path only for the ONE object itself
+    assert sqrt_nat(1) is ONE
+    assert sqrt_nat(0) is ZERO
+    assert sqrt_nat(9) == 3 and sqrt_nat(9).is_rational()
+
+
 # the raw kernel never mutates its arguments ----------------------------
 
 
