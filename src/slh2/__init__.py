@@ -8,7 +8,7 @@ relations, RTT relations and the boson-operator realizations.
 """
 
 from ._rat import Q, RAT_BACKEND
-from .scalar import G, H, ONE, ZERO, RadScalar, rational, sqrt_nat
+from .scalar import H, ONE, ZERO, RadScalar, rational, sqrt_nat
 from .ncalg import GL, SL, NCPoly, gen, normal_form, quantum_determinant
 from .exprio import ParseError, parse, render
 
@@ -23,7 +23,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "H",
-    "G",
     "GL",
     "SL",
     "NCPoly",

@@ -14,9 +14,6 @@ except ImportError:  # pragma: no cover
 
     RAT_BACKEND = "fractions"
 
-Q0 = Q(0)
-Q1 = Q(1)
-
 
 def qstr(q) -> str:
     """Canonical "p/q" text of a rational, denominator always explicit."""

@@ -4,7 +4,8 @@ Subcommands construct objects (dmatrix, cgc, fmatrix, rmatrix, normalform)
 or run verification suites (verify).  All output goes to stdout unless
 --out is given; reports are machine-readable JSON by default.  Exit status
 is 0 on success or all-pass, 1 on verification failure, 2 on usage errors
-(bad arguments, or any ValueError the library raises on invalid input).
+(bad arguments, an --out path that cannot be written, or any ValueError
+the library raises on invalid input).
 """
 
 import argparse
@@ -78,8 +79,11 @@ def _report_text(report: Report) -> str:
 
 def _emit(text, args):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from exc
     else:
         print(text)
 

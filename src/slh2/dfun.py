@@ -207,7 +207,7 @@ def _classical(twoj, twomp, twom, ring):
     out = NCPoly(GL, terms)
     if ring == SL:
         out = out.with_ring(SL)
-    return out.specialize(h_value=0, g_value=0)
+    return out.specialize(h_value=0)
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ Grammar (whitespace ignored):
     expr     := ('+'|'-')? term (('+'|'-') term)*
     term     := factor ('*' factor)*
     factor   := atom ('^' natural)?
-    atom     := 'x'|'u'|'v'|'y'|'D'|'h'|'g'|rational
+    atom     := 'x'|'u'|'v'|'y'|'D'|'h'|rational
               | 'sqrt' '(' natural ')' | '(' expr ')'
     rational := natural ('/' natural)?
 
@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import ncalg
 from ._rat import Q
 from .ncalg import NCPoly
-from .scalar import G, H, RadScalar, sqrt_nat
+from .scalar import H, RadScalar, sqrt_nat
 
 
 class ParseError(ValueError):
@@ -133,8 +133,6 @@ class _Parser:
                 return ncalg.quantum_determinant(self.ring)
             if text == "h":
                 return NCPoly.scalar(H, self.ring)
-            if text == "g":
-                return NCPoly.scalar(G, self.ring)
             if text == "sqrt":
                 self.take("(", "'('")
                 arg = self.take("int", "a natural number radicand")
@@ -172,8 +170,8 @@ def _power(style, base, e):
     return base if e == 1 else style.power.format(base, e)
 
 
-def _monomial(style, rad, hp, gp, q):
-    """(sign, factors) of one monomial q*sqrt(rad)*h^hp*g^gp."""
+def _monomial(style, rad, hp, q):
+    """(sign, factors) of one monomial q*sqrt(rad)*h^hp."""
     a = abs(q)
     factors = []
     if a.denominator != 1:
@@ -184,8 +182,6 @@ def _monomial(style, rad, hp, gp, q):
         factors.append(style.root.format(rad))
     if hp:
         factors.append(_power(style, "h", hp))
-    if gp:
-        factors.append(_power(style, "g", gp))
     return ("-" if q < 0 else ""), factors
 
 

@@ -153,9 +153,9 @@ class FockOp:
             if coef.is_zero() or not op.data:
                 continue
             terms = list(coef.terms())
-            if len(terms) != 1 or terms[0][2]:
+            if len(terms) != 1:
                 raise ValueError(f"a FockOp scales by one monomial q*sqrt(r)*h^k, not {coef!r}")
-            r, k, _, q = terms[0]
+            r, k, q = terms[0]
             g = gcd(op.rad, r)
             term_key = (op.offset - k, (op.rad // g) * (r // g))
             if key is None:

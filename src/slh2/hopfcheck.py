@@ -23,7 +23,6 @@ from itertools import product
 from ._rat import Q
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
-from .exprio import render_text
 from .ncalg import GL, SL, NCPoly, _word_mul_word
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_entry, r_matrix, triangle_ok
 from .report import Report
@@ -303,7 +302,6 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
                     },
                     lhs,
                     rhs,
-                    render_text,
                 )
 
     # rel1: sum_{m'} Omega_{k1,k2,m'} D^j_{m'm} = A[k1,k2,m]
@@ -327,7 +325,6 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
                     },
                     lhs,
                     acc[(twok1, twok2, twom)],
-                    render_text,
                 )
 
     # rel2: sum_m mho_{m1,m2,m} D^j_{m'm} = sum_{k1,k2} mho_{k1,k2,m'} D D
@@ -356,7 +353,6 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
                     },
                     lhs,
                     rhs,
-                    render_text,
                 )
 
     # rel3: D^{j1}_{k1m1} D^{j2}_{k2m2} = sum_{j,m,m'} mho^j Omega^j D^j_{m'm}
@@ -387,7 +383,6 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
                         },
                         _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring),
                         rhs,
-                        render_text,
                     )
     return rep
 
@@ -522,7 +517,6 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
                 {"which": which, "twoj": twoj, "twok": twok, "twom": twom},
                 _combine(lhs_terms, ring),
                 _combine(rhs_terms, ring),
-                render_text,
             )
     return rep
 
@@ -567,7 +561,6 @@ def ortho_like_check(twoj, ring=SL) -> Report:
             {"law": "ortho1", "twoj": twoj, "twok1": twok1, "twok2": twok2},
             lhs,
             rhs,
-            render_text,
         )
 
     for twom1, twom2 in mag_pairs:
@@ -581,7 +574,6 @@ def ortho_like_check(twoj, ring=SL) -> Report:
             {"law": "ortho2", "twoj": twoj, "twom1": twom1, "twom2": twom2},
             lhs,
             rhs,
-            render_text,
         )
     return rep
 
@@ -622,7 +614,6 @@ def rtt_check(twoj1, twoj2, ring=SL) -> Report:
                 },
                 lhs,
                 rhs,
-                render_text,
             )
     return rep
 

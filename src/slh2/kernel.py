@@ -2,11 +2,11 @@
 
 One raw representation, chosen for speed rather than beauty: a dict
 
-    (radicand, h_power, g_power) -> nonzero rational
+    (radicand, h_power) -> nonzero rational
 
 with a squarefree positive radicand r.  It encodes the sum of
-q * sqrt(r) * h^h_power * g^g_power over its items; radicand 1 carries
-the rational-polynomial part.  Functions never mutate their arguments
+q * sqrt(r) * h^h_power over its items; radicand 1 carries the
+rational-polynomial part.  Functions never mutate their arguments
 and never store zero entries, so values can be shared freely.
 """
 
@@ -53,13 +53,13 @@ def rad_mul(a, b):
     if not a or not b:
         return {}
     out = {}
-    for (ra, ha, ga), va in a.items():
-        for (rb, hb, gb), vb in b.items():
+    for (ra, ha), va in a.items():
+        for (rb, hb), vb in b.items():
             g = gcd(ra, rb)
             v = va * vb
             if g != 1:
                 v = v * g
-            k = ((ra // g) * (rb // g), ha + hb, ga + gb)
+            k = ((ra // g) * (rb // g), ha + hb)
             s = out.get(k)
             if s is None:
                 out[k] = v

@@ -242,9 +242,6 @@ class NCPoly:
     def is_zero(self):
         return not self._terms
 
-    def degree(self):
-        return max((sum(w) for w in self._terms), default=0)
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -313,10 +310,10 @@ class NCPoly:
 
     # -- substitution and ring moves --
 
-    def specialize(self, h_value=None, g_value=None):
+    def specialize(self, h_value):
         out = {}
         for w, c in self._terms.items():
-            c = c.specialize(h_value, g_value)
+            c = c.specialize(h_value)
             if not c.is_zero():
                 out[w] = c
         return NCPoly(self.ring, out)

@@ -115,10 +115,8 @@ class RepMatrix:
     def is_zero(self):
         return all(a.is_zero() for row in self.rows for a in row)
 
-    def specialize(self, h_value=None, g_value=None):
-        return RepMatrix(
-            [[a.specialize(h_value, g_value) for a in row] for row in self.rows]
-        )
+    def specialize(self, h_value):
+        return RepMatrix([[a.specialize(h_value) for a in row] for row in self.rows])
 
     def commutator(self, other):
         return self * other - other * self
@@ -169,7 +167,7 @@ def j_matrices(twoj: int):
     jp = RepMatrix.zeros(n)
     jm = RepMatrix.zeros(n)
     for i, twom in enumerate(magnetics(twoj)):
-        j0.rows[i][i] = RadScalar.from_int(twom)
+        j0.rows[i][i] = RadScalar.from_rational(twom)
         if twom < twoj:
             # J+|j m> = sqrt((j-m)(j+m+1)) |j m+1>: row i-1, column i
             amp = (twoj - twom) * (twoj + twom + 2) // 4

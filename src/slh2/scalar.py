@@ -1,13 +1,13 @@
-"""Exact scalars: rationals extended by sqrt(n) and the parameters h, g.
+"""Exact scalars: rationals extended by sqrt(n) and the parameter h.
 
 A RadScalar is a finite sum
 
-    sum  q * sqrt(r) * h^i * g^j
+    sum  q * sqrt(r) * h^i
 
 with r squarefree positive and q a nonzero rational, stored as the flat
-kernel dict {(r, i, j): q}.  Distinct square roots are linearly
-independent over Q(h, g), so equality is structural equality of the
-reduced form and no approximation ever happens.
+kernel dict {(r, i): q}.  Distinct square roots are linearly independent
+over Q(h), so equality is structural equality of the reduced form and no
+approximation ever happens.
 
 This class is the coefficient field-like ring of the whole package: it
 carries every CGC normalization, every sqrt((j+m)!...) factor and every
@@ -27,7 +27,7 @@ class RadScalar:
     __slots__ = ("_t", "_hash")
 
     def __init__(self, terms):
-        # terms: {(squarefree_radicand, hpow, gpow): nonzero rational},
+        # terms: {(squarefree_radicand, hpow): nonzero rational},
         # already reduced; use the constructors below rather than raw dicts.
         self._t = terms
         self._hash = None
@@ -41,11 +41,7 @@ class RadScalar:
             return ZERO
         if q == 1:
             return ONE
-        return RadScalar({(1, 0, 0): q})
-
-    @staticmethod
-    def from_int(n: int) -> "RadScalar":
-        return RadScalar.from_rational(Q(n))
+        return RadScalar({(1, 0): q})
 
     @staticmethod
     def coerce(x) -> "RadScalar":
@@ -60,20 +56,20 @@ class RadScalar:
 
     def is_rational(self) -> bool:
         """True when the value is a plain rational number."""
-        return not self._t or (len(self._t) == 1 and (1, 0, 0) in self._t)
+        return not self._t or (len(self._t) == 1 and (1, 0) in self._t)
 
     def rational_value(self):
-        """The value as a rational; raises if radicals or h, g survive."""
+        """The value as a rational; raises if radicals or h survive."""
         if not self._t:
             return Q(0)
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
-        return self._t[(1, 0, 0)]
+        return self._t[(1, 0)]
 
     def terms(self):
-        """Iterate (radicand, hpow, gpow, coefficient) in canonical order."""
-        for (r, i, j), q in sorted(self._t.items()):
-            yield r, i, j, q
+        """Iterate (radicand, hpow, coefficient) in canonical order."""
+        for (r, i), q in sorted(self._t.items()):
+            yield r, i, q
 
     def raw(self):
         return self._t
@@ -142,38 +138,23 @@ class RadScalar:
 
     # -- substitution -------------------------------------------------
 
-    def specialize(self, h_value=None, g_value=None) -> "RadScalar":
-        """Substitute numeric rationals for h and/or g; None keeps symbolic.
+    def specialize(self, h_value) -> "RadScalar":
+        """Substitute a numeric rational for h.
 
         Radicands are untouched (the roots are numeric already).
         """
-        if h_value is None and g_value is None:
-            return self
-        hq = None if h_value is None else Q(h_value)
-        gq = None if g_value is None else Q(g_value)
+        hq = Q(h_value)
         out = {}
-        for (r, i, j), q in self._t.items():
-            if hq is not None:
-                q = q * hq**i
-                i = 0
-            if gq is not None:
-                q = q * gq**j
-                j = 0
-            key = (r, i, j)
-            s = out.get(key)
-            s = q if s is None else s + q
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return RadScalar(out)
+        for (r, i), q in self._t.items():
+            out[r, 0] = out.get((r, 0), 0) + q * hq**i
+        return RadScalar({k: q for k, q in out.items() if q})
 
     # -- encodings ----------------------------------------------------
 
     def to_json(self):
         return {
             "terms": [
-                {"rad": r, "poly": [{"h": i, "g": j, "q": qstr(q)} for _, i, j, q in monos]}
+                {"rad": r, "poly": [{"h": i, "g": 0, "q": qstr(q)} for _, i, q in monos]}
                 for r, monos in groupby(self.terms(), key=itemgetter(0))
             ]
         }
@@ -184,8 +165,9 @@ class RadScalar:
         for term in obj["terms"]:
             rad = sqrt_nat(term["rad"])
             for mono in term["poly"]:
-                piece = RadScalar.from_rational(qparse(mono["q"]))
-                piece = piece * H ** mono["h"] * G ** mono["g"]
+                if mono["g"]:
+                    raise ValueError(f"a scalar has no power of g, found g^{mono['g']}")
+                piece = RadScalar.from_rational(qparse(mono["q"])) * H ** mono["h"]
                 out = out + piece * rad
         return out
 
@@ -200,13 +182,12 @@ def sqrt_nat(n: int) -> RadScalar:
     s, r = K.sqrt_split(n)
     if r == 1:
         return RadScalar.from_rational(s)
-    return RadScalar({(r, 0, 0): Q(s)})
+    return RadScalar({(r, 0): Q(s)})
 
 
 ZERO = RadScalar({})
-ONE = RadScalar({(1, 0, 0): Q(1)})
-H = RadScalar({(1, 1, 0): Q(1)})
-G = RadScalar({(1, 0, 1): Q(1)})
+ONE = RadScalar({(1, 0): Q(1)})
+H = RadScalar({(1, 1): Q(1)})
 
 
 def rational(p, q=1) -> RadScalar:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,8 @@ def test_cgc_triangle_error(capsys):
         ["verify", "--suite", "recurrence", "--max-twoj", "0"],
         ["verify", "--suite", "corep", "--max-twoj", "-1"],
         ["normalform", "1/0"],
+        ["normalform", "g"],
+        ["normalform", "h*g"],
         ["verify", "--suite", "wigner", "--ring", "gl"],
         ["verify", "--suite", "ortho", "--ring", "gl"],
     ],
@@ -108,12 +111,58 @@ def test_cgc_triangle_error(capsys):
         "no-recurrence",
         "no-corep",
         "zero-denominator",
+        "symbol-g",
+        "symbol-g-product",
         "wigner-gl",
         "ortho-gl",
     ],
 )
 def test_invalid_input_exit_2(capsys, argv):
     _assert_usage_error(capsys, argv)
+
+
+def test_out_unwritable_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    _assert_usage_error(capsys, ["dmatrix", "--twoj", "2", "--out", str(target)])
+    assert not target.exists()
+
+
+# exit code and sha256 of stdout: the README commands, then JSON output
+# whose scalars carry the "g": 0 field
+PINNED = [
+    (["dmatrix", "--twoj", "2", "--ring", "sl", "--scheme", "ordered1", "--format", "text"],
+     0, "90f7f06bf8990250ccde025566d1a08e3bcfd623195cc91b902031ef3960145f"),
+    (["dmatrix", "--twoj", "2", "--scheme", "jacobi", "--format", "latex"],
+     0, "26c5ed083a855e7fc0de669c2c9134eaac080fddf900a63e384838e700650b9c"),
+    (["normalform", "x*y - u*v - h*x*v", "--ring", "sl"],
+     0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (["cgc", "--twoj1", "2", "--twoj2", "1", "--twoj3", "1"],
+     0, "8d61cd76c52cfb19f350cc35582ae0f2cbf1f9a30cfba008632c49e7977d0e44"),
+    (["fmatrix", "--twoj1", "1", "--twoj2", "1"],
+     0, "e013cb73f13b77c7e8a931ed4ffca45873c3bfab099ffbc9cbc9ddc51a1af0bd"),
+    (["rmatrix", "--twoj1", "1", "--twoj2", "1"],
+     0, "e62668cf70e4bea8b868febeaf9013e5439fa65a105ef0130e1aaa6b21b84f32"),
+    (["verify", "--suite", "rtt", "--max-twoj", "2"],
+     0, "0eb254093e80562fc0ad2b3f18f38d83861f352372113ccc4a59d14f850d9cf9"),
+    (["verify", "--suite", "fock", "--nmax", "4", "--with-g"],
+     0, "dff50a5fe4a7fb083a611dae6f7ba566ee2a276ae6eb59cc6a27dc252ce90b37"),
+    (["verify", "--suite", "pbw", "--format", "text"],
+     0, "8d6fc25d098040bcfd175d1e34bcc0a655a43420b9de4a5ce9dfaeccbebf17d2"),
+    (["dmatrix", "--twoj", "3", "--format", "json"],
+     0, "e06d73234611cff669395c8d9dad4aa57918218805d14dee84558446bf24eb1d"),
+    (["dmatrix", "--twoj", "3", "--format", "json", "--ring", "gl"],
+     0, "f23e2c277451db43bd5a6cd239976a57d506238fd5218e1acf3d6b557c766538"),
+    (["normalform", "sqrt(8)*h^2*x*v - 1/2*u", "--format", "json"],
+     0, "0cafcb78e087f9820802f5aa16a8b2eeb8483f438530402df8d7ad799783c139"),
+]
+
+
+def test_cli_output_is_pinned(capsys):
+    got = []
+    for argv, _, _ in PINNED:
+        code, out = run(capsys, *argv)
+        got.append((argv, code, hashlib.sha256(out.encode()).hexdigest()))
+    assert got == PINNED
 
 
 def test_fmatrix_and_rmatrix(capsys):

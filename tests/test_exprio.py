@@ -31,9 +31,10 @@ def test_parse_d_symbol():
 def test_parse_scalars():
     assert parse("3/2", GL) == NCPoly.scalar(rational(3, 2), GL)
     assert parse("sqrt(8)", GL) == NCPoly.scalar(sqrt_nat(2).scaled(2), GL)
-    assert parse("2*h^2*g", GL) == NCPoly.scalar((H * H).scaled(2), GL) * parse(
-        "g", GL
-    )
+    assert parse("2*h^2", GL) == NCPoly.scalar((H * H).scaled(2), GL)
+    with pytest.raises(ParseError) as err:
+        parse("2*h^2*g", GL)
+    assert err.value.pos == 6
 
 
 def test_parse_parens_and_signs():

@@ -19,7 +19,7 @@ from slh2.rep import (
 )
 from slh2.scalar import H, ONE, ZERO, RadScalar, rational, sqrt_nat
 
-TWO = RadScalar.from_int(2)
+TWO = RadScalar.from_rational(2)
 
 
 def test_j_matrices_half():
@@ -277,7 +277,7 @@ def test_cgc_defining_properties():
             # Condon-Shortley: the m1 = j1 component of the top state is > 0
             lead = t.get(twoj1, twoj - twoj1, twoj)
             terms = list(lead.terms())
-            assert len(terms) == 1 and terms[0][3] > 0
+            assert len(terms) == 1 and terms[0][2] > 0
             # lowering: J- |j m> = sqrt((j+m)(j-m+1)) |j m-1>
             for twom in magnetics(twoj):
                 if twom == -twoj:

@@ -7,7 +7,7 @@ from slh2 import kernel
 from slh2._rat import Q, qstr
 from slh2.exprio import scalar_text
 from slh2.kernel import sqrt_split
-from slh2.scalar import G, H, ONE, ZERO, RadScalar, rational, sqrt_nat
+from slh2.scalar import H, ONE, ZERO, RadScalar, rational, sqrt_nat
 
 
 def test_add_cancellation():
@@ -58,16 +58,6 @@ def test_specialize_h_half():
     )
 
 
-def test_specialize_noop():
-    s = sqrt_nat(5) * H + G.scaled(3)
-    assert s.specialize() == s
-
-
-def test_specialize_g():
-    s = G * G + H
-    assert s.specialize(g_value=2) == rational(4) + H
-
-
 # randomized ring axioms ------------------------------------------------
 
 _rads = st.sampled_from([1, 2, 3, 5, 6, 7, 10])
@@ -80,7 +70,7 @@ def radscalars(draw):
     for _ in range(draw(st.integers(0, 3))):
         q = draw(_coef)
         term = sqrt_nat(draw(_rads)).scaled(q)
-        term = term * H ** draw(st.integers(0, 2)) * G ** draw(st.integers(0, 1))
+        term = term * H ** draw(st.integers(0, 2))
         out = out + term
     return out
 
@@ -102,13 +92,13 @@ def test_ring_axioms(a, b, c):
 @given(radscalars(), radscalars())
 def test_equality_is_componentwise(a, b):
     # sqrt(r) for distinct squarefree r are linearly independent over
-    # Q(h, g), so equality must coincide with zero difference termwise
+    # Q(h), so equality must coincide with zero difference termwise
     assert (a == b) == (a - b).is_zero()
     assert (a == b) == (a.raw() == b.raw())
     # structural equality relies on the canonical form: squarefree
     # radicands and no zero coefficient
     for c in (a + b, a * b):
-        for (r, _, _), q in c.raw().items():
+        for (r, _), q in c.raw().items():
             assert sqrt_split(r) == (1, r) and q
 
 
@@ -127,6 +117,10 @@ def test_json_shape():
             {"rad": 2, "poly": [{"h": 0, "g": 0, "q": "3/2"}]},
         ]
     }
+    # the g field is always 0: a scalar has no power of g
+    obj["terms"][0]["poly"][0]["g"] = 1
+    with pytest.raises(ValueError):
+        RadScalar.from_json(obj)
 
 
 def test_rationals_as_fraction_text():
@@ -156,7 +150,7 @@ def test_repr_is_scalar_text():
         for _ in range(rng.randint(0, 4)):
             q = Q(rng.randint(-6, 6), rng.randint(1, 5))
             term = sqrt_nat(rng.choice([1, 2, 3, 4, 6, 8, 10])).scaled(q)
-            c = c + term * H ** rng.randint(0, 3) * G ** rng.randint(0, 2)
+            c = c + term * H ** rng.randint(0, 3)
         assert repr(c) == scalar_text(c)
 
 
@@ -200,7 +194,7 @@ def test_sqrt_of_a_square_is_rational():
 
 def _rand_rad(rng):
     return {
-        (rng.choice([1, 2, 3, 5, 6, 10]), rng.randint(0, 3), rng.randint(0, 2)):
+        (rng.choice([1, 2, 3, 5, 6, 10]), rng.randint(0, 3)):
             Q(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 5))
         for _ in range(rng.randint(0, 6))
     }
