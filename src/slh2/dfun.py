@@ -204,7 +204,7 @@ def _jacobi_form(twoj, twomp, twom):
 def _classical(twoj, twomp, twom, ring):
     # v^L x^K y^N u^M, a normal GL word
     terms = {(L, K, N, M): coef for (K, L, M, N), coef in iter_klmn(twoj, twomp, twom)}
-    out = NCPoly(GL, terms)
+    out = NCPoly.from_terms(GL, terms)
     if ring == SL:
         out = out.with_ring(SL)
     return out.specialize(h_value=0)

@@ -144,13 +144,14 @@ class TensorPoly:
 
 
 def _spread(out, slot_polys, coef, prefix=()):
-    """Accumulate coef * (x) slot_polys expanded into tensor words."""
+    """Accumulate coef * (x) slot_polys expanded into tensor words; the
+    slot polys are flat memo entries {(a, b, c, d, 1, h_power): int}."""
     if not slot_polys:
         accumulate(out, prefix, coef)
         return
     head, *rest = slot_polys
-    for w, c in head.items():
-        _spread(out, rest, coef * c, prefix + (w,))
+    for k, m in head.items():
+        _spread(out, rest, coef * RadScalar({(1, k[5]): m}), prefix + (k[:4],))
 
 
 _DELTA_MEMO = {GL: {}, SL: {}}
@@ -166,17 +167,12 @@ def _word_coproduct(exps, ring):
         out = {}
         for (w1, w2), c in terms.items():
             for g1, g2 in _DELTA_GEN[g]:
-                left = _word_mul_word(w1, _one_letter(g1), ring)
-                right = _word_mul_word(w2, _one_letter(g2), ring)
+                left = _word_mul_word(w1, ncalg.LETTER_WORDS[g1], ring)
+                right = _word_mul_word(w2, ncalg.LETTER_WORDS[g2], ring)
                 _spread(out, [left, right], c)
         terms = out
     memo[exps] = terms
     return terms
-
-
-@lru_cache(maxsize=None)
-def _one_letter(g):
-    return tuple(1 if i == g else 0 for i in range(4))
 
 
 def _word_counit(exps):

@@ -23,9 +23,19 @@ RULES is the single definition of these rules: the engine below, the
 naive rewriter in pbwcheck and hopfcheck.rtt_frt_check all read it.  The
 Fock oracle keeps its own copy of the relations on purpose, so that it
 stays a witness independent of this table.
+
+The engine works per normal word and per power of h (the graded setting
+of Bergman's diamond lemma).  _word_mul_word multiplies two normal words:
+by one letter it applies a rule (memo _MEMO), by a longer word it folds
+over the letters (memo _WW_MEMO).  Every rule coefficient is +-1 times a
+power of h, so a memo entry has radicand 1 and int values.
 """
 
-from .scalar import ONE, ZERO, H, RadScalar
+from math import gcd
+
+from ._rat import Q
+from .kernel import rad_add, rad_neg
+from .scalar import ONE, ZERO, H, RadScalar, accumulate
 
 V, X, Y, U = 0, 1, 2, 3
 GEN_NAMES = "vxyu"
@@ -93,103 +103,94 @@ def word_sort_key(exps):
 
 
 # ---------------------------------------------------------------------
-# The rewrite engine.  _word_mul_gen(w, g) is the normal form of the
-# normal word w times a single generator g; everything else folds over
-# it.  Results are memoized per ring and must never be mutated.
+# The rewrite engine, on flat term dicts (see NCPoly).  Memo entries are
+# shared per ring and must never be mutated.
 # ---------------------------------------------------------------------
 
+# the one-letter words v, x, y, u as exponent tuples, by generator index
+LETTER_WORDS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
 _MEMO = {GL: {}, SL: {}}
-
-
-def _acc(dst, src, coef):
-    """dst += coef * src for term dicts; coef is a RadScalar."""
-    if coef is ONE:
-        for w, cf in src.items():
-            s = dst.get(w)
-            s = cf if s is None else s + cf
-            if s.is_zero():
-                if w in dst:
-                    del dst[w]
-            else:
-                dst[w] = s
-    else:
-        for w, cf in src.items():
-            s = dst.get(w)
-            p = coef * cf
-            s = p if s is None else s + p
-            if s.is_zero():
-                if w in dst:
-                    del dst[w]
-            else:
-                dst[w] = s
-
-
-def _mul_gen(terms, g, ring):
-    out = {}
-    for w, cf in terms.items():
-        _acc(out, _word_mul_gen(w, g, ring), cf)
-    return out
-
-
-def _word_mul_gen(w, g, ring):
-    memo = _MEMO[ring]
-    key = (w, g)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    last = max((i for i in range(4) if w[i]), default=None)
-    rule = RULES[ring].get((last, g))
-    if rule is None:
-        # w g is already normal
-        res = {w[:g] + (w[g] + 1,) + w[g + 1 :]: ONE}
-    else:
-        # w = base last; fold each replacement word of (last, g) onto base
-        base = w[:last] + (w[last] - 1,) + w[last + 1 :]
-        res = {}
-        for word, coef in rule:
-            terms = {base: ONE}
-            for letter in word:
-                terms = _mul_gen(terms, letter, ring)
-            _acc(res, terms, coef)
-    memo[key] = res
-    return res
-
-
 _WW_MEMO = {GL: {}, SL: {}}
 
 
 def _word_mul_word(w1, w2, ring):
-    memo = _WW_MEMO[ring]
+    """Normal form of the normal word w1 times the word w2, as flat terms."""
+    one_letter = sum(w2) == 1
+    memo = (_MEMO if one_letter else _WW_MEMO)[ring]
     key = (w1, w2)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    terms = {w1: ONE}
-    for g in word_letters(w2):
-        terms = _mul_gen(terms, g, ring)
-    memo[key] = terms
-    return terms
+    if not one_letter:
+        res = _times_letters({w1 + (1, 0): 1}, word_letters(w2), ring)
+    else:
+        g = w2.index(1)
+        last = max((i for i in range(4) if w1[i]), default=None)
+        rule = RULES[ring].get((last, g))
+        if rule is None:
+            # w1 g is already normal
+            res = {w1[:g] + (w1[g] + 1,) + w1[g + 1 :] + (1, 0): 1}
+        else:
+            # w1 = base last; fold each replacement word of (last, g) onto base
+            base = w1[:last] + (w1[last] - 1,) + w1[last + 1 :] + (1, 0)
+            res = {}
+            for word, coef in rule:
+                _scale_into(res, _times_letters({base: 1}, word, ring), coef)
+    memo[key] = res
+    return res
 
 
-def _nf_letters(letters, ring):
-    terms = {(0, 0, 0, 0): ONE}
+def _times_letters(terms, letters, ring):
+    """terms times each letter in turn, as flat terms."""
     for g in letters:
-        terms = _mul_gen(terms, g, ring)
+        terms = _mul(terms, {LETTER_WORDS[g] + (1, 0): 1}, ring)
     return terms
+
+
+def _mul(t1, t2, ring):
+    """The product of two flat term dicts: one loop over term pairs."""
+    out = {}
+    for k1, q1 in t1.items():
+        w1, r1, i1 = k1[:4], k1[4], k1[5]
+        for k2, q2 in t2.items():
+            r2 = k2[4]
+            g = gcd(r1, r2)
+            r = (r1 // g) * (r2 // g)
+            q = q1 * q2 if g == 1 else q1 * q2 * g
+            i = i1 + k2[5]
+            for (a, b, c, d, _, j), m in _word_mul_word(w1, k2[:4], ring).items():
+                accumulate(out, (a, b, c, d, r, i + j), q * m)
+    return out
+
+
+def _scale_into(dst, terms, coef):
+    """dst += coef * terms for a RadScalar coef, radicands combined by
+    kernel.rad_mul's gcd rule; an integral coefficient enters as an int."""
+    for (rc, ic), qc in coef.raw().items():
+        if qc.denominator == 1:
+            qc = int(qc)
+        for (a, b, c, d, r, i), q in terms.items():
+            g = gcd(r, rc)
+            p = q * qc if g == 1 else q * qc * g
+            accumulate(dst, (a, b, c, d, (r // g) * (rc // g), i + ic), p)
 
 
 def _as_letters(word):
     """Accept a generator-name string or a sequence of generator indices."""
-    if isinstance(word, str):
-        return tuple(GEN_INDEX[ch] for ch in word)
-    word = tuple(word)
-    if any(g not in (V, X, Y, U) for g in word):
+    letters = tuple(GEN_INDEX.get(g, g) for g in word) if isinstance(word, str) else tuple(word)
+    if any(g not in (V, X, Y, U) for g in letters):
         raise ValueError(f"not a word over the generators: {word!r}")
-    return word
+    return letters
 
 
 class NCPoly:
-    """Noncommutative polynomial in normal form over RadScalar coefficients."""
+    """Noncommutative polynomial in normal form: one flat dict
+    {(a, b, c, d, radicand, h_power): q} for q * sqrt(radicand) * h^h_power
+    * v^a x^b y^c u^d, radicands squarefree and q a nonzero int or rational
+    (the two compare and hash alike, so equality is structural).  terms()
+    and the lookups build RadScalar coefficients when called.
+    """
 
     __slots__ = ("ring", "_terms")
 
@@ -205,39 +206,48 @@ class NCPoly:
 
     @staticmethod
     def one(ring):
-        return NCPoly(check_ring(ring), {(0, 0, 0, 0): ONE})
+        return NCPoly(check_ring(ring), {(0, 0, 0, 0, 1, 0): 1})
+
+    @staticmethod
+    def from_terms(ring, terms):
+        """The polynomial with the given {normal word: RadScalar} terms."""
+        out = {}
+        for w, c in terms.items():
+            _scale_into(out, {w + (1, 0): 1}, c)
+        return NCPoly(check_ring(ring), out)
 
     @staticmethod
     def scalar(coef, ring):
-        coef = RadScalar.coerce(coef)
-        if coef.is_zero():
-            return NCPoly.zero(ring)
-        return NCPoly(check_ring(ring), {(0, 0, 0, 0): coef})
+        return NCPoly.from_terms(ring, {(0, 0, 0, 0): RadScalar.coerce(coef)})
 
     @staticmethod
     def generator(name, ring):
-        g = GEN_INDEX[name] if isinstance(name, str) else name
-        exps = tuple(1 if i == g else 0 for i in range(4))
-        return NCPoly(check_ring(ring), {exps: ONE})
+        letters = _as_letters(name if isinstance(name, str) else (name,))
+        if len(letters) != 1:
+            raise ValueError(f"not a generator: {name!r}")
+        return NCPoly(check_ring(ring), {LETTER_WORDS[letters[0]] + (1, 0): 1})
 
     # -- views --
 
     def terms(self):
-        return self._terms
+        """The terms as {normal word: RadScalar}, built on each call."""
+        out = {}
+        for (a, b, c, d, r, i), q in self._terms.items():
+            out.setdefault((a, b, c, d), {})[r, i] = Q(q)
+        return {w: RadScalar(t) for w, t in out.items()}
 
     def sorted_terms(self):
-        for w in sorted(self._terms, key=word_sort_key):
-            yield w, self._terms[w]
+        return sorted(self.terms().items(), key=lambda t: word_sort_key(t[0]))
 
     def coefficient(self, word):
         word = _as_letters(word)
         exps = (word.count(V), word.count(X), word.count(Y), word.count(U))
-        if word != word_letters(exps):
-            raise ValueError("coefficient lookup needs a normal word")
-        return self._terms.get(exps, ZERO)
+        if word != word_letters(exps) or (self.ring == SL and exps[X] and exps[Y]):
+            raise ValueError(f"coefficient lookup needs a normal word of the {self.ring} ring")
+        return self.terms().get(exps, ZERO)
 
     def constant(self):
-        return self._terms.get((0, 0, 0, 0), ZERO)
+        return self.coefficient(())
 
     def is_zero(self):
         return not self._terms
@@ -263,14 +273,12 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             other = NCPoly.scalar(other, self.ring)
         self._check(other)
-        out = dict(self._terms)
-        _acc(out, other._terms, ONE)
-        return NCPoly(self.ring, out)
+        return NCPoly(self.ring, rad_add(self._terms, other._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPoly(self.ring, {w: -c for w, c in self._terms.items()})
+        return NCPoly(self.ring, rad_neg(self._terms))
 
     def __sub__(self, other):
         if not isinstance(other, NCPoly):
@@ -284,21 +292,16 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return self.scaled(other)
         self._check(other)
-        out = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                _acc(out, _word_mul_word(w1, w2, self.ring), c1 * c2)
-        return NCPoly(self.ring, out)
+        return NCPoly(self.ring, _mul(self._terms, other._terms, self.ring))
 
     def __rmul__(self, other):
         # scalars commute with everything, so this is only for non-NCPoly
         return self.scaled(other)
 
     def scaled(self, coef):
-        coef = RadScalar.coerce(coef)
-        if coef.is_zero():
-            return NCPoly.zero(self.ring)
-        return NCPoly(self.ring, {w: coef * c for w, c in self._terms.items()})
+        out = {}
+        _scale_into(out, self._terms, RadScalar.coerce(coef))
+        return NCPoly(self.ring, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -311,12 +314,9 @@ class NCPoly:
     # -- substitution and ring moves --
 
     def specialize(self, h_value):
-        out = {}
-        for w, c in self._terms.items():
-            c = c.specialize(h_value)
-            if not c.is_zero():
-                out[w] = c
-        return NCPoly(self.ring, out)
+        return NCPoly.from_terms(
+            self.ring, {w: c.specialize(h_value) for w, c in self.terms().items()}
+        )
 
     def with_ring(self, ring):
         """Re-normalize into the given ring.
@@ -325,13 +325,7 @@ class NCPoly:
         re-tags the chosen normal form (a section of the quotient, not a
         ring homomorphism).
         """
-        check_ring(ring)
-        if ring == self.ring:
-            return self
-        out = {}
-        for w, c in self._terms.items():
-            _acc(out, _word_mul_word((0, 0, 0, 0), w, ring), c)
-        return NCPoly(ring, out)
+        return NCPoly.one(ring) * NCPoly(ring, self._terms)
 
     # -- encodings --
 
@@ -366,10 +360,8 @@ def normal_form(pairs, ring) -> NCPoly:
     check_ring(ring)
     out = {}
     for word, coef in pairs:
-        coef = RadScalar.coerce(coef)
-        if coef.is_zero():
-            continue
-        _acc(out, _nf_letters(_as_letters(word), ring), coef)
+        terms = _times_letters({(0, 0, 0, 0, 1, 0): 1}, _as_letters(word), ring)
+        _scale_into(out, terms, RadScalar.coerce(coef))
     return NCPoly(ring, out)
 
 
@@ -386,7 +378,7 @@ def lincomb(pairs, ring) -> NCPoly:
             continue
         if p.ring != ring:
             raise ValueError(f"ring mismatch: {p.ring} vs {ring}")
-        _acc(out, p._terms, coef)
+        _scale_into(out, p._terms, coef)
     return NCPoly(check_ring(ring), out)
 
 

@@ -195,10 +195,10 @@ def rational(p, q=1) -> RadScalar:
 
 
 def accumulate(out, key, c):
-    """out[key] += c for a dict of RadScalar values, dropping zero entries."""
+    """out[key] += c, dropping a zero sum; c is a rational or a RadScalar."""
     s = out.get(key)
     s = c if s is None else s + c
-    if s.is_zero():
-        out.pop(key, None)
-    else:
+    if s:
         out[key] = s
+    else:
+        out.pop(key, None)

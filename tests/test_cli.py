@@ -127,8 +127,8 @@ def test_out_unwritable_exit_2(tmp_path, capsys):
     assert not target.exists()
 
 
-# exit code and sha256 of stdout: the README commands, then JSON output
-# whose scalars carry the "g": 0 field
+# exit code and sha256 of stdout: the README commands, JSON output whose
+# scalars carry the "g": 0 field, then D-matrices at larger spins
 PINNED = [
     (["dmatrix", "--twoj", "2", "--ring", "sl", "--scheme", "ordered1", "--format", "text"],
      0, "90f7f06bf8990250ccde025566d1a08e3bcfd623195cc91b902031ef3960145f"),
@@ -154,6 +154,12 @@ PINNED = [
      0, "f23e2c277451db43bd5a6cd239976a57d506238fd5218e1acf3d6b557c766538"),
     (["normalform", "sqrt(8)*h^2*x*v - 1/2*u", "--format", "json"],
      0, "0cafcb78e087f9820802f5aa16a8b2eeb8483f438530402df8d7ad799783c139"),
+    (["dmatrix", "--twoj", "6"],
+     0, "a87e968b9d5e2c75afded2f3263c2a4295d01dbb4cf354b38462e4560afd0a0e"),
+    (["dmatrix", "--twoj", "6", "--scheme", "jacobi"],
+     0, "59bc939d48d6a6ec15dd3e6bb38e2ad3b2e25bea7aaf561638d3e4a6a28e418e"),
+    (["dmatrix", "--twoj", "5", "--scheme", "ordered2", "--ring", "gl"],
+     0, "701ebbe03378a5fe1120e795206fd15b93d0b6b35e98de4fcc78802cc063c588"),
 ]
 
 

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
 
-from slh2 import pbwcheck
+from slh2 import kernel, pbwcheck
 from slh2.exprio import parse
 from slh2.ncalg import (
     GL,
@@ -161,6 +162,62 @@ def test_coefficient_lookup():
     assert p.coefficient("u").is_zero()
     with pytest.raises(ValueError):
         p.coefficient("xv")  # not a normal word
+    with pytest.raises(ValueError):
+        parse("x*y + v*u", SL).coefficient("xy")  # no SL-normal word has both x and y
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen(9, GL),
+        lambda: gen("q", GL),
+        lambda: normal_form([("xq", 1)], GL),
+        lambda: normal_form([((0, 7), 1)], GL),
+    ],
+    ids=["gen-index-9", "gen-name-q", "nf-name-xq", "nf-index-7"],
+)
+def test_unknown_generator_raises(make):
+    with pytest.raises(ValueError, match="not a word over the generators"):
+        make()
+
+
+_RADICAL_EXPRS = [
+    "sqrt(2)*x + h*v", "1/2*u*v - sqrt(3)*h^2", "sqrt(6)*y*x - 2", "x + y + sqrt(2)*h*u",
+    "3/4*v^2 - sqrt(3)*x", "h*y - 1/3*sqrt(6)*u*x", "sqrt(2)*v - sqrt(2)*v + x",
+]
+
+
+def _assert_canonical(p):
+    for key, q in p._terms.items():
+        assert len(key) == 6 and all(type(k) is int for k in key), key
+        assert kernel.sqrt_split(key[4]) == (1, key[4]), key
+        assert q != 0, key
+    assert NCPoly.from_terms(p.ring, p.terms()) == p
+    as_fraction = NCPoly(p.ring, {k: Fraction(q) for k, q in p._terms.items()})
+    as_int = NCPoly(p.ring, {k: int(q) if q.denominator == 1 else q for k, q in p._terms.items()})
+    assert as_fraction == as_int == p
+    assert hash(as_fraction) == hash(as_int) == hash(p)
+
+
+def test_flat_terms_are_canonical():
+    rng = random.Random(17)
+    for ring in (GL, SL):
+        polys = [parse(e, ring) for e in _RADICAL_EXPRS]
+        for _ in range(40):
+            p, q = rng.choice(polys), rng.choice(polys)
+            c = parse(rng.choice(["sqrt(2)", "sqrt(3)*h", "-1/2", "2*sqrt(6)"]), ring).constant()
+            for result in (
+                p + q,
+                p - q,
+                p * q,
+                p.scaled(c),
+                lincomb([(c, p), (rational(rng.randint(-2, 2)), q), (-c, p)], ring),
+            ):
+                _assert_canonical(result)
+    # an integral value reached through a Fraction sum equals the int one
+    x = gen("x", GL)
+    half = x.scaled(rational(1, 2))
+    assert half + half == x and hash(half + half) == hash(x)
 
 
 def test_json_roundtrip():

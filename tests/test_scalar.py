@@ -155,7 +155,6 @@ def test_repr_is_scalar_text():
 
 
 def test_unit_coercions_are_one():
-    # ncalg._acc takes its fast path only for the ONE object itself
     assert RadScalar.coerce(1) is ONE
     assert RadScalar.coerce(Q(1)) is ONE
     assert rational(1) is ONE
@@ -183,7 +182,6 @@ def test_rational_scalars_hash_like_their_value():
 
 
 def test_sqrt_of_a_square_is_rational():
-    # ncalg._acc takes its fast path only for the ONE object itself
     assert sqrt_nat(1) is ONE
     assert sqrt_nat(0) is ZERO
     assert sqrt_nat(9) == 3 and sqrt_nat(9).is_rational()
