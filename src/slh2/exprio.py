@@ -219,10 +219,6 @@ def scalar_text(c: RadScalar) -> str:
     return _scalar(c, _TEXT)
 
 
-def scalar_latex(c: RadScalar) -> str:
-    return _scalar(c, _LATEX)
-
-
 def render_text(p: NCPoly) -> str:
     return _render(p, _TEXT)
 

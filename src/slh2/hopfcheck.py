@@ -10,6 +10,11 @@ extended as an algebra homomorphism, with counit eps(x) = eps(y) = 1,
 eps(u) = eps(v) = 0.  Compatibility with the defining relations is itself
 part of the test surface, not an assumption.
 
+A TensorPoly holds the flat terms {(w_1, ..., w_n, radicand, h_power): q}
+of the NCPoly layout with n words in place of one, and the coproduct memo
+_DELTA_MEMO holds {(w1, w2, 1, h_power): int} per word.  A RadScalar is
+built only for printing and for the value of counit.
+
 The suites verify, by exact symbolic expansion: the corepresentation law
 for D^j, the twisted product law and its corollaries, the eight
 recurrence relations, the orthogonality-like relations, and the RTT
@@ -19,11 +24,13 @@ the six defining relations).
 
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from ._rat import Q
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
-from .ncalg import GL, SL, NCPoly, _word_mul_word
+from .kernel import rad_add, rad_neg
+from .ncalg import GL, SL, U, V, NCPoly, _scale_into, _word_mul_word
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_entry, r_matrix, triangle_ok
 from .report import Report
 from .scalar import H, ONE, ZERO, RadScalar, accumulate, sqrt_nat
@@ -38,7 +45,9 @@ _DELTA_GEN = {
 
 
 class TensorPoly:
-    """Element of a tensor power of the ring, slotwise normal ordered."""
+    """Element of a tensor power of the ring, slotwise normal ordered: one
+    flat dict {(w_1, ..., w_n, radicand, h_power): q}, the n-slot form of
+    the NCPoly terms, with each w_i a normal word (a, b, c, d)."""
 
     __slots__ = ("ring", "arity", "terms")
 
@@ -54,56 +63,46 @@ class TensorPoly:
     @staticmethod
     def of(*polys):
         """Outer product p1 (x) p2 (x) ... of NCPoly factors."""
-        first, *rest = polys
-        ring = first.ring
-        terms = {(w,): c for w, c in first.terms().items()}
-        for p in rest:
-            if p.ring != ring:
-                raise ValueError("ring mismatch in tensor product")
-            out = {}
-            for words, c in terms.items():
-                for w, cw in p.terms().items():
-                    accumulate(out, words + (w,), c * cw)
-            terms = out
-        return TensorPoly(ring, len(polys), terms)
+        ring = polys[0].ring
+        if any(p.ring != ring for p in polys):
+            raise ValueError("ring mismatch in tensor product")
+        out = {}
+        _spread(out, [p._terms for p in polys])
+        return TensorPoly(ring, len(polys), out)
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(out, k, c)
-        return TensorPoly(self.ring, self.arity, out)
+        return TensorPoly(self.ring, self.arity, rad_add(self.terms, other.terms))
 
     def __neg__(self):
-        return TensorPoly(
-            self.ring, self.arity, {k: -c for k, c in self.terms.items()}
-        )
+        return TensorPoly(self.ring, self.arity, rad_neg(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, coef):
-        coef = RadScalar.coerce(coef)
-        if coef.is_zero():
-            return TensorPoly.zero(self.ring, self.arity)
-        return TensorPoly(
-            self.ring, self.arity, {k: coef * c for k, c in self.terms.items()}
-        )
+        out = {}
+        _scale_into(out, self.terms, RadScalar.coerce(coef))
+        return TensorPoly(self.ring, self.arity, out)
 
     def __mul__(self, other):
         self._check(other)
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                slot_polys = [
-                    _word_mul_word(w1, w2, self.ring) for w1, w2 in zip(k1, k2)
-                ]
-                _spread(out, slot_polys, c1 * c2)
+        for k1, q1 in self.terms.items():
+            for k2, q2 in other.terms.items():
+                (r1, i1), (r2, i2) = k1[-2:], k2[-2:]
+                g = gcd(r1, r2)
+                slots = [_word_mul_word(w1, w2, self.ring) for w1, w2 in zip(k1[:-2], k2[:-2])]
+                _spread(out, slots, q1 * q2 * g, (r1 // g) * (r2 // g), i1 + i2)
         return TensorPoly(self.ring, self.arity, out)
 
     def _check(self, other):
         if self.ring != other.ring or self.arity != other.arity:
             raise ValueError("tensor shape mismatch")
+
+    def _check_slot(self, slot):
+        if not 0 <= slot < self.arity:
+            raise ValueError(f"slot {slot} outside 0..{self.arity - 1}")
 
     def is_zero(self):
         return not self.terms
@@ -118,40 +117,45 @@ class TensorPoly:
 
     def apply_coproduct(self, slot=0):
         """Replace one tensor slot by its coproduct (arity grows by one)."""
+        self._check_slot(slot)
         out = {}
-        for words, c in self.terms.items():
-            for (w1, w2), cd in _word_coproduct(words[slot], self.ring).items():
-                key = words[:slot] + (w1, w2) + words[slot + 1 :]
-                accumulate(out, key, c * cd)
+        for k, q in self.terms.items():
+            # memo entries have radicand 1: only the h-power moves
+            head, tail, i = k[:slot], k[slot + 1 : -1], k[-1]
+            for (w1, w2, _, j), m in _word_coproduct(k[slot], self.ring).items():
+                accumulate(out, head + (w1, w2) + tail + (i + j,), q * m)
         return TensorPoly(self.ring, self.arity + 1, out)
 
     def apply_counit(self, slot=0):
         """Contract one tensor slot with the counit (arity shrinks by one)."""
+        self._check_slot(slot)
         out = {}
-        for words, c in self.terms.items():
-            if _word_counit(words[slot]):
-                accumulate(out, words[:slot] + words[slot + 1 :], c)
+        for k, q in self.terms.items():
+            if k[slot][V] == k[slot][U] == 0:  # eps(v) = eps(u) = 0, eps(x) = eps(y) = 1
+                accumulate(out, k[:slot] + k[slot + 1 :], q)
         return TensorPoly(self.ring, self.arity - 1, out)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for words, c in sorted(self.terms.items()):
+        for words, c in sorted(ncalg.grouped(self.terms).items()):
             tag = " (x) ".join(ncalg.word_str(w) or "1" for w in words)
             bits.append(f"({c!r})*[{tag}]")
         return " + ".join(bits)
 
 
-def _spread(out, slot_polys, coef, prefix=()):
-    """Accumulate coef * (x) slot_polys expanded into tensor words; the
-    slot polys are flat memo entries {(a, b, c, d, 1, h_power): int}."""
-    if not slot_polys:
-        accumulate(out, prefix, coef)
+def _spread(out, slot_terms, q=1, r=1, i=0, prefix=()):
+    """out += q * sqrt(r) * h^i * (x) slot_terms, expanded into flat tensor
+    terms; each slot is a flat NCPoly term dict, such as a memo entry."""
+    if not slot_terms:
+        accumulate(out, prefix + (r, i), q)
         return
-    head, *rest = slot_polys
+    head, *rest = slot_terms
     for k, m in head.items():
-        _spread(out, rest, coef * RadScalar({(1, k[5]): m}), prefix + (k[:4],))
+        g = gcd(r, k[-2])
+        p = q * m if g == 1 else q * m * g
+        _spread(out, rest, p, (r // g) * (k[-2] // g), i + k[-1], prefix + (k[:-2],))
 
 
 _DELTA_MEMO = {GL: {}, SL: {}}
@@ -162,22 +166,17 @@ def _word_coproduct(exps, ring):
     hit = memo.get(exps)
     if hit is not None:
         return hit
-    terms = {((0, 0, 0, 0), (0, 0, 0, 0)): ONE}
+    terms = {((0, 0, 0, 0), (0, 0, 0, 0), 1, 0): 1}
     for g in ncalg.word_letters(exps):
         out = {}
-        for (w1, w2), c in terms.items():
+        for (w1, w2, r, i), q in terms.items():
             for g1, g2 in _DELTA_GEN[g]:
                 left = _word_mul_word(w1, ncalg.LETTER_WORDS[g1], ring)
                 right = _word_mul_word(w2, ncalg.LETTER_WORDS[g2], ring)
-                _spread(out, [left, right], c)
+                _spread(out, [left, right], q, r, i)
         terms = out
     memo[exps] = terms
     return terms
-
-
-def _word_counit(exps):
-    a, b, c, d = exps
-    return a == 0 and d == 0
 
 
 def coproduct(p: NCPoly) -> TensorPoly:
@@ -186,11 +185,7 @@ def coproduct(p: NCPoly) -> TensorPoly:
 
 
 def counit(p: NCPoly) -> RadScalar:
-    out = ZERO
-    for w, c in p.terms().items():
-        if _word_counit(w):
-            out = out + c
-    return out
+    return ncalg.grouped(TensorPoly.of(p).apply_counit(0).terms).get((), ZERO)
 
 
 # ---------------------------------------------------------------------
@@ -209,10 +204,7 @@ def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
             lhs = coproduct(entry)
             rhs = {}
             for twok in mags:
-                right = d.entry(twok, twom).terms()
-                for w1, c1 in d.entry(twomp, twok).terms().items():
-                    for w2, c2 in right.items():
-                        accumulate(rhs, (w1, w2), c1 * c2)
+                _spread(rhs, [d.entry(twomp, twok)._terms, d.entry(twok, twom)._terms])
             rep.record(
                 {"twoj": twoj, "twomp": twomp, "twom": twom, "law": "coproduct"},
                 lhs,

@@ -104,7 +104,8 @@ def word_sort_key(exps):
 
 # ---------------------------------------------------------------------
 # The rewrite engine, on flat term dicts (see NCPoly).  Memo entries are
-# shared per ring and must never be mutated.
+# shared per ring and must never be mutated.  Every flat key, NCPoly or
+# hopfcheck.TensorPoly, ends in (radicand, h_power).
 # ---------------------------------------------------------------------
 
 # the one-letter words v, x, y, u as exponent tuples, by generator index
@@ -170,10 +171,19 @@ def _scale_into(dst, terms, coef):
     for (rc, ic), qc in coef.raw().items():
         if qc.denominator == 1:
             qc = int(qc)
-        for (a, b, c, d, r, i), q in terms.items():
+        for k, q in terms.items():
+            r = k[-2]
             g = gcd(r, rc)
             p = q * qc if g == 1 else q * qc * g
-            accumulate(dst, (a, b, c, d, (r // g) * (rc // g), i + ic), p)
+            accumulate(dst, k[:-2] + ((r // g) * (rc // g), k[-1] + ic), p)
+
+
+def grouped(terms):
+    """Flat terms as {key[:-2]: RadScalar}, built on each call."""
+    out = {}
+    for k, q in terms.items():
+        out.setdefault(k[:-2], {})[k[-2:]] = Q(q)
+    return {w: RadScalar(t) for w, t in out.items()}
 
 
 def _as_letters(word):
@@ -231,10 +241,7 @@ class NCPoly:
 
     def terms(self):
         """The terms as {normal word: RadScalar}, built on each call."""
-        out = {}
-        for (a, b, c, d, r, i), q in self._terms.items():
-            out.setdefault((a, b, c, d), {})[r, i] = Q(q)
-        return {w: RadScalar(t) for w, t in out.items()}
+        return grouped(self._terms)
 
     def sorted_terms(self):
         return sorted(self.terms().items(), key=lambda t: word_sort_key(t[0]))

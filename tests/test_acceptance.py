@@ -64,10 +64,10 @@ def test_criterion_03_scheme_equivalence():
         for ring in (SL, GL):
             if dmatrix(twoj, ORDERED1, ring).entries != dmatrix(twoj, ORDERED2, ring).entries:
                 ok = False
-    for twoj in range(6):
+    for twoj in range(9):
         if dmatrix(twoj, ORDERED1, SL).entries != dmatrix(twoj, JACOBI, SL).entries:
             ok = False
-    _report(3, ok, "ordered1 = ordered2 for 2j<=6 and = jacobi form for 2j<=5")
+    _report(3, ok, "ordered1 = ordered2 for 2j<=6 and = jacobi form for 2j<=8")
 
 
 def test_criterion_04_corepresentation():

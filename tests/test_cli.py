@@ -128,7 +128,8 @@ def test_out_unwritable_exit_2(tmp_path, capsys):
 
 
 # exit code and sha256 of stdout: the README commands, JSON output whose
-# scalars carry the "g": 0 field, then D-matrices at larger spins
+# scalars carry the "g": 0 field, D-matrices at larger spins, then the
+# corepresentation suite
 PINNED = [
     (["dmatrix", "--twoj", "2", "--ring", "sl", "--scheme", "ordered1", "--format", "text"],
      0, "90f7f06bf8990250ccde025566d1a08e3bcfd623195cc91b902031ef3960145f"),
@@ -160,6 +161,10 @@ PINNED = [
      0, "59bc939d48d6a6ec15dd3e6bb38e2ad3b2e25bea7aaf561638d3e4a6a28e418e"),
     (["dmatrix", "--twoj", "5", "--scheme", "ordered2", "--ring", "gl"],
      0, "701ebbe03378a5fe1120e795206fd15b93d0b6b35e98de4fcc78802cc063c588"),
+    (["verify", "--suite", "corep", "--max-twoj", "4", "--format", "text"],
+     0, "a8c8f44b5f4df5e7c505d5c244768d0fee5e1f040e4d0537a17df5db4ec189ef"),
+    (["verify", "--suite", "corep", "--ring", "gl", "--max-twoj", "3"],
+     0, "b28e812d180f97e65155eaf2203d715b7444d62cd0bd6729f9964a11542e851c"),
 ]
 
 

@@ -81,7 +81,7 @@ def test_scheme_equivalence_ordered(twoj):
         assert a.entries == b.entries, (twoj, ring)
 
 
-@pytest.mark.parametrize("twoj", range(0, 6))
+@pytest.mark.parametrize("twoj", range(0, 9))
 def test_scheme_equivalence_jacobi(twoj):
     a = dmatrix(twoj, ORDERED1, SL)
     c = dmatrix(twoj, JACOBI, SL)

@@ -1,8 +1,11 @@
+import hashlib
+import json
 from itertools import product
 
 import pytest
 
 from slh2 import hopfcheck as hc
+from slh2.dfun import dmatrix
 from slh2.exprio import parse
 from slh2.ncalg import (
     GL,
@@ -14,7 +17,8 @@ from slh2.ncalg import (
     normal_form,
     quantum_determinant,
 )
-from slh2.scalar import H, ONE, ZERO
+from slh2.kernel import sqrt_split
+from slh2.scalar import H, ONE, ZERO, sqrt_nat
 
 
 def test_coproduct_on_generators():
@@ -109,22 +113,61 @@ def test_counit_axiom():
             assert t.apply_counit(1) == single
 
 
+@pytest.mark.parametrize("method", ["apply_coproduct", "apply_counit"])
+@pytest.mark.parametrize("slot", [-1, 2])
+def test_slot_outside_the_tensor_raises(method, slot):
+    t = hc.coproduct(gen("x", GL))
+    with pytest.raises(ValueError):
+        getattr(t, method)(slot)
+
+
 def test_tensor_arithmetic():
     x, v = gen("x", GL), gen("v", GL)
     t = hc.TensorPoly.of(x, v)
     assert t + t == t.scaled(2)
     assert (t - t).is_zero()
+    assert t.scaled(sqrt_nat(2)).scaled(sqrt_nat(2)) == t.scaled(2)
+    assert t.scaled(sqrt_nat(6)) == hc.TensorPoly.of(x.scaled(sqrt_nat(2)), v.scaled(sqrt_nat(3)))
+    assert t.scaled(0).is_zero()
     tt = t * t
     assert tt == hc.TensorPoly.of(x * x, v * v)
+    s = t.scaled(sqrt_nat(2) * H)
+    assert s * s == tt.scaled(H * H * 2)
     with pytest.raises(ValueError):
         t * hc.TensorPoly.of(x, v, x)
+    # flat keys: arity words, a squarefree radicand and an h-power; no zero value
+    for ring in (GL, SL):
+        for entry in (p for row in dmatrix(3, ring=ring).entries for p in row):
+            t = hc.coproduct(entry)
+            assert t.terms
+            for k, q in t.terms.items():
+                assert len(k) == t.arity + 2 and all(len(w) == 4 for w in k[:-2])
+                r, i = k[-2:]
+                assert type(r) is int and type(i) is int and sqrt_split(r) == (1, r)
+                assert q != 0
 
 
-@pytest.mark.parametrize("twoj", range(0, 4))
+@pytest.mark.parametrize("twoj", range(0, 7))
 def test_corep_small(twoj):
-    for ring in (SL, GL):
+    for ring in (SL, GL) if twoj <= 3 else (SL,):
         rep = hc.check_corep(twoj, ring=ring)
         assert rep.ok, rep.first_failure()
+
+
+def test_corep_detects_a_wrong_coproduct(monkeypatch):
+    # negative control: with Delta(x) = x (x) x the corepresentation law
+    # must fail, so a vacuous pass would be caught; the digest pins the
+    # failing report text byte for byte
+    from slh2.ncalg import X
+
+    monkeypatch.setitem(hc._DELTA_GEN, X, ((X, X),))
+    monkeypatch.setattr(hc, "_DELTA_MEMO", {GL: {}, SL: {}})
+    rep = hc.check_corep(2, ring=SL)
+    assert rep.failed == 6 and rep.passed == 12
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "66e9779953c6f66534559ebfd151434d3b192ba23e197b50100168112ad64c40"
+    )
 
 
 def test_corep_counts_cases():
