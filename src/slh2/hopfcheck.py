@@ -82,7 +82,7 @@ class TensorPoly:
 
     def scaled(self, coef):
         out = {}
-        _scale_into(out, self.terms, RadScalar.coerce(coef))
+        _scale_into(out, self.terms, RadScalar.coerce(coef).raw())
         return TensorPoly(self.ring, self.arity, out)
 
     def __mul__(self, other):

@@ -29,6 +29,12 @@ of Bergman's diamond lemma).  _word_mul_word multiplies two normal words:
 by one letter it applies a rule (memo _MEMO), by a longer word it folds
 over the letters (memo _WW_MEMO).  Every rule coefficient is +-1 times a
 power of h, so a memo entry has radicand 1 and int values.
+
+lincomb, the sum of scaled polynomials that the constructions and the
+suites use, accumulates over ints: its coefficients are multiplied by
+the lcm den of their denominators, and the output is divided by den
+once at the end.  Scaling by a nonzero constant is injective, so a sum
+cancels exactly when it did over the rationals.
 """
 
 from math import gcd
@@ -137,7 +143,7 @@ def _word_mul_word(w1, w2, ring):
             base = w1[:last] + (w1[last] - 1,) + w1[last + 1 :] + (1, 0)
             res = {}
             for word, coef in rule:
-                _scale_into(res, _times_letters({base: 1}, word, ring), coef)
+                _scale_into(res, _times_letters({base: 1}, word, ring), coef.raw())
     memo[key] = res
     return res
 
@@ -166,9 +172,12 @@ def _mul(t1, t2, ring):
 
 
 def _scale_into(dst, terms, coef):
-    """dst += coef * terms for a RadScalar coef, radicands combined by
-    kernel.rad_mul's gcd rule; an integral coefficient enters as an int."""
-    for (rc, ic), qc in coef.raw().items():
+    """dst += coef * terms for the flat scalar terms coef {(radicand,
+    h_power): q}, radicands combined by kernel.rad_mul's gcd rule; an
+    integral q enters as an int.  lincomb passes only ints (its
+    coefficients times their common denominator), so an int-valued
+    terms dict accumulates there without a rational product."""
+    for (rc, ic), qc in coef.items():
         if qc.denominator == 1:
             qc = int(qc)
         for k, q in terms.items():
@@ -223,7 +232,7 @@ class NCPoly:
         """The polynomial with the given {normal word: RadScalar} terms."""
         out = {}
         for w, c in terms.items():
-            _scale_into(out, {w + (1, 0): 1}, c)
+            _scale_into(out, {w + (1, 0): 1}, c.raw())
         return NCPoly(check_ring(ring), out)
 
     @staticmethod
@@ -307,7 +316,7 @@ class NCPoly:
 
     def scaled(self, coef):
         out = {}
-        _scale_into(out, self._terms, RadScalar.coerce(coef))
+        _scale_into(out, self._terms, RadScalar.coerce(coef).raw())
         return NCPoly(self.ring, out)
 
     def __pow__(self, n):
@@ -368,24 +377,45 @@ def normal_form(pairs, ring) -> NCPoly:
     out = {}
     for word, coef in pairs:
         terms = _times_letters({(0, 0, 0, 0, 1, 0): 1}, _as_letters(word), ring)
-        _scale_into(out, terms, RadScalar.coerce(coef))
+        _scale_into(out, terms, RadScalar.coerce(coef).raw())
     return NCPoly(ring, out)
 
 
 def lincomb(pairs, ring) -> NCPoly:
-    """The sum of coef * p over (coef, p) pairs, accumulated in one dict.
+    """The sum of coef * p over (coef, p) pairs, accumulated in one dict
+    over ints.
 
-    Pairs with a zero coefficient are skipped; a caller that must not
-    even build such a p filters them out before p is made.
+    den is the lcm of the denominators of the coefficient terms seen so
+    far.  Each coefficient enters _scale_into as the ints den * q, and
+    the rare step that grows den rescales the sum once, so with integral
+    coefficients (den == 1) nothing is rescaled.  The output is divided
+    by den once at the end, an integral value giving an int.  Pairs with
+    a zero coefficient are skipped before p is read; a caller that must
+    not even build such a p filters them out before p is made.
     """
     out = {}
+    den = 1
     for coef, p in pairs:
-        coef = RadScalar.coerce(coef)
-        if coef.is_zero():
+        raw = RadScalar.coerce(coef).raw()
+        if not raw:
             continue
         if p.ring != ring:
             raise ValueError(f"ring mismatch: {p.ring} vs {ring}")
-        _scale_into(out, p._terms, coef)
+        ints = {}
+        for k, q in raw.items():
+            n, d = q.as_integer_ratio()
+            if den % d:
+                grow = d // gcd(den, d)
+                den *= grow
+                for acc in (out, ints):
+                    for key in acc:
+                        acc[key] *= grow
+            ints[k] = n * (den // d)
+        _scale_into(out, p._terms, ints)
+    if den != 1:
+        for k, v in out.items():
+            n, r = divmod(v, den)
+            out[k] = Q(v, den) if r else n
     return NCPoly(check_ring(ring), out)
 
 

@@ -90,11 +90,13 @@ def test_criterion_05_recurrences():
 
 def test_criterion_06_product_law():
     ok = True
-    for a, b in ((1, 1), (1, 2), (2, 2)):
+    for a, b in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)):
         for twoj in range(abs(a - b), a + b + 2, 2):
             if not hopfcheck.wigner_check(a, b, twoj, SL).ok:
                 ok = False
-    _report(6, ok, "product law and corollaries for (2j1,2j2) in {(1,1),(1,2),(2,2)}")
+    _report(
+        6, ok, "product law and corollaries for (2j1,2j2) in {(1,1),(1,2),(2,2),(1,3),(2,3),(3,3)}"
+    )
 
 
 def test_criterion_07_rtt():

@@ -165,6 +165,10 @@ PINNED = [
      0, "a8c8f44b5f4df5e7c505d5c244768d0fee5e1f040e4d0537a17df5db4ec189ef"),
     (["verify", "--suite", "corep", "--ring", "gl", "--max-twoj", "3"],
      0, "b28e812d180f97e65155eaf2203d715b7444d62cd0bd6729f9964a11542e851c"),
+    (["verify", "--suite", "wigner", "--max-twoj", "2", "--format", "text"],
+     0, "909c49c649727ee3d5fe57448eedc389b576b912076c79d9daee8f8f5cea8308"),
+    (["verify", "--suite", "ortho", "--max-twoj", "2"],
+     0, "ac4dacc540460b01a6e3e2d35a5fc531dafdc53a620b9f77d9f155a15a320248"),
 ]
 
 

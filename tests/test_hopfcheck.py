@@ -170,6 +170,44 @@ def test_corep_detects_a_wrong_coproduct(monkeypatch):
     )
 
 
+def test_wigner_sums_run_over_ints(monkeypatch):
+    # the twisted CGCs are rational, but lincomb clears their denominators
+    # before the hot loop: every coefficient reaching _scale_into is int
+    from slh2 import ncalg
+
+    seen = []
+    scale_into = ncalg._scale_into
+
+    def spy(dst, terms, coef):
+        seen.extend(coef.values())
+        return scale_into(dst, terms, coef)
+
+    monkeypatch.setattr(ncalg, "_scale_into", spy)
+    assert any(q.denominator != 1 for _, c in hc.omega(2, 2, 2).items() for q in c.raw().values())
+    assert hc.wigner_check(2, 2, 2).ok
+    assert seen and {type(q) for q in seen} == {int}
+
+
+def test_wigner_detects_a_wrong_cgc(monkeypatch):
+    # negative control: with one omega(1, 1, 2) entry doubled the product
+    # law must fail; the digest pins the text of the failing sums
+    from slh2 import rep
+    from slh2.rep import CgcTable
+
+    rep.omega.cache_clear()
+    hc._dprod.cache_clear()
+    table = dict(rep.omega(1, 1, 2).items())
+    table[(1, -1, 0)] = table[(1, -1, 0)] * 2
+    bad = CgcTable(1, 1, 2, table)
+    monkeypatch.setattr(hc, "omega", lambda *spins: bad if spins == (1, 1, 2) else rep.omega(*spins))
+    report = hc.wigner_check(1, 1, 2, SL)
+    assert report.failed == 14 and report.passed == 38
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a1bddc0fa3e7037ce16d476bdfd96cdcaf0daf52adc35e22873624620640899d"
+    )
+
+
 def test_corep_counts_cases():
     rep = hc.check_corep(2)
     # one coproduct and one counit case per matrix entry

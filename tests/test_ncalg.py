@@ -17,7 +17,7 @@ from slh2.ncalg import (
     normal_form,
     quantum_determinant,
 )
-from slh2.scalar import ONE, ZERO, H, rational
+from slh2.scalar import ONE, ZERO, H, RadScalar, rational, sqrt_nat
 
 
 def test_nf_xv():
@@ -115,19 +115,60 @@ def _rand_poly(rng, ring):
     return normal_form([(w, rational(rng.randint(-3, 3), rng.randint(1, 3))) for w in words], ring)
 
 
+def _product_fold(pairs, ring):
+    """sum of c * p by RadScalar products per word and +, without lincomb"""
+    out = NCPoly.zero(ring)
+    for c, p in pairs:
+        c = RadScalar.coerce(c)
+        out = out + NCPoly(
+            ring, {w + k: q for w, s in p.terms().items() for k, q in (s * c).raw().items()}
+        )
+    return out
+
+
+def _assert_lincomb_is_the_fold(pairs, ring):
+    got = lincomb(pairs, ring)
+    fold = NCPoly.zero(ring)
+    for c, p in pairs:
+        fold = fold + p.scaled(c)
+    assert got == fold == _product_fold(pairs, ring)
+    assert hash(got) == hash(fold) and repr(got) == repr(fold)
+    _assert_canonical(got)
+    return got
+
+
 def test_lincomb_equals_fold():
     rng = random.Random(9)
     for _ in range(60):
         ring = rng.choice((GL, SL))
         coefs = [
-            rational(rng.randint(-4, 4), rng.randint(1, 4)) + H.scaled(rng.randint(-2, 2))
+            rational(rng.randint(-4, 4), rng.randint(1, 4))
+            + H.scaled(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
             for _ in range(rng.randint(0, 5))
         ]
-        pairs = [(c, _rand_poly(rng, ring)) for c in coefs]
-        fold = NCPoly.zero(ring)
-        for c, p in pairs:
-            fold = fold + p.scaled(c)
-        assert lincomb(pairs, ring) == fold
+        _assert_lincomb_is_the_fold([(c, _rand_poly(rng, ring)) for c in coefs], ring)
+    # radical coefficients and denominators that grow partway through a sum
+    radical = [sqrt_nat(2), sqrt_nat(6).scaled(Fraction(1, 5)), sqrt_nat(3) * H - rational(1, 7)]
+    growing = [rational(1, 2), rational(1, 3), rational(1, 5), rational(7, 10) * H]
+    for ring in (GL, SL):
+        polys = [parse(e, ring) for e in _RADICAL_EXPRS]
+        # polynomials whose values are Fractions, and one with int values
+        assert any(q.denominator != 1 for p in polys for q in p._terms.values())
+        polys.append(gen("x", ring) * gen("u", ring) - gen("v", ring).scaled(3))
+        for coefs in (radical, growing, radical + growing):
+            for _ in range(10):
+                pairs = [(c, rng.choice(polys)) for c in coefs]
+                rng.shuffle(pairs)
+                _assert_lincomb_is_the_fold(pairs, ring)
+        # a sum whose denominators grow partway and which cancels to zero
+        p, q = polys[1], polys[5]
+        pairs = [(rational(1, 2), p), (sqrt_nat(6).scaled(Fraction(1, 5)), q),
+                 (rational(1, 3), p), (rational(-5, 6), p), (sqrt_nat(6).scaled(Fraction(-1, 5)), q)]
+        assert _assert_lincomb_is_the_fold(pairs, ring).is_zero()
+        # an integral result of a rational sum has int values
+        x = gen("x", ring)
+        whole = lincomb([(rational(1, 2), x), (rational(1, 3), x), (rational(1, 6), x)], ring)
+        assert whole == x and [type(v) for v in whole._terms.values()] == [int]
 
 
 def test_lincomb_drops_zero_coefficients():
