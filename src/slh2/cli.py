@@ -88,12 +88,6 @@ def _emit(text, args):
         print(text)
 
 
-def _basis_pairs(twoj1, twoj2):
-    return [
-        [m1, m2] for m1 in rep.magnetics(twoj1) for m2 in rep.magnetics(twoj2)
-    ]
-
-
 def _cmd_dmatrix(args):
     d = dfun.dmatrix(args.twoj, args.scheme, args.ring)
     if args.format == "json":
@@ -124,7 +118,7 @@ def _matrix_json(name, mat, twoj1, twoj2):
         "matrix": name,
         "twoj1": twoj1,
         "twoj2": twoj2,
-        "basis": _basis_pairs(twoj1, twoj2),
+        "basis": rep.pair_basis(twoj1, twoj2),
         "entries": mat.to_json(),
     }
 

@@ -489,8 +489,7 @@ def two_parameter_generators(n: int, t):
     so the definitions a = x - g v Z_L, b = u - g x Z_R - g y Z_L
     + g^2 v Z_L Z_R, c = v, d = y - g v Z_R collapse to combinations of
     the one-parameter generators with g n coefficients; their degrees in
-    g are 1, 2, 0 and 1 (`_G_DEGREE`).  The map also carries the number
-    operators under "zl" and "zr".
+    g are 1, 2, 0 and 1 (`_G_DEGREE`).
     """
     tg = twisted_generators(n)
     x, u, v, y = (tg[name] for name in "xuvy")
@@ -504,8 +503,6 @@ def two_parameter_generators(n: int, t):
         "b": comb((1, u), (-gn, x), (gn, y), (-gn * gn, v)),
         "c": v,
         "d": comb((1, y), (-gn, v)),
-        "zl": z_l(n),
-        "zr": z_r(n),
     }
 
 

@@ -20,10 +20,20 @@ for D^j, the twisted product law and its corollaries, the eight
 recurrence relations, the orthogonality-like relations, and the RTT
 relations (including that at spin (1/2, 1/2) the RTT system spans exactly
 the six defining relations).
+
+With P = D^{j1} (x) D^{j2} on the product basis and the twisted CGC
+tables Omega^j, mho^j as matrices with rows (m1, m2) and columns m, the
+product law and its corollaries read
+
+    mho^{j'}T P Omega^j = delta_{jj'} D^j      P Omega^j = Omega^j D^j
+    mho^jT P = D^j mho^jT                      P = sum_j Omega^j D^j mho^jT
+
+and RTT reads R T1 T2 = T2 T1 R.  Each is checked entrywise as a
+contraction: rep.rows reads a coupling table or R once per suite call
+into rows (or columns), and each entry is one ncalg.lincomb over a row.
 """
 
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 from ._rat import Q
@@ -31,7 +41,8 @@ from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
 from .kernel import rad_add, rad_neg
 from .ncalg import GL, SL, U, V, NCPoly, _scale_into, _word_mul_word
-from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_entry, r_matrix, triangle_ok
+from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, r_matrix, triangle_ok
+from .rep import pair_basis, pair_items, rows
 from .report import Report
 from .scalar import H, ONE, ZERO, RadScalar, accumulate, sqrt_nat
 
@@ -243,132 +254,105 @@ def _need_determinant_one(ring, what):
         raise ValueError(f"{what} assume determinant 1 (SL ring)")
 
 
+def _by_pair(key):
+    """(m1, m2, m) -> row (m1, m2), column m: the CGC table as a matrix."""
+    return key[:2], key[2]
+
+
+def _by_m(key):
+    """(m1, m2, m) -> row m, column (m1, m2): the transposed table."""
+    return key[2], key[:2]
+
+
 def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     """The twisted product law for D^j plus its three corollaries.
 
+    With P = D^{j1} (x) D^{j2}, P[(k1,k2),(m1,m2)] = D^{j1}_{k1m1}
+    D^{j2}_{k2m2}, and the coupling tables as matrices
+    Omega^j[(m1,m2), m] and mho^j[(m1,m2), m]:
+
+        product  mho^{j'}T P Omega^j = delta_{jj'} D^j
+        rel1     P Omega^j = Omega^j D^j
+        rel2     mho^jT P = D^j mho^jT
+        rel3     P = sum_j Omega^j D^j mho^jT
+
+    Each table is read once into rows (_by_pair) and into columns
+    (_by_m), and each entry of each side is one lincomb over a row.
     SL only: the singlet projection of the product law is D = 1.
     """
     _need_determinant_one(ring, "the product law and its corollaries")
     rep = Report("wigner")
     if not triangle_ok(twoj1, twoj2, twoj):
         raise ValueError("spin triple violates the triangle condition")
-    om = omega(twoj1, twoj2, twoj)
-    mh = mho(twoj1, twoj2, twoj)
+    om, mh = omega(twoj1, twoj2, twoj).items(), mho(twoj1, twoj2, twoj).items()
+    om_pair, om_m = rows(om, _by_pair), rows(om, _by_m)
+    mh_pair, mh_m = rows(mh, _by_pair), rows(mh, _by_m)
     m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
+    pairs = pair_basis(twoj1, twoj2)
+    spins = {"twoj1": twoj1, "twoj2": twoj2}
 
-    # A[k1, k2, m] = sum_{m1,m2} Omega^j_{m1,m2,m} D^{j1}_{k1,m1} D^{j2}_{k2,m2}
+    # A = P Omega^j: A[k1, k2, m] = sum_{m1,m2} Omega^j_{m1,m2,m} D^{j1}_{k1,m1} D^{j2}_{k2,m2}
     acc = {}
-    for twok1 in m1s:
-        for twok2 in m2s:
-            for twom in magnetics(twoj):
-                acc[(twok1, twok2, twom)] = ncalg.lincomb(
-                    ((c, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring))
-                     for (twom1, twom2, tm), c in om.items() if tm == twom),
-                    ring,
-                )
+    for twok1, twok2 in pairs:
+        for twom in magnetics(twoj):
+            acc[(twok1, twok2, twom)] = ncalg.lincomb(
+                ((c, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring))
+                 for (twom1, twom2), c in om_m.get(twom, ())),
+                ring,
+            )
 
     # product law: delta_{j,j'} D^j_{m'm} = sum mho^{j'} Omega^{j} D D
     for twojp in _triangle(twoj1, twoj2):
-        mhp = mho(twoj1, twoj2, twojp)
+        mhp_m = rows(mho(twoj1, twoj2, twojp).items(), _by_m)
+        params = {"law": "product", **spins, "twoj": twoj, "twojp": twojp}
         for twomp in magnetics(twojp):
+            row = mhp_m.get(twomp, ())
             for twom in magnetics(twoj):
-                rhs = ncalg.lincomb(
-                    ((c, acc[(twok1, twok2, twom)])
-                     for (twok1, twok2, tmp), c in mhp.items() if tmp == twomp),
-                    ring,
-                )
+                rhs = ncalg.lincomb(((c, acc[(k1, k2, twom)]) for (k1, k2), c in row), ring)
                 lhs = _dref(twoj, twomp, twom, ring) if twojp == twoj else NCPoly.zero(ring)
-                rep.record(
-                    {
-                        "law": "product",
-                        "twoj1": twoj1,
-                        "twoj2": twoj2,
-                        "twoj": twoj,
-                        "twojp": twojp,
-                        "twomp": twomp,
-                        "twom": twom,
-                    },
-                    lhs,
-                    rhs,
-                )
+                rep.record({**params, "twomp": twomp, "twom": twom}, lhs, rhs)
 
     # rel1: sum_{m'} Omega_{k1,k2,m'} D^j_{m'm} = A[k1,k2,m]
-    for twok1 in m1s:
-        for twok2 in m2s:
-            for twom in magnetics(twoj):
-                lhs = ncalg.lincomb(
-                    ((c, _dref(twoj, twomp, twom, ring))
-                     for (a1, a2, twomp), c in om.items() if (a1, a2) == (twok1, twok2)),
-                    ring,
-                )
-                rep.record(
-                    {
-                        "law": "rel1",
-                        "twoj1": twoj1,
-                        "twoj2": twoj2,
-                        "twoj": twoj,
-                        "twok1": twok1,
-                        "twok2": twok2,
-                        "twom": twom,
-                    },
-                    lhs,
-                    acc[(twok1, twok2, twom)],
-                )
+    for twok1, twok2 in pairs:
+        row = om_pair.get((twok1, twok2), ())
+        params = {"law": "rel1", **spins, "twoj": twoj, "twok1": twok1, "twok2": twok2}
+        for twom in magnetics(twoj):
+            lhs = ncalg.lincomb(((c, _dref(twoj, twomp, twom, ring)) for twomp, c in row), ring)
+            rep.record({**params, "twom": twom}, lhs, acc[(twok1, twok2, twom)])
 
     # rel2: sum_m mho_{m1,m2,m} D^j_{m'm} = sum_{k1,k2} mho_{k1,k2,m'} D D
-    for twom1 in m1s:
-        for twom2 in m2s:
-            for twomp in magnetics(twoj):
-                lhs = ncalg.lincomb(
-                    ((c, _dref(twoj, twomp, twom, ring))
-                     for (a1, a2, twom), c in mh.items() if (a1, a2) == (twom1, twom2)),
-                    ring,
-                )
-                rhs = ncalg.lincomb(
-                    ((c, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring))
-                     for (twok1, twok2, tmp), c in mh.items() if tmp == twomp),
-                    ring,
-                )
-                rep.record(
-                    {
-                        "law": "rel2",
-                        "twoj1": twoj1,
-                        "twoj2": twoj2,
-                        "twoj": twoj,
-                        "twom1": twom1,
-                        "twom2": twom2,
-                        "twomp": twomp,
-                    },
-                    lhs,
-                    rhs,
-                )
+    for twom1, twom2 in pairs:
+        row = mh_pair.get((twom1, twom2), ())
+        params = {"law": "rel2", **spins, "twoj": twoj, "twom1": twom1, "twom2": twom2}
+        for twomp in magnetics(twoj):
+            lhs = ncalg.lincomb(((c, _dref(twoj, twomp, twom, ring)) for twom, c in row), ring)
+            rhs = ncalg.lincomb(
+                ((c, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring))
+                 for (twok1, twok2), c in mh_m.get(twomp, ())),
+                ring,
+            )
+            rep.record({**params, "twomp": twomp}, lhs, rhs)
 
     # rel3: D^{j1}_{k1m1} D^{j2}_{k2m2} = sum_{j,m,m'} mho^j Omega^j D^j_{m'm}
     tables = [
-        (twojs, omega(twoj1, twoj2, twojs), mho(twoj1, twoj2, twojs))
+        (twojs, rows(omega(twoj1, twoj2, twojs).items(), _by_pair),
+         rows(mho(twoj1, twoj2, twojs).items(), _by_pair))
         for twojs in _triangle(twoj1, twoj2)
     ]
     for twok1 in m1s:
         for twom1 in m1s:
+            params = {"law": "rel3", **spins, "twok1": twok1, "twom1": twom1}
             for twok2 in m2s:
                 for twom2 in m2s:
                     rhs = ncalg.lincomb(
                         ((cm * co, _dref(twojs, twomp, twom, ring))
                          for twojs, oms, mhs in tables
-                         for (a1, a2, twom), cm in mhs.items() if (a1, a2) == (twom1, twom2)
-                         for (b1, b2, twomp), co in oms.items() if (b1, b2) == (twok1, twok2)),
+                         for twom, cm in mhs.get((twom1, twom2), ())
+                         for twomp, co in oms.get((twok1, twok2), ())),
                         ring,
                     )
                     rep.record(
-                        {
-                            "law": "rel3",
-                            "twoj1": twoj1,
-                            "twoj2": twoj2,
-                            "twok1": twok1,
-                            "twom1": twom1,
-                            "twok2": twok2,
-                            "twom2": twom2,
-                        },
+                        {**params, "twok2": twok2, "twom2": twom2},
                         _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring),
                         rhs,
                     )
@@ -522,21 +506,15 @@ def _sign(twodiff):
 def ortho_like_check(twoj, ring=SL) -> Report:
     _need_determinant_one(ring, "the orthogonality-like relations")
     rep = Report("ortho")
-    fmat = f_matrix(twoj, twoj)
-    finv = f_inv_matrix(twoj, twoj)
-    mags = list(magnetics(twoj))
-    mag_pairs = [(a, b) for a in mags for b in mags]
+    mag_pairs = pair_basis(twoj, twoj)
 
     # F[(m1, m2), (m1, -m1)] and F^-1[(k1, -k1), (k1, k2)], zeros left out
-    f_diag = {}
-    finv_diag = {}
-    for a, b in mag_pairs:
-        c = pair_entry(fmat, twoj, twoj, (a, b), (a, -a))
-        if not c.is_zero():
-            f_diag[(a, b)] = c
-        c = pair_entry(finv, twoj, twoj, (a, -a), (a, b))
-        if not c.is_zero():
-            finv_diag[(a, b)] = c
+    f_diag = {
+        r: c for (r, s), c in pair_items(f_matrix(twoj, twoj), twoj, twoj) if s == (r[0], -r[0])
+    }
+    finv_diag = {
+        s: c for (r, s), c in pair_items(f_inv_matrix(twoj, twoj), twoj, twoj) if r == (s[0], -s[0])
+    }
 
     for twok1, twok2 in mag_pairs:
         lhs = ncalg.lincomb(
@@ -572,37 +550,31 @@ def ortho_like_check(twoj, ring=SL) -> Report:
 
 
 def rtt_check(twoj1, twoj2, ring=SL) -> Report:
-    """sum R D D = sum D D R entrywise on the product of two spins."""
+    """R T1 T2 = T2 T1 R entrywise on the product of two spins.
+
+    (R T1 T2)[(m1,m2),(k1,k2)] = sum_s R[(m1,m2),s] D^{j1}_{s1k1} D^{j2}_{s2k2}
+    is a sum over a row of R, (T2 T1 R)[(m1,m2),(k1,k2)] = sum_s
+    D^{j2}_{m2s2} D^{j1}_{m1s1} R[s,(k1,k2)] one over a column.
+    """
     rep = Report("rtt")
-    rmat = r_matrix(twoj1, twoj2)
-    m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
-    mag_pairs = [(a, b) for a in m1s for b in m2s]
+    r_items = list(pair_items(r_matrix(twoj1, twoj2), twoj1, twoj2))
+    r_rows, r_cols = rows(r_items, lambda k: k), rows(r_items, lambda k: k[::-1])
+    mag_pairs = pair_basis(twoj1, twoj2)
     for twom1, twom2 in mag_pairs:
+        row = r_rows.get((twom1, twom2), ())
+        params = {"twoj1": twoj1, "twoj2": twoj2, "twom1": twom1, "twom2": twom2}
         for twok1, twok2 in mag_pairs:
-            r_left = ((s, pair_entry(rmat, twoj1, twoj2, (twom1, twom2), s)) for s in mag_pairs)
-            r_right = ((s, pair_entry(rmat, twoj1, twoj2, s, (twok1, twok2))) for s in mag_pairs)
             lhs = ncalg.lincomb(
                 ((c, _dprod(twoj1, twos1, twok1, twoj2, twos2, twok2, ring))
-                 for (twos1, twos2), c in r_left if not c.is_zero()),
+                 for (twos1, twos2), c in row),
                 ring,
             )
             rhs = ncalg.lincomb(
-                ((c, _dref(twoj2, twom2, twos2, ring) * _dref(twoj1, twom1, twos1, ring))
-                 for (twos1, twos2), c in r_right if not c.is_zero()),
+                ((c, _dprod(twoj2, twom2, twos2, twoj1, twom1, twos1, ring))
+                 for (twos1, twos2), c in r_cols.get((twok1, twok2), ())),
                 ring,
             )
-            rep.record(
-                {
-                    "twoj1": twoj1,
-                    "twoj2": twoj2,
-                    "twom1": twom1,
-                    "twom2": twom2,
-                    "twok1": twok1,
-                    "twok2": twok2,
-                },
-                lhs,
-                rhs,
-            )
+            rep.record({**params, "twok1": twok1, "twok2": twok2}, lhs, rhs)
     return rep
 
 
@@ -610,7 +582,6 @@ def rtt_check(twoj1, twoj2, ring=SL) -> Report:
 # RTT at spin (1/2, 1/2) spans exactly the defining relations
 # ---------------------------------------------------------------------
 
-_FREE_WORDS2 = tuple(product(range(4), repeat=2))
 _GEN_AT = {(1, 1): ncalg.X, (1, -1): ncalg.U, (-1, 1): ncalg.V, (-1, -1): ncalg.Y}
 
 
@@ -620,27 +591,20 @@ def _free_rtt_elements():
     Vectors over the 16 length-two free words with polynomial coefficients
     in h; no rewriting is applied.
     """
-    rmat = r_matrix(1, 1)
-    mags = (1, -1)
+    r_items = list(pair_items(r_matrix(1, 1), 1, 1))
+    r_rows, r_cols = rows(r_items, lambda k: k), rows(r_items, lambda k: k[::-1])
+    mag_pairs = pair_basis(1, 1)
 
     vecs = []
-    for m1 in mags:
-        for m2 in mags:
-            for k1 in mags:
-                for k2 in mags:
-                    vec = {}
-                    for s1 in mags:
-                        for s2 in mags:
-                            c = pair_entry(rmat, 1, 1, (m1, m2), (s1, s2))
-                            if not c.is_zero():
-                                word = (_GEN_AT[(s1, k1)], _GEN_AT[(s2, k2)])
-                                accumulate(vec, word, c)
-                            c = pair_entry(rmat, 1, 1, (s1, s2), (k1, k2))
-                            if not c.is_zero():
-                                word = (_GEN_AT[(m2, s2)], _GEN_AT[(m1, s1)])
-                                accumulate(vec, word, -c)
-                    if vec:
-                        vecs.append(vec)
+    for m1, m2 in mag_pairs:
+        for k1, k2 in mag_pairs:
+            vec = {}
+            for (s1, s2), c in r_rows.get((m1, m2), ()):
+                accumulate(vec, (_GEN_AT[(s1, k1)], _GEN_AT[(s2, k2)]), c)
+            for (s1, s2), c in r_cols.get((k1, k2), ()):
+                accumulate(vec, (_GEN_AT[(m2, s2)], _GEN_AT[(m1, s1)]), -c)
+            if vec:
+                vecs.append(vec)
     return vecs
 
 

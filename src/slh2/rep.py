@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from ._rat import Q
-from .scalar import ONE, ZERO, H, RadScalar, rational, sqrt_nat
+from .scalar import ONE, ZERO, H, RadScalar, accumulate, rational, sqrt_nat
 
 _TWO_H = H + H
 
@@ -215,9 +215,31 @@ def prod_index(twoj1, twoj2, twom1, twom2):
     return mag_index(twoj1, twom1) * (twoj2 + 1) + mag_index(twoj2, twom2)
 
 
-def pair_entry(mat, twoj1, twoj2, row, col):
-    """Entry of a product-basis matrix; row and col are (m1, m2) pairs."""
-    return mat.rows[prod_index(twoj1, twoj2, *row)][prod_index(twoj1, twoj2, *col)]
+def pair_basis(twoj1, twoj2):
+    """The product basis as (m1, m2) pairs, in matrix index order."""
+    return [(m1, m2) for m1 in magnetics(twoj1) for m2 in magnetics(twoj2)]
+
+
+def pair_items(mat, twoj1, twoj2):
+    """The non-zero entries of a product-basis matrix as ((row, col), c),
+    row and col (m1, m2) pairs."""
+    basis = pair_basis(twoj1, twoj2)
+    for row, mrow in zip(basis, mat.rows):
+        for col, c in zip(basis, mrow):
+            if not c.is_zero():
+                yield (row, col), c
+
+
+def rows(items, split):
+    """A sparse table read once into rows {row: [(col, c), ...]}, where
+    split(key) = (row, col); zero entries are left out.  A contraction
+    over one index of the table is then a sum over one row."""
+    out = {}
+    for key, c in items:
+        if not c.is_zero():
+            row, col = split(key)
+            out.setdefault(row, []).append((col, c))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -252,16 +274,9 @@ def _f_like(twoj1, twoj2, sign):
 @lru_cache(maxsize=None)
 def r_matrix(twoj1: int, twoj2: int) -> RepMatrix:
     """R = F21 F^{-1} on the product basis of (twoj1, twoj2)."""
-    n1, n2 = twoj1 + 1, twoj2 + 1
-    f21_src = f_matrix(twoj2, twoj1)
-    f21 = RepMatrix.zeros(n1 * n2)
-    for i1 in range(n1):
-        for i2 in range(n2):
-            for k1 in range(n1):
-                for k2 in range(n2):
-                    a = f21_src.rows[i2 * n1 + i1][k2 * n1 + k1]
-                    if not a.is_zero():
-                        f21.rows[i1 * n2 + i2][k1 * n2 + k2] = a
+    f21 = RepMatrix.zeros((twoj1 + 1) * (twoj2 + 1))
+    for ((a2, a1), (b2, b1)), c in pair_items(f_matrix(twoj2, twoj1), twoj2, twoj1):
+        f21.rows[prod_index(twoj1, twoj2, a1, a2)][prod_index(twoj1, twoj2, b1, b2)] = c
     return f21 * f_inv_matrix(twoj1, twoj2)
 
 
@@ -368,23 +383,14 @@ def mho(twoj1: int, twoj2: int, twoj: int) -> CgcTable:
 def _twisted_cgc(twoj1, twoj2, twoj, twist, transpose):
     """table[m1, m2, m] = sum_{s1,s2} C(s1, s2, m) T[(m1, m2), (s1, s2)].
 
-    T is twist(twoj1, twoj2), transposed when transpose is set.
+    T is twist(twoj1, twoj2), transposed when transpose is set: one pass
+    over the classical items C(s1, s2, m), each spread down column
+    (s1, s2) of T.
     """
-    cgc = cgc_classical(twoj1, twoj2, twoj)
-    mat = twist(twoj1, twoj2)
-    if transpose:
-        mat = RepMatrix([list(col) for col in zip(*mat.rows)])
+    split = (lambda k: k) if transpose else (lambda k: k[::-1])
+    cols = rows(pair_items(twist(twoj1, twoj2), twoj1, twoj2), split)
     table = {}
-    for twom in magnetics(twoj):
-        for twom1 in magnetics(twoj1):
-            for twom2 in magnetics(twoj2):
-                val = ZERO
-                for (twos1, twos2, tm), c in cgc.items():
-                    if tm != twom:
-                        continue
-                    a = pair_entry(mat, twoj1, twoj2, (twom1, twom2), (twos1, twos2))
-                    if not a.is_zero():
-                        val = val + c * a
-                if not val.is_zero():
-                    table[(twom1, twom2, twom)] = val
+    for (twos1, twos2, twom), c in cgc_classical(twoj1, twoj2, twoj).items():
+        for (twom1, twom2), a in cols.get((twos1, twos2), ()):
+            accumulate(table, (twom1, twom2, twom), c * a)
     return CgcTable(twoj1, twoj2, twoj, table)

@@ -169,6 +169,8 @@ PINNED = [
      0, "909c49c649727ee3d5fe57448eedc389b576b912076c79d9daee8f8f5cea8308"),
     (["verify", "--suite", "ortho", "--max-twoj", "2"],
      0, "ac4dacc540460b01a6e3e2d35a5fc531dafdc53a620b9f77d9f155a15a320248"),
+    (["verify", "--suite", "rtt", "--max-twoj", "3"],
+     0, "5d2d09ae311f45ab0736d0d9ea0cf02cb3604aa395a6acfb53e6488b2a2802f5"),
 ]
 
 

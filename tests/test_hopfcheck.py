@@ -367,15 +367,42 @@ def test_rtt_detects_a_wrong_intertwiner(monkeypatch):
     monkeypatch.setattr(hc, "r_matrix", rep.f_matrix)
     rep_report = hc.rtt_check(1, 1)
     assert not rep_report.ok and rep_report.failed == 15
+    # the digest pins the text of the failing sums byte for byte
+    text = json.dumps(rep_report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d7d3f25f9929ed8450c8b58a7f4a117ebf74b569b105947e12113c4b0aa9f79b"
+    )
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+def test_rtt_multiplies_each_entry_pair_once(monkeypatch, pair):
+    # with the D-matrices built, rtt_check's only products are _dprod
+    # misses: both sides read their D D products from the memo
+    for twoj in pair:
+        dmatrix(twoj)
+    calls = []
+    mul = NCPoly.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(NCPoly, "__mul__", spy)
+    hc._dprod.cache_clear()
+    assert hc.rtt_check(*pair).ok
+    assert len(calls) == hc._dprod.cache_info().misses > 0
 
 
 def test_suites_build_no_product_with_zero_coefficient():
     # the suites multiply D-entries only where a coupling or twist
-    # coefficient is non-zero; the miss counts pin that
+    # coefficient is non-zero; the miss counts pin that.  wigner (1, 2, 3)
+    # and the left side of rtt (1, 2) need every product D^{1/2} D^1 of
+    # the 6 x 6 entry pairs, the right side of rtt every D^1 D^{1/2}:
+    # 2 x 36 misses
     hc._dprod.cache_clear()
     hc.wigner_check(1, 2, 3)
     hc.rtt_check(1, 2)
-    assert hc._dprod.cache_info().misses == 36
+    assert hc._dprod.cache_info().misses == 72
     hc._dprod.cache_clear()
     hc.ortho_like_check(2)
     assert hc._dprod.cache_info().misses == 56  # of 81 entry pairs
