@@ -15,6 +15,32 @@ and every product factor is an explicit linear polynomial in the
 generators; empty products are 1.  The equality of all these forms, entry
 by entry after normal ordering, is one of the central verified facts of
 the package.
+
+An ordered term of degree K + L + M + N is a term of degree one less
+times one more linear factor, so the terms of all spins form a trie, and
+_term builds each as its parent's term times its last factor (the same
+products in the same order as building it from 1, so the same exact
+polynomial).  The parent of a node drops its last factor:
+
+  ordered1 (K, L, M, N)
+    N > 0   (K, L, M, N-1)  times  y - h(K+L-M-N+1) v
+    M > 0   (K, L, M-1, 0)  times  u - h(K+L-s) x + h(K-L+s) y
+                                     - h^2 (K^2 - (L-s)^2) v,  s = M-1
+    L > 0   (K, L-1, 0, 0)  times  v
+    else    (K-1, 0, 0, 0)  times  x + h(K-1) v
+
+  ordered2 (K, L, M, N)
+    L > 0   (K, L-1, M, N)  times  v
+    N > 0   (K, 0, M, N-1)  times  y - h(K-M-N+1) v
+    K > 0   (K-1, 0, M, 0)  times  x + h(M+K-1) v
+    else    (0, 0, M-1, 0)  times  u + h t x + h t y + h^2 t^2 v,  t = M-1
+
+so an ordered1 node has 1 + [N=0] + [M=N=0] + [L=M=N=0] children and an
+ordered2 node 1 + [L=0] + [L=N=0] + [L=N=K=0].  _TERM_MEMO holds only
+terms that were built as a parent; the terms that dfunc sums are never
+stored.  A stored term is dropped once each of its children has been
+stored, so after a matrix of spin j the memo holds the terms of degree
+2j - 1 alone.  The memo decides only what is rebuilt, never a value.
 """
 
 from functools import lru_cache
@@ -74,6 +100,9 @@ def _hmul(k: int) -> RadScalar:
     return H.scaled(Q(k))
 
 
+_H2 = H * H
+
+
 def jacobi_poly(n: int, alpha: int, beta: int, z: NCPoly) -> NCPoly:
     """P_n^(alpha,beta) as the terminating series sum_r c_r z^r with
 
@@ -94,31 +123,28 @@ def jacobi_poly(n: int, alpha: int, beta: int, z: NCPoly) -> NCPoly:
     return ncalg.lincomb(pairs, z.ring)
 
 
-# Runs of linear factors; each multiplies term on the right by one factor
-# per t, in the order of ts.
+# The linear factors.
 
 
-def _x_run(term, ts):
-    """term * prod_t (x + h t v)."""
+def _x(ring, t):
+    """x + h t v."""
+    return _lin(ring, [("x", 1), ("v", _hmul(t))])
+
+
+def _y(ring, t):
+    """y - h t v."""
+    return _lin(ring, [("y", 1), ("v", -_hmul(t))])
+
+
+def _u(ring, t):
+    """u + h t x + h t y + h^2 t^2 v."""
+    return _lin(ring, [("u", 1), ("x", _hmul(t)), ("y", _hmul(t)), ("v", _H2.scaled(Q(t * t)))])
+
+
+def _run(term, factor, ts):
+    """term times factor(ring, t) for each t, in the order of ts."""
     for t in ts:
-        term = term * _lin(term.ring, [("x", 1), ("v", _hmul(t))])
-    return term
-
-
-def _y_run(term, ts):
-    """term * prod_t (y - h t v)."""
-    for t in ts:
-        term = term * _lin(term.ring, [("y", 1), ("v", -_hmul(t))])
-    return term
-
-
-def _u_run(term, ts):
-    """term * prod_t (u + h t x + h t y + h^2 t^2 v)."""
-    for t in ts:
-        term = term * _lin(
-            term.ring,
-            [("u", 1), ("x", _hmul(t)), ("y", _hmul(t)), ("v", (H * H).scaled(Q(t * t)))],
-        )
+        term = term * factor(term.ring, t)
     return term
 
 
@@ -130,29 +156,89 @@ def _v_run(term, n):
     return term
 
 
-def _ordered1_term(K, L, M, N, ring):
-    term = _v_run(_x_run(NCPoly.one(ring), range(K)), L)
-    for i in range(M, 0, -1):
-        term = term * _lin(
+# The ordered terms as a trie: the parent of a node drops its last factor.
+
+
+def _ordered1_parent(K, L, M, N, ring):
+    """(parent, last factor) of the ordered1 node (K, L, M, N) != 0, the
+    product X_K v^L U_{K,L,M} Y_{K,L,M,N}."""
+    if N:
+        return (K, L, M, N - 1), _y(ring, K + L - M - N + 1)
+    if M:
+        s = M - 1
+        return (K, L, s, 0), _lin(
             ring,
             [
                 ("u", 1),
-                ("x", -_hmul(K + L - M + i)),
-                ("y", _hmul(K - L + M - i)),
-                ("v", -(H * H).scaled(Q(K * K - (L - M + i) ** 2))),
+                ("x", -_hmul(K + L - s)),
+                ("y", _hmul(K - L + s)),
+                ("v", -_H2.scaled(Q(K * K - (L - s) ** 2))),
             ],
         )
-    return _y_run(term, (K + L - M - t for t in range(N)))
+    if L:
+        return (K, L - 1, 0, 0), NCPoly.generator("v", ring)
+    return (K - 1, 0, 0, 0), _x(ring, K - 1)
 
 
-def _ordered2_term(K, L, M, N, ring):
-    term = _x_run(_u_run(NCPoly.one(ring), range(M)), range(M, M + K))
-    return _v_run(_y_run(term, (K - M - t for t in range(N))), L)
+def _ordered2_parent(K, L, M, N, ring):
+    """(parent, last factor) of the ordered2 node (K, L, M, N) != 0, the
+    product U_M X_{K,M} Y_{K,M,N} v^L."""
+    if L:
+        return (K, L - 1, M, N), NCPoly.generator("v", ring)
+    if N:
+        return (K, 0, M, N - 1), _y(ring, K - M - N + 1)
+    if K:
+        return (K - 1, 0, M, 0), _x(ring, M + K - 1)
+    return (0, 0, M - 1, 0), _u(ring, M - 1)
 
 
-def _ordered_sum(twoj, twomp, twom, ring, term_builder):
+def _ordered1_children(K, L, M, N):
+    return 1 + (N == 0) + (M == N == 0) + (L == M == N == 0)
+
+
+def _ordered2_children(K, L, M, N):
+    return 1 + (L == 0) + (L == N == 0) + (L == N == K == 0)
+
+
+_TRIE = {
+    ORDERED1: (_ordered1_parent, _ordered1_children),
+    ORDERED2: (_ordered2_parent, _ordered2_children),
+}
+
+# (scheme, ring, K, L, M, N) -> [term, children not yet stored]
+_TERM_MEMO = {}
+
+
+def _term(scheme, klmn, ring):
+    """The ordered term of klmn, built as its parent's term times its last
+    factor.  A term is stored only when it is built as a parent, and a
+    stored term is dropped once each of its children has been stored.  A
+    term stored a second time counts again against its parent, which may
+    then be dropped early: that costs a rebuild, never a value."""
+    parent_of, children = _TRIE[scheme]
+    tag = (scheme, ring)
+    path = []
+    while any(klmn) and tag + klmn not in _TERM_MEMO:
+        parent, factor = parent_of(*klmn, ring)
+        path.append((klmn, parent, factor))
+        klmn = parent
+    term = _TERM_MEMO[tag + klmn][0] if any(klmn) else NCPoly.one(ring)
+    for depth in range(len(path) - 1, -1, -1):
+        node, parent, factor = path[depth]
+        term = term * factor
+        if depth:  # node is the parent of the next node on the path
+            _TERM_MEMO[tag + node] = [term, children(*node)]
+            up = _TERM_MEMO.get(tag + parent)
+            if up is not None:
+                up[1] -= 1
+                if not up[1]:
+                    del _TERM_MEMO[tag + parent]
+    return term
+
+
+def _ordered_sum(twoj, twomp, twom, ring, scheme):
     return ncalg.lincomb(
-        ((coef, term_builder(*klmn, ring)) for klmn, coef in iter_klmn(twoj, twomp, twom)),
+        ((coef, _term(scheme, klmn, ring)) for klmn, coef in iter_klmn(twoj, twomp, twom)),
         ring,
     )
 
@@ -168,11 +254,11 @@ def _jacobi_form(twoj, twomp, twom):
 
     if upper:
         # factors u (u + h(x+y) + h^2 v) ... for the m' >= m cases
-        lead = _u_run(one, range(mp_minus_m))
+        lead = _run(one, _u, range(mp_minus_m))
     if plus and upper:
         n = (twoj - twomp) // 2
         series = jacobi_poly(n, mp_minus_m, mp_plus_m, z)
-        tail = _x_run(one, range(mp_minus_m, mp_minus_m + mp_plus_m))
+        tail = _run(one, _x, range(mp_minus_m, mp_minus_m + mp_plus_m))
         nrm = sqrt_nat(comb((twoj + twomp) // 2, mp_minus_m))
         nrm = nrm * sqrt_nat(comb((twoj - twom) // 2, mp_minus_m))
         return (series * lead * tail).scaled(nrm)
@@ -181,21 +267,21 @@ def _jacobi_form(twoj, twomp, twom):
     if plus and not upper:
         n = (twoj - twom) // 2
         series = jacobi_poly(n, -mp_minus_m, mp_plus_m, z)
-        tail = _v_run(_x_run(one, range(mp_plus_m)), -mp_minus_m)
+        tail = _v_run(_run(one, _x, range(mp_plus_m)), -mp_minus_m)
         nrm = sqrt_nat(comb((twoj - twomp) // 2, -mp_minus_m))
         nrm = nrm * sqrt_nat(comb((twoj + twom) // 2, -mp_minus_m))
         return (series * tail).scaled(nrm)
     if not plus and upper:
         n = (twoj + twom) // 2
         series = jacobi_poly(n, mp_minus_m, -mp_plus_m, z)
-        tail = _y_run(one, y_ts)
+        tail = _run(one, _y, y_ts)
         nrm = sqrt_nat(comb((twoj + twomp) // 2, mp_minus_m))
         nrm = nrm * sqrt_nat(comb((twoj - twom) // 2, mp_minus_m))
         return (series * lead * tail).scaled(nrm)
     # m' + m <= 0, m' <= m
     n = (twoj + twomp) // 2
     series = jacobi_poly(n, -mp_minus_m, -mp_plus_m, z)
-    tail = _y_run(_v_run(one, -mp_minus_m), y_ts)
+    tail = _run(_v_run(one, -mp_minus_m), _y, y_ts)
     nrm = sqrt_nat(comb((twoj - twomp) // 2, -mp_minus_m))
     nrm = nrm * sqrt_nat(comb((twoj + twom) // 2, -mp_minus_m))
     return (series * tail).scaled(nrm)
@@ -215,10 +301,8 @@ def dfunc(twoj: int, twomp: int, twom: int, scheme=ORDERED1, ring=SL) -> NCPoly:
     """One matrix element D^j_{m'm} in normal form."""
     ncalg.check_ring(ring)
     check_indices(twoj, twomp, twom)
-    if scheme == ORDERED1:
-        return _ordered_sum(twoj, twomp, twom, ring, _ordered1_term)
-    if scheme == ORDERED2:
-        return _ordered_sum(twoj, twomp, twom, ring, _ordered2_term)
+    if scheme in _TRIE:
+        return _ordered_sum(twoj, twomp, twom, ring, scheme)
     if scheme == JACOBI:
         if ring != SL:
             raise ValueError("the Jacobi form assumes determinant 1 (SL ring)")

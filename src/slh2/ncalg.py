@@ -30,6 +30,16 @@ by one letter it applies a rule (memo _MEMO), by a longer word it folds
 over the letters (memo _WW_MEMO).  Every rule coefficient is +-1 times a
 power of h, so a memo entry has radicand 1 and int values.
 
+_mul, the product of two flat term dicts, is one loop over term pairs:
+each pair's scalar product (radicands by their gcd rule, h powers added)
+times each term of the memoised word product, summed straight into the
+output dict with no call per output term.  _scale_into, which scaled
+sums and lincomb go through, runs the same inline sum.  Integral values
+are stored as ints: _scale_into turns each integral product into an int,
+and _mul passes its output through _ints once when an input value was
+not an int, so a Fraction(n, 1) never makes later products rational and
+the all-int path pays one type check per term pair.
+
 lincomb, the sum of scaled polynomials that the constructions and the
 suites use, accumulates over ints: its coefficients are multiplied by
 the lcm den of their denominators, and the output is divided by den
@@ -37,11 +47,12 @@ once at the end.  Scaling by a nonzero constant is injective, so a sum
 cancels exactly when it did over the rationals.
 """
 
+from itertools import groupby
 from math import gcd
 
 from ._rat import Q
 from .kernel import rad_add, rad_neg
-from .scalar import ONE, ZERO, H, RadScalar, accumulate
+from .scalar import ONE, ZERO, H, RadScalar, terms_json
 
 V, X, Y, U = 0, 1, 2, 3
 GEN_NAMES = "vxyu"
@@ -158,6 +169,8 @@ def _times_letters(terms, letters, ring):
 def _mul(t1, t2, ring):
     """The product of two flat term dicts: one loop over term pairs."""
     out = {}
+    get = out.get
+    rational = False
     for k1, q1 in t1.items():
         w1, r1, i1 = k1[:4], k1[4], k1[5]
         for k2, q2 in t2.items():
@@ -165,18 +178,38 @@ def _mul(t1, t2, ring):
             g = gcd(r1, r2)
             r = (r1 // g) * (r2 // g)
             q = q1 * q2 if g == 1 else q1 * q2 * g
+            if type(q) is not int:
+                rational = True
             i = i1 + k2[5]
             for (a, b, c, d, _, j), m in _word_mul_word(w1, k2[:4], ring).items():
-                accumulate(out, (a, b, c, d, r, i + j), q * m)
+                key = (a, b, c, d, r, i + j)
+                s = get(key, 0) + q * m
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    if rational:
+        _ints(out)
     return out
+
+
+def _ints(terms):
+    """Store each integral value of terms as an int, in place, so that a
+    Fraction(n, 1) does not make every later product rational."""
+    for k, q in terms.items():
+        if type(q) is not int and q.denominator == 1:
+            terms[k] = int(q)
 
 
 def _scale_into(dst, terms, coef):
     """dst += coef * terms for the flat scalar terms coef {(radicand,
-    h_power): q}, radicands combined by kernel.rad_mul's gcd rule; an
-    integral q enters as an int.  lincomb passes only ints (its
-    coefficients times their common denominator), so an int-valued
-    terms dict accumulates there without a rational product."""
+    h_power): q}, radicands combined by kernel.rad_mul's gcd rule and the
+    sum into dst written inline.  An integral coefficient enters as an
+    int, and each product of a rational value is stored as an int when it
+    is integral.  lincomb passes only ints (its coefficients times their
+    common denominator), so an int-valued terms dict accumulates there
+    without a rational product."""
+    get = dst.get
     for (rc, ic), qc in coef.items():
         if qc.denominator == 1:
             qc = int(qc)
@@ -184,7 +217,14 @@ def _scale_into(dst, terms, coef):
             r = k[-2]
             g = gcd(r, rc)
             p = q * qc if g == 1 else q * qc * g
-            accumulate(dst, k[:-2] + ((r // g) * (rc // g), k[-1] + ic), p)
+            if type(p) is not int and p.denominator == 1:
+                p = int(p)
+            key = k[:-2] + ((r // g) * (rc // g), k[-1] + ic)
+            s = get(key, 0) + p
+            if s:
+                dst[key] = s
+            else:
+                del dst[key]
 
 
 def grouped(terms):
@@ -193,6 +233,15 @@ def grouped(terms):
     for k, q in terms.items():
         out.setdefault(k[:-2], {})[k[-2:]] = Q(q)
     return {w: RadScalar(t) for w, t in out.items()}
+
+
+def _json_order(item):
+    k = item[0]
+    return word_sort_key(k[:4]), k[4], k[5]
+
+
+def _word_of(item):
+    return item[0][:4]
 
 
 def _as_letters(word):
@@ -346,10 +395,14 @@ class NCPoly:
     # -- encodings --
 
     def to_json(self):
+        """Written from the flat terms, sorted once by word, radicand and
+        h power; each coefficient as RadScalar.to_json writes it."""
+        items = sorted(self._terms.items(), key=_json_order)
         return {
             "ring": self.ring,
             "terms": [
-                {"word": word_str(w), "coef": c.to_json()} for w, c in self.sorted_terms()
+                {"word": word_str(w), "coef": terms_json((k[4], k[5], q) for k, q in group)}
+                for w, group in groupby(items, key=_word_of)
             ],
         }
 

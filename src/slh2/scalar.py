@@ -152,12 +152,7 @@ class RadScalar:
     # -- encodings ----------------------------------------------------
 
     def to_json(self):
-        return {
-            "terms": [
-                {"rad": r, "poly": [{"h": i, "g": 0, "q": qstr(q)} for _, i, q in monos]}
-                for r, monos in groupby(self.terms(), key=itemgetter(0))
-            ]
-        }
+        return terms_json(self.terms())
 
     @staticmethod
     def from_json(obj) -> "RadScalar":
@@ -175,6 +170,16 @@ class RadScalar:
         from .exprio import scalar_text
 
         return scalar_text(self)
+
+
+def terms_json(terms):
+    """The JSON of a scalar from its (radicand, h_power, q) terms, sorted."""
+    return {
+        "terms": [
+            {"rad": r, "poly": [{"h": i, "g": 0, "q": qstr(q)} for _, i, q in monos]}
+            for r, monos in groupby(terms, key=itemgetter(0))
+        ]
+    }
 
 
 def sqrt_nat(n: int) -> RadScalar:

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
+from slh2 import dfun
 from slh2.dfun import CLASSICAL, JACOBI, ORDERED1, ORDERED2, dfunc, dmatrix, jacobi_poly
 from slh2.exprio import parse
-from slh2.ncalg import GL, SL, NCPoly
+from slh2.ncalg import GL, SL, NCPoly, gen
 from slh2.rep import magnetics
-from slh2.scalar import rational
+from slh2.scalar import H, rational
 
 
 def test_jacobi_degree_zero():
@@ -168,3 +171,125 @@ def test_matrix_output_shapes():
     txt = d.to_text()
     assert "D[1/2,1/2] = x" in txt
     assert d.entry(1, -1) == parse("u", SL)
+
+
+# The ordered terms built left to right from 1, one factor at a time, as
+# the closed forms read: the oracle for the term trie of dfun.
+
+
+def _lin(ring, **coefs):
+    out = NCPoly.zero(ring)
+    for name, c in coefs.items():
+        out = out + gen(name, ring).scaled(c)
+    return out
+
+
+def _x_run(term, ts):
+    for t in ts:
+        term = term * _lin(term.ring, x=1, v=H.scaled(t))
+    return term
+
+
+def _y_run(term, ts):
+    for t in ts:
+        term = term * _lin(term.ring, y=1, v=H.scaled(-t))
+    return term
+
+
+def _v_run(term, n):
+    for _ in range(n):
+        term = term * gen("v", term.ring)
+    return term
+
+
+def _oracle_ordered1(K, L, M, N, ring):
+    term = _v_run(_x_run(NCPoly.one(ring), range(K)), L)
+    for i in range(M, 0, -1):
+        term = term * _lin(
+            ring,
+            u=1,
+            x=H.scaled(-(K + L - M + i)),
+            y=H.scaled(K - L + M - i),
+            v=(H * H).scaled(-(K * K - (L - M + i) ** 2)),
+        )
+    return _y_run(term, (K + L - M - t for t in range(N)))
+
+
+def _oracle_ordered2(K, L, M, N, ring):
+    term = NCPoly.one(ring)
+    for t in range(M):
+        term = term * _lin(ring, u=1, x=H.scaled(t), y=H.scaled(t), v=(H * H).scaled(t * t))
+    term = _x_run(term, range(M, M + K))
+    return _v_run(_y_run(term, (K - M - t for t in range(N))), L)
+
+
+_ORACLES = {ORDERED1: _oracle_ordered1, ORDERED2: _oracle_ordered2}
+
+
+def _nodes(degree):
+    return [
+        (K, L, M, degree - K - L - M)
+        for K in range(degree + 1)
+        for L in range(degree + 1 - K)
+        for M in range(degree + 1 - K - L)
+    ]
+
+
+def _cold():
+    dfun._TERM_MEMO.clear()
+    dfunc.cache_clear()
+
+
+@pytest.fixture
+def cold_terms():
+    """An empty term trie and dfunc cache at the start of the test."""
+    _cold()
+
+
+@pytest.mark.parametrize("scheme", [ORDERED1, ORDERED2])
+@pytest.mark.parametrize("ring", [SL, GL])
+def test_term_trie_matches_left_to_right_oracle(scheme, ring, cold_terms):
+    nodes = [klmn for degree in range(8) for klmn in _nodes(degree)]
+    assert len(nodes) == 330
+    # a seeded order, so that parents are found stored, dropped and absent
+    random.Random(5).shuffle(nodes)
+    for klmn in nodes:
+        assert dfun._term(scheme, klmn, ring) == _ORACLES[scheme](*klmn, ring), klmn
+
+
+@pytest.mark.parametrize("scheme", [ORDERED1, ORDERED2])
+def test_term_trie_out_of_order_builds_equal_fresh_builds(scheme, cold_terms):
+    fresh = {}
+    for twoj in (3, 7):
+        _cold()
+        fresh[twoj] = dmatrix(twoj, scheme, SL).entries
+    _cold()
+    for twoj in (6, 3, 7):
+        got = dmatrix(twoj, scheme, SL).entries
+        if twoj in fresh:
+            assert got == fresh[twoj], twoj
+
+
+def test_term_trie_stores_only_parents(cold_terms):
+    # each degree-4 term is dropped once its degree-5 children are stored;
+    # the degree-6 terms that dmatrix(6) sums are never stored
+    dmatrix(6, ORDERED1, SL)
+    want = {(ORDERED1, SL) + klmn for klmn in _nodes(5)}
+    assert set(dfun._TERM_MEMO) == want
+    children = dfun._TRIE[ORDERED1][1]
+    for (scheme, ring, *klmn), (term, pending) in dfun._TERM_MEMO.items():
+        assert term == _oracle_ordered1(*klmn, ring)
+        assert pending == children(*klmn)
+
+
+@pytest.mark.parametrize("scheme", [ORDERED1, ORDERED2])
+def test_term_trie_parent_counts(scheme):
+    # every node of degree d + 1 has one parent of degree d, and each node
+    # of degree d has as many children as _TRIE says
+    parent_of, children = dfun._TRIE[scheme]
+    for degree in range(6):
+        counts = dict.fromkeys(_nodes(degree), 0)
+        for klmn in _nodes(degree + 1):
+            parent, _ = parent_of(*klmn, SL)
+            counts[parent] += 1
+        assert counts == {klmn: children(*klmn) for klmn in counts}

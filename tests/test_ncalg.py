@@ -1,11 +1,13 @@
+import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import comb
 
 import pytest
 
 from slh2 import kernel, pbwcheck
+from slh2._rat import Q, qstr
 from slh2.exprio import parse
 from slh2.ncalg import (
     GL,
@@ -16,6 +18,8 @@ from slh2.ncalg import (
     lincomb,
     normal_form,
     quantum_determinant,
+    word_sort_key,
+    word_str,
 )
 from slh2.scalar import ONE, ZERO, H, RadScalar, rational, sqrt_nat
 
@@ -272,3 +276,49 @@ def test_json_word_order_canonical():
     p = parse("u + v + x^2", GL)
     words = [t["word"] for t in p.to_json()["terms"]]
     assert words == ["v", "u", "xx"]  # sorted by (weight, lex)
+
+
+def test_integral_values_are_ints():
+    for ring in (GL, SL):
+        x, v = gen("x", ring), gen("v", ring)
+        half = x.scaled(Q(1, 2))
+        for p in (half.scaled(2), half * x.scaled(2)):
+            assert [type(q) for q in p._terms.values()] == [int], p._terms
+        assert half.scaled(2) == x and half * x.scaled(2) == x * x
+        # (x + v)/2 * (x + v) sums two halves into the coefficient of vx
+        p = (x + v).scaled(Q(1, 2)) * (x + v)
+        assert type(p._terms[(1, 1, 0, 0, 1, 0)]) is int
+        assert all(type(q) is int for q in p._terms.values() if q.denominator == 1)
+
+
+def _old_to_json(p):
+    """NCPoly.to_json as it was written through grouped RadScalar terms."""
+    def coef_json(c):
+        return {
+            "terms": [
+                {"rad": r, "poly": [{"h": i, "g": 0, "q": qstr(q)} for _, i, q in monos]}
+                for r, monos in groupby(c.terms(), key=lambda t: t[0])
+            ]
+        }
+
+    rows = sorted(p.terms().items(), key=lambda t: word_sort_key(t[0]))
+    return {"ring": p.ring, "terms": [{"word": word_str(w), "coef": coef_json(c)} for w, c in rows]}
+
+
+def test_to_json_matches_grouped_path():
+    rng = random.Random(23)
+    polys = [NCPoly.zero(GL), NCPoly.zero(SL)]
+    for _ in range(200):
+        ring = rng.choice((GL, SL))
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            a, b, c, d = (rng.randint(0, 3) for _ in range(4))
+            if ring == SL and b and c:
+                c = 0
+            q = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 6]))
+            q = int(q) if q.denominator == 1 else q
+            terms[(a, b, c, d, rng.choice((1, 2, 3, 5, 6, 30)), rng.randint(0, 4))] = q
+        polys.append(NCPoly(ring, terms))
+    for p in polys:
+        assert json.dumps(p.to_json()) == json.dumps(_old_to_json(p))
+    assert polys[0].to_json() == {"ring": GL, "terms": []}
