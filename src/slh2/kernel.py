@@ -7,7 +7,8 @@ One raw representation, chosen for speed rather than beauty: a dict
 with a squarefree positive radicand r.  It encodes the sum of
 q * sqrt(r) * h^h_power over its items; radicand 1 carries the
 rational-polynomial part.  Functions never mutate their arguments
-and never store zero entries, so values can be shared freely.
+and never store zero entries, so values can be shared freely.  rad_add
+stores an integral sum of rationals as an int.
 """
 
 from math import gcd
@@ -25,10 +26,12 @@ def rad_add(a, b):
             out[k] = v
         else:
             s = s + v
-            if s:
+            if not s:
+                del out[k]
+            elif type(s) is int or s.denominator != 1:
                 out[k] = s
             else:
-                del out[k]
+                out[k] = int(s)
     return out
 
 

@@ -2,7 +2,13 @@
 
 The naive rewriter here works on raw letter sequences straight from the
 rule table, with a freely chosen rewrite position; it shares no code with
-the production engine in ncalg, which makes it a usable oracle for it.
+the production engine in ncalg (no _mul, _scale_into, _word_mul_word or
+lincomb), which makes it a usable oracle for it.  It reads ncalg.RULES
+into an int table {pair: ((word, h_power, n), ...)} each time a check
+runs, so a patched RULES reaches it too; every rule coefficient is n * h^k
+with n an int (int_rules raises otherwise).  A normal form is then int
+flat terms {(a, b, c, d, 1, h_power): n}, the key layout of NCPoly: each
+step shifts h powers and sums ints, with no scalar arithmetic.
 Confluence is checked as joinability of every one-step peak (reduce the
 same word at two different positions, then normalize); together with the
 termination measure this gives confluence by Newman's lemma.
@@ -12,26 +18,40 @@ import random
 from itertools import product
 
 from . import ncalg
-from .ncalg import GL, SL, NCPoly, RINGS
+from .ncalg import GL, SL, NCPoly, RINGS, U, V, X, Y
 from .report import Report
-from .scalar import ONE, accumulate
+from .scalar import ONE
 
 
-def reducible_positions(letters, ring):
-    rules = ncalg.RULES[ring]
+def int_rules(ring):
+    """ncalg.RULES[ring] as {pair: ((word, h_power, n), ...)} with int n."""
+    table = {}
+    for pair, repl in ncalg.RULES[ring].items():
+        rows = []
+        for word, coef in repl:
+            monos = list(coef.raw().items())
+            if len(monos) != 1 or monos[0][0][0] != 1 or monos[0][1].denominator != 1:
+                raise ValueError(
+                    f"rule {pair} -> {word}: coefficient {coef!r} is not an int times a power of h"
+                )
+            (_, i), q = monos[0]
+            rows.append((word, i, int(q)))
+        table[pair] = tuple(rows)
+    return table
+
+
+def reducible_positions(letters, rules):
     return [
         i for i in range(len(letters) - 1) if (letters[i], letters[i + 1]) in rules
     ]
 
 
-def rewrite_at(letters, pos, ring):
-    """One rewrite step; returns [(letters, coefficient), ...]."""
-    rules = ncalg.RULES[ring]
+def rewrite_at(letters, pos, rules):
+    """One rewrite step; returns [(letters, h_power, n), ...]."""
     pair = (letters[pos], letters[pos + 1])
-    out = []
-    for repl, coef in rules[pair]:
-        out.append((letters[:pos] + repl + letters[pos + 2 :], coef))
-    return out
+    return [
+        (letters[:pos] + word + letters[pos + 2 :], i, n) for word, i, n in rules[pair]
+    ]
 
 
 def measure(letters):
@@ -41,36 +61,38 @@ def measure(letters):
 _NAIVE_MEMO = {GL: {}, SL: {}}
 
 
-def naive_normal_form(letters, ring):
-    """Leftmost-position rewriting to a fixed point; engine-independent."""
-    memo = _NAIVE_MEMO[ring]
+def _naive(letters, rules, memo):
+    """Leftmost-position rewriting to a fixed point, as int flat terms."""
     hit = memo.get(letters)
-    if hit is not None:
-        return hit
-    positions = reducible_positions(letters, ring)
-    if not positions:
-        exps = (
-            letters.count(ncalg.V),
-            letters.count(ncalg.X),
-            letters.count(ncalg.Y),
-            letters.count(ncalg.U),
-        )
-        res = {exps: ONE}
-    else:
-        res = {}
-        for word, coef in rewrite_at(letters, positions[0], ring):
-            for exps, c in naive_normal_form(word, ring).items():
-                accumulate(res, exps, coef * c)
-    memo[letters] = res
-    return res
+    if hit is None:
+        positions = reducible_positions(letters, rules)
+        if positions:
+            hit = _poly_naive(rewrite_at(letters, positions[0], rules), rules, memo)
+        else:
+            counts = (letters.count(V), letters.count(X), letters.count(Y), letters.count(U))
+            hit = {counts + (1, 0): 1}
+        memo[letters] = hit
+    return hit
 
 
-def _poly_naive(terms, ring):
+def _poly_naive(steps, rules, memo):
+    """The sum of n h^i NF(letters) over the (letters, i, n) of steps."""
     out = {}
-    for letters, coef in terms:
-        for exps, c in naive_normal_form(letters, ring).items():
-            accumulate(out, exps, coef * c)
+    get = out.get
+    for letters, i, n in steps:
+        for (a, b, c, d, _, j), m in _naive(letters, rules, memo).items():
+            key = (a, b, c, d, 1, i + j)
+            s = get(key, 0) + n * m
+            if s:
+                out[key] = s
+            else:
+                del out[key]
     return out
+
+
+def naive_normal_form(letters, ring):
+    """The naive normal form as {normal word: RadScalar}; engine-independent."""
+    return ncalg.grouped(_naive(tuple(letters), int_rules(ring), _NAIVE_MEMO[ring]))
 
 
 def termination_check(maxlen=4, samples=300, maxsample_len=6, seed=11) -> Report:
@@ -84,11 +106,12 @@ def termination_check(maxlen=4, samples=300, maxsample_len=6, seed=11) -> Report
         n = rng.randint(2, maxsample_len)
         words.append(tuple(rng.randrange(4) for _ in range(n)))
     for ring in RINGS:
+        rules = int_rules(ring)
         bad = 0
         for w in words:
-            for pos in reducible_positions(w, ring):
-                before = measure(w)
-                for word, _ in rewrite_at(w, pos, ring):
+            before = measure(w)
+            for pos in reducible_positions(w, rules):
+                for word, _, _ in rewrite_at(w, pos, rules):
                     if not measure(word) < before:
                         bad += 1
         rep.add({"ring": ring, "words": len(words)}, bad == 0)
@@ -96,25 +119,29 @@ def termination_check(maxlen=4, samples=300, maxsample_len=6, seed=11) -> Report
 
 
 def confluence_check(maxlen=4) -> Report:
-    """All one-step peaks rejoin, and every result matches the engine."""
+    """All one-step peaks rejoin, and every result matches the engine.
+
+    Each one-step rewrite of a word is normalized once, then compared
+    with the rewrites at every later position and with the word's own
+    normal form."""
     rep = Report("pbw-confluence")
     for ring in RINGS:
+        rules = int_rules(ring)
+        memo = _NAIVE_MEMO[ring]
         peaks = disagreements = 0
         total = 0
         for n in range(1, maxlen + 1):
             for w in product(range(4), repeat=n):
                 total += 1
-                engine = ncalg.normal_form([(w, ONE)], ring).terms()
-                base = naive_normal_form(w, ring)
-                if base != engine:
+                base = _naive(w, rules, memo)
+                if base != ncalg.normal_form([(w, ONE)], ring)._terms:
                     disagreements += 1
-                positions = reducible_positions(w, ring)
-                for p1 in positions:
-                    for p2 in positions:
-                        if p1 >= p2:
-                            continue
-                        left = _poly_naive(rewrite_at(w, p1, ring), ring)
-                        right = _poly_naive(rewrite_at(w, p2, ring), ring)
+                joins = [
+                    _poly_naive(rewrite_at(w, p, rules), rules, memo)
+                    for p in reducible_positions(w, rules)
+                ]
+                for k, left in enumerate(joins):
+                    for right in joins[k + 1 :]:
                         if left != right or left != base:
                             peaks += 1
         rep.add(

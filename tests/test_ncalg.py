@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from slh2 import kernel, pbwcheck
+from slh2 import kernel, ncalg, pbwcheck
 from slh2._rat import Q, qstr
 from slh2.exprio import parse
 from slh2.ncalg import (
@@ -112,6 +112,63 @@ def test_engine_matches_naive_exhaustive_len5():
                 normal_form([(w, 1)], ring).terms()
                 == pbwcheck.naive_normal_form(w, ring)
             ), (w, ring)
+
+
+def _fresh_memos(monkeypatch):
+    """Empty engine and naive memos for one test, so that no entry made
+    under a patched rule table outlives it."""
+    for mod, name in ((ncalg, "_MEMO"), (ncalg, "_WW_MEMO"), (pbwcheck, "_NAIVE_MEMO")):
+        monkeypatch.setattr(mod, name, {GL: {}, SL: {}})
+
+
+def test_changed_rule_coefficient_breaks_a_peak(monkeypatch):
+    _fresh_memos(monkeypatch)
+    rules = {ring: dict(table) for ring, table in ncalg.RULES.items()}
+    # yx -> xy - h xv + h yv with the sign of h yv flipped, in GL only
+    (xy, one), xv, (yv, h) = rules[GL][(2, 1)]
+    assert h == H
+    rules[GL][(2, 1)] = ((xy, one), xv, (yv, -H))
+    monkeypatch.setattr(ncalg, "RULES", rules)
+    rep = pbwcheck.confluence_check(maxlen=4)
+    failed = [c["params"] for c in rep.cases if not c["pass"]]
+    assert failed == [{"ring": GL, "words": 340, "law": "peaks rejoin"}]
+
+
+def test_rule_table_rejects_a_non_integral_coefficient(monkeypatch):
+    for coef in (rational(1, 2) * H, sqrt_nat(2), H + ONE):
+        rules = {ring: dict(table) for ring, table in ncalg.RULES.items()}
+        (vx, one), (vv, _) = rules[SL][(1, 0)]
+        rules[SL][(1, 0)] = ((vx, one), (vv, coef))
+        monkeypatch.setattr(ncalg, "RULES", rules)
+        assert pbwcheck.int_rules(GL)
+        with pytest.raises(ValueError, match="not an int times a power of h"):
+            pbwcheck.int_rules(SL)
+
+
+def test_naive_rewriter_calls_no_engine_code(monkeypatch):
+    words = [w for n in range(5) for w in product(range(4), repeat=n)]
+    want = {(w, ring): normal_form([(w, 1)], ring).terms() for w in words for ring in (GL, SL)}
+    _fresh_memos(monkeypatch)
+
+    def engine(*args):
+        raise AssertionError("the naive rewriter called the engine")
+
+    for name in ("_mul", "_scale_into", "_word_mul_word", "lincomb"):
+        monkeypatch.setattr(ncalg, name, engine)
+    for (w, ring), terms in want.items():
+        assert pbwcheck.naive_normal_form(w, ring) == terms, (w, ring)
+
+
+def test_naive_memo_holds_int_flat_terms(monkeypatch):
+    _fresh_memos(monkeypatch)
+    assert pbwcheck.pbw_suite(4).ok
+    for ring in (GL, SL):
+        memo = pbwcheck._NAIVE_MEMO[ring]
+        assert len(memo) > 300
+        for terms in memo.values():
+            for key, q in terms.items():
+                assert len(key) == 6 and key[4] == 1, key
+                assert all(type(k) is int for k in key) and type(q) is int and q, (key, q)
 
 
 def _rand_poly(rng, ring):
@@ -263,6 +320,20 @@ def test_flat_terms_are_canonical():
     x = gen("x", GL)
     half = x.scaled(rational(1, 2))
     assert half + half == x and hash(half + half) == hash(x)
+
+
+def test_integral_sums_are_ints():
+    for ring in (GL, SL):
+        x = gen("x", ring)
+        half = x.scaled(Q(1, 2))
+        for p in (half + half, x.scaled(Q(3, 2)) - half):
+            assert p._terms == {(0, 1, 0, 0, 1, 0): 1}
+            assert [type(q) for q in p._terms.values()] == [int]
+            assert p == x and hash(p) == hash(x) and repr(p) == repr(x)
+        # a sum returned unchanged from one input leaves that input alone
+        zero = NCPoly.zero(ring)
+        assert (zero + half)._terms is half._terms
+        assert [type(q) is int for q in half._terms.values()] == [False]
 
 
 def test_json_roundtrip():
