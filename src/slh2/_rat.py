@@ -23,3 +23,15 @@ def qstr(q) -> str:
 def qparse(text: str):
     """Inverse of qstr; also accepts plain integers."""
     return Q(text)
+
+
+def num(x):
+    """x as an exact rational, stored as an int when it is integral.
+
+    This is the int rule of the flat terms (see kernel): an integral
+    value held as Q(n, 1) would make every later product a rational one.
+    """
+    if type(x) is int:
+        return x
+    q = Q(x)
+    return int(q) if q.denominator == 1 else q

@@ -4,7 +4,7 @@ Three deformed constructions and the classical limit are provided:
 
   ordered1   sum over (K, L, M, N) of X_K v^L U_{K,L,M} Y_{K,L,M,N}
   ordered2   sum over (K, L, M, N) of U_M X_{K,M} Y_{K,M,N} v^L
-  jacobi     Jacobi-polynomial form, four sign cases, SL ring only
+  jacobi     Jacobi-polynomial form, SL ring only
   classical  the undeformed matrix element (h = 0)
 
 The exponents run over non-negative integers constrained by
@@ -97,7 +97,7 @@ def _lin(ring, parts):
 
 
 def _hmul(k: int) -> RadScalar:
-    return H.scaled(Q(k))
+    return H.scaled(k)
 
 
 _H2 = H * H
@@ -138,7 +138,7 @@ def _y(ring, t):
 
 def _u(ring, t):
     """u + h t x + h t y + h^2 t^2 v."""
-    return _lin(ring, [("u", 1), ("x", _hmul(t)), ("y", _hmul(t)), ("v", _H2.scaled(Q(t * t)))])
+    return _lin(ring, [("u", 1), ("x", _hmul(t)), ("y", _hmul(t)), ("v", _H2.scaled(t * t))])
 
 
 def _run(term, factor, ts):
@@ -172,7 +172,7 @@ def _ordered1_parent(K, L, M, N, ring):
                 ("u", 1),
                 ("x", -_hmul(K + L - s)),
                 ("y", _hmul(K - L + s)),
-                ("v", -_H2.scaled(Q(K * K - (L - s) ** 2))),
+                ("v", -_H2.scaled(K * K - (L - s) ** 2)),
             ],
         )
     if L:
@@ -244,47 +244,24 @@ def _ordered_sum(twoj, twomp, twom, ring, scheme):
 
 
 def _jacobi_form(twoj, twomp, twom):
+    """P_n^(a,b)(-uv) times the u-run (m' >= m), then the x-run (m' + m
+    >= 0) or the y-run, with v^a after the x-run or before the y-run
+    (m' < m); a = |m' - m|, b = |m' + m| and n = j - max(|m|, |m'|)."""
     ring = SL
-    one = NCPoly.one(ring)
+    d, s = (twomp - twom) // 2, (twomp + twom) // 2
+    a, b = abs(d), abs(s)
+    up, va = max(d, 0), max(-d, 0)
     z = -(NCPoly.generator("u", ring) * NCPoly.generator("v", ring))
-    mp_minus_m = (twomp - twom) // 2
-    mp_plus_m = (twomp + twom) // 2
-    plus = twomp + twom >= 0
-    upper = twomp >= twom
-
-    if upper:
-        # factors u (u + h(x+y) + h^2 v) ... for the m' >= m cases
-        lead = _run(one, _u, range(mp_minus_m))
-    if plus and upper:
-        n = (twoj - twomp) // 2
-        series = jacobi_poly(n, mp_minus_m, mp_plus_m, z)
-        tail = _run(one, _x, range(mp_minus_m, mp_minus_m + mp_plus_m))
-        nrm = sqrt_nat(comb((twoj + twomp) // 2, mp_minus_m))
-        nrm = nrm * sqrt_nat(comb((twoj - twom) // 2, mp_minus_m))
-        return (series * lead * tail).scaled(nrm)
-    # t runs from m - m' down to 2m + 1 in the y factors
-    y_ts = range(-mp_minus_m, -mp_minus_m + mp_plus_m, -1)
-    if plus and not upper:
-        n = (twoj - twom) // 2
-        series = jacobi_poly(n, -mp_minus_m, mp_plus_m, z)
-        tail = _v_run(_run(one, _x, range(mp_plus_m)), -mp_minus_m)
-        nrm = sqrt_nat(comb((twoj - twomp) // 2, -mp_minus_m))
-        nrm = nrm * sqrt_nat(comb((twoj + twom) // 2, -mp_minus_m))
-        return (series * tail).scaled(nrm)
-    if not plus and upper:
-        n = (twoj + twom) // 2
-        series = jacobi_poly(n, mp_minus_m, -mp_plus_m, z)
-        tail = _run(one, _y, y_ts)
-        nrm = sqrt_nat(comb((twoj + twomp) // 2, mp_minus_m))
-        nrm = nrm * sqrt_nat(comb((twoj - twom) // 2, mp_minus_m))
-        return (series * lead * tail).scaled(nrm)
-    # m' + m <= 0, m' <= m
-    n = (twoj + twomp) // 2
-    series = jacobi_poly(n, -mp_minus_m, -mp_plus_m, z)
-    tail = _run(_v_run(one, -mp_minus_m), _y, y_ts)
-    nrm = sqrt_nat(comb((twoj - twomp) // 2, -mp_minus_m))
-    nrm = nrm * sqrt_nat(comb((twoj + twom) // 2, -mp_minus_m))
-    return (series * tail).scaled(nrm)
+    n = (twoj - max(abs(twomp), abs(twom))) // 2
+    term = _run(jacobi_poly(n, a, b, z), _u, range(up))
+    if s >= 0:
+        term = _v_run(_run(term, _x, range(up, up + s)), va)
+    else:
+        # t runs from m - m' down to 2m + 1 in the y factors
+        term = _run(_v_run(term, va), _y, range(-d, -d + s, -1))
+    p, q = (twomp, twom) if d >= 0 else (twom, twomp)
+    nrm = sqrt_nat(comb((twoj + p) // 2, a)) * sqrt_nat(comb((twoj - q) // 2, a))
+    return term.scaled(nrm)
 
 
 def _classical(twoj, twomp, twom, ring):

@@ -119,7 +119,7 @@ class _Parser:
                 if int(den[1]) == 0:
                     raise ParseError("zero denominator", den[2])
                 return NCPoly.scalar(Q(num, int(den[1])), self.ring)
-            return NCPoly.scalar(Q(num), self.ring)
+            return NCPoly.scalar(num, self.ring)
         if kind == "(":
             self.take()
             value = self.expr()

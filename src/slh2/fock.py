@@ -56,7 +56,7 @@ import random
 from functools import lru_cache
 from math import factorial, gcd
 
-from ._rat import Q
+from ._rat import Q, num
 from . import ncalg
 from .dfun import ORDERED1, check_indices, dfunc, iter_klmn
 from .ncalg import GL, NCPoly, normal_form
@@ -93,11 +93,6 @@ def dim(n: int) -> int:
 
 def weight(state) -> int:
     return sum(k * w for k, w in zip(state, MODE_WEIGHT))
-
-
-def _num(q):
-    """An integral rational as an int, so products stay int products."""
-    return int(q) if q.denominator == 1 else q
 
 
 class FockOp:
@@ -165,7 +160,7 @@ class FockOp:
                     "FockOp sum of unlike terms: (h-offset, radicand) "
                     f"{key} and {term_key}"
                 )
-            q = _num(q * (g << k))
+            q = num(q * (g << k))
             for ij, v in op.data.items():
                 data[ij] = data.get(ij, 0) + v * q
         if key is None:
@@ -493,7 +488,7 @@ def two_parameter_generators(n: int, t):
     """
     tg = twisted_generators(n)
     x, u, v, y = (tg[name] for name in "xuvy")
-    gn = H.scaled(Q(t) * n)
+    gn = H.scaled(t * n)
 
     def comb(*pairs):
         return FockOp.lincomb(n, n + 1, pairs)

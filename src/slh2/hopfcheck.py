@@ -36,11 +36,10 @@ into rows (or columns), and each entry is one ncalg.lincomb over a row.
 from functools import lru_cache
 from math import gcd
 
-from ._rat import Q
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
-from .kernel import rad_add, rad_neg
-from .ncalg import GL, SL, U, V, NCPoly, _scale_into, _word_mul_word
+from .kernel import add_into, rad_add, rad_neg, scale_into
+from .ncalg import GL, SL, U, V, NCPoly, _word_mul_word
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, r_matrix, triangle_ok
 from .rep import pair_basis, pair_items, rows
 from .report import Report
@@ -92,8 +91,7 @@ class TensorPoly:
         return self + (-other)
 
     def scaled(self, coef):
-        out = {}
-        _scale_into(out, self.terms, RadScalar.coerce(coef).raw())
+        out = scale_into({}, self.terms, RadScalar.coerce(coef).raw())
         return TensorPoly(self.ring, self.arity, out)
 
     def __mul__(self, other):
@@ -134,7 +132,7 @@ class TensorPoly:
             # memo entries have radicand 1: only the h-power moves
             head, tail, i = k[:slot], k[slot + 1 : -1], k[-1]
             for (w1, w2, _, j), m in _word_coproduct(k[slot], self.ring).items():
-                accumulate(out, head + (w1, w2) + tail + (i + j,), q * m)
+                add_into(out, head + (w1, w2) + tail + (i + j,), q * m)
         return TensorPoly(self.ring, self.arity + 1, out)
 
     def apply_counit(self, slot=0):
@@ -143,7 +141,7 @@ class TensorPoly:
         out = {}
         for k, q in self.terms.items():
             if k[slot][V] == k[slot][U] == 0:  # eps(v) = eps(u) = 0, eps(x) = eps(y) = 1
-                accumulate(out, k[:slot] + k[slot + 1 :], q)
+                add_into(out, k[:slot] + k[slot + 1 :], q)
         return TensorPoly(self.ring, self.arity - 1, out)
 
     def __repr__(self):
@@ -160,7 +158,7 @@ def _spread(out, slot_terms, q=1, r=1, i=0, prefix=()):
     """out += q * sqrt(r) * h^i * (x) slot_terms, expanded into flat tensor
     terms; each slot is a flat NCPoly term dict, such as a memo entry."""
     if not slot_terms:
-        accumulate(out, prefix + (r, i), q)
+        add_into(out, prefix + (r, i), q)
         return
     head, *rest = slot_terms
     for k, m in head.items():
@@ -395,11 +393,11 @@ def recurrence_terms(which, twoj, twok, twom, ring):
     """
     J, k, m = twoj, twok, twom
     x, u, v, y = (NCPoly.generator(n, ring) for n in "xuvy")
-    hm = lambda c: H.scaled(Q(c))
+    hm = H.scaled
     if which == "i":
         lhs = [
             (_sq(J + k), (J, k, m), None),
-            (-_sq(J - k + 2).scaled(Q(k - 1)) * H, (J, k - 2, m), None),
+            (-_sq(J - k + 2).scaled(k - 1) * H, (J, k - 2, m), None),
         ]
         rhs = [
             (_sq(J + m), (J - 1, k - 1, m - 1), x),
@@ -422,7 +420,7 @@ def recurrence_terms(which, twoj, twok, twom, ring):
         # the radicand too: the coefficient is sqrt(j+n+1), not sqrt(j+n)
         lhs = [
             (_sq(J - k), (J, m, k), None),
-            (_sq(J + k + 2).scaled(Q(k + 1)) * H, (J, m, k + 2), None),
+            (_sq(J + k + 2).scaled(k + 1) * H, (J, m, k + 2), None),
         ]
         rhs = [
             (_sq(J + m), (J - 1, m - 1, k + 1), u + y.scaled(hm(m - 1))),
@@ -431,7 +429,7 @@ def recurrence_terms(which, twoj, twok, twom, ring):
     elif which == "v":
         lhs = [
             (_sq(J - k + 2), (J, k, m), None),
-            (_sq(J + k).scaled(Q(k - 1)) * H, (J, k - 2, m), None),
+            (_sq(J + k).scaled(k - 1) * H, (J, k - 2, m), None),
         ]
         rhs = [
             (_sq(J - m + 2), (J + 1, k - 1, m - 1), x),
@@ -452,7 +450,7 @@ def recurrence_terms(which, twoj, twok, twom, ring):
     elif which == "viii":
         lhs = [
             (_sq(J + k + 2), (J, m, k), None),
-            (-_sq(J - k).scaled(Q(k + 1)) * H, (J, m, k + 2), None),
+            (-_sq(J - k).scaled(k + 1) * H, (J, m, k + 2), None),
         ]
         rhs = [
             (-_sq(J - m + 2), (J + 1, m - 1, k + 1), u + y.scaled(hm(m - 1))),
@@ -500,7 +498,7 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
 
 def _sign(twodiff):
     """(-1)^(k - m) for twodiff = 2(k - m)."""
-    return Q(-1 if (twodiff // 2) % 2 else 1)
+    return -1 if (twodiff // 2) % 2 else 1
 
 
 def ortho_like_check(twoj, ring=SL) -> Report:

@@ -1,17 +1,79 @@
-"""Scalar kernel: the flat dict arithmetic everything sits on.
+"""Scalar kernel: the flat-term format and its two rules.
 
-One raw representation, chosen for speed rather than beauty: a dict
+Scalars, polynomials and tensors are flat term dicts
 
-    (radicand, h_power) -> nonzero rational
+    (w_1, ..., w_n, radicand, h_power) -> nonzero rational
 
-with a squarefree positive radicand r.  It encodes the sum of
-q * sqrt(r) * h^h_power over its items; radicand 1 carries the
-rational-polynomial part.  Functions never mutate their arguments
-and never store zero entries, so values can be shared freely.  rad_add
-stores an integral sum of rationals as an int.
+for the sum of q * sqrt(radicand) * h^h_power * (w_1 (x) ... (x) w_n)
+over its items, with a squarefree positive radicand.  A RadScalar is the
+0-slot case {(radicand, h_power): q}, an NCPoly the 1-slot case with a
+normal word (a, b, c, d) and a hopfcheck.TensorPoly the n-slot case.
+Functions never store zero entries and never mutate their arguments,
+except the dst of an *_into and the terms given to ints, so values can
+be shared freely.
+
+Two rules keep the format canonical:
+
+- the gcd rule for radicands: sqrt(r)*sqrt(s) = g*sqrt((r//g)*(s//g))
+  with g = gcd(r, s); the product of two coprime squarefree numbers is
+  squarefree, so no further reduction is needed;
+- the int rule: an integral value is stored as an int, never as Q(n, 1),
+  so a Fraction does not make every later product rational.  _rat.num
+  is the same rule for a single value.
+
+scale_into, the product of flat terms by a scalar, is the one product
+loop: rad_mul is its 0-slot case, and the ncalg engine and the hopfcheck
+tensors sum through it.
 """
 
 from math import gcd
+
+from ._rat import Q
+
+
+def ints(terms):
+    """Store each integral value of terms as an int, in place; returns terms."""
+    for k, q in terms.items():
+        if type(q) is not int and q.denominator == 1:
+            terms[k] = int(q)
+    return terms
+
+
+def add_into(dst, key, q):
+    """dst[key] += q under the int rule, dropping a zero sum."""
+    s = dst.get(key)
+    if s is not None:
+        q = s + q
+    if not q:
+        dst.pop(key, None)
+    elif type(q) is int or q.denominator != 1:
+        dst[key] = q
+    else:
+        dst[key] = int(q)
+
+
+def scale_into(dst, terms, coef):
+    """dst += coef * terms for flat terms and a scalar coef {(radicand,
+    h_power): q}, under both rules; returns dst.  The first product of a
+    key is stored as it is (0 + p would build a new Fraction), and the
+    int rule is applied to the stored value, sum or product."""
+    get = dst.get
+    for (rc, ic), qc in coef.items():
+        for k, q in terms.items():
+            r = k[-2]
+            g = gcd(r, rc)
+            p = q * qc if g == 1 else q * qc * g
+            key = k[:-2] + ((r // g) * (rc // g), k[-1] + ic)
+            s = get(key)
+            if s is not None:
+                p = s + p
+                if not p:
+                    del dst[key]
+                    continue
+            if type(p) is not int and p.denominator == 1:
+                p = int(p)
+            dst[key] = p
+    return dst
 
 
 def rad_add(a, b):
@@ -21,17 +83,7 @@ def rad_add(a, b):
         return a
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = v
-        else:
-            s = s + v
-            if not s:
-                del out[k]
-            elif type(s) is int or s.denominator != 1:
-                out[k] = s
-            else:
-                out[k] = int(s)
+        add_into(out, k, v)
     return out
 
 
@@ -46,33 +98,20 @@ def rad_sub(a, b):
 def rad_scale(a, q):
     if not q:
         return {}
-    return {k: v * q for k, v in a.items()}
+    return ints({k: v * q for k, v in a.items()})
+
+
+def rad_div(a, den):
+    """a / den for int values and a positive int den, under the int rule."""
+    out = {}
+    for k, v in a.items():
+        n, r = divmod(v, den)
+        out[k] = Q(v, den) if r else n
+    return out
 
 
 def rad_mul(a, b):
-    # sqrt(r)*sqrt(s) = g*sqrt((r//g)*(s//g)) with g = gcd(r, s); the
-    # product of two coprime squarefree numbers is squarefree, so no
-    # further reduction is needed.
-    if not a or not b:
-        return {}
-    out = {}
-    for (ra, ha), va in a.items():
-        for (rb, hb), vb in b.items():
-            g = gcd(ra, rb)
-            v = va * vb
-            if g != 1:
-                v = v * g
-            k = ((ra // g) * (rb // g), ha + hb)
-            s = out.get(k)
-            if s is None:
-                out[k] = v
-            else:
-                s = s + v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
+    return scale_into({}, a, b)
 
 
 def sqrt_split(n):

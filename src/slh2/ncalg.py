@@ -30,15 +30,13 @@ by one letter it applies a rule (memo _MEMO), by a longer word it folds
 over the letters (memo _WW_MEMO).  Every rule coefficient is +-1 times a
 power of h, so a memo entry has radicand 1 and int values.
 
-_mul, the product of two flat term dicts, is one loop over term pairs:
-each pair's scalar product (radicands by their gcd rule, h powers added)
-times each term of the memoised word product, summed straight into the
-output dict with no call per output term.  _scale_into, which scaled
-sums and lincomb go through, runs the same inline sum.  Integral values
-are stored as ints: _scale_into turns each integral product into an int,
-and _mul passes its output through _ints once when an input value was
-not an int, so a Fraction(n, 1) never makes later products rational and
-the all-int path pays one type check per term pair.
+The flat-term format and its gcd and int rules belong to kernel; scaled
+sums, lincomb and normal_form go through kernel.scale_into.  _mul, the
+product of two flat term dicts, is one loop over term pairs: each pair's
+scalar product times each term of the memoised word product, summed
+straight into the output dict with no call per output term.  It passes
+its output through kernel.ints once when an input value was not an int,
+so the all-int path pays one type check per term pair.
 
 lincomb, the sum of scaled polynomials that the constructions and the
 suites use, accumulates over ints: its coefficients are multiplied by
@@ -50,8 +48,7 @@ cancels exactly when it did over the rationals.
 from itertools import groupby
 from math import gcd
 
-from ._rat import Q
-from .kernel import rad_add, rad_neg
+from .kernel import ints, rad_add, rad_div, rad_neg, scale_into
 from .scalar import ONE, ZERO, H, RadScalar, terms_json
 
 V, X, Y, U = 0, 1, 2, 3
@@ -154,7 +151,7 @@ def _word_mul_word(w1, w2, ring):
             base = w1[:last] + (w1[last] - 1,) + w1[last + 1 :] + (1, 0)
             res = {}
             for word, coef in rule:
-                _scale_into(res, _times_letters({base: 1}, word, ring), coef.raw())
+                scale_into(res, _times_letters({base: 1}, word, ring), coef.raw())
     memo[key] = res
     return res
 
@@ -189,49 +186,15 @@ def _mul(t1, t2, ring):
                 else:
                     del out[key]
     if rational:
-        _ints(out)
+        ints(out)
     return out
-
-
-def _ints(terms):
-    """Store each integral value of terms as an int, in place, so that a
-    Fraction(n, 1) does not make every later product rational."""
-    for k, q in terms.items():
-        if type(q) is not int and q.denominator == 1:
-            terms[k] = int(q)
-
-
-def _scale_into(dst, terms, coef):
-    """dst += coef * terms for the flat scalar terms coef {(radicand,
-    h_power): q}, radicands combined by kernel.rad_mul's gcd rule and the
-    sum into dst written inline.  An integral coefficient enters as an
-    int, and each product of a rational value is stored as an int when it
-    is integral.  lincomb passes only ints (its coefficients times their
-    common denominator), so an int-valued terms dict accumulates there
-    without a rational product."""
-    get = dst.get
-    for (rc, ic), qc in coef.items():
-        if qc.denominator == 1:
-            qc = int(qc)
-        for k, q in terms.items():
-            r = k[-2]
-            g = gcd(r, rc)
-            p = q * qc if g == 1 else q * qc * g
-            if type(p) is not int and p.denominator == 1:
-                p = int(p)
-            key = k[:-2] + ((r // g) * (rc // g), k[-1] + ic)
-            s = get(key, 0) + p
-            if s:
-                dst[key] = s
-            else:
-                del dst[key]
 
 
 def grouped(terms):
     """Flat terms as {key[:-2]: RadScalar}, built on each call."""
     out = {}
     for k, q in terms.items():
-        out.setdefault(k[:-2], {})[k[-2:]] = Q(q)
+        out.setdefault(k[:-2], {})[k[-2:]] = q
     return {w: RadScalar(t) for w, t in out.items()}
 
 
@@ -255,9 +218,9 @@ def _as_letters(word):
 class NCPoly:
     """Noncommutative polynomial in normal form: one flat dict
     {(a, b, c, d, radicand, h_power): q} for q * sqrt(radicand) * h^h_power
-    * v^a x^b y^c u^d, radicands squarefree and q a nonzero int or rational
-    (the two compare and hash alike, so equality is structural).  terms()
-    and the lookups build RadScalar coefficients when called.
+    * v^a x^b y^c u^d: the 1-slot flat terms of kernel, so q is an int
+    when it is integral and equality is structural.  terms() and the
+    lookups build RadScalar coefficients when called.
     """
 
     __slots__ = ("ring", "_terms")
@@ -281,7 +244,7 @@ class NCPoly:
         """The polynomial with the given {normal word: RadScalar} terms."""
         out = {}
         for w, c in terms.items():
-            _scale_into(out, {w + (1, 0): 1}, c.raw())
+            scale_into(out, {w + (1, 0): 1}, c.raw())
         return NCPoly(check_ring(ring), out)
 
     @staticmethod
@@ -364,13 +327,11 @@ class NCPoly:
         return self.scaled(other)
 
     def scaled(self, coef):
-        out = {}
-        _scale_into(out, self._terms, RadScalar.coerce(coef).raw())
-        return NCPoly(self.ring, out)
+        return NCPoly(self.ring, scale_into({}, self._terms, RadScalar.coerce(coef).raw()))
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
+        if n < 0 or n != int(n):
+            raise ValueError("NCPoly powers must be non-negative integers")
         out = NCPoly.one(self.ring)
         for _ in range(int(n)):
             out = out * self
@@ -430,7 +391,7 @@ def normal_form(pairs, ring) -> NCPoly:
     out = {}
     for word, coef in pairs:
         terms = _times_letters({(0, 0, 0, 0, 1, 0): 1}, _as_letters(word), ring)
-        _scale_into(out, terms, RadScalar.coerce(coef).raw())
+        scale_into(out, terms, RadScalar.coerce(coef).raw())
     return NCPoly(ring, out)
 
 
@@ -439,10 +400,10 @@ def lincomb(pairs, ring) -> NCPoly:
     over ints.
 
     den is the lcm of the denominators of the coefficient terms seen so
-    far.  Each coefficient enters _scale_into as the ints den * q, and
-    the rare step that grows den rescales the sum once, so with integral
-    coefficients (den == 1) nothing is rescaled.  The output is divided
-    by den once at the end, an integral value giving an int.  Pairs with
+    far.  Each coefficient enters kernel.scale_into as the ints den * q,
+    and the rare step that grows den rescales the sum once, so with
+    integral coefficients (den == 1) nothing is rescaled.  The output is
+    divided by den once at the end, by kernel.rad_div.  Pairs with
     a zero coefficient are skipped before p is read; a caller that must
     not even build such a p filters them out before p is made.
     """
@@ -454,21 +415,19 @@ def lincomb(pairs, ring) -> NCPoly:
             continue
         if p.ring != ring:
             raise ValueError(f"ring mismatch: {p.ring} vs {ring}")
-        ints = {}
+        coefs = {}
         for k, q in raw.items():
             n, d = q.as_integer_ratio()
             if den % d:
                 grow = d // gcd(den, d)
                 den *= grow
-                for acc in (out, ints):
+                for acc in (out, coefs):
                     for key in acc:
                         acc[key] *= grow
-            ints[k] = n * (den // d)
-        _scale_into(out, p._terms, ints)
+            coefs[k] = n * (den // d)
+        scale_into(out, p._terms, coefs)
     if den != 1:
-        for k, v in out.items():
-            n, r = divmod(v, den)
-            out[k] = Q(v, den) if r else n
+        out = rad_div(out, den)
     return NCPoly(check_ring(ring), out)
 
 

@@ -2,8 +2,8 @@
 
 The naive rewriter here works on raw letter sequences straight from the
 rule table, with a freely chosen rewrite position; it shares no code with
-the production engine in ncalg (no _mul, _scale_into, _word_mul_word or
-lincomb), which makes it a usable oracle for it.  It reads ncalg.RULES
+the production engine (no ncalg._mul, _word_mul_word or lincomb and no
+kernel.scale_into), which makes it a usable oracle for it.  It reads ncalg.RULES
 into an int table {pair: ((word, h_power, n), ...)} each time a check
 runs, so a patched RULES reaches it too; every rule coefficient is n * h^k
 with n an int (int_rules raises otherwise).  A normal form is then int

@@ -5,9 +5,10 @@ A RadScalar is a finite sum
     sum  q * sqrt(r) * h^i
 
 with r squarefree positive and q a nonzero rational, stored as the flat
-kernel dict {(r, i): q}.  Distinct square roots are linearly independent
-over Q(h), so equality is structural equality of the reduced form and no
-approximation ever happens.
+kernel dict {(r, i): q}: the 0-slot flat terms, an integral q as an int.
+Distinct square roots are linearly independent over Q(h), so equality is
+structural equality of the reduced form and no approximation ever
+happens.
 
 This class is the coefficient field-like ring of the whole package: it
 carries every CGC normalization, every sqrt((j+m)!...) factor and every
@@ -18,7 +19,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import kernel as K
-from ._rat import Q, qparse, qstr
+from ._rat import Q, num, qparse, qstr
 
 
 class RadScalar:
@@ -36,7 +37,7 @@ class RadScalar:
 
     @staticmethod
     def from_rational(q) -> "RadScalar":
-        q = Q(q)
+        q = num(q)
         if not q:
             return ZERO
         if q == 1:
@@ -47,7 +48,7 @@ class RadScalar:
     def coerce(x) -> "RadScalar":
         if isinstance(x, RadScalar):
             return x
-        return RadScalar.from_rational(Q(x))
+        return RadScalar.from_rational(x)
 
     # -- predicates and views ----------------------------------------
 
@@ -61,7 +62,7 @@ class RadScalar:
     def rational_value(self):
         """The value as a rational; raises if radicals or h survive."""
         if not self._t:
-            return Q(0)
+            return 0
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
         return self._t[(1, 0)]
@@ -115,7 +116,7 @@ class RadScalar:
         return out
 
     def scaled(self, q) -> "RadScalar":
-        return RadScalar(K.rad_scale(self._t, Q(q)))
+        return RadScalar(K.rad_scale(self._t, num(q)))
 
     def __eq__(self, other):
         if isinstance(other, RadScalar):
@@ -143,11 +144,11 @@ class RadScalar:
 
         Radicands are untouched (the roots are numeric already).
         """
-        hq = Q(h_value)
+        hq = num(h_value)
         out = {}
         for (r, i), q in self._t.items():
-            out[r, 0] = out.get((r, 0), 0) + q * hq**i
-        return RadScalar({k: q for k, q in out.items() if q})
+            K.add_into(out, (r, 0), q * hq**i)
+        return RadScalar(out)
 
     # -- encodings ----------------------------------------------------
 
@@ -187,12 +188,12 @@ def sqrt_nat(n: int) -> RadScalar:
     s, r = K.sqrt_split(n)
     if r == 1:
         return RadScalar.from_rational(s)
-    return RadScalar({(r, 0): Q(s)})
+    return RadScalar({(r, 0): s})
 
 
 ZERO = RadScalar({})
-ONE = RadScalar({(1, 0): Q(1)})
-H = RadScalar({(1, 1): Q(1)})
+ONE = RadScalar({(1, 0): 1})
+H = RadScalar({(1, 1): 1})
 
 
 def rational(p, q=1) -> RadScalar:
@@ -200,7 +201,8 @@ def rational(p, q=1) -> RadScalar:
 
 
 def accumulate(out, key, c):
-    """out[key] += c, dropping a zero sum; c is a rational or a RadScalar."""
+    """out[key] += c for a RadScalar c, dropping a zero sum; a flat term
+    dict adds through kernel.add_into."""
     s = out.get(key)
     s = c if s is None else s + c
     if s:

@@ -227,7 +227,7 @@ def test_verify_fock_small(capsys):
     assert obj["failed"] == 0
 
 
-def test_byte_identical_across_processes():
+def test_byte_identical_across_processes(child_env):
     import subprocess
     import sys
 
@@ -242,7 +242,7 @@ def test_byte_identical_across_processes():
         "ordered2",
     ]
     runs = [
-        subprocess.run(cmd, capture_output=True, text=True) for _ in range(2)
+        subprocess.run(cmd, capture_output=True, text=True, env=child_env) for _ in range(2)
     ]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout

@@ -18,7 +18,25 @@ from slh2.ncalg import (
     quantum_determinant,
 )
 from slh2.kernel import sqrt_split
+from slh2._rat import Q
 from slh2.scalar import H, ONE, ZERO, sqrt_nat
+
+
+def test_tensor_sums_store_ints():
+    half = Q(1, 2)
+    for ring in (GL, SL):
+        x, y = gen("x", ring), gen("y", ring)
+        t = hc.TensorPoly.of(x.scaled(half), x.scaled(2))
+        assert t.terms == {((0, 1, 0, 0), (0, 1, 0, 0), 1, 0): 1}
+        assert [type(q) for q in t.terms.values()] == [int]
+        c = hc.counit(x.scaled(half) + y.scaled(half))
+        assert c == ONE and [type(q) for q in c.raw().values()] == [int]
+        eps = hc.TensorPoly.of(x.scaled(half) + y.scaled(half), x).apply_counit(0)
+        assert [type(q) for q in eps.terms.values()] == [int]
+        p = parse("1/2*x*y + 1/2*u*v - 1/3*h*x*v + 3/2*v", ring)
+        delta = hc.coproduct(p)
+        for tp in (delta, delta.apply_coproduct(1), delta.scaled(Q(2, 3))):
+            assert all((type(q) is int) == (q.denominator == 1) for q in tp.terms.values())
 
 
 def test_coproduct_on_generators():
@@ -172,17 +190,18 @@ def test_corep_detects_a_wrong_coproduct(monkeypatch):
 
 def test_wigner_sums_run_over_ints(monkeypatch):
     # the twisted CGCs are rational, but lincomb clears their denominators
-    # before the hot loop: every coefficient reaching _scale_into is int
-    from slh2 import ncalg
+    # before the hot loop: every coefficient reaching kernel.scale_into,
+    # from the engine or from the tensors, is int
+    from slh2 import kernel, ncalg
 
     seen = []
-    scale_into = ncalg._scale_into
 
     def spy(dst, terms, coef):
         seen.extend(coef.values())
-        return scale_into(dst, terms, coef)
+        return kernel.scale_into(dst, terms, coef)
 
-    monkeypatch.setattr(ncalg, "_scale_into", spy)
+    for module in (ncalg, hc):
+        monkeypatch.setattr(module, "scale_into", spy)
     assert any(q.denominator != 1 for _, c in hc.omega(2, 2, 2).items() for q in c.raw().values())
     assert hc.wigner_check(2, 2, 2).ok
     assert seen and {type(q) for q in seen} == {int}

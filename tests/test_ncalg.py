@@ -153,8 +153,9 @@ def test_naive_rewriter_calls_no_engine_code(monkeypatch):
     def engine(*args):
         raise AssertionError("the naive rewriter called the engine")
 
-    for name in ("_mul", "_scale_into", "_word_mul_word", "lincomb"):
+    for name in ("_mul", "scale_into", "_word_mul_word", "lincomb"):
         monkeypatch.setattr(ncalg, name, engine)
+    monkeypatch.setattr(kernel, "scale_into", engine)
     for (w, ring), terms in want.items():
         assert pbwcheck.naive_normal_form(w, ring) == terms, (w, ring)
 
@@ -257,6 +258,16 @@ def test_power_and_scale():
     assert (x - x).is_zero()
 
 
+def test_power_needs_a_non_negative_integer():
+    x = gen("x", GL)
+    assert x ** 2.0 == x ** Q(2) == x * x
+    for n in (1.5, Q(1, 2), -1):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            x ** n
+        with pytest.raises(ValueError, match="non-negative integers"):
+            H ** n
+
+
 def test_coefficient_lookup():
     p = parse("3*v*x - h*v^2", GL)
     assert p.coefficient("vx") == rational(3)
@@ -334,6 +345,28 @@ def test_integral_sums_are_ints():
         zero = NCPoly.zero(ring)
         assert (zero + half)._terms is half._terms
         assert [type(q) is int for q in half._terms.values()] == [False]
+
+
+def _int_rule_holds(terms):
+    return all((type(q) is int) == (q.denominator == 1) for q in terms.values())
+
+
+def test_stored_integral_values_are_ints():
+    half = Q(1, 2)
+    for ring in (GL, SL):
+        x = gen("x", ring)
+        # two halves summed into one stored value, not only into a product
+        p = normal_form([("x", half), ("x", half)], ring)
+        assert p._terms == {(0, 1, 0, 0, 1, 0): 1}
+        assert [type(q) for q in p._terms.values()] == [int]
+        # terms() hands the stored ints on to its RadScalar values
+        for p in (x, parse("2*x*y - 1/2*u*v + sqrt(8)*h*v", ring), x.scaled(half)):
+            for c in p.terms().values():
+                assert _int_rule_holds(c.raw()), c.raw()
+        assert [type(q) for q in x.terms()[(0, 1, 0, 0)].raw().values()] == [int]
+        assert [type(q) for q in x.specialize(0).terms()[(0, 1, 0, 0)].raw().values()] == [int]
+        assert x.scaled(H).specialize(Q(1, 2)).scaled(2) == x
+        assert _int_rule_holds(x.scaled(H + H).specialize(Q(1, 2))._terms)
 
 
 def test_json_roundtrip():

@@ -23,9 +23,9 @@ print("fraction backend ok")
 """
 
 
-def test_fraction_backend_subprocess():
+def test_fraction_backend_subprocess(child_env):
     out = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], capture_output=True, text=True
+        [sys.executable, "-c", _SCRIPT], capture_output=True, text=True, env=child_env
     )
     assert out.returncode == 0, out.stderr
     assert "fraction backend ok" in out.stdout

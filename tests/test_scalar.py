@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +76,12 @@ def radscalars(draw):
     return out
 
 
+def _assert_int_rule(s):
+    # the int rule: a value is stored as an int exactly when it is integral
+    for q in s.raw().values():
+        assert (type(q) is int) == (q.denominator == 1), (s.raw(), q)
+
+
 @settings(max_examples=120, deadline=None)
 @given(radscalars(), radscalars(), radscalars())
 def test_ring_axioms(a, b, c):
@@ -86,6 +93,45 @@ def test_ring_axioms(a, b, c):
     assert a * ONE == a
     assert a + ZERO == a
     assert a - a == ZERO
+    half = rational(1, 2)
+    for s in (
+        a,
+        a + b,
+        a - b,
+        -a,
+        a * b,
+        (a * b) * c,
+        a * half + a * half,
+        a.scaled(Q(1, 2)),
+        a.specialize(0),
+        a.specialize(Q(1, 2)),
+    ):
+        _assert_int_rule(s)
+
+
+def test_constructors_hold_ints():
+    half = Q(1, 2)
+    for s in (
+        ONE,
+        H,
+        sqrt_nat(8),
+        sqrt_nat(9),
+        RadScalar.from_rational(2),
+        RadScalar.from_rational(Q(4, 2)),
+        RadScalar.coerce(Q(-3)),
+        rational(6, 3),
+        H * H,
+        H + H,
+        sqrt_nat(2) * sqrt_nat(6),
+        H.scaled(Q(2)),
+        sqrt_nat(2).scaled(Q(3, 2)).scaled(2),
+        (ONE + H * H.scaled(half)).specialize(2),
+        (H.scaled(half) + H).specialize(Q(2, 3)),
+    ):
+        _assert_int_rule(s)
+    assert [type(q) for q in (H * H).raw().values()] == [int]
+    assert sqrt_nat(8).raw() == {(2, 0): 2} and type(sqrt_nat(8).raw()[2, 0]) is int
+    assert type(ZERO.rational_value()) is int
 
 
 @settings(max_examples=80, deadline=None)
@@ -207,3 +253,38 @@ def test_inputs_never_mutated():
         kernel.rad_mul(a, b)
         kernel.rad_sub(a, b)
         assert a == snap_a and b == snap_b
+
+
+def _reference_rad_mul(a, b):
+    """kernel.rad_mul as it was written before it became the 0-slot
+    scale_into: its own loop over term pairs, by the radicand gcd rule."""
+    if not a or not b:
+        return {}
+    out = {}
+    for (ra, ha), va in a.items():
+        for (rb, hb), vb in b.items():
+            g = gcd(ra, rb)
+            v = va * vb
+            if g != 1:
+                v = v * g
+            k = ((ra // g) * (rb // g), ha + hb)
+            s = out.get(k)
+            if s is None:
+                out[k] = v
+            else:
+                s = s + v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
+
+
+def test_rad_mul_matches_the_reference_loop():
+    rng = random.Random(11)
+    for _ in range(500):
+        a, b = _rand_rad(rng), _rand_rad(rng)
+        got = kernel.rad_mul(a, b)
+        assert got == _reference_rad_mul(a, b)
+        for q in got.values():
+            assert q and (type(q) is int) == (q.denominator == 1)
