@@ -31,6 +31,14 @@ product law and its corollaries read
 and RTT reads R T1 T2 = T2 T1 R.  Each is checked entrywise as a
 contraction: rep.rows reads a coupling table or R once per suite call
 into rows (or columns), and each entry is one ncalg.lincomb over a row.
+
+Besides the D D products of _dprod, two lru caches keep sums from
+being rebuilt.  _rel3 holds the case records (no polynomials) of rel3
+per spin pair: rel3 does not depend on the j of a wigner_check call.
+_dletter holds a D-entry times one generator: a recurrence term's right
+factor is None or a linear form ((generator index, RadScalar c), ...),
+so relations that read the same entry and letter (i/v, ii/vi, iii/vii,
+iv/viii) share the product.
 """
 
 from functools import lru_cache
@@ -39,7 +47,7 @@ from math import gcd
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
 from .kernel import add_into, rad_add, rad_neg, scale_into
-from .ncalg import GL, SL, U, V, NCPoly, _word_mul_word
+from .ncalg import GL, SL, U, V, X, Y, NCPoly, _word_mul_word
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, r_matrix, triangle_ok
 from .rep import pair_basis, pair_items, rows
 from .report import Report
@@ -236,9 +244,13 @@ def _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring):
     )
 
 
+def _in_band(twoj, twomp, twom):
+    return abs(twomp) <= twoj and abs(twom) <= twoj
+
+
 def _dref(twoj, twomp, twom, ring):
     # matrix elements vanish outside the magnetic band
-    if abs(twomp) > twoj or abs(twom) > twoj:
+    if not _in_band(twoj, twomp, twom):
         return NCPoly.zero(ring)
     return dfunc(twoj, twomp, twom, ORDERED1, ring)
 
@@ -276,7 +288,9 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
 
     Each table is read once into rows (_by_pair) and into columns
     (_by_m), and each entry of each side is one lincomb over a row.
-    SL only: the singlet projection of the product law is D = 1.
+    rel3 does not depend on j: the report copies the records _rel3
+    builds once per spin pair.  SL only: the singlet projection of the
+    product law is D = 1.
     """
     _need_determinant_one(ring, "the product law and its corollaries")
     rep = Report("wigner")
@@ -285,7 +299,6 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     om, mh = omega(twoj1, twoj2, twoj).items(), mho(twoj1, twoj2, twoj).items()
     om_pair, om_m = rows(om, _by_pair), rows(om, _by_m)
     mh_pair, mh_m = rows(mh, _by_pair), rows(mh, _by_m)
-    m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
     pairs = pair_basis(twoj1, twoj2)
     spins = {"twoj1": twoj1, "twoj2": twoj2}
 
@@ -331,7 +344,18 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
             )
             rep.record({**params, "twomp": twomp}, lhs, rhs)
 
-    # rel3: D^{j1}_{k1m1} D^{j2}_{k2m2} = sum_{j,m,m'} mho^j Omega^j D^j_{m'm}
+    rep.cases.extend({**case, "params": dict(case["params"])} for case in _rel3(twoj1, twoj2, ring))
+    return rep
+
+
+@lru_cache(maxsize=None)
+def _rel3(twoj1, twoj2, ring):
+    """The case records of rel3 for one spin pair, which callers copy:
+
+        D^{j1}_{k1m1} D^{j2}_{k2m2} = sum_{j,m,m'} mho^j Omega^j D^j_{m'm}
+    """
+    rep = Report("wigner")
+    m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
     tables = [
         (twojs, rows(omega(twoj1, twoj2, twojs).items(), _by_pair),
          rows(mho(twoj1, twoj2, twojs).items(), _by_pair))
@@ -339,7 +363,7 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     ]
     for twok1 in m1s:
         for twom1 in m1s:
-            params = {"law": "rel3", **spins, "twok1": twok1, "twom1": twom1}
+            params = {"law": "rel3", "twoj1": twoj1, "twoj2": twoj2, "twok1": twok1, "twom1": twom1}
             for twok2 in m2s:
                 for twom2 in m2s:
                     rhs = ncalg.lincomb(
@@ -354,7 +378,7 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
                         _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring),
                         rhs,
                     )
-    return rep
+    return tuple(rep.cases)
 
 
 # ---------------------------------------------------------------------
@@ -375,24 +399,38 @@ def _sq(twoint):
     return sqrt_nat(twoint // 2)
 
 
+@lru_cache(maxsize=None)
+def _dletter(twoj, twomp, twom, g, ring):
+    """D^j_{m'm} times the generator g, shared by the recurrences."""
+    return dfunc(twoj, twomp, twom, ORDERED1, ring) * NCPoly.generator(g, ring)
+
+
 def _combine(side_terms, ring):
+    """The sum of coef * D-entry * right over one side's terms; a term
+    with a zero coefficient or an out-of-band D-entry is skipped."""
     pairs = []
-    for coef, dspec, rightmul in side_terms:
-        if not coef.is_zero():
-            d = _dref(*dspec, ring)
-            pairs.append((coef, d if rightmul is None else d * rightmul))
+    for coef, dspec, right in side_terms:
+        if coef.is_zero() or not _in_band(*dspec):
+            continue
+        if right is None:
+            pairs.append((coef, dfunc(*dspec, ORDERED1, ring)))
+        else:
+            pairs.extend((coef * c, _dletter(*dspec, g, ring)) for g, c in right)
     return ncalg.lincomb(pairs, ring)
 
 
 def recurrence_terms(which, twoj, twok, twom, ring):
     """(lhs, rhs) term lists of one recurrence instance.
 
-    Each term is (coefficient, (twoj, twom_row, twom_col), right_factor).
-    twok plays the role of k in relations i/ii/v/vi and of n in the
-    column relations iii/iv/vii/viii, where twom is the row index.
+    Each term is (coefficient, (twoj, twom_row, twom_col), right_factor),
+    the right factor None or a linear form in the generators as
+    (generator index, RadScalar) pairs: u - h(m+1) x is ((U, ONE), (X,
+    -h(m+1))).  twok plays the role of k in relations i/ii/v/vi and of n
+    in the column relations iii/iv/vii/viii, where twom is the row
+    index.  The terms do not depend on ring.
     """
     J, k, m = twoj, twok, twom
-    x, u, v, y = (NCPoly.generator(n, ring) for n in "xuvy")
+    x, u, v, y = ((X, ONE),), ((U, ONE),), ((V, ONE),), ((Y, ONE),)
     hm = H.scaled
     if which == "i":
         lhs = [
@@ -401,18 +439,18 @@ def recurrence_terms(which, twoj, twok, twom, ring):
         ]
         rhs = [
             (_sq(J + m), (J - 1, k - 1, m - 1), x),
-            (_sq(J - m), (J - 1, k - 1, m + 1), u - x.scaled(hm(m + 1))),
+            (_sq(J - m), (J - 1, k - 1, m + 1), ((U, ONE), (X, -hm(m + 1)))),
         ]
     elif which == "ii":
         lhs = [(_sq(J - k), (J, k, m), None)]
         rhs = [
             (_sq(J + m), (J - 1, k + 1, m - 1), v),
-            (_sq(J - m), (J - 1, k + 1, m + 1), y - v.scaled(hm(m + 1))),
+            (_sq(J - m), (J - 1, k + 1, m + 1), ((Y, ONE), (V, -hm(m + 1)))),
         ]
     elif which == "iii":
         lhs = [(_sq(J + k), (J, m, k), None)]
         rhs = [
-            (_sq(J + m), (J - 1, m - 1, k - 1), x + v.scaled(hm(m - 1))),
+            (_sq(J + m), (J - 1, m - 1, k - 1), ((X, ONE), (V, hm(m - 1)))),
             (_sq(J - m), (J - 1, m + 1, k - 1), v),
         ]
     elif which == "iv":
@@ -423,7 +461,7 @@ def recurrence_terms(which, twoj, twok, twom, ring):
             (_sq(J + k + 2).scaled(k + 1) * H, (J, m, k + 2), None),
         ]
         rhs = [
-            (_sq(J + m), (J - 1, m - 1, k + 1), u + y.scaled(hm(m - 1))),
+            (_sq(J + m), (J - 1, m - 1, k + 1), ((U, ONE), (Y, hm(m - 1)))),
             (_sq(J - m), (J - 1, m + 1, k + 1), y),
         ]
     elif which == "v":
@@ -433,18 +471,18 @@ def recurrence_terms(which, twoj, twok, twom, ring):
         ]
         rhs = [
             (_sq(J - m + 2), (J + 1, k - 1, m - 1), x),
-            (-_sq(J + m + 2), (J + 1, k - 1, m + 1), u - x.scaled(hm(m + 1))),
+            (-_sq(J + m + 2), (J + 1, k - 1, m + 1), ((U, ONE), (X, -hm(m + 1)))),
         ]
     elif which == "vi":
         lhs = [(_sq(J + k + 2), (J, k, m), None)]
         rhs = [
             (-_sq(J - m + 2), (J + 1, k + 1, m - 1), v),
-            (_sq(J + m + 2), (J + 1, k + 1, m + 1), y - v.scaled(hm(m + 1))),
+            (_sq(J + m + 2), (J + 1, k + 1, m + 1), ((Y, ONE), (V, -hm(m + 1)))),
         ]
     elif which == "vii":
         lhs = [(_sq(J - k + 2), (J, m, k), None)]
         rhs = [
-            (_sq(J - m + 2), (J + 1, m - 1, k - 1), x + v.scaled(hm(m - 1))),
+            (_sq(J - m + 2), (J + 1, m - 1, k - 1), ((X, ONE), (V, hm(m - 1)))),
             (-_sq(J + m + 2), (J + 1, m + 1, k - 1), v),
         ]
     elif which == "viii":
@@ -453,7 +491,7 @@ def recurrence_terms(which, twoj, twok, twom, ring):
             (-_sq(J - k).scaled(k + 1) * H, (J, m, k + 2), None),
         ]
         rhs = [
-            (-_sq(J - m + 2), (J + 1, m - 1, k + 1), u + y.scaled(hm(m - 1))),
+            (-_sq(J - m + 2), (J + 1, m - 1, k + 1), ((U, ONE), (Y, hm(m - 1)))),
             (_sq(J + m + 2), (J + 1, m + 1, k + 1), y),
         ]
     else:

@@ -332,8 +332,10 @@ class NCPoly:
     def __pow__(self, n):
         if n < 0 or n != int(n):
             raise ValueError("NCPoly powers must be non-negative integers")
-        out = NCPoly.one(self.ring)
-        for _ in range(int(n)):
+        if not n:
+            return NCPoly.one(self.ring)
+        out = self
+        for _ in range(int(n) - 1):
             out = out * self
         return out
 

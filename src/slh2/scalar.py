@@ -105,13 +105,20 @@ class RadScalar:
     def __pow__(self, n: int):
         if n < 0 or n != int(n):
             raise ValueError("RadScalar powers must be non-negative integers")
-        out = ONE
-        base = self
         n = int(n)
+        if not n:
+            return ONE
+        # square up to the lowest set bit, then square only while bits remain
+        base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 

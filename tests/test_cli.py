@@ -171,6 +171,12 @@ PINNED = [
      0, "ac4dacc540460b01a6e3e2d35a5fc531dafdc53a620b9f77d9f155a15a320248"),
     (["verify", "--suite", "rtt", "--max-twoj", "3"],
      0, "5d2d09ae311f45ab0736d0d9ea0cf02cb3604aa395a6acfb53e6488b2a2802f5"),
+    (["verify", "--suite", "wigner", "--max-twoj", "3"],
+     0, "9bbeb8899b3c72106bcbefd340506a9e3e5e065f7a0efd06af2d69a372b99363"),
+    (["verify", "--suite", "recurrence", "--max-twoj", "4"],
+     0, "8a21305aba900a2576a4750b54625953b73c591f4ef710b403b17d95b0b375d1"),
+    (["verify", "--suite", "recurrence", "--ring", "gl", "--max-twoj", "3"],
+     0, "953d05b35858ae371676a2fb271db68c9a982486f008623115d757a887d8fe6d"),
 ]
 
 

@@ -213,18 +213,84 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
     from slh2 import rep
     from slh2.rep import CgcTable
 
+    # rel3 reads the table too: its cached records are cleared before the
+    # patch, and after it, so that the bad rel3 reaches no later test
     rep.omega.cache_clear()
     hc._dprod.cache_clear()
+    hc._rel3.cache_clear()
+    hc._dletter.cache_clear()
     table = dict(rep.omega(1, 1, 2).items())
     table[(1, -1, 0)] = table[(1, -1, 0)] * 2
     bad = CgcTable(1, 1, 2, table)
     monkeypatch.setattr(hc, "omega", lambda *spins: bad if spins == (1, 1, 2) else rep.omega(*spins))
-    report = hc.wigner_check(1, 1, 2, SL)
+    try:
+        report = hc.wigner_check(1, 1, 2, SL)
+    finally:
+        hc._rel3.cache_clear()
+        hc._dletter.cache_clear()
     assert report.failed == 14 and report.passed == 38
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a1bddc0fa3e7037ce16d476bdfd96cdcaf0daf52adc35e22873624620640899d"
     )
+
+
+def _rel3_reference(twoj1, twoj2, ring=SL):
+    """rel3 as wigner_check built it inline for every j, kept as the
+    reference for the cached _rel3."""
+    from slh2 import ncalg
+    from slh2.report import Report
+    from slh2.rep import magnetics, mho, omega, rows
+
+    report = Report("wigner")
+    spins = {"twoj1": twoj1, "twoj2": twoj2}
+    m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
+    tables = [
+        (twojs, rows(omega(twoj1, twoj2, twojs).items(), hc._by_pair),
+         rows(mho(twoj1, twoj2, twojs).items(), hc._by_pair))
+        for twojs in hc._triangle(twoj1, twoj2)
+    ]
+    for twok1 in m1s:
+        for twom1 in m1s:
+            params = {"law": "rel3", **spins, "twok1": twok1, "twom1": twom1}
+            for twok2 in m2s:
+                for twom2 in m2s:
+                    rhs = ncalg.lincomb(
+                        ((cm * co, hc._dref(twojs, twomp, twom, ring))
+                         for twojs, oms, mhs in tables
+                         for twom, cm in mhs.get((twom1, twom2), ())
+                         for twomp, co in oms.get((twok1, twok2), ())),
+                        ring,
+                    )
+                    report.record(
+                        {**params, "twok2": twok2, "twom2": twom2},
+                        hc._dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring),
+                        rhs,
+                    )
+    return report.cases
+
+
+def _rel3_cases(report):
+    return [c for c in report.cases if c["params"]["law"] == "rel3"]
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_rel3_is_built_once_per_spin_pair(pair):
+    want = _rel3_reference(*pair)
+    hc._rel3.cache_clear()
+    for twoj in hc._triangle(*pair):
+        assert _rel3_cases(hc.wigner_check(*pair, twoj)) == want
+    assert hc._rel3.cache_info().misses == 1
+
+
+def test_rel3_records_are_copied_per_report():
+    first, second = hc.wigner_check(1, 1, 0), hc.wigner_check(1, 1, 2)
+    want = json.loads(json.dumps(_rel3_cases(second)))
+    case = _rel3_cases(first)[0]
+    case["params"]["twok1"] = 99
+    case["pass"] = False
+    assert _rel3_cases(second) == want
+    assert _rel3_cases(hc.wigner_check(1, 1, 0)) == want
 
 
 def test_corep_counts_cases():
@@ -334,6 +400,67 @@ def test_recurrence_iv_shifted_coefficient_is_forced():
     bad_terms = [lhs_terms[0], (sqrt_nat((twoj + twon) // 2).scaled(Q(twon + 1)) * H, dspec, rightmul)]
     bad = hc._combine(bad_terms, SL) - hc._combine(rhs_terms, SL)
     assert not bad.is_zero()
+
+
+@pytest.mark.parametrize("ring, twoj", [(SL, 1), (SL, 2), (SL, 3), (GL, 2)])
+def test_recurrences_multiply_each_entry_and_letter_once(monkeypatch, ring, twoj):
+    # with the D-matrices built, the only products are _dletter misses:
+    # an in-band D-entry times one generator, one per distinct pair, and
+    # none for a zero coefficient or an out-of-band entry
+    from slh2.ncalg import LETTER_WORDS
+    from slh2.rep import magnetics
+
+    for t in range(max(twoj - 1, 0), twoj + 2):
+        dmatrix(t, ring=ring)
+    want = set()
+    for which in hc.RING_RECURRENCES[ring]:
+        for twok in range(-twoj - 2, twoj + 4, 2):
+            for twom in magnetics(twoj):
+                for side in hc.recurrence_terms(which, twoj, twok, twom, ring):
+                    for coef, (j, mp, m), right in side:
+                        if right is not None and coef and abs(mp) <= j and abs(m) <= j:
+                            want.update((j, mp, m, g) for g, _ in right)
+    calls = []
+    mul = NCPoly.__mul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(NCPoly, "__mul__", spy)
+    hc._dletter.cache_clear()
+    for _ in range(2):
+        for which in hc.RING_RECURRENCES[ring]:
+            assert hc.recurrence_check(which, twoj, ring).ok
+    assert len(calls) == len(want) == hc._dletter.cache_info().misses > 0
+    letters = {w + (1, 0) for w in LETTER_WORDS}
+    for d, g in calls:
+        assert not d.is_zero() and len(g._terms) == 1 and set(g._terms) <= letters
+        assert g._terms[next(iter(g._terms))] == 1
+
+
+def test_recurrence_detects_a_wrong_letter_coefficient(monkeypatch):
+    # negative control: flipping the sign of the h(m+1) x letter of
+    # relation i breaks every instance where that letter survives: at
+    # 2j = 2 where D^{1/2}_{k-1,m+1} is in the band (h(m+1) and sqrt(j-m)
+    # do not vanish there)
+    from slh2.ncalg import X
+
+    terms = hc.recurrence_terms
+
+    def flipped(which, twoj, twok, twom, ring):
+        lhs, rhs = terms(which, twoj, twok, twom, ring)
+        coef, dspec, (first, (g, c)) = rhs[1]
+        assert g == X
+        return lhs, [rhs[0], (coef, dspec, (first, (g, -c)))]
+
+    monkeypatch.setattr(hc, "recurrence_terms", flipped)
+    report = hc.recurrence_check("i", 2)
+    assert report.failed > 0
+    for case in report.cases:
+        p = case["params"]
+        survives = abs(p["twok"] - 1) <= 1 and abs(p["twom"] + 1) <= 1
+        assert case["pass"] != survives, p
 
 
 def test_recurrence_v_relates_spin_half_to_one():

@@ -258,6 +258,26 @@ def test_power_and_scale():
     assert (x - x).is_zero()
 
 
+def test_power_makes_only_the_products_it_needs(monkeypatch):
+    # p ** n is n - 1 products from p itself; p ** 0 is one
+    p = parse("x + h*v", SL)
+    refs = [NCPoly.one(SL)]
+    for _ in range(4):
+        refs.append(refs[-1] * p)  # fills the word memos too
+    calls = []
+    mul = ncalg._mul
+
+    def spy(*args):
+        calls.append(1)
+        return mul(*args)
+
+    monkeypatch.setattr(ncalg, "_mul", spy)
+    for n, ref in enumerate(refs):
+        calls.clear()
+        assert p ** n == ref
+        assert (n, len(calls)) == (n, max(n - 1, 0))
+
+
 def test_power_needs_a_non_negative_integer():
     x = gen("x", GL)
     assert x ** 2.0 == x ** Q(2) == x * x

@@ -181,6 +181,28 @@ def test_pow():
         H ** -1
 
 
+def test_power_makes_only_the_products_it_needs(monkeypatch):
+    # square-and-multiply from the lowest set bit: s ** 8 is three squares
+    s = sqrt_nat(2) + H
+    calls = []
+    scale_into = kernel.scale_into
+
+    def spy(*args):
+        calls.append(1)
+        return scale_into(*args)
+
+    for k, want in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+        ref = ONE
+        for _ in range(k):
+            ref = ref * s
+        monkeypatch.setattr(kernel, "scale_into", spy)
+        calls.clear()
+        value = s ** k
+        monkeypatch.setattr(kernel, "scale_into", scale_into)
+        assert (k, len(calls)) == (k, want)
+        assert value == ref
+
+
 def test_rational_value():
     assert rational(3, 4).rational_value() == Q(3, 4)
     assert ZERO.rational_value() == 0
