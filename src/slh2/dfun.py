@@ -36,11 +36,13 @@ polynomial).  The parent of a node drops its last factor:
     else    (0, 0, M-1, 0)  times  u + h t x + h t y + h^2 t^2 v,  t = M-1
 
 so an ordered1 node has 1 + [N=0] + [M=N=0] + [L=M=N=0] children and an
-ordered2 node 1 + [L=0] + [L=N=0] + [L=N=K=0].  _TERM_MEMO holds only
-terms that were built as a parent; the terms that dfunc sums are never
-stored.  A stored term is dropped once each of its children has been
-stored, so after a matrix of spin j the memo holds the terms of degree
-2j - 1 alone.  The memo decides only what is rebuilt, never a value.
+ordered2 node 1 + [L=0] + [L=N=0] + [L=N=K=0].  _TERM_MEMO stores each
+term that _term builds, the leaves that dfunc sums included, and drops a
+stored term once each of its children has been stored.  So after the
+matrices of spin j and below (in one scheme and ring) the memo holds the
+terms of degree 2j alone, the parents of the matrix of spin j + 1/2,
+which builds each of its terms with one product.  The memo decides only
+what is rebuilt, never a value.
 """
 
 from functools import lru_cache
@@ -211,10 +213,10 @@ _TERM_MEMO = {}
 
 def _term(scheme, klmn, ring):
     """The ordered term of klmn, built as its parent's term times its last
-    factor.  A term is stored only when it is built as a parent, and a
-    stored term is dropped once each of its children has been stored.  A
-    term stored a second time counts again against its parent, which may
-    then be dropped early: that costs a rebuild, never a value."""
+    factor.  Each term built is stored, and a stored term is dropped once
+    each of its children has been stored.  A term stored a second time
+    counts again against its parent, which may then be dropped early:
+    that costs a rebuild, never a value."""
     parent_of, children = _TRIE[scheme]
     tag = (scheme, ring)
     path = []
@@ -223,16 +225,14 @@ def _term(scheme, klmn, ring):
         path.append((klmn, parent, factor))
         klmn = parent
     term = _TERM_MEMO[tag + klmn][0] if any(klmn) else NCPoly.one(ring)
-    for depth in range(len(path) - 1, -1, -1):
-        node, parent, factor = path[depth]
+    for node, parent, factor in reversed(path):
         term = term * factor
-        if depth:  # node is the parent of the next node on the path
-            _TERM_MEMO[tag + node] = [term, children(*node)]
-            up = _TERM_MEMO.get(tag + parent)
-            if up is not None:
-                up[1] -= 1
-                if not up[1]:
-                    del _TERM_MEMO[tag + parent]
+        _TERM_MEMO[tag + node] = [term, children(*node)]
+        up = _TERM_MEMO.get(tag + parent)
+        if up is not None:
+            up[1] -= 1
+            if not up[1]:
+                del _TERM_MEMO[tag + parent]
     return term
 
 

@@ -38,7 +38,9 @@ per spin pair: rel3 does not depend on the j of a wigner_check call.
 _dletter holds a D-entry times one generator: a recurrence term's right
 factor is None or a linear form ((generator index, RadScalar c), ...),
 so relations that read the same entry and letter (i/v, ii/vi, iii/vii,
-iv/viii) share the product.
+iv/viii) share the product.  Its memo _DLETTER_MEMO is kept per spin:
+recurrence_check at 2j drops the products of spins below 2j - 1, which
+a loop up in 2j (as `slh2 verify` runs) never reads again.
 """
 
 from functools import lru_cache
@@ -399,10 +401,18 @@ def _sq(twoint):
     return sqrt_nat(twoint // 2)
 
 
-@lru_cache(maxsize=None)
+# twoj -> {(twomp, twom, g, ring): D^j_{m'm} times g}
+_DLETTER_MEMO = {}
+
+
 def _dletter(twoj, twomp, twom, g, ring):
     """D^j_{m'm} times the generator g, shared by the recurrences."""
-    return dfunc(twoj, twomp, twom, ORDERED1, ring) * NCPoly.generator(g, ring)
+    memo = _DLETTER_MEMO.setdefault(twoj, {})
+    key = (twomp, twom, g, ring)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = dfunc(twoj, twomp, twom, ORDERED1, ring) * NCPoly.generator(g, ring)
+    return hit
 
 
 def _combine(side_terms, ring):
@@ -518,6 +528,10 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
     rep = Report("recurrence")
     if twoj < 1:
         raise ValueError("recurrences relate spins j and j -+ 1/2; need 2j >= 1")
+    # at 2j the relations read D^{j -+ 1/2}: a loop up in 2j reads no
+    # product of a spin below 2j - 1 again
+    for spin in [spin for spin in _DLETTER_MEMO if spin < twoj - 1]:
+        del _DLETTER_MEMO[spin]
     for twok in range(-twoj - 2, twoj + 4, 2):
         for twom in magnetics(twoj):
             lhs_terms, rhs_terms = recurrence_terms(which, twoj, twok, twom, ring)

@@ -30,6 +30,15 @@ by one letter it applies a rule (memo _MEMO), by a longer word it folds
 over the letters (memo _WW_MEMO).  Every rule coefficient is +-1 times a
 power of h, so a memo entry has radicand 1 and int values.
 
+The memos are keyed on word cores.  No rule has v as its left letter and
+none has u as its right letter, so v^a W and W u^d are normal whenever W
+is, and a rewrite of w1 w2 = v^a (w1' w2') u^d happens inside the core
+product w1' w2', where w1' is w1 with its v-power zeroed and w2' is w2
+with its u-power zeroed.  _mul looks up NF(w1' w2') and adds a to the
+v-slot and d to the u-slot of each output key; words that differ only in
+those powers share one entry.  A core w1' times the word 1 is w1' and
+has no entry.
+
 The flat-term format and its gcd and int rules belong to kernel; scaled
 sums, lincomb and normal_form go through kernel.scale_into.  _mul, the
 product of two flat term dicts, is one loop over term pairs: each pair's
@@ -45,7 +54,7 @@ once at the end.  Scaling by a nonzero constant is injective, so a sum
 cancels exactly when it did over the rationals.
 """
 
-from itertools import groupby
+from functools import lru_cache
 from math import gcd
 
 from .kernel import ints, rad_add, rad_div, rad_neg, scale_into
@@ -108,10 +117,12 @@ def word_letters(exps):
     return (V,) * a + (X,) * b + (Y,) * c + (U,) * d
 
 
+@lru_cache(maxsize=None)
 def word_str(exps):
     return "".join(GEN_NAMES[g] for g in word_letters(exps))
 
 
+@lru_cache(maxsize=None)
 def word_sort_key(exps):
     return (word_weight(exps), word_letters(exps))
 
@@ -129,14 +140,24 @@ _MEMO = {GL: {}, SL: {}}
 _WW_MEMO = {GL: {}, SL: {}}
 
 
+def _memo(w2, ring):
+    """The memo of products by w2: _MEMO for one letter, else _WW_MEMO."""
+    return (_MEMO if sum(w2) == 1 else _WW_MEMO)[ring]
+
+
 def _word_mul_word(w1, w2, ring):
-    """Normal form of the normal word w1 times the word w2, as flat terms."""
+    """Normal form of the normal word w1 times the word w2, as flat terms,
+    memoised on (w1, w2) as given; _mul passes cores."""
     one_letter = sum(w2) == 1
-    memo = (_MEMO if one_letter else _WW_MEMO)[ring]
+    memo = _memo(w2, ring)
     key = (w1, w2)
     hit = memo.get(key)
     if hit is not None:
         return hit
+    if not any(w2):
+        # w1 1 is normal already and needs no memo entry; 1 w2 is kept,
+        # since with_ring passes words that the ring rewrites
+        return {w1 + (1, 0): 1}
     if not one_letter:
         res = _times_letters({w1 + (1, 0): 1}, word_letters(w2), ring)
     else:
@@ -164,22 +185,31 @@ def _times_letters(terms, letters, ring):
 
 
 def _mul(t1, t2, ring):
-    """The product of two flat term dicts: one loop over term pairs."""
+    """The product of two flat term dicts: one loop over term pairs, each
+    word product looked up on the cores (see the module docstring) and
+    made by _word_mul_word on a miss."""
     out = {}
     get = out.get
     rational = False
+    right = []
+    for k2, q2 in t2.items():
+        core2 = k2[:3] + (0,)
+        right.append((core2, k2[3], k2[4], k2[5], q2, _memo(core2, ring).get))
     for k1, q1 in t1.items():
-        w1, r1, i1 = k1[:4], k1[4], k1[5]
-        for k2, q2 in t2.items():
-            r2 = k2[4]
+        a1, r1, i1 = k1[0], k1[4], k1[5]
+        core1 = (0,) + k1[1:4]
+        for core2, d2, r2, i2, q2, look in right:
             g = gcd(r1, r2)
             r = (r1 // g) * (r2 // g)
             q = q1 * q2 if g == 1 else q1 * q2 * g
             if type(q) is not int:
                 rational = True
-            i = i1 + k2[5]
-            for (a, b, c, d, _, j), m in _word_mul_word(w1, k2[:4], ring).items():
-                key = (a, b, c, d, r, i + j)
+            i = i1 + i2
+            prod = look((core1, core2))
+            if prod is None:
+                prod = _word_mul_word(core1, core2, ring)
+            for (a, b, c, d, _, j), m in prod.items():
+                key = (a + a1, b, c, d + d2, r, i + j)
                 s = get(key, 0) + q * m
                 if s:
                     out[key] = s
@@ -196,15 +226,6 @@ def grouped(terms):
     for k, q in terms.items():
         out.setdefault(k[:-2], {})[k[-2:]] = q
     return {w: RadScalar(t) for w, t in out.items()}
-
-
-def _json_order(item):
-    k = item[0]
-    return word_sort_key(k[:4]), k[4], k[5]
-
-
-def _word_of(item):
-    return item[0][:4]
 
 
 def _as_letters(word):
@@ -358,14 +379,18 @@ class NCPoly:
     # -- encodings --
 
     def to_json(self):
-        """Written from the flat terms, sorted once by word, radicand and
-        h power; each coefficient as RadScalar.to_json writes it."""
-        items = sorted(self._terms.items(), key=_json_order)
+        """Written from the flat terms grouped by word once: the words in
+        word_sort_key order, each group by radicand and h power (unique
+        per word, so q is never compared); each coefficient as
+        RadScalar.to_json writes it."""
+        groups = {}
+        for k, q in self._terms.items():
+            groups.setdefault(k[:4], []).append((k[4], k[5], q))
         return {
             "ring": self.ring,
             "terms": [
-                {"word": word_str(w), "coef": terms_json((k[4], k[5], q) for k, q in group)}
-                for w, group in groupby(items, key=_word_of)
+                {"word": word_str(w), "coef": terms_json(sorted(groups[w]))}
+                for w in sorted(groups, key=word_sort_key)
             ],
         }
 

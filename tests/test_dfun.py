@@ -270,11 +270,12 @@ def test_term_trie_out_of_order_builds_equal_fresh_builds(scheme, cold_terms):
             assert got == fresh[twoj], twoj
 
 
-def test_term_trie_stores_only_parents(cold_terms):
-    # each degree-4 term is dropped once its degree-5 children are stored;
-    # the degree-6 terms that dmatrix(6) sums are never stored
+def test_term_trie_keeps_the_last_spin_leaves(cold_terms):
+    # each degree-5 term is dropped once its degree-6 children are stored;
+    # the degree-6 terms that dmatrix(6) sums stay, for dmatrix(13/2)
     dmatrix(6, ORDERED1, SL)
-    want = {(ORDERED1, SL) + klmn for klmn in _nodes(5)}
+    want = {(ORDERED1, SL) + klmn for klmn in _nodes(6)}
+    assert len(want) == 84
     assert set(dfun._TERM_MEMO) == want
     children = dfun._TRIE[ORDERED1][1]
     for (scheme, ring, *klmn), (term, pending) in dfun._TERM_MEMO.items():

@@ -218,7 +218,7 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
     rep.omega.cache_clear()
     hc._dprod.cache_clear()
     hc._rel3.cache_clear()
-    hc._dletter.cache_clear()
+    hc._DLETTER_MEMO.clear()
     table = dict(rep.omega(1, 1, 2).items())
     table[(1, -1, 0)] = table[(1, -1, 0)] * 2
     bad = CgcTable(1, 1, 2, table)
@@ -227,7 +227,7 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
         report = hc.wigner_check(1, 1, 2, SL)
     finally:
         hc._rel3.cache_clear()
-        hc._dletter.cache_clear()
+        hc._DLETTER_MEMO.clear()
     assert report.failed == 14 and report.passed == 38
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -428,15 +428,38 @@ def test_recurrences_multiply_each_entry_and_letter_once(monkeypatch, ring, twoj
         return mul(self, other)
 
     monkeypatch.setattr(NCPoly, "__mul__", spy)
-    hc._dletter.cache_clear()
+    hc._DLETTER_MEMO.clear()
     for _ in range(2):
         for which in hc.RING_RECURRENCES[ring]:
             assert hc.recurrence_check(which, twoj, ring).ok
-    assert len(calls) == len(want) == hc._dletter.cache_info().misses > 0
+    assert len(calls) == len(want) == sum(map(len, hc._DLETTER_MEMO.values())) > 0
     letters = {w + (1, 0) for w in LETTER_WORDS}
     for d, g in calls:
         assert not d.is_zero() and len(g._terms) == 1 and set(g._terms) <= letters
         assert g._terms[next(iter(g._terms))] == 1
+
+
+def test_dletter_keeps_only_the_spins_still_read():
+    # a loop up in 2j keeps the products of spins 2j - 1 and up: after
+    # 2j = 1..6, those of D^{5/2} (read at 2j = 4 and 6), D^3 (at 2j = 5)
+    # and D^{7/2} (at 2j = 6), each read pair once
+    from slh2.rep import magnetics
+
+    hc._DLETTER_MEMO.clear()
+    read = {}
+    for twoj in range(1, 7):
+        for which in hc.RECURRENCES:
+            assert hc.recurrence_check(which, twoj, SL).ok
+            for twok in range(-twoj - 2, twoj + 4, 2):
+                for twom in magnetics(twoj):
+                    for side in hc.recurrence_terms(which, twoj, twok, twom, SL):
+                        for coef, (j, mp, m), right in side:
+                            if right is not None and coef and abs(mp) <= j and abs(m) <= j:
+                                read.setdefault(j, set()).update((mp, m, g, SL) for g, _ in right)
+    assert sum(map(len, read.values())) == 814
+    left = {spin: set(memo) for spin, memo in hc._DLETTER_MEMO.items()}
+    assert left == {spin: read[spin] for spin in (5, 6, 7)}
+    assert [len(left[spin]) for spin in (5, 6, 7)] == [144, 195, 255]
 
 
 def test_recurrence_detects_a_wrong_letter_coefficient(monkeypatch):

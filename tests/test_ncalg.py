@@ -114,6 +114,49 @@ def test_engine_matches_naive_exhaustive_len5():
             ), (w, ring)
 
 
+def _v_core_u_words(count, seed):
+    """Seeded words of length 6..10: a v-run, random letters, a u-run."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.randint(6, 10)
+        head, tail = rng.randint(1, 3), rng.randint(1, 3)
+        middle = tuple(rng.randrange(4) for _ in range(n - head - tail))
+        words.append((ncalg.V,) * head + middle + (ncalg.U,) * tail)
+    return words
+
+
+@pytest.mark.parametrize("ring", [GL, SL])
+def test_core_keys_match_naive_on_v_and_u_runs(ring):
+    # the engine reads each word product on its cores and shifts the
+    # v-power back on the left and the u-power on the right
+    rules = pbwcheck.int_rules(ring)
+    for w in _v_core_u_words(200, 17):
+        want = pbwcheck._naive(w, rules, pbwcheck._NAIVE_MEMO[ring])
+        assert normal_form([(w, 1)], ring)._terms == want, (w, ring)
+
+
+def test_memo_keys_are_cores(monkeypatch):
+    from slh2 import dfun
+    from slh2 import hopfcheck as hc
+    from slh2.dfun import ORDERED1, dmatrix
+
+    _fresh_memos(monkeypatch)
+    monkeypatch.setattr(dfun, "_TERM_MEMO", {})
+    for cache in (dfun.dfunc, hc._dprod, hc._rel3):
+        cache.cache_clear()
+    for ring in (GL, SL):
+        dmatrix(6, ORDERED1, ring)
+    assert hc.wigner_check(1, 2, 1).ok
+    # dmatrix multiplies by linear factors; only wigner_check (in SL)
+    # multiplies by longer words
+    assert ncalg._MEMO[GL] and ncalg._MEMO[SL] and ncalg._WW_MEMO[SL]
+    for ring in (GL, SL):
+        # no v on the left word, no u on the right word, no word 1 right
+        for w1, w2 in list(ncalg._MEMO[ring]) + list(ncalg._WW_MEMO[ring]):
+            assert w1[ncalg.V] == 0 and w2[ncalg.U] == 0 and any(w2), (w1, w2)
+
+
 def _fresh_memos(monkeypatch):
     """Empty engine and naive memos for one test, so that no entry made
     under a patched rule table outlives it."""
