@@ -25,6 +25,8 @@ def _spin_pairs(max_twoj):
 def _run_suite(args) -> Report:
     suite = args.suite
     k = args.max_twoj
+    if suite != "corep" and args.scheme != dfun.ORDERED1:
+        raise ValueError(f"--scheme applies to --suite corep only; {suite} reads {dfun.ORDERED1}")
     if suite == "corep":
         out = Report("corep")
         for twoj in range(k + 1):
@@ -212,7 +214,7 @@ def build_parser():
     p.add_argument("--max-twoj", type=int, default=2)
     p.add_argument("--nmax", type=int, default=4, help="fock grade cutoff")
     p.add_argument("--with-g", action="store_true", help="include the two-parameter fock checks")
-    p.add_argument("--scheme", choices=dfun.SCHEMES, default=dfun.ORDERED1)
+    p.add_argument("--scheme", choices=dfun.SCHEMES, default=dfun.ORDERED1, help="corep only")
     p.add_argument("--format", choices=("json", "text"), default="json")
     add_common(p)
     p.set_defaults(func=_cmd_verify)

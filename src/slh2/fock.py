@@ -410,14 +410,14 @@ def eval_letters(letters, n: int) -> FockOp:
 
 
 def eval_free(terms, n: int) -> FockOp:
-    """Evaluate a formal combination [(letters, coef), ...] of free words."""
+    """Evaluate a formal combination [(letters, coef), ...] of free words;
+    no terms give the zero map on grade n."""
     terms = [(tuple(ltrs), c) for ltrs, c in terms]
-    shift = len(terms[0][0])
-    if any(len(letters) != shift for letters, _ in terms):
-        raise ValueError("eval_free needs grade-homogeneous terms")
-    return FockOp.lincomb(
-        n, n + shift, [(coef, eval_letters(letters, n)) for letters, coef in terms]
-    )
+    degrees = {len(letters) for letters, _ in terms}
+    if len(degrees) > 1:
+        raise ValueError(f"grade-homogeneous terms only: mixed degrees {sorted(degrees)}")
+    pairs = [(coef, eval_letters(letters, n)) for letters, coef in terms]
+    return FockOp.lincomb(n, n + max(degrees, default=0), pairs)
 
 
 def evaluate(p: NCPoly, n: int) -> FockOp:
@@ -429,20 +429,7 @@ def evaluate(p: NCPoly, n: int) -> FockOp:
     """
     if p.ring != GL:
         raise ValueError("the Fock realization only represents the GL ring")
-    terms = list(p.terms().items())
-    if not terms:
-        return FockOp.zero(n, n)
-    degrees = {sum(w) for w, _ in terms}
-    if len(degrees) > 1:
-        raise ValueError(
-            "grade-homogeneous polynomials only: mixed degrees "
-            f"{sorted(degrees)}"
-        )
-    return FockOp.lincomb(
-        n,
-        n + degrees.pop(),
-        [(coef, eval_letters(ncalg.word_letters(w), n)) for w, coef in terms],
-    )
+    return eval_free([(ncalg.word_letters(w), coef) for w, coef in p.terms().items()], n)
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,11 @@ eps(u) = eps(v) = 0.  Compatibility with the defining relations is itself
 part of the test surface, not an assumption.
 
 A TensorPoly holds the flat terms {(w_1, ..., w_n, radicand, h_power): q}
-of the NCPoly layout with n words in place of one, and the coproduct memo
-_DELTA_MEMO holds {(w1, w2, 1, h_power): int} per word.  A RadScalar is
-built only for printing and for the value of counit.
+of the NCPoly layout with n words in place of one.  Tensors multiply
+slot by slot through ncalg._mul, and Delta of a word is Delta(the word
+without its last letter) times Delta(its last letter), memoised in
+_DELTA_MEMO as {(w1, w2, 1, h_power): int}.  A RadScalar is built only
+for printing and for the value of counit.
 
 The suites verify, by exact symbolic expansion: the corepresentation law
 for D^j, the twisted product law and its corollaries, the eight
@@ -48,8 +50,8 @@ from math import gcd
 
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
-from .kernel import add_into, rad_add, rad_neg, scale_into
-from .ncalg import GL, SL, U, V, X, Y, NCPoly, _word_mul_word
+from .kernel import add_into, rad_add, rad_mul, rad_neg, scale_into
+from .ncalg import GL, LETTER_WORDS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, r_matrix, triangle_ok
 from .rep import pair_basis, pair_items, rows
 from .report import Report
@@ -106,13 +108,14 @@ class TensorPoly:
 
     def __mul__(self, other):
         self._check(other)
+        if not self.arity:
+            return TensorPoly(self.ring, 0, rad_mul(self.terms, other.terms))
         out = {}
+        right = [_slots(k, q) for k, q in other.terms.items()]
         for k1, q1 in self.terms.items():
-            for k2, q2 in other.terms.items():
-                (r1, i1), (r2, i2) = k1[-2:], k2[-2:]
-                g = gcd(r1, r2)
-                slots = [_word_mul_word(w1, w2, self.ring) for w1, w2 in zip(k1[:-2], k2[:-2])]
-                _spread(out, slots, q1 * q2 * g, (r1 // g) * (r2 // g), i1 + i2)
+            left = _slots(k1, q1)
+            for slots in right:
+                _spread(out, [_mul(t1, t2, self.ring) for t1, t2 in zip(left, slots)])
         return TensorPoly(self.ring, self.arity, out)
 
     def _check(self, other):
@@ -164,6 +167,11 @@ class TensorPoly:
         return " + ".join(bits)
 
 
+def _slots(k, q):
+    """A tensor term as one NCPoly term dict per slot, its scalar in the first."""
+    return [{k[0] + k[-2:]: q}] + [{w + (1, 0): 1} for w in k[1:-2]]
+
+
 def _spread(out, slot_terms, q=1, r=1, i=0, prefix=()):
     """out += q * sqrt(r) * h^i * (x) slot_terms, expanded into flat tensor
     terms; each slot is a flat NCPoly term dict, such as a memo entry."""
@@ -181,21 +189,20 @@ _DELTA_MEMO = {GL: {}, SL: {}}
 
 
 def _word_coproduct(exps, ring):
+    """Delta of a normal word: Delta(the word without its last letter)
+    times Delta(the last letter), memoised per word."""
     memo = _DELTA_MEMO[ring]
     hit = memo.get(exps)
-    if hit is not None:
-        return hit
-    terms = {((0, 0, 0, 0), (0, 0, 0, 0), 1, 0): 1}
-    for g in ncalg.word_letters(exps):
-        out = {}
-        for (w1, w2, r, i), q in terms.items():
-            for g1, g2 in _DELTA_GEN[g]:
-                left = _word_mul_word(w1, ncalg.LETTER_WORDS[g1], ring)
-                right = _word_mul_word(w2, ncalg.LETTER_WORDS[g2], ring)
-                _spread(out, [left, right], q, r, i)
-        terms = out
-    memo[exps] = terms
-    return terms
+    if hit is None:
+        if not any(exps):
+            hit = {((0, 0, 0, 0), (0, 0, 0, 0), 1, 0): 1}
+        else:
+            g = max(i for i in range(4) if exps[i])
+            head = _word_coproduct(exps[:g] + (exps[g] - 1,) + exps[g + 1 :], ring)
+            last = {(LETTER_WORDS[g1], LETTER_WORDS[g2], 1, 0): 1 for g1, g2 in _DELTA_GEN[g]}
+            hit = (TensorPoly(ring, 2, head) * TensorPoly(ring, 2, last)).terms
+        memo[exps] = hit
+    return hit
 
 
 def coproduct(p: NCPoly) -> TensorPoly:

@@ -25,10 +25,12 @@ Fock oracle keeps its own copy of the relations on purpose, so that it
 stays a witness independent of this table.
 
 The engine works per normal word and per power of h (the graded setting
-of Bergman's diamond lemma).  _word_mul_word multiplies two normal words:
-by one letter it applies a rule (memo _MEMO), by a longer word it folds
-over the letters (memo _WW_MEMO).  Every rule coefficient is +-1 times a
-power of h, so a memo entry has radicand 1 and int values.
+of Bergman's diamond lemma).  Every product of words goes through _mul:
+NCPoly products, normal_form and the slots of the hopfcheck tensors.  On
+a memo miss _mul calls _word_mul_word on two cores: by one letter that
+applies a rule (memo _MEMO), by a longer word it folds over the letters
+(memo _WW_MEMO).  Every rule coefficient is +-1 times a power of h, so
+a memo entry has radicand 1 and int values.
 
 The memos are keyed on word cores.  No rule has v as its left letter and
 none has u as its right letter, so v^a W and W u^d are normal whenever W
@@ -146,19 +148,13 @@ def _memo(w2, ring):
 
 
 def _word_mul_word(w1, w2, ring):
-    """Normal form of the normal word w1 times the word w2, as flat terms,
-    memoised on (w1, w2) as given; _mul passes cores."""
-    one_letter = sum(w2) == 1
-    memo = _memo(w2, ring)
-    key = (w1, w2)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    """The miss path of _mul: the normal form of the core w1 times the
+    core w2, as flat terms, stored in the memo _mul has already read."""
     if not any(w2):
         # w1 1 is normal already and needs no memo entry; 1 w2 is kept,
         # since with_ring passes words that the ring rewrites
         return {w1 + (1, 0): 1}
-    if not one_letter:
+    if sum(w2) != 1:
         res = _times_letters({w1 + (1, 0): 1}, word_letters(w2), ring)
     else:
         g = w2.index(1)
@@ -173,7 +169,7 @@ def _word_mul_word(w1, w2, ring):
             res = {}
             for word, coef in rule:
                 scale_into(res, _times_letters({base: 1}, word, ring), coef.raw())
-    memo[key] = res
+    _memo(w2, ring)[(w1, w2)] = res
     return res
 
 

@@ -101,6 +101,7 @@ def test_cgc_triangle_error(capsys):
         ["normalform", "h*g"],
         ["verify", "--suite", "wigner", "--ring", "gl"],
         ["verify", "--suite", "ortho", "--ring", "gl"],
+        ["verify", "--suite", "wigner", "--scheme", "ordered2", "--max-twoj", "1"],
     ],
     ids=[
         "jacobi-gl",
@@ -115,6 +116,7 @@ def test_cgc_triangle_error(capsys):
         "symbol-g-product",
         "wigner-gl",
         "ortho-gl",
+        "scheme-not-corep",
     ],
 )
 def test_invalid_input_exit_2(capsys, argv):

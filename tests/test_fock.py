@@ -12,6 +12,7 @@ from slh2.fock import (
     boson,
     classical_dop,
     determinant_op,
+    eval_free,
     eval_letters,
     evaluate,
     exp_lr,
@@ -19,7 +20,7 @@ from slh2.fock import (
     twisted_generators,
     two_parameter_generators,
 )
-from slh2.ncalg import GL, SL, normal_form
+from slh2.ncalg import GL, SL, NCPoly, normal_form
 from slh2.rep import magnetics
 from slh2.scalar import H, ONE, ZERO, RadScalar, rational, sqrt_nat
 
@@ -109,6 +110,14 @@ def test_evaluate_rejects_sl():
 def test_evaluate_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         evaluate(parse("1 + x", GL), 2)
+
+
+def test_no_terms_evaluate_to_the_zero_map():
+    for n in range(3):
+        assert eval_free([], n) == FockOp.zero(n, n)
+        assert evaluate(NCPoly.zero(GL), n) == FockOp.zero(n, n)
+    with pytest.raises(ValueError, match="mixed degrees"):
+        eval_free([((X,), ONE), ((X, V), ONE)], 1)
 
 
 def test_evaluate_identity():

@@ -16,6 +16,7 @@ from slh2.ncalg import (
     gen,
     normal_form,
     quantum_determinant,
+    word_letters,
 )
 from slh2.kernel import sqrt_split
 from slh2._rat import Q
@@ -76,6 +77,19 @@ def _free_coproduct(word, ring):
     for g in word:
         out = out * hc.coproduct(gen("vxyu"[g], ring))
     return out
+
+
+def test_coproduct_of_each_normal_word_is_the_free_product():
+    # Delta of every normal word of degree <= 4 is the product of the
+    # generator images in letter order
+    for ring in (GL, SL):
+        for exps in product(range(5), repeat=4):
+            if sum(exps) > 4 or (ring == SL and exps[1] and exps[2]):
+                continue
+            letters = word_letters(exps)
+            p = normal_form([(letters, ONE)], ring)
+            assert p.terms() == {exps: ONE}
+            assert hc.coproduct(p) == _free_coproduct(letters, ring), (ring, exps)
 
 
 def _free_counit(word, ring):
@@ -153,6 +167,16 @@ def test_tensor_arithmetic():
     assert s * s == tt.scaled(H * H * 2)
     with pytest.raises(ValueError):
         t * hc.TensorPoly.of(x, v, x)
+    # arity 3 with radicals in every slot: the slots multiply in the ring
+    y, u = gen("y", GL), gen("u", GL)
+    r2, r3, r6 = (sqrt_nat(n) for n in (2, 3, 6))
+    left = (u.scaled(r2) + x, y.scaled(r3), v + x.scaled(r6))
+    right = (x.scaled(r3), v.scaled(r6) + u, y.scaled(r2) - v)
+    want = hc.TensorPoly.of(*(p * q for p, q in zip(left, right)))
+    assert hc.TensorPoly.of(*left) * hc.TensorPoly.of(*right) == want
+    # arity 0: a tensor of no slots is a scalar
+    s0, s1 = (hc.TensorPoly.of(p).apply_counit(0) for p in (x.scaled(r2), y.scaled(r6)))
+    assert (s0 * s1).terms == {(3, 0): 2}
     # flat keys: arity words, a squarefree radicand and an h-power; no zero value
     for ring in (GL, SL):
         for entry in (p for row in dmatrix(3, ring=ring).entries for p in row):

@@ -143,13 +143,19 @@ def test_memo_keys_are_cores(monkeypatch):
 
     _fresh_memos(monkeypatch)
     monkeypatch.setattr(dfun, "_TERM_MEMO", {})
+    monkeypatch.setattr(hc, "_DELTA_MEMO", {GL: {}, SL: {}})
     for cache in (dfun.dfunc, hc._dprod, hc._rel3):
         cache.cache_clear()
     for ring in (GL, SL):
         dmatrix(6, ORDERED1, ring)
+        # the coproduct and tensor products multiply slot words that
+        # carry v and u powers, through the same engine product
+        assert hc.check_corep(3, ring=ring).ok
+    p, q = parse("v*x + h*u", SL), parse("y*u - v^2", SL)
+    assert hc.coproduct(p) * hc.coproduct(q) == hc.coproduct(p * q)
     assert hc.wigner_check(1, 2, 1).ok
-    # dmatrix multiplies by linear factors; only wigner_check (in SL)
-    # multiplies by longer words
+    # dmatrix and the coproduct multiply by linear factors; wigner_check
+    # and the tensor product (both in SL) multiply by longer words
     assert ncalg._MEMO[GL] and ncalg._MEMO[SL] and ncalg._WW_MEMO[SL]
     for ring in (GL, SL):
         # no v on the left word, no u on the right word, no word 1 right
