@@ -23,10 +23,17 @@ def _spin_pairs(max_twoj):
 
 
 def _run_suite(args) -> Report:
+    """The report of the chosen suite.  An option given explicitly to a
+    suite that does not read it is a usage error; the defaults of
+    --max-twoj (2), --nmax (4) and --with-g (off) are set here."""
     suite = args.suite
-    k = args.max_twoj
     if suite != "corep" and args.scheme != dfun.ORDERED1:
         raise ValueError(f"--scheme applies to --suite corep only; {suite} reads {dfun.ORDERED1}")
+    if suite in ("pbw", "fock") and args.max_twoj is not None:
+        raise ValueError(f"--max-twoj does not apply to --suite {suite}")
+    if suite != "fock" and (args.nmax is not None or args.with_g is not None):
+        raise ValueError(f"--nmax and --with-g apply to --suite fock only, not {suite}")
+    k = 2 if args.max_twoj is None else args.max_twoj
     if suite == "corep":
         out = Report("corep")
         for twoj in range(k + 1):
@@ -58,7 +65,7 @@ def _run_suite(args) -> Report:
     if suite == "pbw":
         return pbwcheck.pbw_suite()
     if suite == "fock":
-        return fock.fock_suite(args.nmax, args.with_g)
+        return fock.fock_suite(4 if args.nmax is None else args.nmax, bool(args.with_g))
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -211,9 +218,12 @@ def build_parser():
         required=True,
         choices=("corep", "wigner", "recurrence", "ortho", "rtt", "pbw", "fock"),
     )
-    p.add_argument("--max-twoj", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=4, help="fock grade cutoff")
-    p.add_argument("--with-g", action="store_true", help="include the two-parameter fock checks")
+    # None tells an explicit value from the default; see _run_suite
+    p.add_argument("--max-twoj", type=int)
+    p.add_argument("--nmax", type=int, help="fock grade cutoff")
+    p.add_argument(
+        "--with-g", action="store_true", default=None, help="include the two-parameter fock checks"
+    )
     p.add_argument("--scheme", choices=dfun.SCHEMES, default=dfun.ORDERED1, help="corep only")
     p.add_argument("--format", choices=("json", "text"), default="json")
     add_common(p)

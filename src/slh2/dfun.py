@@ -38,11 +38,32 @@ polynomial).  The parent of a node drops its last factor:
 so an ordered1 node has 1 + [N=0] + [M=N=0] + [L=M=N=0] children and an
 ordered2 node 1 + [L=0] + [L=N=0] + [L=N=K=0].  _TERM_MEMO stores each
 term that _term builds, the leaves that dfunc sums included, and drops a
-stored term once each of its children has been stored.  So after the
-matrices of spin j and below (in one scheme and ring) the memo holds the
-terms of degree 2j alone, the parents of the matrix of spin j + 1/2,
-which builds each of its terms with one product.  The memo decides only
-what is rebuilt, never a value.
+stored term once each of its children that dfunc builds has been
+stored.  So after the matrices of spin j and below (in one scheme and
+ring) the memo holds the terms of degree 2j alone, the parents of the
+matrix of spin j + 1/2, which builds each of its terms with one product.
+The memo decides only what is rebuilt, never a value.
+
+The half build.  Let sigma be the algebra automorphism that swaps x and
+y and fixes v, u and h (ncalg.NCPoly.swap_xy).  It maps each matrix
+antitransposed onto itself: sigma(D^j_{m'm}) = D^j_{-m,-m'}, with sign
++1, in every scheme.  In SL, sigma is a relabeling of the flat terms with
+no product, so dfunc builds the entries with m' + m >= 0 by the closed
+form and takes each entry with m' + m < 0 as sigma of its cached partner;
+GL keeps the closed form for every entry, since there sigma needs a
+rewrite.  The upper entries use only the nodes with K >= N, since
+m' + m = K - N, and a parent of such a node has K >= N too.  So in SL a
+node counts only its children that lead to an upper node of the degree
+being built (of the next degree, for a leaf): the child (K, L, M, N + 1)
+counts in ordered1 when K - N is at least the degrees still to climb,
+and (K, 0, M, N + 1) in ordered2 when K > N.  An ordered1 node with
+K == N > 0 has no such child and is not stored, so after spin j the SL
+memo holds the degree-2j nodes with K >= N less those (41 of the 84
+nodes at 2j = 6).  Caution: a lower SL entry is sigma of the formula,
+not the formula evaluated.  tests/test_dfun.py checks that the two
+agree for SL ordered1 with 2j <= 10 and for ordered2, jacobi and
+classical with 2j <= 8; no proof that each closed form commutes with
+sigma is given here.
 """
 
 from functools import lru_cache
@@ -194,12 +215,20 @@ def _ordered2_parent(K, L, M, N, ring):
     return (0, 0, M - 1, 0), _u(ring, M - 1)
 
 
-def _ordered1_children(K, L, M, N):
-    return 1 + (N == 0) + (M == N == 0) + (L == M == N == 0)
+def _ordered1_children(K, L, M, N, ring=GL, ahead=1):
+    """The children of the node that lead to an entry dfunc builds at the
+    degree `ahead` above the node (1: the next spin).  GL builds every
+    entry, so each child counts; SL builds those with K >= N alone, and
+    the child (K, L, M, N + 1) leads only to the nodes (K, L, M, N + i),
+    so it counts when K - N >= ahead."""
+    return (ring == GL or K - N >= ahead) + (N == 0) + (M == N == 0) + (L == M == N == 0)
 
 
-def _ordered2_children(K, L, M, N):
-    return 1 + (L == 0) + (L == N == 0) + (L == N == K == 0)
+def _ordered2_children(K, L, M, N, ring=GL, ahead=1):
+    """As _ordered1_children.  The child (K, 0, M, N + 1), there when
+    L == 0, leads to the nodes (K, i, M, N + 1) of every degree, so in SL
+    it counts when K > N."""
+    return 1 + (L == 0 and (ring == GL or K > N)) + (L == N == 0) + (L == N == K == 0)
 
 
 _TRIE = {
@@ -213,12 +242,14 @@ _TERM_MEMO = {}
 
 def _term(scheme, klmn, ring):
     """The ordered term of klmn, built as its parent's term times its last
-    factor.  Each term built is stored, and a stored term is dropped once
-    each of its children has been stored.  A term stored a second time
-    counts again against its parent, which may then be dropped early:
-    that costs a rebuild, never a value."""
+    factor.  Each term built is stored with its count of children (for
+    the degree of klmn, see _ordered1_children) and dropped once each of
+    them has been stored; a term with no such child is not stored.  A
+    term stored a second time counts again against its parent, which may
+    then be dropped early: that costs a rebuild, never a value."""
     parent_of, children = _TRIE[scheme]
     tag = (scheme, ring)
+    top = sum(klmn)
     path = []
     while any(klmn) and tag + klmn not in _TERM_MEMO:
         parent, factor = parent_of(*klmn, ring)
@@ -227,7 +258,9 @@ def _term(scheme, klmn, ring):
     term = _TERM_MEMO[tag + klmn][0] if any(klmn) else NCPoly.one(ring)
     for node, parent, factor in reversed(path):
         term = term * factor
-        _TERM_MEMO[tag + node] = [term, children(*node)]
+        pending = children(*node, ring, max(top - sum(node), 1))
+        if pending:
+            _TERM_MEMO[tag + node] = [term, pending]
         up = _TERM_MEMO.get(tag + parent)
         if up is not None:
             up[1] -= 1
@@ -273,11 +306,8 @@ def _classical(twoj, twomp, twom, ring):
     return out.specialize(h_value=0)
 
 
-@lru_cache(maxsize=None)
-def dfunc(twoj: int, twomp: int, twom: int, scheme=ORDERED1, ring=SL) -> NCPoly:
-    """One matrix element D^j_{m'm} in normal form."""
-    ncalg.check_ring(ring)
-    check_indices(twoj, twomp, twom)
+def _formula(twoj, twomp, twom, scheme, ring):
+    """D^j_{m'm} by the closed form of the scheme, for every entry."""
     if scheme in _TRIE:
         return _ordered_sum(twoj, twomp, twom, ring, scheme)
     if scheme == JACOBI:
@@ -287,6 +317,18 @@ def dfunc(twoj: int, twomp: int, twom: int, scheme=ORDERED1, ring=SL) -> NCPoly:
     if scheme == CLASSICAL:
         return _classical(twoj, twomp, twom, ring)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+@lru_cache(maxsize=None)
+def dfunc(twoj: int, twomp: int, twom: int, scheme=ORDERED1, ring=SL) -> NCPoly:
+    """One matrix element D^j_{m'm} in normal form: in SL, an entry with
+    m' + m < 0 is sigma of the entry D^j_{-m,-m'} (see the module
+    docstring); every other entry is the scheme's closed form."""
+    ncalg.check_ring(ring)
+    check_indices(twoj, twomp, twom)
+    if ring == SL and twomp + twom < 0:
+        return dfunc(twoj, -twom, -twomp, scheme, ring).swap_xy()
+    return _formula(twoj, twomp, twom, scheme, ring)
 
 
 class DFunctionMatrix:

@@ -49,6 +49,10 @@ straight into the output dict with no call per output term.  It passes
 its output through kernel.ints once when an input value was not an int,
 so the all-int path pays one type check per term pair.
 
+NCPoly.swap_xy is the x <-> y automorphism sigma on SL terms: a
+relabeling of each key's x and y slots, which dfun uses to build half
+of each SL D-matrix.
+
 lincomb, the sum of scaled polynomials that the constructions and the
 suites use, accumulates over ints: its coefficients are multiplied by
 the lcm den of their denominators, and the output is divided by den
@@ -357,6 +361,17 @@ class NCPoly:
         return out
 
     # -- substitution and ring moves --
+
+    def swap_xy(self):
+        """sigma(self), for sigma the algebra automorphism that swaps x and
+        y and fixes v, u and h.  An SL-normal word never holds both x and
+        y, so its image v^a y^b x^c u^d is the normal word (a, c, b, d):
+        sigma swaps the x and y slots of each key and keeps the values,
+        with no product.  In GL the image of a word holding both would
+        need a rewrite, which this does not make."""
+        if self.ring != SL:
+            raise ValueError("swap_xy relabels SL terms only; in GL sigma needs a rewrite")
+        return NCPoly(SL, {(a, c, b, d, r, i): q for (a, b, c, d, r, i), q in self._terms.items()})
 
     def specialize(self, h_value):
         return NCPoly.from_terms(

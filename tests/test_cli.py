@@ -102,6 +102,11 @@ def test_cgc_triangle_error(capsys):
         ["verify", "--suite", "wigner", "--ring", "gl"],
         ["verify", "--suite", "ortho", "--ring", "gl"],
         ["verify", "--suite", "wigner", "--scheme", "ordered2", "--max-twoj", "1"],
+        ["verify", "--suite", "pbw", "--max-twoj", "0"],
+        ["verify", "--suite", "fock", "--max-twoj", "2"],
+        ["verify", "--suite", "ortho", "--max-twoj", "0", "--nmax", "9"],
+        ["verify", "--suite", "corep", "--with-g"],
+        ["verify", "--suite", "pbw", "--nmax", "4"],
     ],
     ids=[
         "jacobi-gl",
@@ -117,6 +122,11 @@ def test_cgc_triangle_error(capsys):
         "wigner-gl",
         "ortho-gl",
         "scheme-not-corep",
+        "max-twoj-pbw",
+        "max-twoj-fock",
+        "nmax-ortho",
+        "with-g-corep",
+        "nmax-pbw",
     ],
 )
 def test_invalid_input_exit_2(capsys, argv):

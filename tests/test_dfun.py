@@ -270,17 +270,46 @@ def test_term_trie_out_of_order_builds_equal_fresh_builds(scheme, cold_terms):
             assert got == fresh[twoj], twoj
 
 
+def _kept_leaves(twojs, ring):
+    """The term memo after dmatrix(twoj, ORDERED1, ring) for each twoj in
+    turn from a cold start, with each term checked against the oracle."""
+    _cold()
+    for twoj in twojs:
+        dmatrix(twoj, ORDERED1, ring)
+    for (scheme, r, *klmn), (term, pending) in dfun._TERM_MEMO.items():
+        assert term == _oracle_ordered1(*klmn, r)
+    return {tuple(k[2:]): pending for k, (term, pending) in dfun._TERM_MEMO.items()}
+
+
 def test_term_trie_keeps_the_last_spin_leaves(cold_terms):
-    # each degree-5 term is dropped once its degree-6 children are stored;
-    # the degree-6 terms that dmatrix(6) sums stay, for dmatrix(13/2)
-    dmatrix(6, ORDERED1, SL)
-    want = {(ORDERED1, SL) + klmn for klmn in _nodes(6)}
-    assert len(want) == 84
-    assert set(dfun._TERM_MEMO) == want
+    # SL builds the entries with m' + m = K - N >= 0 alone: each degree-5
+    # term is dropped once its degree-6 children with K >= N are stored,
+    # and those that dmatrix(6) sums stay, for dmatrix(13/2), each counted
+    # against the degree-7 nodes with K >= N that it is the parent of; a
+    # node with K == N > 0 has none and is not kept
+    parent_of, children = dfun._TRIE[ORDERED1]
+    upper7 = [klmn for klmn in _nodes(7) if klmn[0] >= klmn[3]]
+    want = {}
+    for klmn in _nodes(6):
+        if klmn[0] >= klmn[3]:
+            pending = sum(parent_of(*child, SL)[0] == klmn for child in upper7)
+            assert pending == children(*klmn, SL) == children(*klmn) - (klmn[0] == klmn[3])
+            if pending:
+                want[klmn] = pending
+    assert len(want) == 41
+    assert _kept_leaves([6], SL) == want
+    assert _kept_leaves(range(7), SL) == want
+
+
+def test_term_trie_keeps_the_last_spin_leaves_gl(cold_terms):
+    # GL builds every entry by the closed form: all 84 degree-6 nodes stay,
+    # each with its full count of children
     children = dfun._TRIE[ORDERED1][1]
-    for (scheme, ring, *klmn), (term, pending) in dfun._TERM_MEMO.items():
-        assert term == _oracle_ordered1(*klmn, ring)
-        assert pending == children(*klmn)
+    want = {klmn: children(*klmn, GL) for klmn in _nodes(6)}
+    assert len(want) == 84
+    assert want == {klmn: children(*klmn) for klmn in _nodes(6)}
+    assert _kept_leaves([6], GL) == want
+    assert _kept_leaves(range(7), GL) == want
 
 
 @pytest.mark.parametrize("scheme", [ORDERED1, ORDERED2])
@@ -294,3 +323,72 @@ def test_term_trie_parent_counts(scheme):
             parent, _ = parent_of(*klmn, SL)
             counts[parent] += 1
         assert counts == {klmn: children(*klmn) for klmn in counts}
+
+
+@pytest.mark.parametrize("scheme", [ORDERED1, ORDERED2])
+def test_term_trie_sl_counts_the_children_that_lead_to_upper_entries(scheme):
+    # in SL a node counts the children with an upper node (K >= N) among
+    # their descendants at `ahead` degrees above the node
+    parent_of, children = dfun._TRIE[scheme]
+    parent = {klmn: parent_of(*klmn, SL)[0] for degree in range(1, 8) for klmn in _nodes(degree)}
+
+    def ancestors(klmn):
+        out = []
+        while any(klmn):
+            out.append(klmn)
+            klmn = parent[klmn]
+        return out
+
+    for degree in range(5):
+        for ahead in (1, 2, 3):
+            lead = {}
+            for z in _nodes(degree + ahead):
+                if z[0] >= z[3]:
+                    for a in ancestors(z):
+                        if sum(a) == degree + 1:
+                            lead.setdefault(parent[a], set()).add(a)
+            for klmn in _nodes(degree):
+                if klmn[0] >= klmn[3]:
+                    want = len(lead.get(klmn, ()))
+                    assert children(*klmn, SL, ahead) == want, (klmn, ahead)
+
+
+# The SL half build: dfunc takes each entry with m' + m < 0 as sigma (swap
+# x and y) of the entry D^j_{-m,-m'}; here the closed form of each such
+# entry is built and compared with that relabeling.
+
+
+def _relabel_mismatches(scheme, max_twoj, partner, swap):
+    """(lower entries compared, mismatches) of the closed form against
+    swap(dfunc(partner(m', m))) over the SL entries with m' + m < 0."""
+    seen = bad = 0
+    for twoj in range(max_twoj + 1):
+        for twomp in magnetics(twoj):
+            for twom in magnetics(twoj):
+                if twomp + twom < 0:
+                    seen += 1
+                    got = swap(dfunc(twoj, *partner(twomp, twom), scheme, SL))
+                    bad += got != dfun._formula(twoj, twomp, twom, scheme, SL)
+    return seen, bad
+
+
+def _antitransposed(twomp, twom):
+    return -twom, -twomp
+
+
+@pytest.mark.parametrize("scheme, max_twoj, entries", [
+    (ORDERED1, 10, 220), (ORDERED2, 8, 120), (JACOBI, 8, 120), (CLASSICAL, 8, 120),
+])
+def test_lower_half_formula_equals_sigma_relabeling(scheme, max_twoj, entries, cold_terms):
+    assert _relabel_mismatches(scheme, max_twoj, _antitransposed, NCPoly.swap_xy) == (entries, 0)
+    _cold()
+
+
+def test_lower_half_comparison_fails_on_a_wrong_relabeling(cold_terms):
+    # the negated indices in place of the antitransposed ones, and the
+    # partner entry without the x <-> y swap, each give mismatches
+    seen, bad = _relabel_mismatches(ORDERED1, 4, lambda mp, m: (-mp, -m), NCPoly.swap_xy)
+    assert seen == 20 and bad > 0
+    seen, bad = _relabel_mismatches(ORDERED1, 4, _antitransposed, lambda p: p)
+    assert seen == 20 and bad > 0
+    _cold()

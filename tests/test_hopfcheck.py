@@ -60,6 +60,27 @@ def test_coproduct_is_algebra_map():
             assert hc.coproduct(p * q) == hc.coproduct(p) * hc.coproduct(q)
 
 
+def _sigma_tensor(t, flip=True):
+    """tau (sigma (x) sigma) on an SL tensor of arity 2, or sigma (x) sigma
+    when flip is False."""
+    sig = {}
+    for (w1, w2, r, i), q in t.terms.items():
+        w1, w2 = (w1[0], w1[2], w1[1], w1[3]), (w2[0], w2[2], w2[1], w2[3])
+        sig[(w2, w1, r, i) if flip else (w1, w2, r, i)] = q
+    return hc.TensorPoly(SL, 2, sig)
+
+
+def test_coproduct_commutes_with_sigma_up_to_the_flip():
+    # Delta sigma = tau (sigma (x) sigma) Delta on the generators, since
+    # sigma swaps T_11 with T_22 of T = [[x, u], [v, y]] and fixes T_12, T_21
+    for name in "vxyu":
+        g = gen(name, SL)
+        assert hc.coproduct(g.swap_xy()) == _sigma_tensor(hc.coproduct(g)), name
+    # sigma is a coalgebra anti-map: without the flip it fails on u
+    u = gen("u", SL)
+    assert hc.coproduct(u.swap_xy()) != _sigma_tensor(hc.coproduct(u), flip=False)
+
+
 def test_coproduct_respects_relations():
     # Delta and eps of both sides of every rewrite rule agree
     for ring, rules in ((GL, GL_RULES), (SL, SL_RULES)):

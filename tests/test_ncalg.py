@@ -495,3 +495,52 @@ def test_to_json_matches_grouped_path():
     for p in polys:
         assert json.dumps(p.to_json()) == json.dumps(_old_to_json(p))
     assert polys[0].to_json() == {"ring": GL, "terms": []}
+
+
+# sigma: the algebra automorphism that swaps x and y and fixes v, u and h.
+
+
+def _sigma_letters(word):
+    swap = {ncalg.X: ncalg.Y, ncalg.Y: ncalg.X}
+    return tuple(swap.get(g, g) for g in word)
+
+
+def _h_negated(coef):
+    return RadScalar({(r, i): q * (-1) ** i for (r, i), q in coef.raw().items()})
+
+
+def _sigma_rule_residues(sigma_coef):
+    """NF(sigma(lhs - rhs)) for each rule of the SL ring, sigma acting on
+    the coefficients by sigma_coef."""
+    return {
+        pair: normal_form(
+            [(_sigma_letters(pair), ONE)]
+            + [(_sigma_letters(word), -sigma_coef(coef)) for word, coef in rhs],
+            SL,
+        )
+        for pair, rhs in ncalg.RULES[SL].items()
+    }
+
+
+def test_sigma_respects_each_sl_rule():
+    residues = _sigma_rule_residues(lambda c: c)
+    assert len(residues) == 7
+    assert all(p.is_zero() for p in residues.values())
+
+
+def test_sigma_negating_h_breaks_a_rule():
+    residues = _sigma_rule_residues(_h_negated)
+    assert _h_negated(H) == -H
+    assert any(not p.is_zero() for p in residues.values())
+
+
+def test_swap_xy_is_sigma_on_sl_terms():
+    rng = random.Random(11)
+    for _ in range(40):
+        word = [rng.randrange(4) for _ in range(rng.randrange(7))]
+        coef = RadScalar.coerce(rng.randrange(1, 5)) * sqrt_nat(rng.choice((1, 2, 3))) * H ** rng.randrange(3)
+        p = normal_form([(word, coef), ("xv", ONE)], SL)
+        assert p.swap_xy() == normal_form([(_sigma_letters(word), coef), ("yv", ONE)], SL)
+        assert p.swap_xy().swap_xy() == p
+    with pytest.raises(ValueError):
+        gen("x", GL).swap_xy()
