@@ -260,13 +260,7 @@ class FockOp:
 def boson(mode: int, kind: str, n: int) -> FockOp:
     """Creation/annihilation matrix of one mode on the grade-n block."""
     if kind == "create":
-        idx = state_index(n + 1)
-        data = {}
-        for j, s in enumerate(states(n)):
-            t = list(s)
-            t[mode] += 1
-            data[(idx[tuple(t)], j)] = 1
-        return FockOp(n, n + 1, data, MODE_WEIGHT[mode])
+        return _creation_monomial(tuple(int(i == mode) for i in range(4)), n)
     if kind == "annihilate":
         if n == 0:
             raise ValueError("cannot annihilate on the vacuum grade")

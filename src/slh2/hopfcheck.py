@@ -34,6 +34,13 @@ and RTT reads R T1 T2 = T2 T1 R.  Each is checked entrywise as a
 contraction: rep.rows reads a coupling table or R once per suite call
 into rows (or columns), and each entry is one ncalg.lincomb over a row.
 
+The recurrences couple D^{j -+ 1/2} with T = D^{1/2} = [[x, u], [v, y]],
+the product law at j1 = 1/2.  They are four shapes, i/v, ii/vi, iii/vii
+and iv/viii, each written once in a pair (a(t), b(t)) of spin-1/2
+couplings: (sqrt(j+t), sqrt(j-t)) with D^{j-1/2} for i-iv, and
+(sqrt(j-t+1), -sqrt(j+t+1)) with D^{j+1/2} for v-viii, where vi and
+viii are negated whole so that every left side leads with a positive root.
+
 Besides the D D products of _dprod, two lru caches keep sums from
 being rebuilt.  _rel3 holds the case records (no polynomials) of rel3
 per spin pair: rel3 does not depend on the j of a wigner_check call.
@@ -57,12 +64,13 @@ from .rep import pair_basis, pair_items, rows
 from .report import Report
 from .scalar import H, ONE, ZERO, RadScalar, accumulate, sqrt_nat
 
-# generator images under the coproduct: letter -> ((left, right), ...)
+# the generator matrix T = D^{1/2} = [[x, u], [v, y]] at doubled indices
+_GEN_AT = {(1, 1): X, (1, -1): U, (-1, 1): V, (-1, -1): Y}
+
+# generator images under the coproduct, Delta(T_ab) = sum_c T_ac (x) T_cb:
+# letter -> ((left, right), ...)
 _DELTA_GEN = {
-    ncalg.X: ((ncalg.X, ncalg.X), (ncalg.U, ncalg.V)),
-    ncalg.U: ((ncalg.X, ncalg.U), (ncalg.U, ncalg.Y)),
-    ncalg.V: ((ncalg.V, ncalg.X), (ncalg.Y, ncalg.V)),
-    ncalg.Y: ((ncalg.V, ncalg.U), (ncalg.Y, ncalg.Y)),
+    t: tuple((_GEN_AT[a, c], _GEN_AT[c, b]) for c in (1, -1)) for (a, b), t in _GEN_AT.items()
 }
 
 
@@ -436,6 +444,43 @@ def _combine(side_terms, ring):
     return ncalg.lincomb(pairs, ring)
 
 
+def _neg_sq(twoint):
+    return -_sq(twoint)
+
+
+def _pair(twoj, raising, sign=1):
+    """(2j', a, b): the spin j' = j -+ 1/2 a recurrence reads, and its pair.
+
+    a(2t) and b(2t) are the couplings (t - 1/2, +1/2 | t) and (t + 1/2,
+    -1/2 | t) of j' and 1/2 into j, times sqrt(2j) when lowering and
+    -sqrt(2j+2) when raising; sign = -1 negates both.
+    """
+    J = twoj
+    pos, neg = (_sq, _neg_sq) if sign > 0 else (_neg_sq, _sq)
+    if raising:
+        return J + 1, (lambda t: pos(J - t + 2)), (lambda t: neg(J + t + 2))
+    return J - 1, (lambda t: pos(J + t)), (lambda t: pos(J - t))
+
+
+# relation -> (shape, raising, sign); vi and viii are negated, so that
+# every left side leads with a positive root
+_SHAPES = {
+    "i": (0, False, 1), "ii": (1, False, 1), "iii": (2, False, 1), "iv": (3, False, 1),
+    "v": (0, True, 1), "vi": (1, True, -1), "vii": (2, True, 1), "viii": (3, True, -1),
+}
+RECURRENCES = tuple(_SHAPES)
+# the recurrences that hold in each ring (v-viii use D = 1)
+RING_RECURRENCES = {SL: RECURRENCES, GL: RECURRENCES[:4]}
+
+
+def _shape(which):
+    """(shape, raising, sign) of a relation; an unknown name is a ValueError."""
+    try:
+        return _SHAPES[which]
+    except KeyError:
+        raise ValueError(f"unknown recurrence {which!r}") from None
+
+
 def recurrence_terms(which, twoj, twok, twom, ring):
     """(lhs, rhs) term lists of one recurrence instance.
 
@@ -445,80 +490,33 @@ def recurrence_terms(which, twoj, twok, twom, ring):
     -h(m+1))).  twok plays the role of k in relations i/ii/v/vi and of n
     in the column relations iii/iv/vii/viii, where twom is the row
     index.  The terms do not depend on ring.
+
+    The eight relations are four shapes (i/v, ii/vi, iii/vii, iv/viii),
+    each written once in a pair (a, b) and the spin j' it reads (_pair):
+    i-iv lower to j' = j - 1/2 with (sqrt(j+t), sqrt(j-t)), v-viii raise
+    to j' = j + 1/2 with (sqrt(j-t+1), -sqrt(j+t+1)).
     """
+    shape, raising, sign = _shape(which)
     J, k, m = twoj, twok, twom
-    x, u, v, y = ((X, ONE),), ((U, ONE),), ((V, ONE),), ((Y, ONE),)
+    Jp, a, b = _pair(J, raising, sign)
+    am, bm = a(m), b(m)
+    x, v, y = ((X, ONE),), ((V, ONE),), ((Y, ONE),)
     hm = H.scaled
-    if which == "i":
-        lhs = [
-            (_sq(J + k), (J, k, m), None),
-            (-_sq(J - k + 2).scaled(k - 1) * H, (J, k - 2, m), None),
-        ]
-        rhs = [
-            (_sq(J + m), (J - 1, k - 1, m - 1), x),
-            (_sq(J - m), (J - 1, k - 1, m + 1), ((U, ONE), (X, -hm(m + 1)))),
-        ]
-    elif which == "ii":
-        lhs = [(_sq(J - k), (J, k, m), None)]
-        rhs = [
-            (_sq(J + m), (J - 1, k + 1, m - 1), v),
-            (_sq(J - m), (J - 1, k + 1, m + 1), ((Y, ONE), (V, -hm(m + 1)))),
-        ]
-    elif which == "iii":
-        lhs = [(_sq(J + k), (J, m, k), None)]
-        rhs = [
-            (_sq(J + m), (J - 1, m - 1, k - 1), ((X, ONE), (V, hm(m - 1)))),
-            (_sq(J - m), (J - 1, m + 1, k - 1), v),
-        ]
-    elif which == "iv":
-        # shifting n -> n+1 in the underlying product-law instance shifts
-        # the radicand too: the coefficient is sqrt(j+n+1), not sqrt(j+n)
-        lhs = [
-            (_sq(J - k), (J, m, k), None),
-            (_sq(J + k + 2).scaled(k + 1) * H, (J, m, k + 2), None),
-        ]
-        rhs = [
-            (_sq(J + m), (J - 1, m - 1, k + 1), ((U, ONE), (Y, hm(m - 1)))),
-            (_sq(J - m), (J - 1, m + 1, k + 1), y),
-        ]
-    elif which == "v":
-        lhs = [
-            (_sq(J - k + 2), (J, k, m), None),
-            (_sq(J + k).scaled(k - 1) * H, (J, k - 2, m), None),
-        ]
-        rhs = [
-            (_sq(J - m + 2), (J + 1, k - 1, m - 1), x),
-            (-_sq(J + m + 2), (J + 1, k - 1, m + 1), ((U, ONE), (X, -hm(m + 1)))),
-        ]
-    elif which == "vi":
-        lhs = [(_sq(J + k + 2), (J, k, m), None)]
-        rhs = [
-            (-_sq(J - m + 2), (J + 1, k + 1, m - 1), v),
-            (_sq(J + m + 2), (J + 1, k + 1, m + 1), ((Y, ONE), (V, -hm(m + 1)))),
-        ]
-    elif which == "vii":
-        lhs = [(_sq(J - k + 2), (J, m, k), None)]
-        rhs = [
-            (_sq(J - m + 2), (J + 1, m - 1, k - 1), ((X, ONE), (V, hm(m - 1)))),
-            (-_sq(J + m + 2), (J + 1, m + 1, k - 1), v),
-        ]
-    elif which == "viii":
-        lhs = [
-            (_sq(J + k + 2), (J, m, k), None),
-            (-_sq(J - k).scaled(k + 1) * H, (J, m, k + 2), None),
-        ]
-        rhs = [
-            (-_sq(J - m + 2), (J + 1, m - 1, k + 1), ((U, ONE), (Y, hm(m - 1)))),
-            (_sq(J + m + 2), (J + 1, m + 1, k + 1), y),
-        ]
+    if shape == 0:
+        lhs = [(a(k), (J, k, m), None), (b(k - 2).scaled(1 - k) * H, (J, k - 2, m), None)]
+        rhs = [(am, (Jp, k - 1, m - 1), x), (bm, (Jp, k - 1, m + 1), ((U, ONE), (X, -hm(m + 1))))]
+    elif shape == 1:
+        lhs = [(b(k), (J, k, m), None)]
+        rhs = [(am, (Jp, k + 1, m - 1), v), (bm, (Jp, k + 1, m + 1), ((Y, ONE), (V, -hm(m + 1))))]
+    elif shape == 2:
+        lhs = [(a(k), (J, m, k), None)]
+        rhs = [(am, (Jp, m - 1, k - 1), ((X, ONE), (V, hm(m - 1)))), (bm, (Jp, m + 1, k - 1), v)]
     else:
-        raise ValueError(f"unknown recurrence {which!r}")
+        # shifting n -> n+1 in the underlying product-law instance shifts
+        # the radicand too: the coefficient is a(n+1), not a(n)
+        lhs = [(b(k), (J, m, k), None), (a(k + 2).scaled(k + 1) * H, (J, m, k + 2), None)]
+        rhs = [(am, (Jp, m - 1, k + 1), ((U, ONE), (Y, hm(m - 1)))), (bm, (Jp, m + 1, k + 1), y)]
     return lhs, rhs
-
-
-RECURRENCES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
-# the recurrences that hold in each ring (v-viii use D = 1)
-RING_RECURRENCES = {SL: RECURRENCES, GL: RECURRENCES[:4]}
 
 
 def recurrence_check(which, twoj, ring=SL) -> Report:
@@ -530,7 +528,8 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
     too.  The relations v-viii relating D^j to D^{j+1/2} use D = 1 and are
     SL statements, refused in GL; i-iv hold in GL as well.
     """
-    if which in RECURRENCES and which not in RING_RECURRENCES[ncalg.check_ring(ring)]:
+    _shape(which)
+    if which not in RING_RECURRENCES[ncalg.check_ring(ring)]:
         raise ValueError(f"recurrence {which} assumes determinant 1 (SL ring)")
     rep = Report("recurrence")
     if twoj < 1:
@@ -638,9 +637,6 @@ def rtt_check(twoj1, twoj2, ring=SL) -> Report:
 # ---------------------------------------------------------------------
 # RTT at spin (1/2, 1/2) spans exactly the defining relations
 # ---------------------------------------------------------------------
-
-_GEN_AT = {(1, 1): ncalg.X, (1, -1): ncalg.U, (-1, 1): ncalg.V, (-1, -1): ncalg.Y}
-
 
 def _free_rtt_elements():
     """LHS - RHS of the (1/2,1/2) RTT identities in the free algebra.

@@ -531,6 +531,149 @@ def test_recurrence_detects_a_wrong_letter_coefficient(monkeypatch):
         assert case["pass"] != survives, p
 
 
+def _recurrence_terms_reference(which, twoj, twok, twom):
+    """The eight relations as recurrence_terms wrote them out one by one,
+    kept as the reference for its four shapes."""
+    from slh2.ncalg import U, V, X, Y
+
+    sq = hc._sq
+    J, k, m = twoj, twok, twom
+    x, v, y = ((X, ONE),), ((V, ONE),), ((Y, ONE),)
+    hm = H.scaled
+    if which == "i":
+        lhs = [
+            (sq(J + k), (J, k, m), None),
+            (-sq(J - k + 2).scaled(k - 1) * H, (J, k - 2, m), None),
+        ]
+        rhs = [
+            (sq(J + m), (J - 1, k - 1, m - 1), x),
+            (sq(J - m), (J - 1, k - 1, m + 1), ((U, ONE), (X, -hm(m + 1)))),
+        ]
+    elif which == "ii":
+        lhs = [(sq(J - k), (J, k, m), None)]
+        rhs = [
+            (sq(J + m), (J - 1, k + 1, m - 1), v),
+            (sq(J - m), (J - 1, k + 1, m + 1), ((Y, ONE), (V, -hm(m + 1)))),
+        ]
+    elif which == "iii":
+        lhs = [(sq(J + k), (J, m, k), None)]
+        rhs = [
+            (sq(J + m), (J - 1, m - 1, k - 1), ((X, ONE), (V, hm(m - 1)))),
+            (sq(J - m), (J - 1, m + 1, k - 1), v),
+        ]
+    elif which == "iv":
+        lhs = [
+            (sq(J - k), (J, m, k), None),
+            (sq(J + k + 2).scaled(k + 1) * H, (J, m, k + 2), None),
+        ]
+        rhs = [
+            (sq(J + m), (J - 1, m - 1, k + 1), ((U, ONE), (Y, hm(m - 1)))),
+            (sq(J - m), (J - 1, m + 1, k + 1), y),
+        ]
+    elif which == "v":
+        lhs = [
+            (sq(J - k + 2), (J, k, m), None),
+            (sq(J + k).scaled(k - 1) * H, (J, k - 2, m), None),
+        ]
+        rhs = [
+            (sq(J - m + 2), (J + 1, k - 1, m - 1), x),
+            (-sq(J + m + 2), (J + 1, k - 1, m + 1), ((U, ONE), (X, -hm(m + 1)))),
+        ]
+    elif which == "vi":
+        lhs = [(sq(J + k + 2), (J, k, m), None)]
+        rhs = [
+            (-sq(J - m + 2), (J + 1, k + 1, m - 1), v),
+            (sq(J + m + 2), (J + 1, k + 1, m + 1), ((Y, ONE), (V, -hm(m + 1)))),
+        ]
+    elif which == "vii":
+        lhs = [(sq(J - k + 2), (J, m, k), None)]
+        rhs = [
+            (sq(J - m + 2), (J + 1, m - 1, k - 1), ((X, ONE), (V, hm(m - 1)))),
+            (-sq(J + m + 2), (J + 1, m + 1, k - 1), v),
+        ]
+    else:
+        assert which == "viii"
+        lhs = [
+            (sq(J + k + 2), (J, m, k), None),
+            (-sq(J - k).scaled(k + 1) * H, (J, m, k + 2), None),
+        ]
+        rhs = [
+            (-sq(J - m + 2), (J + 1, m - 1, k + 1), ((U, ONE), (Y, hm(m - 1)))),
+            (sq(J + m + 2), (J + 1, m + 1, k + 1), y),
+        ]
+    return lhs, rhs
+
+
+def test_recurrence_shapes_equal_the_eight_written_relations():
+    # every instance recurrence_check builds for 2j <= 12: the same exact
+    # coefficient (int values stay int), D-spec and right factor
+    from slh2.rep import magnetics
+
+    count = 0
+    for twoj in range(1, 13):
+        for which in hc.RECURRENCES:
+            for twok in range(-twoj - 2, twoj + 4, 2):
+                for twom in magnetics(twoj):
+                    got = hc.recurrence_terms(which, twoj, twok, twom, SL)
+                    want = _recurrence_terms_reference(which, twoj, twok, twom)
+                    assert got == want, (which, twoj, twok, twom)
+                    for g_side, w_side in zip(got, want):
+                        for (gc, _, _), (wc, _, _) in zip(g_side, w_side):
+                            assert [type(q) for q in gc.raw().values()] == [
+                                type(q) for q in wc.raw().values()
+                            ]
+                    count += 1
+    assert count == 7984
+
+
+def test_recurrence_pairs_are_spin_half_cgcs():
+    # lowering (a, b)(m) is sqrt(2j) times the couplings (m - 1/2, +1/2 | m)
+    # and (m + 1/2, -1/2 | m) of j - 1/2 and 1/2 into j; raising is
+    # -sqrt(2j + 2) times the same couplings of j + 1/2 and 1/2
+    from slh2.rep import cgc_classical, magnetics
+
+    for twoj in range(1, 12):
+        for raising, twojp, scale in ((False, twoj - 1, sqrt_nat(twoj)),
+                                      (True, twoj + 1, -sqrt_nat(twoj + 2))):
+            target, a, b = hc._pair(twoj, raising)
+            assert target == twojp
+            cgc = cgc_classical(twojp, 1, twoj)
+            for twom in magnetics(twoj):
+                assert a(twom) == scale * cgc.get(twom - 1, 1, twom), (twoj, raising, twom)
+                assert b(twom) == scale * cgc.get(twom + 1, -1, twom), (twoj, raising, twom)
+
+
+def test_recurrence_detects_a_wrong_raising_sign(monkeypatch):
+    # negative control: a raising pair whose b has the wrong sign breaks
+    # each of v-viii and leaves i-iv alone
+    pair = hc._pair
+
+    def flipped(twoj, raising, sign=1):
+        target, a, b = pair(twoj, raising, sign)
+        return target, a, (lambda t: -b(t)) if raising else b
+
+    monkeypatch.setattr(hc, "_pair", flipped)
+    for which in hc.RECURRENCES:
+        report = hc.recurrence_check(which, 2)
+        assert report.ok == (which in ("i", "ii", "iii", "iv")), which
+
+
+def test_unknown_recurrence_keeps_the_dletter_memo():
+    # the name is checked before the ring and before the per-spin eviction
+    hc._DLETTER_MEMO.clear()
+    for twoj in range(1, 5):
+        for which in hc.RECURRENCES:
+            assert hc.recurrence_check(which, twoj, SL).ok
+    before = {spin: dict(memo) for spin, memo in hc._DLETTER_MEMO.items()}
+    assert sorted(before) == [3, 4, 5]
+    for ring in (SL, GL):
+        with pytest.raises(ValueError, match="unknown recurrence 'ix'"):
+            hc.recurrence_check("ix", 9, ring)
+    assert hc._DLETTER_MEMO == before
+    with pytest.raises(ValueError, match="unknown recurrence 'ix'"):
+        hc.recurrence_terms("ix", 2, 0, 0, SL)
+
+
 def test_recurrence_v_relates_spin_half_to_one():
     rep = hc.recurrence_check("v", 1)
     assert rep.ok, rep.first_failure()

@@ -338,22 +338,21 @@ def test_mho_is_omega_negated():
 
 
 def test_biorthogonality():
-    for a in range(4):
-        for b in range(4):
-            spins = list(range(abs(a - b), a + b + 2, 2))
-            for j1 in spins:
-                for j2 in spins:
-                    mh, om = mho(a, b, j1), omega(a, b, j2)
-                    for m in magnetics(j1):
-                        for mp in magnetics(j2):
-                            acc = ZERO
-                            for m1 in magnetics(a):
-                                for m2 in magnetics(b):
-                                    acc = acc + mh.get(m1, m2, m) * om.get(
-                                        m1, m2, mp
-                                    )
-                            want = ONE if (j1 == j2 and m == mp) else ZERO
-                            assert acc == want
+    # every pair up to (3/2, 3/2), and (1/2, j2) for 2j2 = 4..9
+    pairs = [(a, b) for a in range(4) for b in range(4)] + [(1, b) for b in range(4, 10)]
+    for a, b in pairs:
+        spins = list(range(abs(a - b), a + b + 2, 2))
+        for j1 in spins:
+            for j2 in spins:
+                mh, om = mho(a, b, j1), omega(a, b, j2)
+                for m in magnetics(j1):
+                    for mp in magnetics(j2):
+                        acc = ZERO
+                        for m1 in magnetics(a):
+                            for m2 in magnetics(b):
+                                acc = acc + mh.get(m1, m2, m) * om.get(m1, m2, mp)
+                        want = ONE if (j1 == j2 and m == mp) else ZERO
+                        assert acc == want
 
 
 def test_omega_selection_rule():
