@@ -49,9 +49,10 @@ y and fixes v, u and h (ncalg.NCPoly.swap_xy).  It maps each matrix
 antitransposed onto itself: sigma(D^j_{m'm}) = D^j_{-m,-m'}, with sign
 +1, in every scheme.  In SL, sigma is a relabeling of the flat terms with
 no product, so dfunc builds the entries with m' + m >= 0 by the closed
-form and takes each entry with m' + m < 0 as sigma of its cached partner;
-GL keeps the closed form for every entry, since there sigma needs a
-rewrite.  The upper entries use only the nodes with K >= N, since
+form and takes each entry with m' + m < 0 as sigma of its cached partner.
+In GL sigma would need a rewrite; there the entries are lifts (below),
+and the closed form in GL (_formula, which the tests read) builds every
+entry.  The upper entries use only the nodes with K >= N, since
 m' + m = K - N, and a parent of such a node has K >= N too.  So in SL a
 node counts only its children that lead to an upper node of the degree
 being built (of the next degree, for a leaf): the child (K, L, M, N + 1)
@@ -64,17 +65,46 @@ not the formula evaluated.  tests/test_dfun.py checks that the two
 agree for SL ordered1 with 2j <= 10 and for ordered2, jacobi and
 classical with 2j <= 8; no proof that each closed form commutes with
 sigma is given here.
+
+The lift to GL.  Let delta = xy - uv - h xv be the quantum determinant.
+In GL, dfunc takes each ordered1 and ordered2 entry as
+ncalg.lift_to_gl of the cached SL entry: each SL term c_w w times
+delta^((2j - |w|)/2), normal-ordered in GL.  This is the closed form
+evaluated in GL:
+
+- every GL rule keeps word length, so GL is graded by degree; the closed
+  form F is a sum of products of 2j linear factors, so homogeneous of
+  degree 2j, and the lift L is homogeneous of degree 2j too;
+- the quotient pi: GL -> SL (delta -> 1) maps both to the SL entry:
+  pi(F) is the closed form in SL, pi(L) = sum c_w w;
+- delta is central, and it is not a zero divisor: the normal words are
+  a basis over the scalars, at h = 0 the rules make the generators
+  commute and delta is xy - uv in a polynomial ring, and a nonzero b
+  with delta b = 0 would be h^k b' with b' nonzero at h = 0 and
+  delta b' = 0, false at h = 0;
+- so pi is injective on each degree: if (delta - 1) b is homogeneous of
+  degree n, its component of degree d is delta b_{d-2} - b_d; the top
+  component b_t of b gives delta b_t = 0 unless t = n - 2, and the
+  bottom one b_s = 0 unless s = n, so b = 0.  Hence F - L = 0.
+
+So the GL matrices build no term of the trie.  Jacobi stays SL only and
+classical keeps its formula in GL.  The caution above carries over: a
+GL entry lifted from a lower SL entry is the closed form in GL as far as
+that SL entry is.  tests/test_dfun.py compares dfunc with the closed
+form in GL for ordered1 with 2j <= 8 and ordered2 with 2j <= 6, and
+fock.twisted_dop_check evaluates the lifted ordered1 entries with
+2j <= 4 on the Fock oracle.
 """
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from ._rat import Q
 from . import ncalg
 from .exprio import render_latex, render_text
 from .ncalg import GL, SL, NCPoly
 from .rep import check_spin, mag_index, magnetics
-from .scalar import ONE, H, RadScalar, sqrt_nat
+from .scalar import H, RadScalar, sqrt_nat
 
 ORDERED1 = "ordered1"
 ORDERED2 = "ordered2"
@@ -126,24 +156,34 @@ def _hmul(k: int) -> RadScalar:
 _H2 = H * H
 
 
+def _jacobi_ints(n: int, alpha: int, beta: int, z: NCPoly):
+    """(den, den * P_n^(alpha,beta)(z)) for den the lcm of the denominators
+    of the c_r of jacobi_poly, so that the series has int coefficients."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative for this series")
+    coefs = [Q(1)]
+    for r in range(n):
+        c = coefs[-1] * (-n + r) * (alpha + beta + n + 1 + r)
+        coefs.append(c / ((1 + r) * (alpha + 1 + r)))
+    den = lcm(*(c.denominator for c in coefs))
+    zr = NCPoly.one(z.ring)
+    pairs = []
+    for r, c in enumerate(coefs):
+        if r:
+            zr = zr * z
+        pairs.append((int(c * den), zr))
+    return den, ncalg.lincomb(pairs, z.ring)
+
+
 def jacobi_poly(n: int, alpha: int, beta: int, z: NCPoly) -> NCPoly:
     """P_n^(alpha,beta) as the terminating series sum_r c_r z^r with
 
         c_r = (-n)_r (alpha+beta+n+1)_r / ((1)_r (alpha+1)_r).
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative for this series")
-    zr = NCPoly.one(z.ring)
-    c = Q(1)
-    pairs = [(ONE, zr)]
-    for r in range(n):
-        c = c * (-n + r) * (alpha + beta + n + 1 + r)
-        c = c / ((1 + r) * (alpha + 1 + r))
-        zr = zr * z
-        pairs.append((c, zr))
-    return ncalg.lincomb(pairs, z.ring)
+    den, series = _jacobi_ints(n, alpha, beta, z)
+    return series.scaled(Q(1, den))
 
 
 # The linear factors.
@@ -216,11 +256,11 @@ def _ordered2_parent(K, L, M, N, ring):
 
 
 def _ordered1_children(K, L, M, N, ring=GL, ahead=1):
-    """The children of the node that lead to an entry dfunc builds at the
-    degree `ahead` above the node (1: the next spin).  GL builds every
-    entry, so each child counts; SL builds those with K >= N alone, and
-    the child (K, L, M, N + 1) leads only to the nodes (K, L, M, N + i),
-    so it counts when K - N >= ahead."""
+    """The children of the node that lead to an entry built at the degree
+    `ahead` above the node (1: the next spin).  The closed form in GL
+    builds every entry, so each child counts; SL builds those with
+    K >= N alone, and the child (K, L, M, N + 1) leads only to the nodes
+    (K, L, M, N + i), so it counts when K - N >= ahead."""
     return (ring == GL or K - N >= ahead) + (N == 0) + (M == N == 0) + (L == M == N == 0)
 
 
@@ -279,14 +319,17 @@ def _ordered_sum(twoj, twomp, twom, ring, scheme):
 def _jacobi_form(twoj, twomp, twom):
     """P_n^(a,b)(-uv) times the u-run (m' >= m), then the x-run (m' + m
     >= 0) or the y-run, with v^a after the x-run or before the y-run
-    (m' < m); a = |m' - m|, b = |m' + m| and n = j - max(|m|, |m'|)."""
+    (m' < m); a = |m' - m|, b = |m' + m| and n = j - max(|m|, |m'|).
+    The series is taken times den (_jacobi_ints), so the products run on
+    ints, and 1/den joins the norm at the end."""
     ring = SL
     d, s = (twomp - twom) // 2, (twomp + twom) // 2
     a, b = abs(d), abs(s)
     up, va = max(d, 0), max(-d, 0)
     z = -(NCPoly.generator("u", ring) * NCPoly.generator("v", ring))
     n = (twoj - max(abs(twomp), abs(twom))) // 2
-    term = _run(jacobi_poly(n, a, b, z), _u, range(up))
+    den, term = _jacobi_ints(n, a, b, z)
+    term = _run(term, _u, range(up))
     if s >= 0:
         term = _v_run(_run(term, _x, range(up, up + s)), va)
     else:
@@ -294,7 +337,7 @@ def _jacobi_form(twoj, twomp, twom):
         term = _run(_v_run(term, va), _y, range(-d, -d + s, -1))
     p, q = (twomp, twom) if d >= 0 else (twom, twomp)
     nrm = sqrt_nat(comb((twoj + p) // 2, a)) * sqrt_nat(comb((twoj - q) // 2, a))
-    return term.scaled(nrm)
+    return term.scaled(nrm.scaled(Q(1, den)))
 
 
 def _classical(twoj, twomp, twom, ring):
@@ -322,12 +365,15 @@ def _formula(twoj, twomp, twom, scheme, ring):
 @lru_cache(maxsize=None)
 def dfunc(twoj: int, twomp: int, twom: int, scheme=ORDERED1, ring=SL) -> NCPoly:
     """One matrix element D^j_{m'm} in normal form: in SL, an entry with
-    m' + m < 0 is sigma of the entry D^j_{-m,-m'} (see the module
-    docstring); every other entry is the scheme's closed form."""
+    m' + m < 0 is sigma of the entry D^j_{-m,-m'}; in GL, an ordered entry
+    is the lift of its SL entry (see the module docstring); every other
+    entry is the scheme's closed form."""
     ncalg.check_ring(ring)
     check_indices(twoj, twomp, twom)
     if ring == SL and twomp + twom < 0:
         return dfunc(twoj, -twom, -twomp, scheme, ring).swap_xy()
+    if ring == GL and scheme in _TRIE:
+        return ncalg.lift_to_gl(dfunc(twoj, twomp, twom, scheme, SL), twoj)
     return _formula(twoj, twomp, twom, scheme, ring)
 
 

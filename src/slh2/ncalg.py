@@ -53,6 +53,13 @@ NCPoly.swap_xy is the x <-> y automorphism sigma on SL terms: a
 relabeling of each key's x and y slots, which dfun uses to build half
 of each SL D-matrix.
 
+lift_to_gl(p, n) is the GL element of degree n over an SL polynomial p:
+each term c_w w of p times the power of the quantum determinant delta
+that brings it to degree n.  Every GL rule keeps word length and delta
+is central, so the lift is homogeneous and maps back to p under
+GL -> SL (delta -> 1), which is injective on each degree; dfun lifts
+its SL entries with it and gives the proof.
+
 lincomb, the sum of scaled polynomials that the constructions and the
 suites use, accumulates over ints: its coefficients are multiplied by
 the lcm den of their denominators, and the output is divided by den
@@ -63,8 +70,9 @@ cancels exactly when it did over the rationals.
 from functools import lru_cache
 from math import gcd
 
-from .kernel import ints, rad_add, rad_div, rad_neg, scale_into
-from .scalar import ONE, ZERO, H, RadScalar, terms_json
+from .kernel import add_into, ints, rad_add, rad_div, rad_neg, scale_into
+from ._rat import qstr
+from .scalar import ONE, ZERO, H, RadScalar
 
 V, X, Y, U = 0, 1, 2, 3
 GEN_NAMES = "vxyu"
@@ -390,20 +398,34 @@ class NCPoly:
     # -- encodings --
 
     def to_json(self):
-        """Written from the flat terms grouped by word once: the words in
-        word_sort_key order, each group by radicand and h power (unique
-        per word, so q is never compared); each coefficient as
-        RadScalar.to_json writes it."""
+        """Written in one pass over the flat terms: grouped by word with one
+        dict lookup a term, the words in word_sort_key order, a group
+        sorted by radicand and h power only when it holds more than one
+        term (the pair is unique per word, so q is never compared), each
+        coefficient as RadScalar.to_json writes it."""
         groups = {}
         for k, q in self._terms.items():
-            groups.setdefault(k[:4], []).append((k[4], k[5], q))
-        return {
-            "ring": self.ring,
-            "terms": [
-                {"word": word_str(w), "coef": terms_json(sorted(groups[w]))}
-                for w in sorted(groups, key=word_sort_key)
-            ],
-        }
+            w = k[:4]
+            group = groups.get(w)
+            if group is None:
+                groups[w] = [(k[4], k[5], q)]
+            else:
+                group.append((k[4], k[5], q))
+        terms = []
+        for w in sorted(groups, key=word_sort_key):
+            group = groups[w]
+            if len(group) > 1:
+                group.sort()
+            coef = []
+            last = None
+            for r, i, q in group:
+                if r != last:
+                    last = r
+                    poly = []
+                    coef.append({"rad": r, "poly": poly})
+                poly.append({"h": i, "g": 0, "q": qstr(q)})
+            terms.append({"word": word_str(w), "coef": {"terms": coef}})
+        return {"ring": self.ring, "terms": terms}
 
     @staticmethod
     def from_json(obj):
@@ -473,9 +495,40 @@ def gen(name, ring) -> NCPoly:
     return NCPoly.generator(name, ring)
 
 
+@lru_cache(maxsize=None)
 def quantum_determinant(ring) -> NCPoly:
-    """Normal form of the quantum determinant xy - uv - h xv."""
+    """Normal form of the quantum determinant xy - uv - h xv, built once
+    per ring (lift_to_gl reads it for every lift)."""
     return normal_form([("xy", ONE), ("uv", -ONE), ("xv", _MINUS_H)], ring)
+
+
+def lift_to_gl(p, degree) -> NCPoly:
+    """The GL element of the given degree that the quotient GL -> SL
+    (delta -> 1, for delta the quantum determinant) maps to the SL
+    polynomial p: the sum over the terms c_w w of p of c_w delta^e w with
+    e = (degree - |w|)/2, normal-ordered in GL.  An SL-normal word is
+    GL-normal and delta is central, so with p_e the terms of p that take
+    delta^e, the lift is p_0 + delta (p_1 + delta (p_2 + ...)), one
+    product by delta on the left per power.  Raises ValueError for a term
+    longer than degree or of the other parity, which would not lift."""
+    if p.ring != SL:
+        raise ValueError(f"lift_to_gl lifts SL polynomials, not {p.ring}")
+    if not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"the degree of a lift must be a non-negative integer, not {degree!r}")
+    parts = {}
+    for k, q in p._terms.items():
+        gap = degree - (k[0] + k[1] + k[2] + k[3])
+        if gap < 0 or gap % 2:
+            raise ValueError(f"the word {word_str(k[:4]) or '1'} cannot lift to degree {degree}")
+        parts.setdefault(gap // 2, {})[k] = q
+    delta = quantum_determinant(GL)._terms
+    out = {}
+    for e in range(max(parts, default=0), -1, -1):
+        if out:
+            out = _mul(delta, out, GL)
+        for k, q in parts.get(e, {}).items():
+            add_into(out, k, q)
+    return NCPoly(GL, out)
 
 
 def count_normal_words(degree: int, ring=GL) -> int:

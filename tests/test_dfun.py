@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from slh2 import dfun
+from slh2 import dfun, fock, ncalg
 from slh2.dfun import CLASSICAL, JACOBI, ORDERED1, ORDERED2, dfunc, dmatrix, jacobi_poly
 from slh2.exprio import parse
-from slh2.ncalg import GL, SL, NCPoly, gen
+from slh2.ncalg import GL, SL, NCPoly, gen, normal_form
 from slh2.rep import magnetics
-from slh2.scalar import H, rational
+from slh2.scalar import ONE, H, rational
 
 
 def test_jacobi_degree_zero():
@@ -242,7 +242,10 @@ def _cold():
 
 @pytest.fixture
 def cold_terms():
-    """An empty term trie and dfunc cache at the start of the test."""
+    """An empty term trie and dfunc cache at the start and at the end of
+    the test."""
+    _cold()
+    yield
     _cold()
 
 
@@ -302,14 +305,13 @@ def test_term_trie_keeps_the_last_spin_leaves(cold_terms):
 
 
 def test_term_trie_keeps_the_last_spin_leaves_gl(cold_terms):
-    # GL builds every entry by the closed form: all 84 degree-6 nodes stay,
-    # each with its full count of children
-    children = dfun._TRIE[ORDERED1][1]
-    want = {klmn: children(*klmn, GL) for klmn in _nodes(6)}
-    assert len(want) == 84
-    assert want == {klmn: children(*klmn) for klmn in _nodes(6)}
+    # GL lifts each entry from its SL entry, so the GL matrices leave the
+    # SL trie of the SL twin above and no GL node
+    want = _kept_leaves([6], SL)
+    assert len(want) == 41
     assert _kept_leaves([6], GL) == want
     assert _kept_leaves(range(7), GL) == want
+    assert {r for _, r, *_ in dfun._TERM_MEMO} == {SL}
 
 
 @pytest.mark.parametrize("scheme", [ORDERED1, ORDERED2])
@@ -392,3 +394,64 @@ def test_lower_half_comparison_fails_on_a_wrong_relabeling(cold_terms):
     seen, bad = _relabel_mismatches(ORDERED1, 4, _antitransposed, lambda p: p)
     assert seen == 20 and bad > 0
     _cold()
+
+
+# GL: dfunc takes each ordered entry as the lift of its SL entry through
+# powers of the quantum determinant (ncalg.lift_to_gl); here the closed
+# form evaluated in GL is compared with it.
+
+
+def _gl_lift_mismatches(scheme, max_twoj):
+    """(entries compared, mismatches) of dfunc in GL against the closed
+    form in GL, from a cold start."""
+    _cold()
+    seen = bad = 0
+    for twoj in range(max_twoj + 1):
+        for twomp in magnetics(twoj):
+            for twom in magnetics(twoj):
+                seen += 1
+                bad += dfunc(twoj, twomp, twom, scheme, GL) != dfun._formula(twoj, twomp, twom, scheme, GL)
+    return seen, bad
+
+
+@pytest.mark.parametrize("scheme, max_twoj, entries", [(ORDERED1, 8, 285), (ORDERED2, 6, 140)])
+def test_gl_entries_equal_the_closed_form(scheme, max_twoj, entries, cold_terms):
+    assert _gl_lift_mismatches(scheme, max_twoj) == (entries, 0)
+
+
+def _without_h_xv(ring):
+    return normal_form([("xy", ONE), ("uv", -ONE)], ring)
+
+
+def _dropping_a_power(lift):
+    """lift with one power of the determinant too few on each word shorter
+    than the degree."""
+    def dropped(p, degree):
+        top = NCPoly(SL, {k: q for k, q in p._terms.items() if sum(k[:4]) == degree})
+        return lift(top, degree) + lift(p - top, max(degree - 2, 0))
+
+    return dropped
+
+
+def _fock_oracle_passes():
+    try:
+        return fock.twisted_dop_check(4, 3).ok
+    except ValueError:  # the oracle evaluates grade-homogeneous polynomials only
+        return False
+
+
+@pytest.mark.parametrize("patch", [
+    ("quantum_determinant", lambda: _without_h_xv),
+    ("lift_to_gl", lambda: _dropping_a_power(ncalg.lift_to_gl)),
+], ids=["determinant-without-h-xv", "dropped-power"])
+def test_gl_lift_checks_fail_on_a_wrong_lift(patch, monkeypatch, cold_terms):
+    # both the closed form and the Fock oracle see each wrong lift
+    monkeypatch.setattr(ncalg, patch[0], patch[1]())
+    seen, bad = _gl_lift_mismatches(ORDERED1, 4)
+    assert seen == 55 and bad > 0
+    assert not _fock_oracle_passes()
+
+
+def test_lifted_gl_entries_pass_the_fock_oracle(cold_terms):
+    rep = fock.twisted_dop_check(4, 3)
+    assert rep.ok and len(rep.cases) == 55

@@ -544,3 +544,53 @@ def test_swap_xy_is_sigma_on_sl_terms():
         assert p.swap_xy().swap_xy() == p
     with pytest.raises(ValueError):
         gen("x", GL).swap_xy()
+
+
+# lift_to_gl: the GL element of one degree over an SL polynomial.
+
+
+def _rand_sl_poly(rng, degree):
+    """A seeded SL polynomial whose words have the length degree or a
+    shorter one of its parity (the SL rule xy -> 1 + vu - h vy drops two
+    letters), with radical and h-power values."""
+    pairs = []
+    for _ in range(rng.randint(1, 6)):
+        word = [rng.randrange(4) for _ in range(degree - 2 * rng.randint(0, degree // 2))]
+        coef = rational(rng.randint(-3, 3), rng.randint(1, 3)) * sqrt_nat(rng.choice((1, 2, 6)))
+        pairs.append((word, coef * H ** rng.randrange(3)))
+    return normal_form(pairs, SL)
+
+
+def test_lift_to_gl_is_a_homogeneous_preimage():
+    rng = random.Random(31)
+    shorter = 0
+    for _ in range(60):
+        degree = rng.randrange(8)
+        p = _rand_sl_poly(rng, degree)
+        shorter += any(sum(k[:4]) < degree for k in p._terms)
+        lift = ncalg.lift_to_gl(p, degree)
+        assert lift.ring == GL and lift.with_ring(SL) == p
+        assert all(sum(k[:4]) == degree for k in lift._terms)
+        _assert_canonical(lift)
+    assert shorter > 20
+    d, x = quantum_determinant(GL), gen("x", GL)
+    assert ncalg.lift_to_gl(NCPoly.one(SL), 0) == NCPoly.one(GL)
+    assert ncalg.lift_to_gl(NCPoly.one(SL), 6) == d * d * d
+    assert ncalg.lift_to_gl(gen("x", SL), 3) == d * x == x * d
+    assert ncalg.lift_to_gl(NCPoly.zero(SL), 4) == NCPoly.zero(GL)
+
+
+@pytest.mark.parametrize("p, degree", [
+    ("x*u", 1),  # a word longer than the degree
+    ("x*u + v", 2),  # a word of the other parity
+    ("1", -2),
+    ("1", 2.5),
+])
+def test_lift_to_gl_rejects_what_does_not_lift(p, degree):
+    with pytest.raises(ValueError):
+        ncalg.lift_to_gl(parse(p, SL), degree)
+
+
+def test_lift_to_gl_takes_sl_polynomials_only():
+    with pytest.raises(ValueError):
+        ncalg.lift_to_gl(quantum_determinant(GL), 2)
