@@ -109,17 +109,24 @@ def _cmd_dmatrix(args):
 
 
 def _cmd_cgc(args):
-    om = rep.omega(args.twoj1, args.twoj2, args.twoj3)
-    mh = rep.mho(args.twoj1, args.twoj2, args.twoj3)
+    spins = (args.twoj1, args.twoj2, args.twoj3)
     obj = {
         "twoj1": args.twoj1,
         "twoj2": args.twoj2,
         "twoj": args.twoj3,
-        "omega": om.to_json(),
-        "mho": mh.to_json(),
+        "omega": _cgc_json(rep.omega(*spins)),
+        "mho": _cgc_json(rep.mho(*spins)),
     }
     _emit(json.dumps(obj), args)
     return 0
+
+
+def _cgc_json(table):
+    """A coupling table {(twom1, twom2, twom): c}, keys descending."""
+    return [
+        {"twom1": m1, "twom2": m2, "twom": m, "value": c.to_json()}
+        for (m1, m2, m), c in sorted(table.items(), reverse=True)
+    ]
 
 
 def _matrix_json(name, mat, twoj1, twoj2):

@@ -255,7 +255,7 @@ def _ordered2_parent(K, L, M, N, ring):
     return (0, 0, M - 1, 0), _u(ring, M - 1)
 
 
-def _ordered1_children(K, L, M, N, ring=GL, ahead=1):
+def _ordered1_children(K, L, M, N, ring, ahead):
     """The children of the node that lead to an entry built at the degree
     `ahead` above the node (1: the next spin).  The closed form in GL
     builds every entry, so each child counts; SL builds those with
@@ -264,7 +264,7 @@ def _ordered1_children(K, L, M, N, ring=GL, ahead=1):
     return (ring == GL or K - N >= ahead) + (N == 0) + (M == N == 0) + (L == M == N == 0)
 
 
-def _ordered2_children(K, L, M, N, ring=GL, ahead=1):
+def _ordered2_children(K, L, M, N, ring, ahead):
     """As _ordered1_children.  The child (K, 0, M, N + 1), there when
     L == 0, leads to the nodes (K, i, M, N + 1) of every degree, so in SL
     it counts when K > N."""

@@ -482,15 +482,6 @@ def two_parameter_generators(n: int, t):
     }
 
 
-def commutator2(builder, name_a, name_b, n: int) -> FockOp:
-    """[A, B] as a grade n -> n+2 map for unit-shift generator builders."""
-    a_hi = builder(n + 1)[name_a]
-    b_lo = builder(n)[name_b]
-    b_hi = builder(n + 1)[name_b]
-    a_lo = builder(n)[name_a]
-    return a_hi * b_lo - b_hi * a_lo
-
-
 # ---------------------------------------------------------------------
 # Suite
 # ---------------------------------------------------------------------
@@ -588,18 +579,17 @@ def homomorphism_check(nmax: int = 4, words: int = 200, maxlen: int = 4, seed: i
 
 
 def twisted_dop_check(max_twoj: int = 2, nmax: int = 3) -> Report:
-    """The ordered closed form evaluates to D0 e^{-m' sigma_L + m sigma_R}."""
+    """The ordered closed form evaluates to D0 e^{-m' sigma_L + m sigma_R};
+    an entry with a word of length other than 2j fails."""
     _check_nmax(nmax)
     rep = Report("fock-dfunction")
     for twoj in range(max_twoj + 1):
         for twomp in magnetics(twoj):
             for twom in magnetics(twoj):
                 p = dfunc(twoj, twomp, twom, ORDERED1, GL)
-                ok = True
-                for n in range(nmax + 1):
-                    if evaluate(p, n) != twisted_dop(twoj, twomp, twom, n):
-                        ok = False
-                        break
+                ok = all(sum(w) == twoj for w in p.terms()) and all(
+                    evaluate(p, n) == twisted_dop(twoj, twomp, twom, n) for n in range(nmax + 1)
+                )
                 rep.add({"twoj": twoj, "twomp": twomp, "twom": twom}, ok)
     return rep
 

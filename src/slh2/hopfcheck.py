@@ -62,7 +62,7 @@ from .ncalg import GL, LETTER_WORDS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, r_matrix, triangle_ok
 from .rep import pair_basis, pair_items, rows
 from .report import Report
-from .scalar import H, ONE, ZERO, RadScalar, accumulate, sqrt_nat
+from .scalar import H, ONE, ZERO, RadScalar, sqrt_nat
 
 # the generator matrix T = D^{1/2} = [[x, u], [v, y]] at doubled indices
 _GEN_AT = {(1, 1): X, (1, -1): U, (-1, 1): V, (-1, -1): Y}
@@ -642,7 +642,8 @@ def _free_rtt_elements():
     """LHS - RHS of the (1/2,1/2) RTT identities in the free algebra.
 
     Vectors over the 16 length-two free words with polynomial coefficients
-    in h; no rewriting is applied.
+    in h, as flat terms {(g1, g2, radicand, h_power): q}; no rewriting is
+    applied.
     """
     r_items = list(pair_items(r_matrix(1, 1), 1, 1))
     r_rows, r_cols = rows(r_items, lambda k: k), rows(r_items, lambda k: k[::-1])
@@ -653,9 +654,9 @@ def _free_rtt_elements():
         for k1, k2 in mag_pairs:
             vec = {}
             for (s1, s2), c in r_rows.get((m1, m2), ()):
-                accumulate(vec, (_GEN_AT[(s1, k1)], _GEN_AT[(s2, k2)]), c)
+                scale_into(vec, {(_GEN_AT[(s1, k1)], _GEN_AT[(s2, k2)], 1, 0): 1}, c.raw())
             for (s1, s2), c in r_cols.get((k1, k2), ()):
-                accumulate(vec, (_GEN_AT[(m2, s2)], _GEN_AT[(m1, s1)]), -c)
+                scale_into(vec, {(_GEN_AT[(m2, s2)], _GEN_AT[(m1, s1)], 1, 0): -1}, c.raw())
             if vec:
                 vecs.append(vec)
     return vecs
@@ -665,41 +666,36 @@ def _free_defining_relations():
     """The six rewrite rules as free-algebra elements (pair - replacement)."""
     vecs = []
     for pair, repl in ncalg.GL_RULES.items():
-        vec = {pair: ONE}
+        vec = {pair + (1, 0): 1}
         for word, coef in repl:
-            accumulate(vec, word, -coef)
+            scale_into(vec, {word + (1, 0): -1}, coef.raw())
         vecs.append(vec)
     return vecs
 
 
+def _coef(vec, word):
+    """The coefficient {(radicand, h_power): q} of a free word in vec."""
+    return {k[-2:]: q for k, q in vec.items() if k[:-2] == word}
+
+
 def _reduce(vec, basis):
     """Eliminate every basis pivot from vec by fraction-free row steps."""
-    for pivot, bvec in basis:
-        c = vec.get(pivot)
-        if c is None:
-            continue
-        p = bvec[pivot]
-        out = {}
-        for w, cv in vec.items():
-            accumulate(out, w, p * cv)
-        for w, cv in bvec.items():
-            accumulate(out, w, -(c * cv))
-        vec = out
+    for pivot, p, bvec in basis:
+        c = _coef(vec, pivot)
+        if c:
+            vec = scale_into(scale_into({}, vec, p), bvec, rad_neg(c))
     return vec
 
 
 def _echelon(vecs):
     """Fraction-free row reduction over the polynomial coefficient ring."""
-    basis = []  # list of (pivot_word, vec)
+    basis = []  # list of (pivot word, its coefficient, vec)
     for vec in vecs:
         vec = _reduce(vec, basis)
         if vec:
-            basis.append((sorted(vec)[0], vec))
+            pivot = min(vec)[:-2]
+            basis.append((pivot, _coef(vec, pivot), vec))
     return basis
-
-
-def _in_span(vec, basis):
-    return not _reduce(vec, basis)
 
 
 def rtt_frt_check() -> Report:
@@ -714,9 +710,9 @@ def rtt_frt_check() -> Report:
     rtt_basis = _echelon(rtt_vecs)
     rel_basis = _echelon(rel_vecs)
     for i, vec in enumerate(rel_vecs):
-        rep.add({"direction": "relation in rtt span", "index": i}, _in_span(vec, rtt_basis))
+        rep.add({"direction": "relation in rtt span", "index": i}, not _reduce(vec, rtt_basis))
     for i, vec in enumerate(rtt_vecs):
-        rep.add({"direction": "rtt in relation span", "index": i}, _in_span(vec, rel_basis))
+        rep.add({"direction": "rtt in relation span", "index": i}, not _reduce(vec, rel_basis))
     rep.add(
         {"direction": "rank", "rtt": len(rtt_basis), "relations": len(rel_basis)},
         len(rtt_basis) == len(rel_basis) == 6,

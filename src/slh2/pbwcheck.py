@@ -95,15 +95,19 @@ def naive_normal_form(letters, ring):
     return ncalg.grouped(_naive(tuple(letters), int_rules(ring), _NAIVE_MEMO[ring]))
 
 
-def termination_check(maxlen=4, samples=300, maxsample_len=6, seed=11) -> Report:
+SAMPLES, SAMPLE_MAXLEN, SAMPLE_SEED = 300, 6, 11  # termination_check's random words
+FLAT_MAXDEG = 6
+
+
+def termination_check(maxlen=4) -> Report:
     """Every rewrite step strictly decreases the (weight, lex) measure."""
     rep = Report("pbw-termination")
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     words = [
         w for n in range(2, maxlen + 1) for w in product(range(4), repeat=n)
     ]
-    for _ in range(samples):
-        n = rng.randint(2, maxsample_len)
+    for _ in range(SAMPLES):
+        n = rng.randint(2, SAMPLE_MAXLEN)
         words.append(tuple(rng.randrange(4) for _ in range(n)))
     for ring in RINGS:
         rules = int_rules(ring)
@@ -154,12 +158,12 @@ def confluence_check(maxlen=4) -> Report:
     return rep
 
 
-def flatness_check(maxdeg=6) -> Report:
+def flatness_check() -> Report:
     """Normal-word counts match the commutative monomial dimensions."""
     from math import comb
 
     rep = Report("pbw-flatness")
-    for n in range(maxdeg + 1):
+    for n in range(FLAT_MAXDEG + 1):
         rep.record(
             {"degree": n},
             ncalg.count_normal_words(n, GL),

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from ._rat import Q
-from .scalar import ONE, ZERO, H, RadScalar, accumulate, rational, sqrt_nat
+from .scalar import ONE, ZERO, H, RadScalar, rational, sqrt_nat
 
 _TWO_H = H + H
 
@@ -117,9 +117,6 @@ class RepMatrix:
 
     def specialize(self, h_value):
         return RepMatrix([[a.specialize(h_value) for a in row] for row in self.rows])
-
-    def commutator(self, other):
-        return self * other - other * self
 
     def to_json(self):
         return [[a.to_json() for a in row] for row in self.rows]
@@ -281,35 +278,9 @@ def r_matrix(twoj1: int, twoj2: int) -> RepMatrix:
 
 
 # ---------------------------------------------------------------------
-# Clebsch-Gordan coefficients
+# Clebsch-Gordan coefficients: each table is a plain dict
+# {(twom1, twom2, twom): RadScalar} for fixed (j1, j2, j), zeros left out
 # ---------------------------------------------------------------------
-
-
-class CgcTable:
-    """Coupling table (m1, m2, m) -> coefficient for fixed (j1, j2, j)."""
-
-    def __init__(self, twoj1, twoj2, twoj, table):
-        self.twoj1 = twoj1
-        self.twoj2 = twoj2
-        self.twoj = twoj
-        self._table = table
-
-    def get(self, twom1, twom2, twom) -> RadScalar:
-        return self._table.get((twom1, twom2, twom), ZERO)
-
-    def items(self):
-        return self._table.items()
-
-    def to_json(self):
-        return [
-            {
-                "twom1": k[0],
-                "twom2": k[1],
-                "twom": k[2],
-                "value": v.to_json(),
-            }
-            for k, v in sorted(self._table.items(), reverse=True)
-        ]
 
 
 def triangle_ok(twoj1, twoj2, twoj):
@@ -327,7 +298,7 @@ def _check_triangle(twoj1, twoj2, twoj):
 
 
 @lru_cache(maxsize=None)
-def cgc_classical(twoj1: int, twoj2: int, twoj: int) -> CgcTable:
+def cgc_classical(twoj1: int, twoj2: int, twoj: int) -> dict:
     """Classical sl(2) CGC by the closed finite sum, Condon-Shortley phases."""
     _check_triangle(twoj1, twoj2, twoj)
     f = factorial
@@ -365,17 +336,17 @@ def cgc_classical(twoj1: int, twoj2: int, twoj: int) -> CgcTable:
                 s += Q(-1 if k % 2 else 1, den)
             if s:
                 table[(twom1, twom2, twom)] = root.scaled(s)
-    return CgcTable(twoj1, twoj2, twoj, table)
+    return table
 
 
 @lru_cache(maxsize=None)
-def omega(twoj1: int, twoj2: int, twoj: int) -> CgcTable:
+def omega(twoj1: int, twoj2: int, twoj: int) -> dict:
     """Coupling CGC of the twisted algebra: classical CGC contracted with F."""
     return _twisted_cgc(twoj1, twoj2, twoj, f_matrix, False)
 
 
 @lru_cache(maxsize=None)
-def mho(twoj1: int, twoj2: int, twoj: int) -> CgcTable:
+def mho(twoj1: int, twoj2: int, twoj: int) -> dict:
     """Decoupling CGC of the twisted algebra, via the inverse twist."""
     return _twisted_cgc(twoj1, twoj2, twoj, f_inv_matrix, True)
 
@@ -385,12 +356,13 @@ def _twisted_cgc(twoj1, twoj2, twoj, twist, transpose):
 
     T is twist(twoj1, twoj2), transposed when transpose is set: one pass
     over the classical items C(s1, s2, m), each spread down column
-    (s1, s2) of T.
+    (s1, s2) of T, and the sums that cancel are dropped at the end.
     """
     split = (lambda k: k) if transpose else (lambda k: k[::-1])
     cols = rows(pair_items(twist(twoj1, twoj2), twoj1, twoj2), split)
     table = {}
     for (twos1, twos2, twom), c in cgc_classical(twoj1, twoj2, twoj).items():
         for (twom1, twom2), a in cols.get((twos1, twos2), ()):
-            accumulate(table, (twom1, twom2, twom), c * a)
-    return CgcTable(twoj1, twoj2, twoj, table)
+            key = (twom1, twom2, twom)
+            table[key] = table.get(key, ZERO) + c * a
+    return {k: v for k, v in table.items() if v}

@@ -206,13 +206,3 @@ H = RadScalar({(1, 1): 1})
 def rational(p, q=1) -> RadScalar:
     return RadScalar.from_rational(Q(p, q))
 
-
-def accumulate(out, key, c):
-    """out[key] += c for a RadScalar c, dropping a zero sum; a flat term
-    dict adds through kernel.add_into."""
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)

@@ -231,7 +231,7 @@ def test_criterion_11_representation_layer():
                             acc = ZERO
                             for m1 in magnetics(a):
                                 for m2 in magnetics(b):
-                                    acc = acc + mht.get(m1, m2, m) * omt.get(m1, m2, mp)
+                                    acc = acc + mht.get((m1, m2, m), ZERO) * omt.get((m1, m2, mp), ZERO)
                             want = ONE if (j1 == j2 and m == mp) else ZERO
                             if acc != want:
                                 ok = False

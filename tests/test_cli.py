@@ -189,6 +189,14 @@ PINNED = [
      0, "8a21305aba900a2576a4750b54625953b73c591f4ef710b403b17d95b0b375d1"),
     (["verify", "--suite", "recurrence", "--ring", "gl", "--max-twoj", "3"],
      0, "953d05b35858ae371676a2fb271db68c9a982486f008623115d757a887d8fe6d"),
+    (["cgc", "--twoj1", "3", "--twoj2", "2", "--twoj3", "3"],
+     0, "2e0332f14add1310f2eab85b955e5ad9bef0806b308936d5c125c6417f9268dd"),
+    (["cgc", "--twoj1", "2", "--twoj2", "2", "--twoj3", "0"],
+     0, "66e8a04719b23858ff64c2d3a6e54fc072ae99d387597427dc9b14ec50a658b7"),
+    (["fmatrix", "--twoj1", "2", "--twoj2", "3"],
+     0, "4d974fa579c0d12a5e9396bf20a61e66e279d646570904ef8ec501c46bb6773b"),
+    (["rmatrix", "--twoj1", "2", "--twoj2", "1"],
+     0, "cad755b247f01f2cb483c25668e76d2c1bf1b7fdf8a7f36c9fa2fc9150bc425c"),
 ]
 
 

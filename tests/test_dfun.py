@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from slh2 import dfun, fock, ncalg
+from slh2 import cli, dfun, fock, ncalg
 from slh2.dfun import CLASSICAL, JACOBI, ORDERED1, ORDERED2, dfunc, dmatrix, jacobi_poly
 from slh2.exprio import parse
 from slh2.ncalg import GL, SL, NCPoly, gen, normal_form
@@ -296,7 +296,7 @@ def test_term_trie_keeps_the_last_spin_leaves(cold_terms):
     for klmn in _nodes(6):
         if klmn[0] >= klmn[3]:
             pending = sum(parent_of(*child, SL)[0] == klmn for child in upper7)
-            assert pending == children(*klmn, SL) == children(*klmn) - (klmn[0] == klmn[3])
+            assert pending == children(*klmn, SL, 1) == children(*klmn, GL, 1) - (klmn[0] == klmn[3])
             if pending:
                 want[klmn] = pending
     assert len(want) == 41
@@ -324,7 +324,7 @@ def test_term_trie_parent_counts(scheme):
         for klmn in _nodes(degree + 1):
             parent, _ = parent_of(*klmn, SL)
             counts[parent] += 1
-        assert counts == {klmn: children(*klmn) for klmn in counts}
+        assert counts == {klmn: children(*klmn, GL, 1) for klmn in counts}
 
 
 @pytest.mark.parametrize("scheme", [ORDERED1, ORDERED2])
@@ -433,13 +433,6 @@ def _dropping_a_power(lift):
     return dropped
 
 
-def _fock_oracle_passes():
-    try:
-        return fock.twisted_dop_check(4, 3).ok
-    except ValueError:  # the oracle evaluates grade-homogeneous polynomials only
-        return False
-
-
 @pytest.mark.parametrize("patch", [
     ("quantum_determinant", lambda: _without_h_xv),
     ("lift_to_gl", lambda: _dropping_a_power(ncalg.lift_to_gl)),
@@ -449,7 +442,23 @@ def test_gl_lift_checks_fail_on_a_wrong_lift(patch, monkeypatch, cold_terms):
     monkeypatch.setattr(ncalg, patch[0], patch[1]())
     seen, bad = _gl_lift_mismatches(ORDERED1, 4)
     assert seen == 55 and bad > 0
-    assert not _fock_oracle_passes()
+    assert not fock.twisted_dop_check(4, 3).ok
+
+
+def test_fock_oracle_records_an_inhomogeneous_entry_as_failing(monkeypatch, cold_terms, capsys):
+    # with a power dropped, the entries that keep words shorter than 2j
+    # are failing cases, and `slh2 verify --suite fock` exits 1, not 2
+    monkeypatch.setattr(ncalg, "lift_to_gl", _dropping_a_power(ncalg.lift_to_gl))
+    mixed = [
+        {"twoj": twoj, "twomp": twomp, "twom": twom}
+        for twoj in range(3)
+        for twomp in magnetics(twoj)
+        for twom in magnetics(twoj)
+        if {sum(w) for w in dfunc(twoj, twomp, twom, ORDERED1, GL).terms()} != {twoj}
+    ]
+    rep = fock.twisted_dop_check(2, 3)
+    assert mixed and [c["params"] for c in rep.cases if not c["pass"]] == mixed
+    assert cli.run(["verify", "--suite", "fock", "--nmax", "2"]) == 1
 
 
 def test_lifted_gl_entries_pass_the_fock_oracle(cold_terms):

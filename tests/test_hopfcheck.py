@@ -12,6 +12,8 @@ from slh2.ncalg import (
     SL,
     GL_RULES,
     SL_RULES,
+    V,
+    X,
     NCPoly,
     gen,
     normal_form,
@@ -19,6 +21,7 @@ from slh2.ncalg import (
     word_letters,
 )
 from slh2.kernel import sqrt_split
+from slh2.rep import RepMatrix
 from slh2._rat import Q
 from slh2.scalar import H, ONE, ZERO, sqrt_nat
 
@@ -256,7 +259,6 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
     # negative control: with one omega(1, 1, 2) entry doubled the product
     # law must fail; the digest pins the text of the failing sums
     from slh2 import rep
-    from slh2.rep import CgcTable
 
     # rel3 reads the table too: its cached records are cleared before the
     # patch, and after it, so that the bad rel3 reaches no later test
@@ -264,9 +266,8 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
     hc._dprod.cache_clear()
     hc._rel3.cache_clear()
     hc._DLETTER_MEMO.clear()
-    table = dict(rep.omega(1, 1, 2).items())
-    table[(1, -1, 0)] = table[(1, -1, 0)] * 2
-    bad = CgcTable(1, 1, 2, table)
+    bad = dict(rep.omega(1, 1, 2))
+    bad[(1, -1, 0)] = bad[(1, -1, 0)] * 2
     monkeypatch.setattr(hc, "omega", lambda *spins: bad if spins == (1, 1, 2) else rep.omega(*spins))
     try:
         report = hc.wigner_check(1, 1, 2, SL)
@@ -379,12 +380,12 @@ def test_wigner_classical_limit():
             rhs = NCPoly.zero(SL)
             for k1 in magnetics(twoj1):
                 for k2 in magnetics(twoj2):
-                    ck = cgc.get(k1, k2, twomp)
+                    ck = cgc.get((k1, k2, twomp), ZERO)
                     if ck.is_zero():
                         continue
                     for m1 in magnetics(twoj1):
                         for m2 in magnetics(twoj2):
-                            cm = cgc.get(m1, m2, twom)
+                            cm = cgc.get((m1, m2, twom), ZERO)
                             if cm.is_zero():
                                 continue
                             d1 = dfunc(twoj1, k1, m1, ORDERED1, SL)
@@ -639,8 +640,8 @@ def test_recurrence_pairs_are_spin_half_cgcs():
             assert target == twojp
             cgc = cgc_classical(twojp, 1, twoj)
             for twom in magnetics(twoj):
-                assert a(twom) == scale * cgc.get(twom - 1, 1, twom), (twoj, raising, twom)
-                assert b(twom) == scale * cgc.get(twom + 1, -1, twom), (twoj, raising, twom)
+                assert a(twom) == scale * cgc.get((twom - 1, 1, twom), ZERO), (twoj, raising, twom)
+                assert b(twom) == scale * cgc.get((twom + 1, -1, twom), ZERO), (twoj, raising, twom)
 
 
 def test_recurrence_detects_a_wrong_raising_sign(monkeypatch):
@@ -770,6 +771,25 @@ def test_rtt_spans_defining_relations():
     assert rep.ok, rep.first_failure()
     rank_case = [c for c in rep.cases if c["params"].get("direction") == "rank"]
     assert rank_case and rank_case[0]["pass"]
+
+
+def test_rtt_span_detects_a_wrong_relation(monkeypatch):
+    # negative control: xv -> vx + h v^2, the h v^2 sign flipped, is not in
+    # the span of the RTT system, nor does it span it
+    rules = dict(GL_RULES)
+    rules[(X, V)] = (((V, X), ONE), ((V, V), H))
+    monkeypatch.setattr(hc.ncalg, "GL_RULES", rules)
+    rep = hc.rtt_frt_check()
+    assert (rep.passed, rep.failed) == (15, 7)
+
+
+def test_rtt_span_detects_a_wrong_r_matrix(monkeypatch):
+    # negative control: R[(1/2, 1/2), (1/2, -1/2)] = h doubled
+    rows = [list(row) for row in hc.r_matrix(1, 1).rows]
+    rows[0][1] = rows[0][1] * 2
+    monkeypatch.setattr(hc, "r_matrix", lambda twoj1, twoj2: RepMatrix(rows))
+    rep = hc.rtt_frt_check()
+    assert (rep.passed, rep.failed) == (13, 9)
 
 
 def test_report_json_shape():

@@ -84,7 +84,7 @@ def test_sl_normal_words_never_mix_x_and_y():
 
 
 def test_termination_measure():
-    rep = pbwcheck.termination_check(maxlen=4, samples=300, maxsample_len=6)
+    rep = pbwcheck.termination_check(maxlen=4)
     assert rep.ok, rep.first_failure()
 
 
