@@ -34,20 +34,18 @@ and RTT reads R T1 T2 = T2 T1 R.  Each is checked entrywise as a
 contraction: rep.rows reads a coupling table or R once per suite call
 into rows (or columns), and each entry is one ncalg.lincomb over a row.
 
-The recurrences couple D^{j -+ 1/2} with T = D^{1/2} = [[x, u], [v, y]],
-the product law at j1 = 1/2.  They are four shapes, i/v, ii/vi, iii/vii
-and iv/viii, each written once in a pair (a(t), b(t)) of spin-1/2
-couplings: (sqrt(j+t), sqrt(j-t)) with D^{j-1/2} for i-iv, and
-(sqrt(j-t+1), -sqrt(j+t+1)) with D^{j+1/2} for v-viii, where vi and
-viii are negated whole so that every left side leads with a positive root.
+The recurrences couple D^{j -+ 1/2} with T = D^{1/2} = [[x, u], [v, y]]:
+each is rel1 (i, ii, v, vi) or rel2 (iii, iv, vii, viii) at the spins
+(j -+ 1/2, 1/2), read at the rows of one pair (k - t, t) of omega or
+mho.  The paper writes them s times these sides, s = sqrt(2j) for i-iv,
+-sqrt(2j+2) for v and vii and +sqrt(2j+2) for vi and viii.
 
 Besides the D D products of _dprod, two lru caches keep sums from
 being rebuilt.  _rel3 holds the case records (no polynomials) of rel3
 per spin pair: rel3 does not depend on the j of a wigner_check call.
-_dletter holds a D-entry times one generator: a recurrence term's right
-factor is None or a linear form ((generator index, RadScalar c), ...),
-so relations that read the same entry and letter (i/v, ii/vi, iii/vii,
-iv/viii) share the product.  Its memo _DLETTER_MEMO is kept per spin:
+_dletter holds a D-entry times one generator, the terms of a
+recurrence's right side, so relations that read the same entry and
+letter share the product.  Its memo _DLETTER_MEMO is kept per spin:
 recurrence_check at 2j drops the products of spins below 2j - 1, which
 a loop up in 2j (as `slh2 verify` runs) never reads again.
 """
@@ -62,7 +60,7 @@ from .ncalg import GL, LETTER_WORDS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, r_matrix, triangle_ok
 from .rep import pair_basis, pair_items, rows
 from .report import Report
-from .scalar import H, ONE, ZERO, RadScalar, sqrt_nat
+from .scalar import ONE, ZERO, RadScalar
 
 # the generator matrix T = D^{1/2} = [[x, u], [v, y]] at doubled indices
 _GEN_AT = {(1, 1): X, (1, -1): U, (-1, 1): V, (-1, -1): Y}
@@ -403,19 +401,6 @@ def _rel3(twoj1, twoj2, ring):
 # ---------------------------------------------------------------------
 
 
-def _sq(twoint):
-    """sqrt of an integer given doubled; negative means the term is absent.
-
-    A negative radicand only ever occurs one step outside the magnetic
-    band, where the accompanying matrix element vanishes as well.
-    """
-    if twoint % 2:
-        raise ValueError("half-integer radicand in a recurrence coefficient")
-    if twoint < 0:
-        return ZERO
-    return sqrt_nat(twoint // 2)
-
-
 # twoj -> {(twomp, twom, g, ring): D^j_{m'm} times g}
 _DLETTER_MEMO = {}
 
@@ -430,105 +415,45 @@ def _dletter(twoj, twomp, twom, g, ring):
     return hit
 
 
-def _combine(side_terms, ring):
-    """The sum of coef * D-entry * right over one side's terms; a term
-    with a zero coefficient or an out-of-band D-entry is skipped."""
-    pairs = []
-    for coef, dspec, right in side_terms:
-        if coef.is_zero() or not _in_band(*dspec):
-            continue
-        if right is None:
-            pairs.append((coef, dfunc(*dspec, ORDERED1, ring)))
-        else:
-            pairs.extend((coef * c, _dletter(*dspec, g, ring)) for g, c in right)
-    return ncalg.lincomb(pairs, ring)
-
-
-def _neg_sq(twoint):
-    return -_sq(twoint)
-
-
-def _pair(twoj, raising, sign=1):
-    """(2j', a, b): the spin j' = j -+ 1/2 a recurrence reads, and its pair.
-
-    a(2t) and b(2t) are the couplings (t - 1/2, +1/2 | t) and (t + 1/2,
-    -1/2 | t) of j' and 1/2 into j, times sqrt(2j) when lowering and
-    -sqrt(2j+2) when raising; sign = -1 negates both.
-    """
-    J = twoj
-    pos, neg = (_sq, _neg_sq) if sign > 0 else (_neg_sq, _sq)
-    if raising:
-        return J + 1, (lambda t: pos(J - t + 2)), (lambda t: neg(J + t + 2))
-    return J - 1, (lambda t: pos(J + t)), (lambda t: pos(J - t))
-
-
-# relation -> (shape, raising, sign); vi and viii are negated, so that
-# every left side leads with a positive root
-_SHAPES = {
-    "i": (0, False, 1), "ii": (1, False, 1), "iii": (2, False, 1), "iv": (3, False, 1),
-    "v": (0, True, 1), "vi": (1, True, -1), "vii": (2, True, 1), "viii": (3, True, -1),
+# relation -> (raising, law, t): the spin j' = j -+ 1/2 it reads, its law
+# of wigner_check and the table pair (k - t, t) whose rows it reads
+_RELATIONS = {
+    "i": (False, "rel1", 1), "ii": (False, "rel1", -1),
+    "iii": (False, "rel2", 1), "iv": (False, "rel2", -1),
+    "v": (True, "rel1", 1), "vi": (True, "rel1", -1),
+    "vii": (True, "rel2", 1), "viii": (True, "rel2", -1),
 }
-RECURRENCES = tuple(_SHAPES)
+RECURRENCES = tuple(_RELATIONS)
 # the recurrences that hold in each ring (v-viii use D = 1)
 RING_RECURRENCES = {SL: RECURRENCES, GL: RECURRENCES[:4]}
-
-
-def _shape(which):
-    """(shape, raising, sign) of a relation; an unknown name is a ValueError."""
-    try:
-        return _SHAPES[which]
-    except KeyError:
-        raise ValueError(f"unknown recurrence {which!r}") from None
-
-
-def recurrence_terms(which, twoj, twok, twom, ring):
-    """(lhs, rhs) term lists of one recurrence instance.
-
-    Each term is (coefficient, (twoj, twom_row, twom_col), right_factor),
-    the right factor None or a linear form in the generators as
-    (generator index, RadScalar) pairs: u - h(m+1) x is ((U, ONE), (X,
-    -h(m+1))).  twok plays the role of k in relations i/ii/v/vi and of n
-    in the column relations iii/iv/vii/viii, where twom is the row
-    index.  The terms do not depend on ring.
-
-    The eight relations are four shapes (i/v, ii/vi, iii/vii, iv/viii),
-    each written once in a pair (a, b) and the spin j' it reads (_pair):
-    i-iv lower to j' = j - 1/2 with (sqrt(j+t), sqrt(j-t)), v-viii raise
-    to j' = j + 1/2 with (sqrt(j-t+1), -sqrt(j+t+1)).
-    """
-    shape, raising, sign = _shape(which)
-    J, k, m = twoj, twok, twom
-    Jp, a, b = _pair(J, raising, sign)
-    am, bm = a(m), b(m)
-    x, v, y = ((X, ONE),), ((V, ONE),), ((Y, ONE),)
-    hm = H.scaled
-    if shape == 0:
-        lhs = [(a(k), (J, k, m), None), (b(k - 2).scaled(1 - k) * H, (J, k - 2, m), None)]
-        rhs = [(am, (Jp, k - 1, m - 1), x), (bm, (Jp, k - 1, m + 1), ((U, ONE), (X, -hm(m + 1))))]
-    elif shape == 1:
-        lhs = [(b(k), (J, k, m), None)]
-        rhs = [(am, (Jp, k + 1, m - 1), v), (bm, (Jp, k + 1, m + 1), ((Y, ONE), (V, -hm(m + 1))))]
-    elif shape == 2:
-        lhs = [(a(k), (J, m, k), None)]
-        rhs = [(am, (Jp, m - 1, k - 1), ((X, ONE), (V, hm(m - 1)))), (bm, (Jp, m + 1, k - 1), v)]
-    else:
-        # shifting n -> n+1 in the underlying product-law instance shifts
-        # the radicand too: the coefficient is a(n+1), not a(n)
-        lhs = [(b(k), (J, m, k), None), (a(k + 2).scaled(k + 1) * H, (J, m, k + 2), None)]
-        rhs = [(am, (Jp, m - 1, k + 1), ((U, ONE), (Y, hm(m - 1)))), (bm, (Jp, m + 1, k + 1), y)]
-    return lhs, rhs
 
 
 def recurrence_check(which, twoj, ring=SL) -> Report:
     """Verify one of the eight recurrence relations at spin twoj/2.
 
-    The running index covers one step beyond the magnetic band on both
-    sides, so the boundary instances (where a vanishing square root or a
-    vanishing out-of-band matrix element kills one side) are exercised
-    too.  The relations v-viii relating D^j to D^{j+1/2} use D = 1 and are
-    SL statements, refused in GL; i-iv hold in GL as well.
+    Each relation is the rel1 or rel2 law of wigner_check at the spins
+    (j', 1/2), j' = j - 1/2 for i-iv and j + 1/2 for v-viii, read at the
+    rows of the pair (k - t, t):
+
+        i, ii, v, vi      rel1 of omega(j', 1/2, j), t = 1/2, -1/2:
+            sum_{m'} Omega_{k-t,t,m'} D^j_{m'm}
+                = sum_{m1,m2} Omega_{m1,m2,m} D^{j'}_{k-t,m1} T_{t,m2}
+        iii, iv, vii, viii  rel2 of mho(j', 1/2, j), t = 1/2, -1/2:
+            sum_{n'} mho_{k-t,t,n'} D^j_{m n'}
+                = sum_{m1,m2} mho_{m1,m2,m} D^{j'}_{m1,k-t} T_{m2,t}
+
+    with T = D^{1/2} = [[x, u], [v, y]].  The paper writes each relation
+    as s times these sides, with s = sqrt(2j) for i-iv, -sqrt(2j+2) for
+    v and vii and +sqrt(2j+2) for vi and viii.  k (twok) runs one step
+    beyond the magnetic band on both sides, where a row of the table or
+    a D^{j'} entry is empty and the instance reads 0 = 0.  The relations
+    v-viii use D = 1 and are SL statements, refused in GL; i-iv hold in
+    GL as well.
     """
-    _shape(which)
+    try:
+        raising, law, t = _RELATIONS[which]
+    except KeyError:
+        raise ValueError(f"unknown recurrence {which!r}") from None
     if which not in RING_RECURRENCES[ncalg.check_ring(ring)]:
         raise ValueError(f"recurrence {which} assumes determinant 1 (SL ring)")
     rep = Report("recurrence")
@@ -538,14 +463,22 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
     # product of a spin below 2j - 1 again
     for spin in [spin for spin in _DLETTER_MEMO if spin < twoj - 1]:
         del _DLETTER_MEMO[spin]
+    twojp = twoj + 1 if raising else twoj - 1
+    items = (omega if law == "rel1" else mho)(twojp, 1, twoj).items()
+    pair_rows, m_rows = rows(items, _by_pair), rows(items, _by_m)
+    # rel2 is rel1 with every D index pair and T index pair reversed
+    at = (lambda a, b: (a, b)) if law == "rel1" else (lambda a, b: (b, a))
     for twok in range(-twoj - 2, twoj + 4, 2):
+        row = pair_rows.get((twok - t, t), ())
+        cols = m_rows if abs(twok - t) <= twojp else {}
         for twom in magnetics(twoj):
-            lhs_terms, rhs_terms = recurrence_terms(which, twoj, twok, twom, ring)
-            rep.record(
-                {"which": which, "twoj": twoj, "twok": twok, "twom": twom},
-                _combine(lhs_terms, ring),
-                _combine(rhs_terms, ring),
+            lhs = ncalg.lincomb(((c, _dref(twoj, *at(mp, twom), ring)) for mp, c in row), ring)
+            rhs = ncalg.lincomb(
+                ((c, _dletter(twojp, *at(twok - t, m1), _GEN_AT[at(t, m2)], ring))
+                 for (m1, m2), c in cols.get(twom, ())),
+                ring,
             )
+            rep.record({"which": which, "twoj": twoj, "twok": twok, "twom": twom}, lhs, rhs)
     return rep
 
 

@@ -197,6 +197,10 @@ PINNED = [
      0, "4d974fa579c0d12a5e9396bf20a61e66e279d646570904ef8ec501c46bb6773b"),
     (["rmatrix", "--twoj1", "2", "--twoj2", "1"],
      0, "cad755b247f01f2cb483c25668e76d2c1bf1b7fdf8a7f36c9fa2fc9150bc425c"),
+    (["verify", "--suite", "recurrence", "--max-twoj", "6", "--format", "text"],
+     0, "c94a548be363eb90478bf6e966ed021c9ca5addc12d8c35fb2020e861f421071"),
+    (["verify", "--suite", "recurrence", "--ring", "gl", "--max-twoj", "6"],
+     0, "a03a08600fa660ffe4b45f773b9f9118b51b33d95c43910c7eaf2962a7311def"),
 ]
 
 

@@ -400,144 +400,30 @@ def test_recurrences_spin_one(which):
     assert rep.ok, rep.first_failure()
 
 
-def test_recurrence_zero_coefficient_edge():
-    # relation ii at k = j: lhs coefficient sqrt(j-k) = 0 and the rhs
-    # references only out-of-band matrix elements, so both sides vanish
-    lhs_terms, rhs_terms = hc.recurrence_terms("ii", 2, 2, 0, SL)
-    lhs = hc._combine(lhs_terms, SL)
-    rhs = hc._combine(rhs_terms, SL)
-    assert lhs.is_zero() and rhs.is_zero()
+def _sq(twoint):
+    """sqrt of an integer given doubled; negative means the term is absent.
 
-
-def test_lowering_recurrences_hold_in_gl_too():
-    # i-iv relate D^j to D^{j-1/2} times a generator, which is degree
-    # homogeneous, so they hold without the determinant condition
-    for which in ("i", "ii", "iii", "iv"):
-        rep = hc.recurrence_check(which, 2, ring=GL)
-        assert rep.ok, (which, rep.first_failure())
-
-
-def test_raising_recurrences_need_determinant_one():
-    # v-viii mix degrees 2j and 2j+2, so in GL they pick up determinant
-    # factors and fail verbatim; GL refuses them instead
-    for which in ("v", "vi", "vii", "viii"):
-        with pytest.raises(ValueError):
-            hc.recurrence_check(which, 1, ring=GL)
-    assert hc.RING_RECURRENCES[GL] == ("i", "ii", "iii", "iv")
-
-
-def test_recurrence_rejects_spin_zero():
-    with pytest.raises(ValueError):
-        hc.recurrence_check("i", 0)
-
-
-def test_recurrence_iv_shifted_coefficient_is_forced():
-    # relation iv carries sqrt(j+n+1) on the D^j_{m,n+1} term; the
-    # unshifted sqrt(j+n) variant provably fails at an interior point
-    from slh2._rat import Q
-    from slh2.scalar import H, sqrt_nat
-
-    twoj, twon, twom = 2, 0, 0
-    lhs_terms, rhs_terms = hc.recurrence_terms("iv", twoj, twon, twom, SL)
-    good = hc._combine(lhs_terms, SL) - hc._combine(rhs_terms, SL)
-    assert good.is_zero()
-    coef, dspec, rightmul = lhs_terms[1]
-    assert coef == sqrt_nat((twoj + twon + 2) // 2).scaled(Q(twon + 1)) * H
-    bad_terms = [lhs_terms[0], (sqrt_nat((twoj + twon) // 2).scaled(Q(twon + 1)) * H, dspec, rightmul)]
-    bad = hc._combine(bad_terms, SL) - hc._combine(rhs_terms, SL)
-    assert not bad.is_zero()
-
-
-@pytest.mark.parametrize("ring, twoj", [(SL, 1), (SL, 2), (SL, 3), (GL, 2)])
-def test_recurrences_multiply_each_entry_and_letter_once(monkeypatch, ring, twoj):
-    # with the D-matrices built, the only products are _dletter misses:
-    # an in-band D-entry times one generator, one per distinct pair, and
-    # none for a zero coefficient or an out-of-band entry
-    from slh2.ncalg import LETTER_WORDS
-    from slh2.rep import magnetics
-
-    for t in range(max(twoj - 1, 0), twoj + 2):
-        dmatrix(t, ring=ring)
-    want = set()
-    for which in hc.RING_RECURRENCES[ring]:
-        for twok in range(-twoj - 2, twoj + 4, 2):
-            for twom in magnetics(twoj):
-                for side in hc.recurrence_terms(which, twoj, twok, twom, ring):
-                    for coef, (j, mp, m), right in side:
-                        if right is not None and coef and abs(mp) <= j and abs(m) <= j:
-                            want.update((j, mp, m, g) for g, _ in right)
-    calls = []
-    mul = NCPoly.__mul__
-
-    def spy(self, other):
-        calls.append((self, other))
-        return mul(self, other)
-
-    monkeypatch.setattr(NCPoly, "__mul__", spy)
-    hc._DLETTER_MEMO.clear()
-    for _ in range(2):
-        for which in hc.RING_RECURRENCES[ring]:
-            assert hc.recurrence_check(which, twoj, ring).ok
-    assert len(calls) == len(want) == sum(map(len, hc._DLETTER_MEMO.values())) > 0
-    letters = {w + (1, 0) for w in LETTER_WORDS}
-    for d, g in calls:
-        assert not d.is_zero() and len(g._terms) == 1 and set(g._terms) <= letters
-        assert g._terms[next(iter(g._terms))] == 1
-
-
-def test_dletter_keeps_only_the_spins_still_read():
-    # a loop up in 2j keeps the products of spins 2j - 1 and up: after
-    # 2j = 1..6, those of D^{5/2} (read at 2j = 4 and 6), D^3 (at 2j = 5)
-    # and D^{7/2} (at 2j = 6), each read pair once
-    from slh2.rep import magnetics
-
-    hc._DLETTER_MEMO.clear()
-    read = {}
-    for twoj in range(1, 7):
-        for which in hc.RECURRENCES:
-            assert hc.recurrence_check(which, twoj, SL).ok
-            for twok in range(-twoj - 2, twoj + 4, 2):
-                for twom in magnetics(twoj):
-                    for side in hc.recurrence_terms(which, twoj, twok, twom, SL):
-                        for coef, (j, mp, m), right in side:
-                            if right is not None and coef and abs(mp) <= j and abs(m) <= j:
-                                read.setdefault(j, set()).update((mp, m, g, SL) for g, _ in right)
-    assert sum(map(len, read.values())) == 814
-    left = {spin: set(memo) for spin, memo in hc._DLETTER_MEMO.items()}
-    assert left == {spin: read[spin] for spin in (5, 6, 7)}
-    assert [len(left[spin]) for spin in (5, 6, 7)] == [144, 195, 255]
-
-
-def test_recurrence_detects_a_wrong_letter_coefficient(monkeypatch):
-    # negative control: flipping the sign of the h(m+1) x letter of
-    # relation i breaks every instance where that letter survives: at
-    # 2j = 2 where D^{1/2}_{k-1,m+1} is in the band (h(m+1) and sqrt(j-m)
-    # do not vanish there)
-    from slh2.ncalg import X
-
-    terms = hc.recurrence_terms
-
-    def flipped(which, twoj, twok, twom, ring):
-        lhs, rhs = terms(which, twoj, twok, twom, ring)
-        coef, dspec, (first, (g, c)) = rhs[1]
-        assert g == X
-        return lhs, [rhs[0], (coef, dspec, (first, (g, -c)))]
-
-    monkeypatch.setattr(hc, "recurrence_terms", flipped)
-    report = hc.recurrence_check("i", 2)
-    assert report.failed > 0
-    for case in report.cases:
-        p = case["params"]
-        survives = abs(p["twok"] - 1) <= 1 and abs(p["twom"] + 1) <= 1
-        assert case["pass"] != survives, p
+    A negative radicand only ever occurs one step outside the magnetic
+    band, where the accompanying matrix element vanishes as well.
+    """
+    if twoint % 2:
+        raise ValueError("half-integer radicand in a recurrence coefficient")
+    return ZERO if twoint < 0 else sqrt_nat(twoint // 2)
 
 
 def _recurrence_terms_reference(which, twoj, twok, twom):
-    """The eight relations as recurrence_terms wrote them out one by one,
-    kept as the reference for its four shapes."""
+    """The eight relations as the paper writes them, one by one: (lhs,
+    rhs) term lists of one instance.
+
+    Each term is (coefficient, (twoj, twom_row, twom_col), right_factor),
+    the right factor None or a linear form in the generators as
+    (generator index, RadScalar) pairs: u - h(m+1) x is ((U, ONE), (X,
+    -h(m+1))).  twok plays the role of k in relations i/ii/v/vi and of n
+    in the column relations iii/iv/vii/viii, where twom is the row index.
+    """
     from slh2.ncalg import U, V, X, Y
 
-    sq = hc._sq
+    sq = _sq
     J, k, m = twoj, twok, twom
     x, v, y = ((X, ONE),), ((V, ONE),), ((Y, ONE),)
     hm = H.scaled
@@ -605,58 +491,294 @@ def _recurrence_terms_reference(which, twoj, twok, twom):
     return lhs, rhs
 
 
-def test_recurrence_shapes_equal_the_eight_written_relations():
-    # every instance recurrence_check builds for 2j <= 12: the same exact
-    # coefficient (int values stay int), D-spec and right factor
+def _combine(side_terms, ring):
+    """The sum of coef * D-entry * right over one side's written terms; a
+    term with a zero coefficient or an out-of-band D-entry is skipped."""
+    from slh2.dfun import ORDERED1, dfunc
+
+    acc = NCPoly.zero(ring)
+    for coef, (j, mp, m), right in side_terms:
+        if coef.is_zero() or abs(mp) > j or abs(m) > j:
+            continue
+        d = dfunc(j, mp, m, ORDERED1, ring)
+        for g, c in right or ((None, ONE),):
+            acc = acc + (d if g is None else d * NCPoly.generator(g, ring)).scaled(coef * c)
+    return acc
+
+
+def _keyed(side_terms):
+    """Written terms as {(spin, row, col, generator): coefficient}, the
+    generator None for a bare D-entry; out-of-band entries and zero sums
+    are left out."""
+    out = {}
+    for coef, (j, mp, m), right in side_terms:
+        if abs(mp) <= j and abs(m) <= j:
+            for g, c in right or ((None, ONE),):
+                out[(j, mp, m, g)] = out.get((j, mp, m, g), ZERO) + coef * c
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _table_terms(which, twoj, twok, twom):
+    """The two sides of one instance read off its coupling table, keyed as
+    _keyed keys them: the row of the pair (k - t, t) on the left and the
+    column m, against D^{j'} at the index k - t, on the right."""
+    from slh2.rep import mho, omega
+
+    raising, law, t = hc._RELATIONS[which]
+    twojp = twoj + 1 if raising else twoj - 1
+    lhs, rhs = {}, {}
+    for (m1, m2, m), c in (omega if law == "rel1" else mho)(twojp, 1, twoj).items():
+        if (m1, m2) == (twok - t, t):
+            lhs[(twoj, m, twom, None) if law == "rel1" else (twoj, twom, m, None)] = c
+        if m == twom and abs(twok - t) <= twojp:
+            if law == "rel1":
+                rhs[(twojp, twok - t, m1, hc._GEN_AT[t, m2])] = c
+            else:
+                rhs[(twojp, m1, twok - t, hc._GEN_AT[m2, t])] = c
+    return lhs, rhs
+
+
+def _scale(which, twoj):
+    """s of the written relation over the rows of its table."""
+    if which in ("i", "ii", "iii", "iv"):
+        return sqrt_nat(twoj)
+    return -sqrt_nat(twoj + 2) if which in ("v", "vii") else sqrt_nat(twoj + 2)
+
+
+def _products_read(which, twoj, ring):
+    """The (spin, row, col, generator) of each D-entry times a generator
+    one recurrence_check call reads off its table."""
     from slh2.rep import magnetics
+
+    return {
+        key
+        for twok in range(-twoj - 2, twoj + 4, 2)
+        for twom in magnetics(twoj)
+        for key in _table_terms(which, twoj, twok, twom)[1]
+    }
+
+
+def test_recurrence_zero_coefficient_edge():
+    # relation ii at k = j: the written lhs coefficient sqrt(j-k) = 0 and
+    # the rhs references only out-of-band matrix elements, so both sides
+    # vanish; omega(1/2, 1/2, 1) has no row at the pair (3/2, -1/2)
+    lhs_terms, rhs_terms = _recurrence_terms_reference("ii", 2, 2, 0)
+    assert _combine(lhs_terms, SL).is_zero() and _combine(rhs_terms, SL).is_zero()
+    assert _table_terms("ii", 2, 2, 0) == ({}, {})
+    case = next(
+        c for c in hc.recurrence_check("ii", 2).cases
+        if (c["params"]["twok"], c["params"]["twom"]) == (2, 0)
+    )
+    assert case["pass"]
+
+
+def test_lowering_recurrences_hold_in_gl_too():
+    # i-iv relate D^j to D^{j-1/2} times a generator, which is degree
+    # homogeneous, so they hold without the determinant condition
+    for which in ("i", "ii", "iii", "iv"):
+        rep = hc.recurrence_check(which, 2, ring=GL)
+        assert rep.ok, (which, rep.first_failure())
+
+
+def test_raising_recurrences_need_determinant_one():
+    # v-viii mix degrees 2j and 2j+2, so in GL they pick up determinant
+    # factors and fail verbatim; GL refuses them instead
+    for which in ("v", "vi", "vii", "viii"):
+        with pytest.raises(ValueError):
+            hc.recurrence_check(which, 1, ring=GL)
+    assert hc.RING_RECURRENCES[GL] == ("i", "ii", "iii", "iv")
+
+
+def test_recurrence_rejects_spin_zero():
+    with pytest.raises(ValueError):
+        hc.recurrence_check("i", 0)
+
+
+def test_recurrence_iv_shifted_coefficient_is_forced():
+    # relation iv carries sqrt(j+n+1) on the D^j_{m,n+1} term; the
+    # unshifted sqrt(j+n) variant provably fails at an interior point
+    from slh2._rat import Q
+
+    twoj, twon, twom = 2, 0, 0
+    lhs_terms, rhs_terms = _recurrence_terms_reference("iv", twoj, twon, twom)
+    good = _combine(lhs_terms, SL) - _combine(rhs_terms, SL)
+    assert good.is_zero()
+    coef, dspec, rightmul = lhs_terms[1]
+    assert coef == sqrt_nat((twoj + twon + 2) // 2).scaled(Q(twon + 1)) * H
+    bad_terms = [lhs_terms[0], (sqrt_nat((twoj + twon) // 2).scaled(Q(twon + 1)) * H, dspec, rightmul)]
+    bad = _combine(bad_terms, SL) - _combine(rhs_terms, SL)
+    assert not bad.is_zero()
+
+
+@pytest.mark.parametrize("ring, twoj", [(SL, 1), (SL, 2), (SL, 3), (GL, 2)])
+def test_recurrences_multiply_each_entry_and_letter_once(monkeypatch, ring, twoj):
+    # with the D-matrices built, the only products are _dletter misses:
+    # an in-band D-entry times one generator, one per distinct pair the
+    # table rows read, and none for an entry the tables leave out
+    from slh2.ncalg import LETTER_WORDS
+
+    for t in range(max(twoj - 1, 0), twoj + 2):
+        dmatrix(t, ring=ring)
+    want = set()
+    for which in hc.RING_RECURRENCES[ring]:
+        want |= _products_read(which, twoj, ring)
+    calls = []
+    mul = NCPoly.__mul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(NCPoly, "__mul__", spy)
+    hc._DLETTER_MEMO.clear()
+    for _ in range(2):
+        for which in hc.RING_RECURRENCES[ring]:
+            assert hc.recurrence_check(which, twoj, ring).ok
+    assert len(calls) == len(want) == sum(map(len, hc._DLETTER_MEMO.values())) > 0
+    letters = {w + (1, 0) for w in LETTER_WORDS}
+    for d, g in calls:
+        assert not d.is_zero() and len(g._terms) == 1 and set(g._terms) <= letters
+        assert g._terms[next(iter(g._terms))] == 1
+
+
+def test_dletter_keeps_only_the_spins_still_read():
+    # a loop up in 2j keeps the products of spins 2j - 1 and up: after
+    # 2j = 1..6, those of D^{5/2} (read at 2j = 4 and 6), D^3 (at 2j = 5)
+    # and D^{7/2} (at 2j = 6), each read pair once
+    hc._DLETTER_MEMO.clear()
+    read = {}
+    for twoj in range(1, 7):
+        for which in hc.RECURRENCES:
+            assert hc.recurrence_check(which, twoj, SL).ok
+            for j, mp, m, g in _products_read(which, twoj, SL):
+                read.setdefault(j, set()).add((mp, m, g, SL))
+    assert sum(map(len, read.values())) == 814
+    left = {spin: set(memo) for spin, memo in hc._DLETTER_MEMO.items()}
+    assert left == {spin: read[spin] for spin in (5, 6, 7)}
+    assert [len(left[spin]) for spin in (5, 6, 7)] == [144, 195, 255]
+
+
+def test_recurrence_detects_a_wrong_letter_coefficient(monkeypatch):
+    # negative control: flipping the sign of the h entries Omega[(m+1/2,
+    # +1/2), m] of omega(1/2, 1/2, 1) flips both h terms of the written
+    # relation i at 2j = 2: the h(m+1) x letter on the right and, as the
+    # row (k-1/2, +1/2) is read on the left too, the h(k-1) D^j_{k-1,m}
+    # term there.  i fails exactly where one of them survives, with its
+    # entry in the band and its root non-zero.  wigner_check reads the
+    # same table, and its rel1 fails too
+    from slh2 import rep
+
+    good = rep.omega(1, 1, 2)
+    bad = {key: -c if (key[0] - key[2], key[1]) == (1, 1) else c for key, c in good.items()}
+    assert sum(bad[key] != c for key, c in good.items()) == 2
+    monkeypatch.setattr(hc, "omega", lambda *spins: bad if spins == (1, 1, 2) else rep.omega(*spins))
+    # rel3 reads the table too: its cached records are cleared before the
+    # patch, and after it, so that the bad rel3 reaches no later test
+    hc._rel3.cache_clear()
+    try:
+        report = hc.recurrence_check("i", 2)
+        wigner = hc.wigner_check(1, 1, 2, SL)
+    finally:
+        hc._rel3.cache_clear()
+    assert report.failed == 6
+    for case in report.cases:
+        k, m = case["params"]["twok"], case["params"]["twom"]
+        lhs, rhs = map(_keyed, _recurrence_terms_reference("i", 2, k, m))
+        survives = (2, k - 2, m, None) in lhs or (1, k - 1, m + 1, X) in rhs
+        assert case["pass"] != survives, case["params"]
+    assert any(not c["pass"] for c in wigner.cases if c["params"]["law"] == "rel1")
+
+
+def test_recurrence_shapes_equal_the_eight_written_relations():
+    # every instance recurrence_check reads for 2j <= 12: the written
+    # terms are s times the table's, coefficient by coefficient (int
+    # values stay int)
+    from slh2.rep import magnetics
+
+    def types(side):
+        return {key: [type(q) for q in c.raw().values()] for key, c in side.items()}
 
     count = 0
     for twoj in range(1, 13):
         for which in hc.RECURRENCES:
+            s = _scale(which, twoj)
             for twok in range(-twoj - 2, twoj + 4, 2):
                 for twom in magnetics(twoj):
-                    got = hc.recurrence_terms(which, twoj, twok, twom, SL)
-                    want = _recurrence_terms_reference(which, twoj, twok, twom)
+                    want = [_keyed(side) for side in _recurrence_terms_reference(which, twoj, twok, twom)]
+                    got = [
+                        {key: s * c for key, c in side.items()}
+                        for side in _table_terms(which, twoj, twok, twom)
+                    ]
                     assert got == want, (which, twoj, twok, twom)
-                    for g_side, w_side in zip(got, want):
-                        for (gc, _, _), (wc, _, _) in zip(g_side, w_side):
-                            assert [type(q) for q in gc.raw().values()] == [
-                                type(q) for q in wc.raw().values()
-                            ]
+                    assert list(map(types, got)) == list(map(types, want)), (which, twoj, twok, twom)
                     count += 1
     assert count == 7984
 
 
 def test_recurrence_pairs_are_spin_half_cgcs():
-    # lowering (a, b)(m) is sqrt(2j) times the couplings (m - 1/2, +1/2 | m)
-    # and (m + 1/2, -1/2 | m) of j - 1/2 and 1/2 into j; raising is
-    # -sqrt(2j + 2) times the same couplings of j + 1/2 and 1/2
-    from slh2.rep import cgc_classical, magnetics
+    # the written pair (a, b)(m) of the lowering relations is sqrt(2j)
+    # times the couplings (m - 1/2, +1/2 | m) and (m + 1/2, -1/2 | m) of
+    # j - 1/2 and 1/2 into j; raising is -sqrt(2j + 2) times the same
+    # couplings of j + 1/2 and 1/2.  omega and mho hold them unchanged
+    # where m1 + m2 = m
+    from slh2.rep import cgc_classical, magnetics, mho, omega
 
     for twoj in range(1, 12):
-        for raising, twojp, scale in ((False, twoj - 1, sqrt_nat(twoj)),
-                                      (True, twoj + 1, -sqrt_nat(twoj + 2))):
-            target, a, b = hc._pair(twoj, raising)
-            assert target == twojp
+        for which, twojp, scale in (("i", twoj - 1, sqrt_nat(twoj)),
+                                    ("v", twoj + 1, -sqrt_nat(twoj + 2))):
             cgc = cgc_classical(twojp, 1, twoj)
+            om, mh = omega(twojp, 1, twoj), mho(twojp, 1, twoj)
             for twom in magnetics(twoj):
-                assert a(twom) == scale * cgc.get((twom - 1, 1, twom), ZERO), (twoj, raising, twom)
-                assert b(twom) == scale * cgc.get((twom + 1, -1, twom), ZERO), (twoj, raising, twom)
+                (a, _, _), (b, _, _) = _recurrence_terms_reference(which, twoj, twoj, twom)[1]
+                for key, want in (((twom - 1, 1, twom), a), ((twom + 1, -1, twom), b)):
+                    c = cgc.get(key, ZERO)
+                    assert want == scale * c, (twoj, which, key)
+                    assert om.get(key, ZERO) == mh.get(key, ZERO) == c, (twoj, which, key)
 
 
 def test_recurrence_detects_a_wrong_raising_sign(monkeypatch):
-    # negative control: a raising pair whose b has the wrong sign breaks
-    # each of v-viii and leaves i-iv alone
-    pair = hc._pair
+    # negative control: the raising tables omega(3/2, 1/2, 1) and
+    # mho(3/2, 1/2, 1) with every entry from the coupling (m + 1/2, -1/2 |
+    # m), the b of the written relations, negated break each of v-viii
+    # and leave i-iv alone
+    from slh2 import rep
 
-    def flipped(twoj, raising, sign=1):
-        target, a, b = pair(twoj, raising, sign)
-        return target, a, (lambda t: -b(t)) if raising else b
+    def flipped(table):
+        def read(*spins):
+            if spins != (3, 1, 2):
+                return table(*spins)
+            return {key: -c if key[0] - key[2] == 1 else c for key, c in table(*spins).items()}
+        return read
 
-    monkeypatch.setattr(hc, "_pair", flipped)
+    monkeypatch.setattr(hc, "omega", flipped(rep.omega))
+    monkeypatch.setattr(hc, "mho", flipped(rep.mho))
     for which in hc.RECURRENCES:
         report = hc.recurrence_check(which, 2)
         assert report.ok == (which in ("i", "ii", "iii", "iv")), which
+
+
+@pytest.mark.parametrize("ring", [SL, GL])
+def test_recurrence_detects_a_wrong_d_entry(ring):
+    # mutation: one coefficient of the cached D^2_{1,-1} doubled breaks
+    # each of i-iv at 2j = 4, which reads it on the left, and at 2j = 5,
+    # which reads it times a generator on the right
+    from slh2.dfun import ORDERED1, dfunc
+
+    terms = dfunc(4, 2, -2, ORDERED1, ring)._terms
+    key = min(terms)
+    q = terms[key]
+    hc._DLETTER_MEMO.clear()
+    terms[key] = 2 * q
+    try:
+        failed = {
+            (which, twoj): hc.recurrence_check(which, twoj, ring).failed
+            for twoj in (4, 5)
+            for which in ("i", "ii", "iii", "iv")
+        }
+    finally:
+        terms[key] = q
+        hc._DLETTER_MEMO.clear()
+    assert all(failed.values()), failed
 
 
 def test_unknown_recurrence_keeps_the_dletter_memo():
@@ -671,8 +793,6 @@ def test_unknown_recurrence_keeps_the_dletter_memo():
         with pytest.raises(ValueError, match="unknown recurrence 'ix'"):
             hc.recurrence_check("ix", 9, ring)
     assert hc._DLETTER_MEMO == before
-    with pytest.raises(ValueError, match="unknown recurrence 'ix'"):
-        hc.recurrence_terms("ix", 2, 0, 0, SL)
 
 
 def test_recurrence_v_relates_spin_half_to_one():

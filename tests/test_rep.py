@@ -338,8 +338,10 @@ def test_mho_is_omega_negated():
 
 
 def test_biorthogonality():
-    # every pair up to (3/2, 3/2), and (1/2, j2) for 2j2 = 4..9
-    pairs = [(a, b) for a in range(4) for b in range(4)] + [(1, b) for b in range(4, 10)]
+    # every pair up to (3/2, 3/2), (1/2, j2) for 2j2 = 4..9, and (j1, 1/2)
+    # for 2j1 = 4..9, the pairs whose tables the recurrences read
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    pairs += [(1, b) for b in range(4, 10)] + [(b, 1) for b in range(4, 10)]
     for a, b in pairs:
         spins = list(range(abs(a - b), a + b + 2, 2))
         for j1 in spins:
