@@ -14,6 +14,7 @@ import sys
 
 from . import dfun, exprio, fock, hopfcheck, ncalg, pbwcheck, rep
 from .report import Report
+from .scalar import ZERO
 
 
 def _spin_pairs(max_twoj):
@@ -130,12 +131,15 @@ def _cgc_json(table):
 
 
 def _matrix_json(name, mat, twoj1, twoj2):
+    """A product-basis matrix {(row, col): c} written dense, an absent
+    entry as zero."""
+    basis = rep.pair_basis(twoj1, twoj2)
     return {
         "matrix": name,
         "twoj1": twoj1,
         "twoj2": twoj2,
-        "basis": rep.pair_basis(twoj1, twoj2),
-        "entries": mat.to_json(),
+        "basis": basis,
+        "entries": [[mat.get((r, c), ZERO).to_json() for c in basis] for r in basis],
     }
 
 

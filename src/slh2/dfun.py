@@ -103,7 +103,7 @@ from ._rat import Q
 from . import ncalg
 from .exprio import render_latex, render_text
 from .ncalg import GL, SL, NCPoly
-from .rep import check_spin, mag_index, magnetics
+from .rep import check_spin, magnetics
 from .scalar import H, RadScalar, sqrt_nat
 
 ORDERED1 = "ordered1"
@@ -390,7 +390,8 @@ class DFunctionMatrix:
         self.entries = entries
 
     def entry(self, twomp, twom) -> NCPoly:
-        return self.entries[mag_index(self.twoj, twomp)][mag_index(self.twoj, twom)]
+        check_indices(self.twoj, twomp, twom)
+        return self.entries[(self.twoj - twomp) // 2][(self.twoj - twom) // 2]
 
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]

@@ -303,45 +303,8 @@ def j_plus(n):
 
 
 @lru_cache(maxsize=None)
-def j_minus(n):
-    return _hop(n, ((A21, A11), (A22, A12)))
-
-
-@lru_cache(maxsize=None)
 def k_plus(n):
     return _hop(n, ((A12, A11), (A22, A21)))
-
-
-@lru_cache(maxsize=None)
-def k_minus(n):
-    return _hop(n, ((A11, A12), (A21, A22)))
-
-
-def _diag(n, value):
-    data = {}
-    for i, s in enumerate(states(n)):
-        w = value(s)
-        if w:
-            data[(i, i)] = w
-    return FockOp(n, n, data)
-
-
-@lru_cache(maxsize=None)
-def j0(n):
-    return _diag(n, lambda s: s[A21] + s[A22] - s[A11] - s[A12])
-
-
-@lru_cache(maxsize=None)
-def k0(n):
-    return _diag(n, lambda s: s[A11] + s[A21] - s[A12] - s[A22])
-
-
-def z_l(n):
-    return _diag(n, lambda s: -sum(s))
-
-
-def z_r(n):
-    return _diag(n, lambda s: sum(s))
 
 
 @lru_cache(maxsize=None)

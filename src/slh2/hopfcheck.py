@@ -58,7 +58,7 @@ from .dfun import ORDERED1, dfunc, dmatrix
 from .kernel import add_into, rad_add, rad_mul, rad_neg, scale_into
 from .ncalg import GL, LETTER_WORDS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, r_matrix, triangle_ok
-from .rep import pair_basis, pair_items, rows
+from .rep import pair_basis, rows
 from .report import Report
 from .scalar import ONE, ZERO, RadScalar
 
@@ -499,10 +499,10 @@ def ortho_like_check(twoj, ring=SL) -> Report:
 
     # F[(m1, m2), (m1, -m1)] and F^-1[(k1, -k1), (k1, k2)], zeros left out
     f_diag = {
-        r: c for (r, s), c in pair_items(f_matrix(twoj, twoj), twoj, twoj) if s == (r[0], -r[0])
+        r: c for (r, s), c in f_matrix(twoj, twoj).items() if s == (r[0], -r[0])
     }
     finv_diag = {
-        s: c for (r, s), c in pair_items(f_inv_matrix(twoj, twoj), twoj, twoj) if r == (s[0], -s[0])
+        s: c for (r, s), c in f_inv_matrix(twoj, twoj).items() if r == (s[0], -s[0])
     }
 
     for twok1, twok2 in mag_pairs:
@@ -546,7 +546,7 @@ def rtt_check(twoj1, twoj2, ring=SL) -> Report:
     D^{j2}_{m2s2} D^{j1}_{m1s1} R[s,(k1,k2)] one over a column.
     """
     rep = Report("rtt")
-    r_items = list(pair_items(r_matrix(twoj1, twoj2), twoj1, twoj2))
+    r_items = r_matrix(twoj1, twoj2).items()
     r_rows, r_cols = rows(r_items, lambda k: k), rows(r_items, lambda k: k[::-1])
     mag_pairs = pair_basis(twoj1, twoj2)
     for twom1, twom2 in mag_pairs:
@@ -578,7 +578,7 @@ def _free_rtt_elements():
     in h, as flat terms {(g1, g2, radicand, h_power): q}; no rewriting is
     applied.
     """
-    r_items = list(pair_items(r_matrix(1, 1), 1, 1))
+    r_items = r_matrix(1, 1).items()
     r_rows, r_cols = rows(r_items, lambda k: k), rows(r_items, lambda k: k[::-1])
     mag_pairs = pair_basis(1, 1)
 

@@ -1,21 +1,33 @@
 """Finite-dimensional representation data of the twisted algebra U_h(sl(2)).
 
 Spins and magnetic numbers are stored doubled (twoj = 2j, twom = 2m) so
-that all index arithmetic stays in integers.  Matrix bases are ordered by
+that all index arithmetic stays in integers.  Bases are ordered by
 magnetic number DESCENDING, from +j down to -j; on a product of two spins
-the ordering is (m1 descending, then m2 descending).  With this choice
-the raising generator and the twist exponent sigma = -ln(1 - 2h J+) are
-strictly upper triangular and every series below terminates by nilpotency.
+the ordering is (m1 descending, then m2 descending), `pair_basis`.  With
+this choice the raising generator and the twist exponent
+sigma = -ln(1 - 2h J+) are strictly upper triangular, so every series
+below is finite.
 
 Conventions: J0|jm> = 2m|jm>, J+-|jm> = sqrt((j-+m)(j+-m+1)) |j,m+-1>,
 which realize [J0, J+-] = +-2 J+- and [J+, J-] = J0 exactly.
+
+Every matrix is a plain dict keyed by (row, column) with its zero entries
+left out: {(2m', 2m): RadScalar} on one spin (the twist series) and
+{((2m1, 2m2), (2s1, 2s2)): RadScalar} on a product of two (F, F^-1, R).
+A coupling table is {(2m1, 2m2, 2m): RadScalar}.  The twist series has
+the closed form, for k = 0 .. j - m,
+
+    (1 - 2h J+)^e [m + k, m] = (-2h)^k binom(e, k)
+                               sqrt((j-m)! (j+m+k)! / ((j-m-k)! (j+m)!)),
+
+the square root being the amplitude of J+^k |jm>.
 """
 
 from functools import lru_cache
 from math import factorial
 
 from ._rat import Q
-from .scalar import ONE, ZERO, H, RadScalar, rational, sqrt_nat
+from .scalar import ZERO, H, sqrt_nat
 
 _TWO_H = H + H
 
@@ -31,164 +43,6 @@ def check_spin(*twojs):
             raise ValueError(f"spin {twoj}/2 must be non-negative")
 
 
-def mag_index(twoj, twom):
-    if abs(twom) > twoj or (twoj - twom) % 2:
-        raise ValueError(f"invalid magnetic number {twom}/2 for spin {twoj}/2")
-    return (twoj - twom) // 2
-
-
-class RepMatrix:
-    """Dense square matrix over RadScalar."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    @staticmethod
-    def zeros(n):
-        return RepMatrix([[ZERO] * n for _ in range(n)])
-
-    @staticmethod
-    def identity(n):
-        return RepMatrix(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return isinstance(other, RepMatrix) and self.rows == other.rows
-
-    def __add__(self, other):
-        return RepMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        return RepMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, RadScalar):
-            return self.scaled(other)
-        n = self.n
-        rows = []
-        for i in range(n):
-            ri = self.rows[i]
-            row = []
-            for j in range(n):
-                s = ZERO
-                for k in range(n):
-                    a = ri[k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if not b.is_zero():
-                        s = s + a * b
-                row.append(s)
-            rows.append(row)
-        return RepMatrix(rows)
-
-    def scaled(self, c):
-        return RepMatrix([[c * a for a in row] for row in self.rows])
-
-    @staticmethod
-    def lincomb(pairs, n):
-        """The n x n sum of c * m over (c, m) pairs."""
-        rows = [[ZERO] * n for _ in range(n)]
-        for c, m in pairs:
-            if c.is_zero():
-                continue
-            for row, mrow in zip(rows, m.rows):
-                for j, a in enumerate(mrow):
-                    if not a.is_zero():
-                        row[j] = row[j] + c * a
-        return RepMatrix(rows)
-
-    def is_zero(self):
-        return all(a.is_zero() for row in self.rows for a in row)
-
-    def specialize(self, h_value):
-        return RepMatrix([[a.specialize(h_value) for a in row] for row in self.rows])
-
-    def to_json(self):
-        return [[a.to_json() for a in row] for row in self.rows]
-
-    def __repr__(self):
-        return "\n".join(
-            "[" + ", ".join(repr(a) for a in row) + "]" for row in self.rows
-        )
-
-
-def kron(a: RepMatrix, b: RepMatrix) -> RepMatrix:
-    na, nb = a.n, b.n
-    rows = []
-    for i1 in range(na):
-        for i2 in range(nb):
-            row = []
-            for j1 in range(na):
-                aij = a.rows[i1][j1]
-                if aij.is_zero():
-                    row.extend([ZERO] * nb)
-                else:
-                    row.extend(aij * b.rows[i2][j2] for j2 in range(nb))
-            rows.append(row)
-    return RepMatrix(rows)
-
-
-def nilpotent_exp(m: RepMatrix) -> RepMatrix:
-    """exp of a nilpotent matrix, summed until the power vanishes."""
-    powers = [RepMatrix.identity(m.n)]
-    while True:
-        term = powers[-1] * m
-        if term.is_zero():
-            pairs = ((rational(1, factorial(k)), p) for k, p in enumerate(powers))
-            return RepMatrix.lincomb(pairs, m.n)
-        if len(powers) > m.n:
-            raise ArithmeticError("matrix is not nilpotent")
-        powers.append(term)
-
-
-@lru_cache(maxsize=None)
-def j_matrices(twoj: int):
-    """(J0, J+, J-) of the spin-twoj/2 irrep, exact."""
-    n = twoj + 1
-    j0 = RepMatrix.zeros(n)
-    jp = RepMatrix.zeros(n)
-    jm = RepMatrix.zeros(n)
-    for i, twom in enumerate(magnetics(twoj)):
-        j0.rows[i][i] = RadScalar.from_rational(twom)
-        if twom < twoj:
-            # J+|j m> = sqrt((j-m)(j+m+1)) |j m+1>: row i-1, column i
-            amp = (twoj - twom) * (twoj + twom + 2) // 4
-            jp.rows[i - 1][i] = sqrt_nat(amp)
-        if twom > -twoj:
-            amp = (twoj + twom) * (twoj - twom + 2) // 4
-            jm.rows[i + 1][i] = sqrt_nat(amp)
-    return j0, jp, jm
-
-
-@lru_cache(maxsize=None)
-def _jp_power(twoj: int, k: int) -> RepMatrix:
-    if k == 0:
-        return RepMatrix.identity(twoj + 1)
-    return _jp_power(twoj, k - 1) * j_matrices(twoj)[1]
-
-
-@lru_cache(maxsize=None)
-def sigma_matrix(twoj: int) -> RepMatrix:
-    """sigma = -ln(1 - 2h J+) = sum_{n>=1} (2h J+)^n / n, a finite sum."""
-    pairs = (((_TWO_H**k).scaled(Q(1, k)), _jp_power(twoj, k)) for k in range(1, twoj + 1))
-    return RepMatrix.lincomb(pairs, twoj + 1)
-
-
 def _binom(e, k: int):
     out = Q(1)
     for i in range(k):
@@ -197,34 +51,28 @@ def _binom(e, k: int):
 
 
 @lru_cache(maxsize=None)
-def power_one_minus(twoj: int, exponent) -> RepMatrix:
-    """(1 - 2h J+)^exponent by the binomial series, exact by nilpotency.
+def power_one_minus(twoj: int, exponent) -> dict:
+    """(1 - 2h J+)^exponent as {(2m', 2m): c}, by the closed form of the
+    module docstring.
 
     The exponent may be any rational (half-integers appear throughout the
     twist); the result equals exp(-exponent * sigma).
     """
     e = Q(exponent)
-    pairs = ((((-_TWO_H) ** k).scaled(_binom(e, k)), _jp_power(twoj, k)) for k in range(twoj + 1))
-    return RepMatrix.lincomb(pairs, twoj + 1)
-
-
-def prod_index(twoj1, twoj2, twom1, twom2):
-    return mag_index(twoj1, twom1) * (twoj2 + 1) + mag_index(twoj2, twom2)
+    out = {}
+    for twom in magnetics(twoj):
+        a, b = (twoj - twom) // 2, (twoj + twom) // 2
+        for k in range(a + 1):
+            c = _binom(e, k)
+            if c:
+                amp = factorial(a) // factorial(a - k) * factorial(b + k) // factorial(b)
+                out[(twom + 2 * k, twom)] = ((-_TWO_H) ** k * sqrt_nat(amp)).scaled(c)
+    return out
 
 
 def pair_basis(twoj1, twoj2):
     """The product basis as (m1, m2) pairs, in matrix index order."""
     return [(m1, m2) for m1 in magnetics(twoj1) for m2 in magnetics(twoj2)]
-
-
-def pair_items(mat, twoj1, twoj2):
-    """The non-zero entries of a product-basis matrix as ((row, col), c),
-    row and col (m1, m2) pairs."""
-    basis = pair_basis(twoj1, twoj2)
-    for row, mrow in zip(basis, mat.rows):
-        for col, c in zip(basis, mrow):
-            if not c.is_zero():
-                yield (row, col), c
 
 
 def rows(items, split):
@@ -239,8 +87,19 @@ def rows(items, split):
     return out
 
 
+def matmul(a: dict, b: dict) -> dict:
+    """The product of two sparse matrices {(row, col): c}, zeros left out:
+    each entry of a meets the row of b its column names."""
+    b_rows = rows(b.items(), lambda k: k)
+    out = {}
+    for (row, mid), c in a.items():
+        for col, d in b_rows.get(mid, ()):
+            out[(row, col)] = out.get((row, col), ZERO) + c * d
+    return {k: v for k, v in out.items() if v}
+
+
 @lru_cache(maxsize=None)
-def f_matrix(twoj1: int, twoj2: int) -> RepMatrix:
+def f_matrix(twoj1: int, twoj2: int) -> dict:
     """Twist matrix F = exp(-1/2 J0 x sigma) on the product basis.
 
     Block diagonal over the first magnetic number: the column block with
@@ -250,31 +109,27 @@ def f_matrix(twoj1: int, twoj2: int) -> RepMatrix:
 
 
 @lru_cache(maxsize=None)
-def f_inv_matrix(twoj1: int, twoj2: int) -> RepMatrix:
+def f_inv_matrix(twoj1: int, twoj2: int) -> dict:
     return _f_like(twoj1, twoj2, -1)
 
 
 def _f_like(twoj1, twoj2, sign):
     check_spin(twoj1, twoj2)
-    n1, n2 = twoj1 + 1, twoj2 + 1
-    out = RepMatrix.zeros(n1 * n2)
-    for i1, twos1 in enumerate(magnetics(twoj1)):
-        block = power_one_minus(twoj2, Q(sign * twos1, 2))
-        for i2 in range(n2):
-            for j2 in range(n2):
-                a = block.rows[i2][j2]
-                if not a.is_zero():
-                    out.rows[i1 * n2 + i2][i1 * n2 + j2] = a
-    return out
+    return {
+        ((twos1, twom2), (twos1, twos2)): c
+        for twos1 in magnetics(twoj1)
+        for (twom2, twos2), c in power_one_minus(twoj2, Q(sign * twos1, 2)).items()
+    }
 
 
 @lru_cache(maxsize=None)
-def r_matrix(twoj1: int, twoj2: int) -> RepMatrix:
+def r_matrix(twoj1: int, twoj2: int) -> dict:
     """R = F21 F^{-1} on the product basis of (twoj1, twoj2)."""
-    f21 = RepMatrix.zeros((twoj1 + 1) * (twoj2 + 1))
-    for ((a2, a1), (b2, b1)), c in pair_items(f_matrix(twoj2, twoj1), twoj2, twoj1):
-        f21.rows[prod_index(twoj1, twoj2, a1, a2)][prod_index(twoj1, twoj2, b1, b2)] = c
-    return f21 * f_inv_matrix(twoj1, twoj2)
+    f21 = {
+        ((a1, a2), (b1, b2)): c
+        for ((a2, a1), (b2, b1)), c in f_matrix(twoj2, twoj1).items()
+    }
+    return matmul(f21, f_inv_matrix(twoj1, twoj2))
 
 
 # ---------------------------------------------------------------------
@@ -359,7 +214,7 @@ def _twisted_cgc(twoj1, twoj2, twoj, twist, transpose):
     (s1, s2) of T, and the sums that cancel are dropped at the end.
     """
     split = (lambda k: k) if transpose else (lambda k: k[::-1])
-    cols = rows(pair_items(twist(twoj1, twoj2), twoj1, twoj2), split)
+    cols = rows(twist(twoj1, twoj2).items(), split)
     table = {}
     for (twos1, twos2, twom), c in cgc_classical(twoj1, twoj2, twoj).items():
         for (twom1, twom2), a in cols.get((twos1, twos2), ()):

@@ -14,14 +14,13 @@ from slh2.dfun import JACOBI, ORDERED1, ORDERED2, dfunc, dmatrix
 from slh2.exprio import parse
 from slh2.ncalg import GL, SL, NCPoly, count_normal_words, gen, quantum_determinant
 from slh2.rep import (
-    RepMatrix,
     f_inv_matrix,
     f_matrix,
-    kron,
     magnetics,
+    matmul,
     mho,
     omega,
-    prod_index,
+    pair_basis,
     r_matrix,
 )
 from slh2.scalar import H, ONE, ZERO
@@ -161,63 +160,43 @@ def test_criterion_11_representation_layer():
         F = f_matrix(twoj1, 1)
         Fi = f_inv_matrix(twoj1, 1)
         for twom1 in magnetics(twoj1):
-            col_p = prod_index(twoj1, 1, twom1, 1)
-            col_m = prod_index(twoj1, 1, twom1, -1)
+            col_p, col_m = (twom1, 1), (twom1, -1)
             for twok1 in magnetics(twoj1):
                 for twok2 in (1, -1):
-                    row = prod_index(twoj1, 1, twok1, twok2)
-                    if F.rows[row][col_p] != (
-                        ONE if (twok1, twok2) == (twom1, 1) else ZERO
-                    ):
+                    row = (twok1, twok2)
+                    if F.get((row, col_p), ZERO) != (ONE if row == col_p else ZERO):
                         ok = False
                     want = ZERO
                     if twok1 == twom1:
                         want = ONE if twok2 == -1 else -H.scaled(Q(twom1))
-                    if F.rows[row][col_m] != want:
+                    if F.get((row, col_m), ZERO) != want:
                         ok = False
                     want = ZERO
                     if twok1 == twom1:
                         want = ONE if twok2 == 1 else H.scaled(Q(twom1))
-                    if Fi.rows[col_p][row] != want:
+                    if Fi.get((col_p, row), ZERO) != want:
                         ok = False
-                    if Fi.rows[col_m][row] != (
-                        ONE if (twok1, twok2) == (twom1, -1) else ZERO
-                    ):
+                    if Fi.get((col_m, row), ZERO) != (ONE if row == col_m else ZERO):
                         ok = False
     # negation symmetry for 2j <= 3
     for twoj1 in range(4):
         for twoj2 in range(4):
             F = f_matrix(twoj1, twoj2)
             Fi = f_inv_matrix(twoj1, twoj2)
-            for m1 in magnetics(twoj1):
-                for m2 in magnetics(twoj2):
-                    for s1 in magnetics(twoj1):
-                        for s2 in magnetics(twoj2):
-                            if (
-                                F.rows[prod_index(twoj1, twoj2, -m1, -m2)][
-                                    prod_index(twoj1, twoj2, -s1, -s2)
-                                ]
-                                != Fi.rows[prod_index(twoj1, twoj2, s1, s2)][
-                                    prod_index(twoj1, twoj2, m1, m2)
-                                ]
-                            ):
-                                ok = False
+            basis = pair_basis(twoj1, twoj2)
+            for m1, m2 in basis:
+                for s1, s2 in basis:
+                    if F.get(((-m1, -m2), (-s1, -s2)), ZERO) != Fi.get(((s1, s2), (m1, m2)), ZERO):
+                        ok = False
     # R21 R = 1 and the Yang-Baxter equation at spin 1/2
     R = r_matrix(1, 1)
-    flip = RepMatrix.zeros(4)
-    for i, j in ((0, 0), (1, 2), (2, 1), (3, 3)):
-        flip.rows[i][j] = ONE
-    if (flip * R * flip) * R != RepMatrix.identity(4):
+    R21 = {(r[::-1], c[::-1]): v for (r, c), v in R.items()}
+    if matmul(R21, R) != {(b, b): ONE for b in pair_basis(1, 1)}:
         ok = False
-    I2 = RepMatrix.identity(2)
-    swap = RepMatrix.zeros(4)
-    for a in range(2):
-        for b in range(2):
-            swap.rows[a * 2 + b][b * 2 + a] = ONE
-    R12, R23 = kron(R, I2), kron(I2, R)
-    P23 = kron(I2, swap)
-    R13 = P23 * R12 * P23
-    if R12 * R13 * R23 != R23 * R13 * R12:
+    R12 = {((a, b, c), (d, e, c)): v for ((a, b), (d, e)), v in R.items() for c in (1, -1)}
+    R23 = {((c, a, b), (c, d, e)): v for ((a, b), (d, e)), v in R.items() for c in (1, -1)}
+    R13 = {((a, c, b), (d, c, e)): v for ((a, b), (d, e)), v in R.items() for c in (1, -1)}
+    if matmul(matmul(R12, R13), R23) != matmul(matmul(R23, R13), R12):
         ok = False
     # CGC biorthogonality for 2j1, 2j2 <= 3
     for a in range(4):

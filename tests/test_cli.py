@@ -140,8 +140,9 @@ def test_out_unwritable_exit_2(tmp_path, capsys):
 
 
 # exit code and sha256 of stdout: the README commands, JSON output whose
-# scalars carry the "g": 0 field, D-matrices at larger spins, then the
-# corepresentation suite
+# scalars carry the "g": 0 field, D-matrices at larger spins, the suites,
+# then F and R with twist series terms of order k >= 3 and R entries off
+# the block diagonal
 PINNED = [
     (["dmatrix", "--twoj", "2", "--ring", "sl", "--scheme", "ordered1", "--format", "text"],
      0, "90f7f06bf8990250ccde025566d1a08e3bcfd623195cc91b902031ef3960145f"),
@@ -201,6 +202,12 @@ PINNED = [
      0, "c94a548be363eb90478bf6e966ed021c9ca5addc12d8c35fb2020e861f421071"),
     (["verify", "--suite", "recurrence", "--ring", "gl", "--max-twoj", "6"],
      0, "a03a08600fa660ffe4b45f773b9f9118b51b33d95c43910c7eaf2962a7311def"),
+    (["fmatrix", "--twoj1", "3", "--twoj2", "3"],
+     0, "2643ba6d8ceca8e8fbfc667c82a9e23989b9920182f9b47d2b8ffdb50ffe78b8"),
+    (["rmatrix", "--twoj1", "4", "--twoj2", "4"],
+     0, "ed7e5b0be4ae83fc0b105bb698d2605b61f5d6b140b47adad7984d17b8849963"),
+    (["verify", "--suite", "ortho", "--max-twoj", "4"],
+     0, "be5f10b4aff9c7f34b443b3a122c5c22eb3a9c8c021d658b00a1bed8284a721d"),
 ]
 
 

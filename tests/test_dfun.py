@@ -173,6 +173,13 @@ def test_matrix_output_shapes():
     assert d.entry(1, -1) == parse("u", SL)
 
 
+@pytest.mark.parametrize("twomp", [1, 4])
+def test_entry_rejects_an_invalid_magnetic_index(twomp):
+    # wrong parity, then |m'| > j: the checks of dfunc, not a wrong entry
+    with pytest.raises(ValueError):
+        dmatrix(2).entry(twomp, 0)
+
+
 # The ordered terms built left to right from 1, one factor at a time, as
 # the closed forms read: the oracle for the term trie of dfun.
 

@@ -28,6 +28,43 @@ V, X, Y, U = ncalg.V, ncalg.X, ncalg.Y, ncalg.U
 # the points g = t h at which the two-parameter relations are checked
 T_POINTS = range(fock.g_degree_bound(fock._TWO_PARAMETER_RELATIONS) + 1)
 
+A11, A21, A12, A22 = fock.A11, fock.A21, fock.A12, fock.A22
+
+
+# the bilinears the library does not use, built here as test oracles:
+# J-, K- as hops, J0, K0 and the grade operators z_L, z_R as diagonals
+def _diag(n, value):
+    data = {}
+    for i, s in enumerate(fock.states(n)):
+        w = value(s)
+        if w:
+            data[(i, i)] = w
+    return FockOp(n, n, data)
+
+
+def j_minus(n):
+    return fock._hop(n, ((A21, A11), (A22, A12)))
+
+
+def k_minus(n):
+    return fock._hop(n, ((A11, A12), (A21, A22)))
+
+
+def j0(n):
+    return _diag(n, lambda s: s[A21] + s[A22] - s[A11] - s[A12])
+
+
+def k0(n):
+    return _diag(n, lambda s: s[A11] + s[A21] - s[A12] - s[A22])
+
+
+def z_l(n):
+    return _diag(n, lambda s: -sum(s))
+
+
+def z_r(n):
+    return _diag(n, lambda s: sum(s))
+
 
 def test_states_dimension():
     for n in range(6):
@@ -68,21 +105,21 @@ def test_annihilate_vacuum_rejected():
 def test_bilinear_su2_pairs():
     two = RadScalar.from_rational(2)
     for n in range(4):
-        jp, jm, j0 = fock.j_plus(n), fock.j_minus(n), fock.j0(n)
-        kp, km, k0 = fock.k_plus(n), fock.k_minus(n), fock.k0(n)
-        assert j0 * jp - jp * j0 == jp.scaled(two)
-        assert jp * jm - jm * jp == j0
-        assert k0 * kp - kp * k0 == kp.scaled(two)
-        assert kp * km - km * kp == k0
-        for a in (jp, jm, j0):
-            for b in (kp, km, k0):
+        jp, jm, jz = fock.j_plus(n), j_minus(n), j0(n)
+        kp, km, kz = fock.k_plus(n), k_minus(n), k0(n)
+        assert jz * jp - jp * jz == jp.scaled(two)
+        assert jp * jm - jm * jp == jz
+        assert kz * kp - kp * kz == kp.scaled(two)
+        assert kp * km - km * kp == kz
+        for a in (jp, jm, jz):
+            for b in (kp, km, kz):
                 assert (a * b - b * a).is_zero()
 
 
 def test_z_operators():
     n = 3
-    assert fock.z_l(n) == FockOp.identity(n).scaled(rational(-n))
-    assert fock.z_r(n) == FockOp.identity(n).scaled(rational(n))
+    assert z_l(n) == FockOp.identity(n).scaled(rational(-n))
+    assert z_r(n) == FockOp.identity(n).scaled(rational(n))
 
 
 def test_defining_relations_to_grade_4():
@@ -271,9 +308,9 @@ def test_jacobi_variable_change_identity(twomp, twom):
 
 
 def _tensor_commutator(side, dop, twoj, n):
-    lift = {"jp": fock.j_plus, "jm": fock.j_minus, "j0": fock.j0,
-            "kp": fock.k_plus, "km": fock.k_minus, "k0": fock.k0,
-            "zl": fock.z_l, "zr": fock.z_r}[side]
+    lift = {"jp": fock.j_plus, "jm": j_minus, "j0": j0,
+            "kp": fock.k_plus, "km": k_minus, "k0": k0,
+            "zl": z_l, "zr": z_r}[side]
     return lift(n + twoj) * dop - dop * lift(n)
 
 

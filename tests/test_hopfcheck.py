@@ -21,7 +21,6 @@ from slh2.ncalg import (
     word_letters,
 )
 from slh2.kernel import sqrt_split
-from slh2.rep import RepMatrix
 from slh2._rat import Q
 from slh2.scalar import H, ONE, ZERO, sqrt_nat
 
@@ -904,12 +903,17 @@ def test_rtt_span_detects_a_wrong_relation(monkeypatch):
 
 
 def test_rtt_span_detects_a_wrong_r_matrix(monkeypatch):
-    # negative control: R[(1/2, 1/2), (1/2, -1/2)] = h doubled
-    rows = [list(row) for row in hc.r_matrix(1, 1).rows]
-    rows[0][1] = rows[0][1] * 2
-    monkeypatch.setattr(hc, "r_matrix", lambda twoj1, twoj2: RepMatrix(rows))
-    rep = hc.rtt_frt_check()
-    assert (rep.passed, rep.failed) == (13, 9)
+    # negative control: R[(1/2, 1/2), (1/2, -1/2)] = h doubled, on a copy:
+    # the cached R is shared by every caller
+    from slh2 import rep
+
+    before = dict(rep.r_matrix(1, 1))
+    wrong = dict(before)
+    wrong[((1, 1), (1, -1))] = wrong[((1, 1), (1, -1))] * 2
+    monkeypatch.setattr(hc, "r_matrix", lambda twoj1, twoj2: wrong)
+    report = hc.rtt_frt_check()
+    assert (report.passed, report.failed) == (13, 9)
+    assert rep.r_matrix(1, 1) == before
 
 
 def test_report_json_shape():

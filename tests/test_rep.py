@@ -2,89 +2,167 @@ import pytest
 
 from slh2._rat import Q
 from slh2.rep import (
-    RepMatrix,
     cgc_classical,
     f_inv_matrix,
     f_matrix,
-    j_matrices,
-    kron,
     magnetics,
+    matmul,
     mho,
-    nilpotent_exp,
     omega,
+    pair_basis,
     power_one_minus,
-    prod_index,
     r_matrix,
-    sigma_matrix,
 )
 from slh2.scalar import H, ONE, ZERO, RadScalar, rational, sqrt_nat
 
 TWO = RadScalar.from_rational(2)
 
 
+# ---------------------------------------------------------------------
+# oracles: the spin matrices, sigma, the nilpotent exponential and the
+# Kronecker product from their definitions, on the dict format of rep
+# {(row, col): c} with zeros left out
+# ---------------------------------------------------------------------
+
+
+def _clean(m):
+    return {k: c for k, c in m.items() if c}
+
+
+def _add(a, b):
+    return _clean({k: a.get(k, ZERO) + b.get(k, ZERO) for k in a.keys() | b.keys()})
+
+
+def _scaled(m, c):
+    return _clean({k: c * a for k, a in m.items()})
+
+
+def _identity(basis):
+    return {(b, b): ONE for b in basis}
+
+
+def _specialize(m, h_value):
+    return _clean({k: a.specialize(h_value) for k, a in m.items()})
+
+
+def _j_matrices(twoj):
+    """(J0, J+, J-) of the spin-twoj/2 irrep, exact."""
+    j0, jp, jm = {}, {}, {}
+    for twom in magnetics(twoj):
+        if twom:
+            j0[(twom, twom)] = RadScalar.from_rational(twom)
+        if twom < twoj:
+            jp[(twom + 2, twom)] = sqrt_nat((twoj - twom) * (twoj + twom + 2) // 4)
+        if twom > -twoj:
+            jm[(twom - 2, twom)] = sqrt_nat((twoj + twom) * (twoj - twom + 2) // 4)
+    return j0, jp, jm
+
+
+def _sigma(twoj):
+    """sigma = -ln(1 - 2h J+) = sum_{k>=1} (2h J+)^k / k, a finite sum."""
+    step = _scaled(_j_matrices(twoj)[1], H + H)
+    out, power = {}, step
+    for k in range(1, twoj + 1):
+        out = _add(out, _scaled(power, rational(1, k)))
+        power = matmul(power, step)
+    return out
+
+
+def _exp(m, basis):
+    """exp of a nilpotent matrix, summed until the power vanishes."""
+    out, term = _identity(basis), _identity(basis)
+    for k in range(1, len(basis) + 1):
+        term = _scaled(matmul(term, m), rational(1, k))
+        if not term:
+            return out
+        out = _add(out, term)
+    raise ArithmeticError("matrix is not nilpotent")
+
+
+def _kron(a, b):
+    """a (x) b on the product basis, keys ((a row, b row), (a col, b col))."""
+    return _clean({
+        ((ra, rb), (ca, cb)): x * y
+        for (ra, ca), x in a.items()
+        for (rb, cb), y in b.items()
+    })
+
+
+def _dense(m, basis):
+    return [[m.get((r, c), ZERO) for c in basis] for r in basis]
+
+
+def _swapped(m):
+    """M21: the two slots of a product-basis matrix exchanged."""
+    return {(r[::-1], c[::-1]): a for (r, c), a in m.items()}
+
+
 def test_j_matrices_half():
-    j0, jp, jm = j_matrices(1)
-    assert j0.rows == [[ONE, ZERO], [ZERO, -ONE]]
-    assert jp.rows == [[ZERO, ONE], [ZERO, ZERO]]
-    assert jm.rows == [[ZERO, ZERO], [ONE, ZERO]]
+    j0, jp, jm = _j_matrices(1)
+    basis = list(magnetics(1))
+    assert _dense(j0, basis) == [[ONE, ZERO], [ZERO, -ONE]]
+    assert _dense(jp, basis) == [[ZERO, ONE], [ZERO, ZERO]]
+    assert _dense(jm, basis) == [[ZERO, ZERO], [ONE, ZERO]]
 
 
 def test_j_matrices_spin_zero():
-    j0, jp, jm = j_matrices(0)
-    assert j0.is_zero() and jp.is_zero() and jm.is_zero()
+    assert _j_matrices(0) == ({}, {}, {})
 
 
 @pytest.mark.parametrize("twoj", range(7))
 def test_commutation_relations(twoj):
-    j0, jp, jm = j_matrices(twoj)
-    assert (j0 * jp - jp * j0) == jp.scaled(TWO)
-    assert (j0 * jm - jm * j0) == jm.scaled(-TWO)
-    assert (jp * jm - jm * jp) == j0
+    j0, jp, jm = _j_matrices(twoj)
+
+    def comm(a, b):
+        return _add(matmul(a, b), _scaled(matmul(b, a), -ONE))
+
+    assert comm(j0, jp) == _scaled(jp, TWO)
+    assert comm(j0, jm) == _scaled(jm, -TWO)
+    assert comm(jp, jm) == j0
 
 
 def test_sigma_half_is_2h_jplus():
-    _, jp, _ = j_matrices(1)
-    assert sigma_matrix(1) == jp.scaled(H + H)
+    assert _sigma(1) == _scaled(_j_matrices(1)[1], H + H)
 
 
 def test_sigma_spin_zero():
-    assert sigma_matrix(0).is_zero()
+    assert _sigma(0) == {}
 
 
 def test_sigma_is_minus_log():
     # (1 - 2hJ+) exp(sigma) = 1 at j = 1
-    lhs = power_one_minus(2, 1) * nilpotent_exp(sigma_matrix(2))
-    assert lhs == RepMatrix.identity(3)
+    basis = list(magnetics(2))
+    assert matmul(power_one_minus(2, 1), _exp(_sigma(2), basis)) == _identity(basis)
 
 
 def test_power_one_minus_basics():
-    assert power_one_minus(3, 0) == RepMatrix.identity(4)
-    _, jp, _ = j_matrices(1)
-    assert power_one_minus(1, 1) == RepMatrix.identity(2) - jp.scaled(H + H)
+    assert power_one_minus(3, 0) == _identity(magnetics(3))
+    jp = _j_matrices(1)[1]
+    assert power_one_minus(1, 1) == _add(_identity(magnetics(1)), _scaled(jp, -(H + H)))
 
 
 @pytest.mark.parametrize("twoj", range(4))
 def test_power_one_minus_square_root(twoj):
     half = power_one_minus(twoj, Q(-1, 2))
-    lhs = half * half * power_one_minus(twoj, 1)
-    assert lhs == RepMatrix.identity(twoj + 1)
+    lhs = matmul(matmul(half, half), power_one_minus(twoj, 1))
+    assert lhs == _identity(magnetics(twoj))
 
 
 def test_power_one_minus_equals_exp_of_sigma():
-    for twoj in range(4):
-        for e in (1, -1, Q(1, 2), Q(-3, 2)):
-            series = nilpotent_exp(sigma_matrix(twoj).scaled(RadScalar.from_rational(-Q(e))))
+    for twoj in range(9):
+        basis = list(magnetics(twoj))
+        for e in (1, -1, Q(1, 2), Q(-3, 2), Q(-5, 2), 2, -3):
+            series = _exp(_scaled(_sigma(twoj), RadScalar.from_rational(-Q(e))), basis)
             assert power_one_minus(twoj, e) == series
 
 
 def test_f_matrix_against_direct_exponential():
     # F = exp(-1/2 J0 (x) sigma), recomputed here from the definition
-    for twoj1, twoj2 in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        j0 = j_matrices(twoj1)[0]
-        sig = sigma_matrix(twoj2)
-        arg = kron(j0, sig).scaled(rational(-1, 2))
-        assert f_matrix(twoj1, twoj2) == nilpotent_exp(arg)
-        assert f_inv_matrix(twoj1, twoj2) == nilpotent_exp(arg.scaled(-ONE))
+    for twoj1, twoj2 in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 3), (4, 2)):
+        basis = pair_basis(twoj1, twoj2)
+        arg = _scaled(_kron(_j_matrices(twoj1)[0], _sigma(twoj2)), rational(-1, 2))
+        assert f_matrix(twoj1, twoj2) == _exp(arg, basis)
+        assert f_inv_matrix(twoj1, twoj2) == _exp(_scaled(arg, -ONE), basis)
 
 
 def test_f_half_table():
@@ -95,41 +173,33 @@ def test_f_half_table():
         for twom1 in magnetics(twoj1):
             for twok1 in magnetics(twoj1):
                 for twok2 in (1, -1):
-                    got = F.rows[prod_index(twoj1, 1, twok1, twok2)][
-                        prod_index(twoj1, 1, twom1, 1)
-                    ]
+                    got = F.get(((twok1, twok2), (twom1, 1)), ZERO)
                     assert got == (ONE if (twok1, twok2) == (twom1, 1) else ZERO)
-                    got = F.rows[prod_index(twoj1, 1, twok1, twok2)][
-                        prod_index(twoj1, 1, twom1, -1)
-                    ]
+                    got = F.get(((twok1, twok2), (twom1, -1)), ZERO)
                     if twok1 != twom1:
                         assert got == ZERO
                     else:
                         assert got == (ONE if twok2 == -1 else -H.scaled(Q(twom1)))
-                    got = Fi.rows[prod_index(twoj1, 1, twom1, 1)][
-                        prod_index(twoj1, 1, twok1, twok2)
-                    ]
+                    got = Fi.get(((twom1, 1), (twok1, twok2)), ZERO)
                     if twok1 != twom1:
                         assert got == ZERO
                     else:
                         assert got == (ONE if twok2 == 1 else H.scaled(Q(twom1)))
-                    got = Fi.rows[prod_index(twoj1, 1, twom1, -1)][
-                        prod_index(twoj1, 1, twok1, twok2)
-                    ]
+                    got = Fi.get(((twom1, -1), (twok1, twok2)), ZERO)
                     assert got == (ONE if (twok1, twok2) == (twom1, -1) else ZERO)
 
 
 def test_f_at_h_zero_is_identity():
     for twoj1, twoj2 in ((1, 1), (2, 3), (3, 2)):
-        n = (twoj1 + 1) * (twoj2 + 1)
-        assert f_matrix(twoj1, twoj2).specialize(h_value=0) == RepMatrix.identity(n)
+        basis = pair_basis(twoj1, twoj2)
+        assert _specialize(f_matrix(twoj1, twoj2), 0) == _identity(basis)
 
 
 @pytest.mark.parametrize("twoj1", range(5))
 @pytest.mark.parametrize("twoj2", range(5))
 def test_f_times_f_inverse(twoj1, twoj2):
-    n = (twoj1 + 1) * (twoj2 + 1)
-    assert f_matrix(twoj1, twoj2) * f_inv_matrix(twoj1, twoj2) == RepMatrix.identity(n)
+    basis = pair_basis(twoj1, twoj2)
+    assert matmul(f_matrix(twoj1, twoj2), f_inv_matrix(twoj1, twoj2)) == _identity(basis)
 
 
 def test_f_negation_symmetry():
@@ -138,23 +208,18 @@ def test_f_negation_symmetry():
         for twoj2 in range(4):
             F = f_matrix(twoj1, twoj2)
             Fi = f_inv_matrix(twoj1, twoj2)
-            for m1 in magnetics(twoj1):
-                for m2 in magnetics(twoj2):
-                    for s1 in magnetics(twoj1):
-                        for s2 in magnetics(twoj2):
-                            lhs = F.rows[prod_index(twoj1, twoj2, -m1, -m2)][
-                                prod_index(twoj1, twoj2, -s1, -s2)
-                            ]
-                            rhs = Fi.rows[prod_index(twoj1, twoj2, s1, s2)][
-                                prod_index(twoj1, twoj2, m1, m2)
-                            ]
-                            assert lhs == rhs
+            basis = pair_basis(twoj1, twoj2)
+            for m1, m2 in basis:
+                for s1, s2 in basis:
+                    lhs = F.get(((-m1, -m2), (-s1, -s2)), ZERO)
+                    rhs = Fi.get(((s1, s2), (m1, m2)), ZERO)
+                    assert lhs == rhs
 
 
 def test_r_matrix_half_half():
     R = r_matrix(1, 1)
     H2 = H * H
-    assert R.rows == [
+    assert _dense(R, pair_basis(1, 1)) == [
         [ONE, H, -H, H2],
         [ZERO, ONE, ZERO, H],
         [ZERO, ZERO, ONE, -H],
@@ -163,31 +228,22 @@ def test_r_matrix_half_half():
 
 
 def test_r_at_h_zero():
-    assert r_matrix(2, 1).specialize(h_value=0) == RepMatrix.identity(6)
+    assert _specialize(r_matrix(2, 1), 0) == _identity(pair_basis(2, 1))
 
 
 def test_r21_r_is_identity():
     R = r_matrix(1, 1)
-    flip = RepMatrix.zeros(4)
-    perm = {0: 0, 1: 2, 2: 1, 3: 3}
-    for i, j in perm.items():
-        flip.rows[i][j] = ONE
-    R21 = flip * R * flip
-    assert R21 * R == RepMatrix.identity(4)
+    assert matmul(_swapped(R), R) == _identity(pair_basis(1, 1))
 
 
 def test_quantum_yang_baxter():
     R = r_matrix(1, 1)
-    I2 = RepMatrix.identity(2)
-    swap = RepMatrix.zeros(4)
-    for a in range(2):
-        for b in range(2):
-            swap.rows[a * 2 + b][b * 2 + a] = ONE
-    R12 = kron(R, I2)
-    R23 = kron(I2, R)
-    P23 = kron(I2, swap)
-    R13 = P23 * R12 * P23
-    assert R12 * R13 * R23 == R23 * R13 * R12
+    halves = (1, -1)
+    # R_ij acts on slots i and j of three spin-1/2 slots
+    R12 = {((a, b, c), (d, e, c)): v for ((a, b), (d, e)), v in R.items() for c in halves}
+    R23 = {((c, a, b), (c, d, e)): v for ((a, b), (d, e)), v in R.items() for c in halves}
+    R13 = {((a, c, b), (d, c, e)): v for ((a, b), (d, e)), v in R.items() for c in halves}
+    assert matmul(matmul(R12, R13), R23) == matmul(matmul(R23, R13), R12)
 
 
 # ---------------------------------------------------------------------
@@ -232,23 +288,17 @@ def test_cgc_negation_symmetry():
             assert t.get((-m1, -m2, -m), ZERO) == (val if sign > 0 else -val)
 
 
-def _coupled_vector(table, twoj1, twoj2, twom):
-    """|(j1 j2) j m> as a RadScalar vector over the product basis."""
-    n = (twoj1 + 1) * (twoj2 + 1)
-    vec = [ZERO] * n
-    for m1 in magnetics(twoj1):
-        for m2 in magnetics(twoj2):
-            c = table.get((m1, m2, twom), ZERO)
-            if not c.is_zero():
-                vec[prod_index(twoj1, twoj2, m1, m2)] = c
-    return vec
+def _coupled_vector(table, twom):
+    """|(j1 j2) j m> as a vector {(m1, m2): c} over the product basis."""
+    return {(m1, m2): c for (m1, m2, m), c in table.items() if m == twom}
 
 
 def _apply(mat, vec):
-    return [
-        sum((a * v for a, v in zip(row, vec) if not a.is_zero()), ZERO)
-        for row in mat.rows
-    ]
+    out = {}
+    for (row, col), a in mat.items():
+        if col in vec:
+            out[row] = out.get(row, ZERO) + a * vec[col]
+    return _clean(out)
 
 
 def test_cgc_defining_properties():
@@ -259,21 +309,19 @@ def test_cgc_defining_properties():
     it, only the product-representation matrices).
     """
     for twoj1, twoj2 in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
-        n2 = twoj2 + 1
-        jp = kron(j_matrices(twoj1)[1], RepMatrix.identity(n2)) + kron(
-            RepMatrix.identity(twoj1 + 1), j_matrices(twoj2)[1]
-        )
-        jm = kron(j_matrices(twoj1)[2], RepMatrix.identity(n2)) + kron(
-            RepMatrix.identity(twoj1 + 1), j_matrices(twoj2)[2]
-        )
+        one1, one2 = _identity(magnetics(twoj1)), _identity(magnetics(twoj2))
+        _, jp1, jm1 = _j_matrices(twoj1)
+        _, jp2, jm2 = _j_matrices(twoj2)
+        jp = _add(_kron(jp1, one2), _kron(one1, jp2))
+        jm = _add(_kron(jm1, one2), _kron(one1, jm2))
         tables = {
             twoj: cgc_classical(twoj1, twoj2, twoj)
             for twoj in range(abs(twoj1 - twoj2), twoj1 + twoj2 + 2, 2)
         }
         for twoj, t in tables.items():
-            top = _coupled_vector(t, twoj1, twoj2, twoj)
+            top = _coupled_vector(t, twoj)
             # highest weight state is annihilated by J+
-            assert all(c.is_zero() for c in _apply(jp, top))
+            assert _apply(jp, top) == {}
             # Condon-Shortley: the m1 = j1 component of the top state is > 0
             lead = t.get((twoj1, twoj - twoj1, twoj), ZERO)
             terms = list(lead.terms())
@@ -282,16 +330,12 @@ def test_cgc_defining_properties():
             for twom in magnetics(twoj):
                 if twom == -twoj:
                     continue
-                got = _apply(jm, _coupled_vector(t, twoj1, twoj2, twom))
+                got = _apply(jm, _coupled_vector(t, twom))
                 amp = sqrt_nat((twoj + twom) * (twoj - twom + 2) // 4)
-                want = [
-                    amp * c
-                    for c in _coupled_vector(t, twoj1, twoj2, twom - 2)
-                ]
-                assert got == want
+                assert got == _scaled(_coupled_vector(t, twom - 2), amp)
         # orthonormality across all (j, m), (j', m')
         vecs = {
-            (twoj, twom): _coupled_vector(tables[twoj], twoj1, twoj2, twom)
+            (twoj, twom): _coupled_vector(tables[twoj], twom)
             for twoj in tables
             for twom in magnetics(twoj)
         }
@@ -299,7 +343,7 @@ def test_cgc_defining_properties():
         for i, k1 in enumerate(keys):
             for k2 in keys[i:]:
                 dot = sum(
-                    (a * b for a, b in zip(vecs[k1], vecs[k2])), ZERO
+                    (a * vecs[k2].get(pair, ZERO) for pair, a in vecs[k1].items()), ZERO
                 )
                 assert dot == (ONE if k1 == k2 else ZERO)
 
