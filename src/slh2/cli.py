@@ -43,7 +43,7 @@ def _run_suite(args) -> Report:
     if suite == "wigner":
         out = Report("wigner")
         for a, b in _spin_pairs(k):
-            for twoj in range(abs(a - b), a + b + 2, 2):
+            for twoj in rep.triangle(a, b):
                 out.extend(hopfcheck.wigner_check(a, b, twoj, args.ring))
         return out
     if suite == "recurrence":

@@ -25,7 +25,8 @@ Matrices are stored so that every product is a product of Python ints:
   the diagonal sqrt(n11! n21! n12! n22!).  There a creation has
   amplitude 1, an annihilation amplitude n and the hop a_to^+ a_from
   amplitude n_from.  "op == 0" and "A == B" do not change under the
-  similarity; `FockOp.entry` converts back to the normalized basis.
+  similarity; in the normalized basis an entry is the stored one times
+  sqrt(n_dst! / n_src!), n! being the product of a state's factorials.
 * Weight.  A state has weight w = n11 + 2 n21 + n22.  J+ and K+ raise w
   by one and come with one h in every series, so entry (i, j) of every
   operator built here is q * h^(w(i) - w(j) - c), where c is an offset
@@ -54,7 +55,7 @@ Matrices are stored so that every product is a product of Python ints:
 
 import random
 from functools import lru_cache
-from math import factorial, gcd
+from math import gcd
 
 from ._rat import Q, num
 from . import ncalg
@@ -62,7 +63,7 @@ from .dfun import ORDERED1, check_indices, dfunc, iter_klmn
 from .ncalg import GL, NCPoly, normal_form
 from .rep import _binom, magnetics
 from .report import Report
-from .scalar import H, ONE, ZERO, RadScalar, sqrt_nat
+from .scalar import H, ONE, RadScalar
 
 _TWO_H = H + H
 
@@ -222,58 +223,11 @@ class FockOp:
             and (not self.data or (self.offset, self.rad) == (other.offset, other.rad))
         )
 
-    def specialize(self, h_value):
-        """The limit h = 0: the entries of h-degree zero.
-
-        Only h = 0 keeps the weight grading; other values raise.
-        """
-        if h_value != 0:
-            raise ValueError(f"a FockOp specializes only at h = 0, not h = {h_value}")
-        dst, src = states(self.dst), states(self.src)
-        data = {
-            (i, j): v
-            for (i, j), v in self.data.items()
-            if weight(dst[i]) - weight(src[j]) == self.offset
-        }
-        return FockOp(self.src, self.dst, data, self.offset, self.rad)
-
-    def entry(self, dst_state, src_state):
-        """The entry in the normalized occupation basis, as a RadScalar."""
-        v = self.data.get((state_index(self.dst)[dst_state], state_index(self.src)[src_state]))
-        if v is None:
-            return ZERO
-        d = weight(dst_state) - weight(src_state) - self.offset
-        fd = fs = 1
-        for nd, ns in zip(dst_state, src_state):
-            fd *= factorial(nd)
-            fs *= factorial(ns)
-        # sqrt(fd / fs) = sqrt(fd * fs) / fs undoes the basis change
-        return sqrt_nat(self.rad * fd * fs).scaled(Q(v) / (fs << d)) * H**d
-
     def __repr__(self):
         return (
             f"FockOp({self.src}->{self.dst}, nnz={len(self.data)}, "
             f"offset={self.offset}, rad={self.rad})"
         )
-
-
-def boson(mode: int, kind: str, n: int) -> FockOp:
-    """Creation/annihilation matrix of one mode on the grade-n block."""
-    if kind == "create":
-        return _creation_monomial(tuple(int(i == mode) for i in range(4)), n)
-    if kind == "annihilate":
-        if n == 0:
-            raise ValueError("cannot annihilate on the vacuum grade")
-        idx = state_index(n - 1)
-        data = {}
-        for j, s in enumerate(states(n)):
-            if s[mode] == 0:
-                continue
-            t = list(s)
-            t[mode] -= 1
-            data[(idx[tuple(t)], j)] = s[mode]
-        return FockOp(n, n - 1, data, -MODE_WEIGHT[mode])
-    raise ValueError(f"unknown boson kind {kind!r}")
 
 
 def _hop(n, moves):
@@ -338,18 +292,19 @@ def exp_lr(n, lcoef, rcoef):
     return FockOp.identity(n) if out is None else out
 
 
+# letter -> (the unit occupation of its boson mode, the exponents of exp_lr)
 _LETTER_FACTORS = {
-    ncalg.X: (A11, Q(-1, 2), Q(1, 2)),
-    ncalg.U: (A12, Q(-1, 2), Q(-1, 2)),
-    ncalg.V: (A21, Q(1, 2), Q(1, 2)),
-    ncalg.Y: (A22, Q(1, 2), Q(-1, 2)),
+    ncalg.X: ((1, 0, 0, 0), Q(-1, 2), Q(1, 2)),
+    ncalg.U: ((0, 0, 1, 0), Q(-1, 2), Q(-1, 2)),
+    ncalg.V: ((0, 1, 0, 0), Q(1, 2), Q(1, 2)),
+    ncalg.Y: ((0, 0, 0, 1), Q(1, 2), Q(-1, 2)),
 }
 
 
 @lru_cache(maxsize=None)
 def twisted_letter(g: int, n: int) -> FockOp:
-    mode, lc, rc = _LETTER_FACTORS[g]
-    return boson(mode, "create", n) * exp_lr(n, lc, rc)
+    occ, lc, rc = _LETTER_FACTORS[g]
+    return _creation_monomial(occ, n) * exp_lr(n, lc, rc)
 
 
 def twisted_generators(n: int):

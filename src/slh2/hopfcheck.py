@@ -30,24 +30,29 @@ product law and its corollaries read
     mho^{j'}T P Omega^j = delta_{jj'} D^j      P Omega^j = Omega^j D^j
     mho^jT P = D^j mho^jT                      P = sum_j Omega^j D^j mho^jT
 
-and RTT reads R T1 T2 = T2 T1 R.  Each is checked entrywise as a
-contraction: rep.rows reads a coupling table or R once per suite call
-into rows (or columns), and each entry is one ncalg.lincomb over a row.
+and RTT reads R T1 T2 = T2 T1 R.  Each law is written once, as an
+entrywise contraction: _rel reads rel1 and rel2 for wigner_check and
+the recurrences, _rtt reads R for rtt_check and the free-algebra span
+check, and ortho1 and ortho2 share one loop.  rep.rows reads a coupling
+table or R once per call into rows (or columns), and each entry is one
+ncalg.lincomb over a row.
 
 The recurrences couple D^{j -+ 1/2} with T = D^{1/2} = [[x, u], [v, y]]:
 each is rel1 (i, ii, v, vi) or rel2 (iii, iv, vii, viii) at the spins
-(j -+ 1/2, 1/2), read at the rows of one pair (k - t, t) of omega or
-mho.  The paper writes them s times these sides, s = sqrt(2j) for i-iv,
--sqrt(2j+2) for v and vii and +sqrt(2j+2) for vi and viii.
+(j -+ 1/2, 1/2), read by _rel at the rows of one pair (k - t, t) of
+omega or mho, with P = D^{j -+ 1/2} (x) T.  The paper writes them s
+times these sides, s = sqrt(2j) for i-iv, -sqrt(2j+2) for v and vii and
++sqrt(2j+2) for vi and viii.
 
-Besides the D D products of _dprod, two lru caches keep sums from
-being rebuilt.  _rel3 holds the case records (no polynomials) of rel3
-per spin pair: rel3 does not depend on the j of a wigner_check call.
-_dletter holds a D-entry times one generator, the terms of a
+Besides the D D products of _dprod, two caches keep sums from being
+rebuilt.  The lru cache _rel3 holds the case records (no polynomials)
+of rel3 per spin pair: rel3 does not depend on the j of a wigner_check
+call.  _dletter holds a D-entry times one generator, the terms of a
 recurrence's right side, so relations that read the same entry and
-letter share the product.  Its memo _DLETTER_MEMO is kept per spin:
-recurrence_check at 2j drops the products of spins below 2j - 1, which
-a loop up in 2j (as `slh2 verify` runs) never reads again.
+letter share the product; an entry outside the band is zero and is not
+stored.  Its memo _DLETTER_MEMO is kept per spin: recurrence_check at 2j
+drops the products of spins below 2j - 1, which a loop up in 2j (as
+`slh2 verify` runs) never reads again.
 """
 
 from functools import lru_cache
@@ -57,8 +62,7 @@ from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
 from .kernel import add_into, rad_add, rad_mul, rad_neg, scale_into
 from .ncalg import GL, LETTER_WORDS, SL, U, V, X, Y, NCPoly, _mul
-from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, r_matrix, triangle_ok
-from .rep import pair_basis, rows
+from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_basis, r_matrix, rows, triangle
 from .report import Report
 from .scalar import ONE, ZERO, RadScalar
 
@@ -259,19 +263,8 @@ def _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring):
     )
 
 
-def _in_band(twoj, twomp, twom):
-    return abs(twomp) <= twoj and abs(twom) <= twoj
-
-
 def _dref(twoj, twomp, twom, ring):
-    # matrix elements vanish outside the magnetic band
-    if not _in_band(twoj, twomp, twom):
-        return NCPoly.zero(ring)
     return dfunc(twoj, twomp, twom, ORDERED1, ring)
-
-
-def _triangle(twoj1, twoj2):
-    return range(abs(twoj1 - twoj2), twoj1 + twoj2 + 2, 2)
 
 
 def _need_determinant_one(ring, what):
@@ -289,6 +282,26 @@ def _by_m(key):
     return key[2], key[:2]
 
 
+def _rel(table, twoj, pairs, d, prod, ring):
+    """The two sides of rel1 or rel2 at the rows `pairs` of a coupling
+    table C of spin twoj/2: yields ((k1, k2), m, lhs, rhs) with
+
+        lhs = sum_{m'} C[(k1, k2), m'] d(m', m)
+        rhs = sum_{m1, m2} C[(m1, m2), m] prod(k1, m1, k2, m2)
+
+    rel1 is this with C = Omega^j, d = D^j and prod = P; rel2 is it with
+    C = mho^j and d, prod reading each index pair reversed.
+    """
+    items = table.items()
+    pair_rows, m_rows = rows(items, _by_pair), rows(items, _by_m)
+    for k1, k2 in pairs:
+        row = pair_rows.get((k1, k2), ())
+        for m in magnetics(twoj):
+            lhs = ncalg.lincomb(((c, d(mp, m)) for mp, c in row), ring)
+            rhs = ncalg.lincomb(((c, prod(k1, m1, k2, m2)) for (m1, m2), c in m_rows.get(m, ())), ring)
+            yield (k1, k2), m, lhs, rhs
+
+
 def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     """The twisted product law for D^j plus its three corollaries.
 
@@ -301,64 +314,40 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
         rel2     mho^jT P = D^j mho^jT
         rel3     P = sum_j Omega^j D^j mho^jT
 
-    Each table is read once into rows (_by_pair) and into columns
-    (_by_m), and each entry of each side is one lincomb over a row.
-    rel3 does not depend on j: the report copies the records _rel3
-    builds once per spin pair.  SL only: the singlet projection of the
-    product law is D = 1.
+    _rel reads rel1 and rel2; the product law contracts rel1's right side
+    A = P Omega^j with each mho^{j'}, so rel1's cases are recorded as
+    they are made and reported after it.  rel3 does not depend on j:
+    the report copies the records _rel3 builds once per spin pair.  SL
+    only: the singlet projection of the product law is D = 1.
     """
     _need_determinant_one(ring, "the product law and its corollaries")
-    rep = Report("wigner")
-    if not triangle_ok(twoj1, twoj2, twoj):
-        raise ValueError("spin triple violates the triangle condition")
-    om, mh = omega(twoj1, twoj2, twoj).items(), mho(twoj1, twoj2, twoj).items()
-    om_pair, om_m = rows(om, _by_pair), rows(om, _by_m)
-    mh_pair, mh_m = rows(mh, _by_pair), rows(mh, _by_m)
+    rep, rel1, acc = Report("wigner"), Report("wigner"), {}
     pairs = pair_basis(twoj1, twoj2)
-    spins = {"twoj1": twoj1, "twoj2": twoj2}
+    spins = {"twoj1": twoj1, "twoj2": twoj2, "twoj": twoj}
+    for (k1, k2), m, lhs, rhs in _rel(
+        omega(twoj1, twoj2, twoj), twoj, pairs, lambda mp, m: _dref(twoj, mp, m, ring),
+        lambda k1, m1, k2, m2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring), ring,
+    ):
+        acc[(k1, k2, m)] = rhs
+        rel1.record({"law": "rel1", **spins, "twok1": k1, "twok2": k2, "twom": m}, lhs, rhs)
 
-    # A = P Omega^j: A[k1, k2, m] = sum_{m1,m2} Omega^j_{m1,m2,m} D^{j1}_{k1,m1} D^{j2}_{k2,m2}
-    acc = {}
-    for twok1, twok2 in pairs:
-        for twom in magnetics(twoj):
-            acc[(twok1, twok2, twom)] = ncalg.lincomb(
-                ((c, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring))
-                 for (twom1, twom2), c in om_m.get(twom, ())),
-                ring,
-            )
-
-    # product law: delta_{j,j'} D^j_{m'm} = sum mho^{j'} Omega^{j} D D
-    for twojp in _triangle(twoj1, twoj2):
+    # product law: delta_{j,j'} D^j_{m'm} = sum_{k1,k2} mho^{j'}_{k1,k2,m'} A[k1,k2,m]
+    for twojp in triangle(twoj1, twoj2):
         mhp_m = rows(mho(twoj1, twoj2, twojp).items(), _by_m)
-        params = {"law": "product", **spins, "twoj": twoj, "twojp": twojp}
+        params = {"law": "product", **spins, "twojp": twojp}
         for twomp in magnetics(twojp):
             row = mhp_m.get(twomp, ())
             for twom in magnetics(twoj):
                 rhs = ncalg.lincomb(((c, acc[(k1, k2, twom)]) for (k1, k2), c in row), ring)
                 lhs = _dref(twoj, twomp, twom, ring) if twojp == twoj else NCPoly.zero(ring)
                 rep.record({**params, "twomp": twomp, "twom": twom}, lhs, rhs)
+    rep.extend(rel1)
 
-    # rel1: sum_{m'} Omega_{k1,k2,m'} D^j_{m'm} = A[k1,k2,m]
-    for twok1, twok2 in pairs:
-        row = om_pair.get((twok1, twok2), ())
-        params = {"law": "rel1", **spins, "twoj": twoj, "twok1": twok1, "twok2": twok2}
-        for twom in magnetics(twoj):
-            lhs = ncalg.lincomb(((c, _dref(twoj, twomp, twom, ring)) for twomp, c in row), ring)
-            rep.record({**params, "twom": twom}, lhs, acc[(twok1, twok2, twom)])
-
-    # rel2: sum_m mho_{m1,m2,m} D^j_{m'm} = sum_{k1,k2} mho_{k1,k2,m'} D D
-    for twom1, twom2 in pairs:
-        row = mh_pair.get((twom1, twom2), ())
-        params = {"law": "rel2", **spins, "twoj": twoj, "twom1": twom1, "twom2": twom2}
-        for twomp in magnetics(twoj):
-            lhs = ncalg.lincomb(((c, _dref(twoj, twomp, twom, ring)) for twom, c in row), ring)
-            rhs = ncalg.lincomb(
-                ((c, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring))
-                 for (twok1, twok2), c in mh_m.get(twomp, ())),
-                ring,
-            )
-            rep.record({**params, "twomp": twomp}, lhs, rhs)
-
+    for (m1, m2), mp, lhs, rhs in _rel(
+        mho(twoj1, twoj2, twoj), twoj, pairs, lambda m, mp: _dref(twoj, mp, m, ring),
+        lambda m1, k1, m2, k2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring), ring,
+    ):
+        rep.record({"law": "rel2", **spins, "twom1": m1, "twom2": m2, "twomp": mp}, lhs, rhs)
     rep.cases.extend({**case, "params": dict(case["params"])} for case in _rel3(twoj1, twoj2, ring))
     return rep
 
@@ -374,7 +363,7 @@ def _rel3(twoj1, twoj2, ring):
     tables = [
         (twojs, rows(omega(twoj1, twoj2, twojs).items(), _by_pair),
          rows(mho(twoj1, twoj2, twojs).items(), _by_pair))
-        for twojs in _triangle(twoj1, twoj2)
+        for twojs in triangle(twoj1, twoj2)
     ]
     for twok1 in m1s:
         for twom1 in m1s:
@@ -406,11 +395,14 @@ _DLETTER_MEMO = {}
 
 
 def _dletter(twoj, twomp, twom, g, ring):
-    """D^j_{m'm} times the generator g, shared by the recurrences."""
+    """D^j_{m'm} times the generator g, shared by the recurrences; zero
+    outside the magnetic band."""
     memo = _DLETTER_MEMO.setdefault(twoj, {})
     key = (twomp, twom, g, ring)
     hit = memo.get(key)
     if hit is None:
+        if abs(twomp) > twoj or abs(twom) > twoj:
+            return NCPoly.zero(ring)
         hit = memo[key] = dfunc(twoj, twomp, twom, ORDERED1, ring) * NCPoly.generator(g, ring)
     return hit
 
@@ -431,24 +423,21 @@ RING_RECURRENCES = {SL: RECURRENCES, GL: RECURRENCES[:4]}
 def recurrence_check(which, twoj, ring=SL) -> Report:
     """Verify one of the eight recurrence relations at spin twoj/2.
 
-    Each relation is the rel1 or rel2 law of wigner_check at the spins
-    (j', 1/2), j' = j - 1/2 for i-iv and j + 1/2 for v-viii, read at the
-    rows of the pair (k - t, t):
+    Each relation is the rel1 or rel2 law of wigner_check, read by _rel
+    at the spins (j', 1/2), j' = j - 1/2 for i-iv and j + 1/2 for v-viii,
+    at the rows of the pair (k - t, t):
 
-        i, ii, v, vi      rel1 of omega(j', 1/2, j), t = 1/2, -1/2:
-            sum_{m'} Omega_{k-t,t,m'} D^j_{m'm}
-                = sum_{m1,m2} Omega_{m1,m2,m} D^{j'}_{k-t,m1} T_{t,m2}
-        iii, iv, vii, viii  rel2 of mho(j', 1/2, j), t = 1/2, -1/2:
-            sum_{n'} mho_{k-t,t,n'} D^j_{m n'}
-                = sum_{m1,m2} mho_{m1,m2,m} D^{j'}_{m1,k-t} T_{m2,t}
+        i, ii, v, vi        rel1 of omega(j', 1/2, j), t = 1/2, -1/2
+        iii, iv, vii, viii  rel2 of mho(j', 1/2, j), t = 1/2, -1/2
 
-    with T = D^{1/2} = [[x, u], [v, y]].  The paper writes each relation
-    as s times these sides, with s = sqrt(2j) for i-iv, -sqrt(2j+2) for
-    v and vii and +sqrt(2j+2) for vi and viii.  k (twok) runs one step
-    beyond the magnetic band on both sides, where a row of the table or
-    a D^{j'} entry is empty and the instance reads 0 = 0.  The relations
-    v-viii use D = 1 and are SL statements, refused in GL; i-iv hold in
-    GL as well.
+    P is D^{j'} (x) T with T = D^{1/2} = [[x, u], [v, y]], each product
+    one _dletter.  The paper writes each relation as s times these sides,
+    with s = sqrt(2j) for i-iv, -sqrt(2j+2) for v and vii and
+    +sqrt(2j+2) for vi and viii.  k (twok) runs one step beyond the
+    magnetic band on both sides, where a row of the table or a D^{j'}
+    entry is empty and the instance reads 0 = 0.  The relations v-viii
+    use D = 1 and are SL statements, refused in GL; i-iv hold in GL as
+    well.
     """
     try:
         raising, law, t = _RELATIONS[which]
@@ -464,21 +453,15 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
     for spin in [spin for spin in _DLETTER_MEMO if spin < twoj - 1]:
         del _DLETTER_MEMO[spin]
     twojp = twoj + 1 if raising else twoj - 1
-    items = (omega if law == "rel1" else mho)(twojp, 1, twoj).items()
-    pair_rows, m_rows = rows(items, _by_pair), rows(items, _by_m)
-    # rel2 is rel1 with every D index pair and T index pair reversed
-    at = (lambda a, b: (a, b)) if law == "rel1" else (lambda a, b: (b, a))
-    for twok in range(-twoj - 2, twoj + 4, 2):
-        row = pair_rows.get((twok - t, t), ())
-        cols = m_rows if abs(twok - t) <= twojp else {}
-        for twom in magnetics(twoj):
-            lhs = ncalg.lincomb(((c, _dref(twoj, *at(mp, twom), ring)) for mp, c in row), ring)
-            rhs = ncalg.lincomb(
-                ((c, _dletter(twojp, *at(twok - t, m1), _GEN_AT[at(t, m2)], ring))
-                 for (m1, m2), c in cols.get(twom, ())),
-                ring,
-            )
-            rep.record({"which": which, "twoj": twoj, "twok": twok, "twom": twom}, lhs, rhs)
+    if law == "rel1":
+        table, d = omega(twojp, 1, twoj), lambda mp, m: _dref(twoj, mp, m, ring)
+        prod = lambda k1, m1, k2, m2: _dletter(twojp, k1, m1, _GEN_AT[k2, m2], ring)
+    else:
+        table, d = mho(twojp, 1, twoj), lambda m, mp: _dref(twoj, mp, m, ring)
+        prod = lambda k1, m1, k2, m2: _dletter(twojp, m1, k1, _GEN_AT[m2, k2], ring)
+    pairs = [(twok - t, t) for twok in range(-twoj - 2, twoj + 4, 2)]
+    for (k1, _), twom, lhs, rhs in _rel(table, twoj, pairs, d, prod, ring):
+        rep.record({"which": which, "twoj": twoj, "twok": k1 + t, "twom": twom}, lhs, rhs)
     return rep
 
 
@@ -493,43 +476,35 @@ def _sign(twodiff):
 
 
 def ortho_like_check(twoj, ring=SL) -> Report:
+    """The orthogonality-like relations, one row of F or F^-1 each:
+
+        ortho1  sum_{m1,m2} (-1)^(k1-m1) F[(m1,m2),(m1,-m1)] D_{k1m1} D_{k2m2}
+                    = F[(k1,k2),(k1,-k1)]
+        ortho2  sum_{k1,k2} (-1)^(m1-k1) F^-1[(k1,-k1),(k1,k2)] D_{k1m1} D_{k2m2}
+                    = F^-1[(m1,-m1),(m1,m2)]
+
+    ortho2 reads F^-1 transposed and each D index pair reversed."""
     _need_determinant_one(ring, "the orthogonality-like relations")
     rep = Report("ortho")
-    mag_pairs = pair_basis(twoj, twoj)
-
-    # F[(m1, m2), (m1, -m1)] and F^-1[(k1, -k1), (k1, k2)], zeros left out
-    f_diag = {
-        r: c for (r, s), c in f_matrix(twoj, twoj).items() if s == (r[0], -r[0])
-    }
-    finv_diag = {
-        s: c for (r, s), c in f_inv_matrix(twoj, twoj).items() if r == (s[0], -s[0])
-    }
-
-    for twok1, twok2 in mag_pairs:
-        lhs = ncalg.lincomb(
-            ((c.scaled(_sign(twok1 - twom1)), _dprod(twoj, twok1, twom1, twoj, twok2, twom2, ring))
-             for (twom1, twom2), c in f_diag.items()),
-            ring,
-        )
-        rhs = NCPoly.scalar(f_diag.get((twok1, twok2), ZERO), ring)
-        rep.record(
-            {"law": "ortho1", "twoj": twoj, "twok1": twok1, "twok2": twok2},
-            lhs,
-            rhs,
-        )
-
-    for twom1, twom2 in mag_pairs:
-        lhs = ncalg.lincomb(
-            ((c.scaled(_sign(twom1 - twok1)), _dprod(twoj, twok1, twom1, twoj, twok2, twom2, ring))
-             for (twok1, twok2), c in finv_diag.items()),
-            ring,
-        )
-        rhs = NCPoly.scalar(finv_diag.get((twom1, twom2), ZERO), ring)
-        rep.record(
-            {"law": "ortho2", "twoj": twoj, "twom1": twom1, "twom2": twom2},
-            lhs,
-            rhs,
-        )
+    for law, matrix, split, names, prod in (
+        ("ortho1", f_matrix, lambda k: k, ("twok1", "twok2"),
+         lambda a1, b1, a2, b2: _dprod(twoj, a1, b1, twoj, a2, b2, ring)),
+        ("ortho2", f_inv_matrix, lambda k: k[::-1], ("twom1", "twom2"),
+         lambda a1, b1, a2, b2: _dprod(twoj, b1, a1, twoj, b2, a2, ring)),
+    ):
+        # the entry at column (a1, -a1) of each row a, zeros left out
+        diag = {}
+        for key, c in matrix(twoj, twoj).items():
+            a, b = split(key)
+            if b == (a[0], -a[0]):
+                diag[a] = c
+        for a1, a2 in pair_basis(twoj, twoj):
+            lhs = ncalg.lincomb(
+                ((c.scaled(_sign(a1 - b1)), prod(a1, b1, a2, b2)) for (b1, b2), c in diag.items()),
+                ring,
+            )
+            rhs = NCPoly.scalar(diag.get((a1, a2), ZERO), ring)
+            rep.record({"law": law, "twoj": twoj, names[0]: a1, names[1]: a2}, lhs, rhs)
     return rep
 
 
@@ -538,32 +513,32 @@ def ortho_like_check(twoj, ring=SL) -> Report:
 # ---------------------------------------------------------------------
 
 
-def rtt_check(twoj1, twoj2, ring=SL) -> Report:
-    """R T1 T2 = T2 T1 R entrywise on the product of two spins.
+def _rtt(twoj1, twoj2, prod):
+    """R T1 T2 = T2 T1 R on the product of two spins, entrywise: yields
+    ((m1, m2), (k1, k2), lhs, rhs), each side as (c, product) pairs,
 
-    (R T1 T2)[(m1,m2),(k1,k2)] = sum_s R[(m1,m2),s] D^{j1}_{s1k1} D^{j2}_{s2k2}
-    is a sum over a row of R, (T2 T1 R)[(m1,m2),(k1,k2)] = sum_s
-    D^{j2}_{m2s2} D^{j1}_{m1s1} R[s,(k1,k2)] one over a column.
+        lhs  sum_s R[(m1,m2),s] prod(j1, s1, k1, j2, s2, k2)   a row of R
+        rhs  sum_s R[s,(k1,k2)] prod(j2, m2, s2, j1, m1, s1)   a column
+
+    where prod(ja, a, b, jb, c, d) stands for D^{ja}_{ab} D^{jb}_{cd}.
     """
-    rep = Report("rtt")
     r_items = r_matrix(twoj1, twoj2).items()
     r_rows, r_cols = rows(r_items, lambda k: k), rows(r_items, lambda k: k[::-1])
-    mag_pairs = pair_basis(twoj1, twoj2)
-    for twom1, twom2 in mag_pairs:
-        row = r_rows.get((twom1, twom2), ())
-        params = {"twoj1": twoj1, "twoj2": twoj2, "twom1": twom1, "twom2": twom2}
-        for twok1, twok2 in mag_pairs:
-            lhs = ncalg.lincomb(
-                ((c, _dprod(twoj1, twos1, twok1, twoj2, twos2, twok2, ring))
-                 for (twos1, twos2), c in row),
-                ring,
-            )
-            rhs = ncalg.lincomb(
-                ((c, _dprod(twoj2, twom2, twos2, twoj1, twom1, twos1, ring))
-                 for (twos1, twos2), c in r_cols.get((twok1, twok2), ())),
-                ring,
-            )
-            rep.record({**params, "twok1": twok1, "twok2": twok2}, lhs, rhs)
+    pairs = pair_basis(twoj1, twoj2)
+    for m1, m2 in pairs:
+        row = r_rows.get((m1, m2), ())
+        for k1, k2 in pairs:
+            lhs = ((c, prod(twoj1, s1, k1, twoj2, s2, k2)) for (s1, s2), c in row)
+            rhs = ((c, prod(twoj2, m2, s2, twoj1, m1, s1)) for (s1, s2), c in r_cols.get((k1, k2), ()))
+            yield (m1, m2), (k1, k2), lhs, rhs
+
+
+def rtt_check(twoj1, twoj2, ring=SL) -> Report:
+    """R T1 T2 = T2 T1 R entrywise, each side one lincomb of D D products."""
+    rep = Report("rtt")
+    for (m1, m2), (k1, k2), lhs, rhs in _rtt(twoj1, twoj2, lambda *ix: _dprod(*ix, ring)):
+        params = {"twoj1": twoj1, "twoj2": twoj2, "twom1": m1, "twom2": m2, "twok1": k1, "twok2": k2}
+        rep.record(params, ncalg.lincomb(lhs, ring), ncalg.lincomb(rhs, ring))
     return rep
 
 
@@ -578,20 +553,14 @@ def _free_rtt_elements():
     in h, as flat terms {(g1, g2, radicand, h_power): q}; no rewriting is
     applied.
     """
-    r_items = r_matrix(1, 1).items()
-    r_rows, r_cols = rows(r_items, lambda k: k), rows(r_items, lambda k: k[::-1])
-    mag_pairs = pair_basis(1, 1)
-
     vecs = []
-    for m1, m2 in mag_pairs:
-        for k1, k2 in mag_pairs:
-            vec = {}
-            for (s1, s2), c in r_rows.get((m1, m2), ()):
-                scale_into(vec, {(_GEN_AT[(s1, k1)], _GEN_AT[(s2, k2)], 1, 0): 1}, c.raw())
-            for (s1, s2), c in r_cols.get((k1, k2), ()):
-                scale_into(vec, {(_GEN_AT[(m2, s2)], _GEN_AT[(m1, s1)], 1, 0): -1}, c.raw())
-            if vec:
-                vecs.append(vec)
+    for _, _, lhs, rhs in _rtt(1, 1, lambda ja, a, b, jb, c, d: (_GEN_AT[a, b], _GEN_AT[c, d], 1, 0)):
+        vec = {}
+        for sign, side in ((1, lhs), (-1, rhs)):
+            for c, word in side:
+                scale_into(vec, {word: sign}, c.raw())
+        if vec:
+            vecs.append(vec)
     return vecs
 
 

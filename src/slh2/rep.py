@@ -138,6 +138,11 @@ def r_matrix(twoj1: int, twoj2: int) -> dict:
 # ---------------------------------------------------------------------
 
 
+def triangle(twoj1, twoj2):
+    """The doubled spins 2j that couple twoj1/2 and twoj2/2, ascending."""
+    return range(abs(twoj1 - twoj2), twoj1 + twoj2 + 2, 2)
+
+
 def triangle_ok(twoj1, twoj2, twoj):
     return (
         abs(twoj1 - twoj2) <= twoj <= twoj1 + twoj2

@@ -208,6 +208,14 @@ PINNED = [
      0, "ed7e5b0be4ae83fc0b105bb698d2605b61f5d6b140b47adad7984d17b8849963"),
     (["verify", "--suite", "ortho", "--max-twoj", "4"],
      0, "be5f10b4aff9c7f34b443b3a122c5c22eb3a9c8c021d658b00a1bed8284a721d"),
+    (["verify", "--suite", "wigner", "--max-twoj", "4"],
+     0, "eabf2c395f49884f72038c7b366ec81b0f2fda1e63ebc9e0f80890f21750b52e"),
+    (["verify", "--suite", "recurrence", "--max-twoj", "7", "--format", "text"],
+     0, "d6c7a8a7e5b01d1031cfd8de9e0a64025002d8eff900f4909a435249682d77b1"),
+    (["verify", "--suite", "ortho", "--max-twoj", "5"],
+     0, "6dfd62e0b7549b781ec27202fee06705d5e806de590ae6ac83c378ddc552ee9c"),
+    (["verify", "--suite", "rtt", "--max-twoj", "2", "--format", "text"],
+     0, "3058b473c74e150c92048f7d7a94d6eebca8d7e85f2388dfad98eea9c394ecf8"),
 ]
 
 

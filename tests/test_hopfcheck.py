@@ -280,12 +280,37 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
     )
 
 
+def test_rel2_detects_a_decoupling_table_read_as_omega(monkeypatch):
+    # negative control: with mho replaced by omega, rel2 fails both in
+    # wigner_check and in the recurrences read off mho (iii, iv), while
+    # rel1 and the recurrences read off omega (i, ii) still pass
+    from slh2 import rep
+
+    # rel3 reads mho too: its cached records are cleared before and after
+    hc._rel3.cache_clear()
+    monkeypatch.setattr(hc, "mho", rep.omega)
+    try:
+        report = hc.wigner_check(1, 2, 1)
+        recurrences = {(which, twoj): hc.recurrence_check(which, twoj)
+                       for which in ("i", "ii", "iii", "iv") for twoj in (2, 3)}
+    finally:
+        hc._rel3.cache_clear()
+    failed = {law: sum(not c["pass"] for c in report.cases if c["params"]["law"] == law)
+              for law in ("rel1", "rel2")}
+    assert failed == {"rel1": 0, "rel2": 12}
+    counts = {key: (r.failed, len(r.cases)) for key, r in recurrences.items()}
+    assert counts == {
+        ("i", 2): (0, 15), ("i", 3): (0, 24), ("ii", 2): (0, 15), ("ii", 3): (0, 24),
+        ("iii", 2): (6, 15), ("iii", 3): (12, 24), ("iv", 2): (6, 15), ("iv", 3): (12, 24),
+    }
+
+
 def _rel3_reference(twoj1, twoj2, ring=SL):
     """rel3 as wigner_check built it inline for every j, kept as the
     reference for the cached _rel3."""
     from slh2 import ncalg
     from slh2.report import Report
-    from slh2.rep import magnetics, mho, omega, rows
+    from slh2.rep import magnetics, mho, omega, rows, triangle
 
     report = Report("wigner")
     spins = {"twoj1": twoj1, "twoj2": twoj2}
@@ -293,7 +318,7 @@ def _rel3_reference(twoj1, twoj2, ring=SL):
     tables = [
         (twojs, rows(omega(twoj1, twoj2, twojs).items(), hc._by_pair),
          rows(mho(twoj1, twoj2, twojs).items(), hc._by_pair))
-        for twojs in hc._triangle(twoj1, twoj2)
+        for twojs in triangle(twoj1, twoj2)
     ]
     for twok1 in m1s:
         for twom1 in m1s:
@@ -321,9 +346,11 @@ def _rel3_cases(report):
 
 @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2), (2, 3)])
 def test_rel3_is_built_once_per_spin_pair(pair):
+    from slh2.rep import triangle
+
     want = _rel3_reference(*pair)
     hc._rel3.cache_clear()
-    for twoj in hc._triangle(*pair):
+    for twoj in triangle(*pair):
         assert _rel3_cases(hc.wigner_check(*pair, twoj)) == want
     assert hc._rel3.cache_info().misses == 1
 
@@ -360,8 +387,9 @@ def test_wigner_singlet_projection_gives_determinant():
 
 
 def test_wigner_triangle_violation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         hc.wigner_check(1, 1, 1)
+    assert "(1/2, 1/2, 1/2)" in str(err.value)
 
 
 def test_wigner_classical_limit():
@@ -913,6 +941,9 @@ def test_rtt_span_detects_a_wrong_r_matrix(monkeypatch):
     monkeypatch.setattr(hc, "r_matrix", lambda twoj1, twoj2: wrong)
     report = hc.rtt_frt_check()
     assert (report.passed, report.failed) == (13, 9)
+    # the same R fails R T1 T2 = T2 T1 R read through the shared R reader
+    report = hc.rtt_check(1, 1)
+    assert (report.passed, report.failed) == (9, 7)
     assert rep.r_matrix(1, 1) == before
 
 

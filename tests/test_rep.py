@@ -12,6 +12,8 @@ from slh2.rep import (
     pair_basis,
     power_one_minus,
     r_matrix,
+    triangle,
+    triangle_ok,
 )
 from slh2.scalar import H, ONE, ZERO, RadScalar, rational, sqrt_nat
 
@@ -260,6 +262,13 @@ def test_cgc_singlet():
     r = sqrt_nat(2).scaled(Q(1, 2))
     assert t.get((1, -1, 0), ZERO) == r
     assert t.get((-1, 1, 0), ZERO) == -r
+
+
+def test_triangle_lists_the_coupled_spins():
+    for twoj1 in range(4):
+        for twoj2 in range(4):
+            want = [twoj for twoj in range(9) if triangle_ok(twoj1, twoj2, twoj)]
+            assert list(triangle(twoj1, twoj2)) == want
 
 
 def test_cgc_triangle_violation():
