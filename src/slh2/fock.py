@@ -20,6 +20,9 @@ normal-ordering rewrites.
 
 Matrices are stored so that every product is a product of Python ints:
 
+* Keys.  A FockOp maps row * dim(src) + col to its entry, one int per
+  nonzero entry, so no (row, col) tuple is built, hashed or scanned by
+  the garbage collector; rows() splits a key with one divmod.
 * Basis.  A FockOp works in the unnormalized occupation basis
   (a_1^1)^n11 ... (a_2^2)^n22 |0>, which is the normalized one scaled by
   the diagonal sqrt(n11! n21! n12! n22!).  There a creation has
@@ -99,10 +102,10 @@ def weight(state) -> int:
 class FockOp:
     """Sparse exact matrix between two grade blocks.
 
-    data maps (row, col) to the unnormalized-basis entry at h = 2; the
-    entry itself is data[i, j] / 2^d * h^d * sqrt(rad) with
-    d = w(row) - w(col) - offset.  An operator without entries is zero
-    whatever its offset and radicand.
+    data maps the int key row * dim(src) + col to the unnormalized-basis
+    entry at h = 2; entry (i, j) itself is data[i * dim(src) + j] / 2^d *
+    h^d * sqrt(rad) with d = w(i) - w(j) - offset.  An operator without
+    entries is zero whatever its offset and radicand.
     """
 
     __slots__ = ("src", "dst", "data", "offset", "rad", "_rows")
@@ -110,7 +113,7 @@ class FockOp:
     def __init__(self, src, dst, data, offset=0, rad=1):
         self.src = src
         self.dst = dst
-        self.data = data  # {(row, col): nonzero int or Fraction}
+        self.data = data  # {row * dim(src) + col: nonzero int or Fraction}
         self.offset = offset
         self.rad = rad
         self._rows = None
@@ -119,7 +122,9 @@ class FockOp:
         """{row: [(col, value), ...]}, built once per operator."""
         if self._rows is None:
             rows = {}
-            for (i, j), v in self.data.items():
+            width = dim(self.src)
+            for k, v in self.data.items():
+                i, j = divmod(k, width)
                 rows.setdefault(i, []).append((j, v))
             self._rows = rows
         return self._rows
@@ -130,7 +135,8 @@ class FockOp:
 
     @staticmethod
     def identity(n):
-        return FockOp(n, n, {(i, i): 1 for i in range(dim(n))})
+        d = dim(n)
+        return FockOp(n, n, {i * (d + 1): 1 for i in range(d)})
 
     @staticmethod
     def lincomb(src, dst, pairs):
@@ -196,9 +202,9 @@ class FockOp:
             for b, v in row:
                 for aj, w in by_row.get(b, ()):
                     acc[aj] += v * w
-            for aj, p in enumerate(acc):
+            for k, p in enumerate(acc, ci * width):
                 if p:
-                    data[ci, aj] = p
+                    data[k] = p
         g = gcd(self.rad, other.rad)
         if g != 1:
             data = {k: p * g for k, p in data.items()}
@@ -238,6 +244,7 @@ def _hop(n, moves):
     """
     (shift,) = {MODE_WEIGHT[dst_m] - MODE_WEIGHT[src_m] for src_m, dst_m in moves}
     idx = state_index(n)
+    width = dim(n)
     data = {}
     for j, s in enumerate(states(n)):
         for src_m, dst_m in moves:
@@ -246,7 +253,7 @@ def _hop(n, moves):
             t = list(s)
             t[src_m] -= 1
             t[dst_m] += 1
-            k = (idx[tuple(t)], j)
+            k = idx[tuple(t)] * width + j
             data[k] = data.get(k, 0) + s[src_m]
     return FockOp(n, n, data, shift)
 
@@ -303,6 +310,9 @@ _LETTER_FACTORS = {
 
 @lru_cache(maxsize=None)
 def twisted_letter(g: int, n: int) -> FockOp:
+    # checked here, on a cache miss, so that evaluating a word pays nothing
+    if g not in _LETTER_FACTORS:
+        raise ValueError(f"not a generator index: {g!r}; the letters are 0..3 (v, x, y, u)")
     occ, lc, rc = _LETTER_FACTORS[g]
     return _creation_monomial(occ, n) * exp_lr(n, lc, rc)
 
@@ -348,9 +358,10 @@ def evaluate(p: NCPoly, n: int) -> FockOp:
 def _creation_monomial(occ, n: int) -> FockOp:
     """(a11)^K (a21)^L (a12)^M (a22)^N as a grade n -> n+|occ| matrix."""
     idx = state_index(n + sum(occ))
+    width = dim(n)
     data = {}
     for j, s in enumerate(states(n)):
-        data[(idx[tuple(a + b for a, b in zip(s, occ))], j)] = 1
+        data[idx[tuple(a + b for a, b in zip(s, occ))] * width + j] = 1
     return FockOp(n, n + sum(occ), data, weight(occ))
 
 

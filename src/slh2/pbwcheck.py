@@ -122,12 +122,19 @@ def termination_check(maxlen=4) -> Report:
     return rep
 
 
+def _check_maxlen(maxlen):
+    # with maxlen < 1 confluence_check tries no word, so it would pass vacuously
+    if maxlen < 1:
+        raise ValueError(f"word length cutoff maxlen={maxlen} must be at least 1")
+
+
 def confluence_check(maxlen=4) -> Report:
     """All one-step peaks rejoin, and every result matches the engine.
 
     Each one-step rewrite of a word is normalized once, then compared
     with the rewrites at every later position and with the word's own
     normal form."""
+    _check_maxlen(maxlen)
     rep = Report("pbw-confluence")
     for ring in RINGS:
         rules = int_rules(ring)
@@ -187,6 +194,7 @@ def centrality_check() -> Report:
 
 
 def pbw_suite(maxlen=4) -> Report:
+    _check_maxlen(maxlen)
     rep = Report("pbw")
     rep.extend(termination_check(maxlen))
     rep.extend(confluence_check(maxlen))

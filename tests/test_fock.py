@@ -39,29 +39,32 @@ def boson(mode, kind, n):
     if n == 0:
         raise ValueError("cannot annihilate on the vacuum grade")
     idx = fock.state_index(n - 1)
+    width = fock.dim(n)
     data = {}
     for j, s in enumerate(fock.states(n)):
         if s[mode]:
             t = list(s)
             t[mode] -= 1
-            data[(idx[tuple(t)], j)] = s[mode]
+            data[idx[tuple(t)] * width + j] = s[mode]
     return FockOp(n, n - 1, data, -fock.MODE_WEIGHT[mode])
 
 
 def at_h_zero(op):
     """The limit h = 0 of an operator: its entries of h-degree zero."""
     dst, src = fock.states(op.dst), fock.states(op.src)
+    width = len(src)
     data = {
-        (i, j): v
-        for (i, j), v in op.data.items()
-        if fock.weight(dst[i]) - fock.weight(src[j]) == op.offset
+        k: v
+        for k, v in op.data.items()
+        if fock.weight(dst[k // width]) - fock.weight(src[k % width]) == op.offset
     }
     return FockOp(op.src, op.dst, data, op.offset, op.rad)
 
 
 def entry(op, dst_state, src_state):
     """The entry of op in the normalized occupation basis, as a RadScalar."""
-    v = op.data.get((fock.state_index(op.dst)[dst_state], fock.state_index(op.src)[src_state]))
+    row, col = fock.state_index(op.dst)[dst_state], fock.state_index(op.src)[src_state]
+    v = op.data.get(row * fock.dim(op.src) + col)
     if v is None:
         return ZERO
     d = fock.weight(dst_state) - fock.weight(src_state) - op.offset
@@ -76,11 +79,12 @@ def entry(op, dst_state, src_state):
 # the bilinears the library does not use, built here as test oracles:
 # J-, K- as hops, J0, K0 and the grade operators z_L, z_R as diagonals
 def _diag(n, value):
+    width = fock.dim(n)
     data = {}
     for i, s in enumerate(fock.states(n)):
         w = value(s)
         if w:
-            data[(i, i)] = w
+            data[i * width + i] = w
     return FockOp(n, n, data)
 
 
@@ -196,6 +200,12 @@ def test_no_terms_evaluate_to_the_zero_map():
         assert evaluate(NCPoly.zero(GL), n) == FockOp.zero(n, n)
     with pytest.raises(ValueError, match="mixed degrees"):
         eval_free([((X,), ONE), ((X, V), ONE)], 1)
+
+
+@pytest.mark.parametrize("word,letter", [("xy", "'y'"), ((7,), "7")], ids=["names", "index-7"])
+def test_unknown_letter_raises(word, letter):
+    with pytest.raises(ValueError, match=f"not a generator index: {letter}"):
+        eval_free([(word, ONE)], 0)
 
 
 def test_evaluate_identity():
@@ -525,6 +535,59 @@ def test_negative_grade_cutoff_rejected(check):
 # ---------------------------------------------------------------------
 # the integer representation: basis, offsets, radicands, mutations
 # ---------------------------------------------------------------------
+
+
+# a dense test-local reference for the storage rule: entry (i, j) is
+# stored under the int key i * dim(src) + j
+def _dense(op):
+    width = fock.dim(op.src)
+    out = [[0] * width for _ in range(fock.dim(op.dst))]
+    for k, v in op.data.items():
+        assert type(k) is int and 0 <= k < len(out) * width, k
+        i, j = divmod(k, width)
+        out[i][j] = v
+    return out
+
+
+def _dense_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _from_dense(m, src, dst, offset):
+    width = fock.dim(src)
+    data = {i * width + j: v for i, row in enumerate(m) for j, v in enumerate(row) if v}
+    return FockOp(src, dst, data, offset)
+
+
+@pytest.mark.parametrize("n", [0, 1], ids=["1to3-after-0to1", "2to4-after-1to2"])
+def test_key_rule_across_grade_blocks_of_unequal_dimension(n):
+    # the product's keys use the width of the right factor's source block;
+    # here dim(n) differs from dim(n + 1), so the left factor's would fail
+    left, left2 = eval_letters((U, X), n + 1), eval_letters((X, U), n + 1)
+    right = eval_letters((Y,), n)
+    assert fock.dim(left.src) != fock.dim(right.src)
+    prod, prod2 = left * right, left2 * right
+    want = _dense_mul(_dense(left), _dense(right))
+    want2 = _dense_mul(_dense(left2), _dense(right))
+    assert _dense(prod) == want
+    assert prod == _from_dense(want, n, n + 3, prod.offset)
+    assert prod != _from_dense(want2, n, n + 3, prod.offset)
+    comb = FockOp.lincomb(n, n + 3, [(3, prod), (-1, prod2)])
+    assert _dense(comb) == [
+        [3 * a - b for a, b in zip(row, row2)] for row, row2 in zip(want, want2)
+    ]
+    assert comb == prod.scaled(3) - prod2
+
+
+def test_cached_operators_have_int_keys():
+    fock.relations_check(2)
+    misses = fock.eval_letters.cache_info().misses
+    for combo in fock._GL_FREE_RELATIONS.values():
+        for word, _ in combo:
+            for n in range(3):
+                op = eval_letters(fock._letters(word), n)
+                assert all(type(k) is int for k in op.data), (word, n)
+    assert fock.eval_letters.cache_info().misses == misses
 
 
 def _bumped(state, *changes):

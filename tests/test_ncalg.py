@@ -93,6 +93,15 @@ def test_confluence_exhaustive_len4():
     assert rep.ok, rep.first_failure()
 
 
+@pytest.mark.parametrize(
+    "check", [pbwcheck.confluence_check, pbwcheck.pbw_suite], ids=["confluence", "suite"]
+)
+def test_word_length_cutoff_below_one_rejected(check):
+    # with maxlen < 1 no word is tried, so every case would pass vacuously
+    with pytest.raises(ValueError, match="maxlen=0"):
+        check(0)
+
+
 def test_engine_matches_naive_random_len6():
     rng = random.Random(5)
     for _ in range(150):
