@@ -393,9 +393,6 @@ class DFunctionMatrix:
         check_indices(self.twoj, twomp, twom)
         return self.entries[(self.twoj - twomp) // 2][(self.twoj - twom) // 2]
 
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
-
     def to_json(self):
         return {
             "twoj": self.twoj,

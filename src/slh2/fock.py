@@ -324,9 +324,12 @@ def twisted_generators(n: int):
 
 @lru_cache(maxsize=None)
 def eval_letters(letters, n: int) -> FockOp:
-    """Direct evaluation of a free word (no rewriting), rightmost first."""
+    """Direct evaluation of a free word (no rewriting), rightmost first; a
+    one-letter word is the letter's own operator."""
     if not letters:
         return FockOp.identity(n)
+    if len(letters) == 1:
+        return twisted_letter(letters[0], n)
     head = eval_letters(letters[1:], n)
     return twisted_letter(letters[0], n + len(letters) - 1) * head
 

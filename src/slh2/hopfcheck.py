@@ -10,12 +10,13 @@ extended as an algebra homomorphism, with counit eps(x) = eps(y) = 1,
 eps(u) = eps(v) = 0.  Compatibility with the defining relations is itself
 part of the test surface, not an assumption.
 
-A TensorPoly holds the flat terms {(w_1, ..., w_n, radicand, h_power): q}
-of the NCPoly layout with n words in place of one.  Tensors multiply
-slot by slot through ncalg._mul, and Delta of a word is Delta(the word
-without its last letter) times Delta(its last letter), memoised in
-_DELTA_MEMO as {(w1, w2, 1, h_power): int}.  A RadScalar is built only
-for printing and for the value of counit.
+A tensor is a plain dict of flat terms {(w_1, ..., w_n, radicand,
+h_power): q}, the NCPoly layout with n words in place of one; tensor
+builds one from NCPoly factors and tensor_text prints it.  coproduct
+returns the 2-slot dict and counit a RadScalar.  Delta of a word is
+Delta(the word without its last letter) times Delta(its last letter),
+two slot products through ncalg._mul per pair of terms, memoised in
+_DELTA_MEMO as {(w1, w2, 1, h_power): int}.
 
 The suites verify, by exact symbolic expansion: the corepresentation law
 for D^j, the twisted product law and its corollaries, the eight
@@ -60,7 +61,7 @@ from math import gcd
 
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
-from .kernel import add_into, rad_add, rad_mul, rad_neg, scale_into
+from .kernel import add_into, rad_neg, scale_into
 from .ncalg import GL, LETTER_WORDS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_basis, r_matrix, rows, triangle
 from .report import Report
@@ -76,110 +77,24 @@ _DELTA_GEN = {
 }
 
 
-class TensorPoly:
-    """Element of a tensor power of the ring, slotwise normal ordered: one
-    flat dict {(w_1, ..., w_n, radicand, h_power): q}, the n-slot form of
-    the NCPoly terms, with each w_i a normal word (a, b, c, d)."""
-
-    __slots__ = ("ring", "arity", "terms")
-
-    def __init__(self, ring, arity, terms):
-        self.ring = ring
-        self.arity = arity
-        self.terms = terms
-
-    @staticmethod
-    def zero(ring, arity=2):
-        return TensorPoly(ring, arity, {})
-
-    @staticmethod
-    def of(*polys):
-        """Outer product p1 (x) p2 (x) ... of NCPoly factors."""
-        ring = polys[0].ring
-        if any(p.ring != ring for p in polys):
-            raise ValueError("ring mismatch in tensor product")
-        out = {}
-        _spread(out, [p._terms for p in polys])
-        return TensorPoly(ring, len(polys), out)
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorPoly(self.ring, self.arity, rad_add(self.terms, other.terms))
-
-    def __neg__(self):
-        return TensorPoly(self.ring, self.arity, rad_neg(self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, coef):
-        out = scale_into({}, self.terms, RadScalar.coerce(coef).raw())
-        return TensorPoly(self.ring, self.arity, out)
-
-    def __mul__(self, other):
-        self._check(other)
-        if not self.arity:
-            return TensorPoly(self.ring, 0, rad_mul(self.terms, other.terms))
-        out = {}
-        right = [_slots(k, q) for k, q in other.terms.items()]
-        for k1, q1 in self.terms.items():
-            left = _slots(k1, q1)
-            for slots in right:
-                _spread(out, [_mul(t1, t2, self.ring) for t1, t2 in zip(left, slots)])
-        return TensorPoly(self.ring, self.arity, out)
-
-    def _check(self, other):
-        if self.ring != other.ring or self.arity != other.arity:
-            raise ValueError("tensor shape mismatch")
-
-    def _check_slot(self, slot):
-        if not 0 <= slot < self.arity:
-            raise ValueError(f"slot {slot} outside 0..{self.arity - 1}")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorPoly)
-            and self.ring == other.ring
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def apply_coproduct(self, slot=0):
-        """Replace one tensor slot by its coproduct (arity grows by one)."""
-        self._check_slot(slot)
-        out = {}
-        for k, q in self.terms.items():
-            # memo entries have radicand 1: only the h-power moves
-            head, tail, i = k[:slot], k[slot + 1 : -1], k[-1]
-            for (w1, w2, _, j), m in _word_coproduct(k[slot], self.ring).items():
-                add_into(out, head + (w1, w2) + tail + (i + j,), q * m)
-        return TensorPoly(self.ring, self.arity + 1, out)
-
-    def apply_counit(self, slot=0):
-        """Contract one tensor slot with the counit (arity shrinks by one)."""
-        self._check_slot(slot)
-        out = {}
-        for k, q in self.terms.items():
-            if k[slot][V] == k[slot][U] == 0:  # eps(v) = eps(u) = 0, eps(x) = eps(y) = 1
-                add_into(out, k[:slot] + k[slot + 1 :], q)
-        return TensorPoly(self.ring, self.arity - 1, out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for words, c in sorted(ncalg.grouped(self.terms).items()):
-            tag = " (x) ".join(ncalg.word_str(w) or "1" for w in words)
-            bits.append(f"({c!r})*[{tag}]")
-        return " + ".join(bits)
+def tensor(*polys):
+    """The outer product p1 (x) p2 (x) ... of NCPoly factors, as flat
+    tensor terms."""
+    out = {}
+    _spread(out, [p._terms for p in polys])
+    return out
 
 
-def _slots(k, q):
-    """A tensor term as one NCPoly term dict per slot, its scalar in the first."""
-    return [{k[0] + k[-2:]: q}] + [{w + (1, 0): 1} for w in k[1:-2]]
+def tensor_text(terms):
+    """Flat tensor terms as text, (c)*[w_1 (x) ... (x) w_n] per word tuple
+    in sorted order, or 0."""
+    if not terms:
+        return "0"
+    bits = []
+    for words, c in sorted(ncalg.grouped(terms).items()):
+        tag = " (x) ".join(ncalg.word_str(w) or "1" for w in words)
+        bits.append(f"({c!r})*[{tag}]")
+    return " + ".join(bits)
 
 
 def _spread(out, slot_terms, q=1, r=1, i=0, prefix=()):
@@ -200,7 +115,7 @@ _DELTA_MEMO = {GL: {}, SL: {}}
 
 def _word_coproduct(exps, ring):
     """Delta of a normal word: Delta(the word without its last letter)
-    times Delta(the last letter), memoised per word."""
+    times Delta(the last letter), slot by slot, memoised per word."""
     memo = _DELTA_MEMO[ring]
     hit = memo.get(exps)
     if hit is None:
@@ -209,19 +124,36 @@ def _word_coproduct(exps, ring):
         else:
             g = max(i for i in range(4) if exps[i])
             head = _word_coproduct(exps[:g] + (exps[g] - 1,) + exps[g + 1 :], ring)
-            last = {(LETTER_WORDS[g1], LETTER_WORDS[g2], 1, 0): 1 for g1, g2 in _DELTA_GEN[g]}
-            hit = (TensorPoly(ring, 2, head) * TensorPoly(ring, 2, last)).terms
+            hit = {}
+            for (w1, w2, r, i), q in head.items():
+                for g1, g2 in _DELTA_GEN[g]:
+                    _spread(hit, [
+                        _mul({w1 + (r, i): q}, {LETTER_WORDS[g1] + (1, 0): 1}, ring),
+                        _mul({w2 + (1, 0): 1}, {LETTER_WORDS[g2] + (1, 0): 1}, ring),
+                    ])
         memo[exps] = hit
     return hit
 
 
-def coproduct(p: NCPoly) -> TensorPoly:
-    """Algebra-homomorphism extension of the generator coproduct."""
-    return TensorPoly.of(p).apply_coproduct(0)
+def coproduct(p: NCPoly) -> dict:
+    """Algebra-homomorphism extension of the generator coproduct, as flat
+    2-slot terms {(w1, w2, radicand, h_power): q}."""
+    out = {}
+    for k, q in p._terms.items():
+        # memo entries have radicand 1: only the h-power moves
+        r, i = k[4:]
+        for (w1, w2, _, j), m in _word_coproduct(k[:4], p.ring).items():
+            add_into(out, (w1, w2, r, i + j), q * m)
+    return out
 
 
 def counit(p: NCPoly) -> RadScalar:
-    return ncalg.grouped(TensorPoly.of(p).apply_counit(0).terms).get((), ZERO)
+    """eps(x) = eps(y) = 1, eps(u) = eps(v) = 0, extended multiplicatively."""
+    out = {}
+    for k, q in p._terms.items():
+        if k[V] == k[U] == 0:
+            add_into(out, k[4:], q)
+    return RadScalar(out)
 
 
 # ---------------------------------------------------------------------
@@ -244,7 +176,8 @@ def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
             rep.record(
                 {"twoj": twoj, "twomp": twomp, "twom": twom, "law": "coproduct"},
                 lhs,
-                TensorPoly(ring, 2, rhs),
+                rhs,
+                tensor_text,
             )
             eps = counit(entry)
             want = ONE if twomp == twom else ZERO

@@ -7,9 +7,9 @@ Scalars, polynomials and tensors are flat term dicts
 for the sum of q * sqrt(radicand) * h^h_power * (w_1 (x) ... (x) w_n)
 over its items, with a squarefree positive radicand.  A RadScalar is the
 0-slot case {(radicand, h_power): q}, an NCPoly the 1-slot case with a
-normal word (a, b, c, d), a hopfcheck.TensorPoly the n-slot case, and a
-free-algebra vector of hopfcheck.rtt_frt_check the 2-slot case with a
-generator index in each slot.
+normal word (a, b, c, d), a hopfcheck tensor (such as a coproduct) the
+n-slot case, and a free-algebra vector of hopfcheck.rtt_frt_check the
+2-slot case with a generator index in each slot.
 Functions never store zero entries and never mutate their arguments,
 except the dst of an *_into and the terms given to ints, so values can
 be shared freely.
@@ -24,8 +24,8 @@ Two rules keep the format canonical:
   is the same rule for a single value.
 
 scale_into, the product of flat terms by a scalar, is the one product
-loop: rad_mul is its 0-slot case, and the ncalg engine, the hopfcheck
-tensors and the row steps of rtt_frt_check sum through it.
+loop: rad_mul is its 0-slot case, and the ncalg engine and the row
+steps of rtt_frt_check sum through it.
 """
 
 from math import gcd

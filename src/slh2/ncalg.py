@@ -143,8 +143,8 @@ def word_sort_key(exps):
 
 # ---------------------------------------------------------------------
 # The rewrite engine, on flat term dicts (see NCPoly).  Memo entries are
-# shared per ring and must never be mutated.  Every flat key, NCPoly or
-# hopfcheck.TensorPoly, ends in (radicand, h_power).
+# shared per ring and must never be mutated.  Every flat key, of an
+# NCPoly or of a hopfcheck tensor, ends in (radicand, h_power).
 # ---------------------------------------------------------------------
 
 # the one-letter words v, x, y, u as exponent tuples, by generator index

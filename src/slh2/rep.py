@@ -201,28 +201,20 @@ def cgc_classical(twoj1: int, twoj2: int, twoj: int) -> dict:
 
 @lru_cache(maxsize=None)
 def omega(twoj1: int, twoj2: int, twoj: int) -> dict:
-    """Coupling CGC of the twisted algebra: classical CGC contracted with F."""
-    return _twisted_cgc(twoj1, twoj2, twoj, f_matrix, False)
+    """Coupling CGC of the twisted algebra: F times the classical table."""
+    return _twisted_cgc(f_matrix(twoj1, twoj2), twoj1, twoj2, twoj)
 
 
 @lru_cache(maxsize=None)
 def mho(twoj1: int, twoj2: int, twoj: int) -> dict:
-    """Decoupling CGC of the twisted algebra, via the inverse twist."""
-    return _twisted_cgc(twoj1, twoj2, twoj, f_inv_matrix, True)
+    """Decoupling CGC of the twisted algebra: (F^-1)^T times the classical
+    table."""
+    f_inv = f_inv_matrix(twoj1, twoj2)
+    return _twisted_cgc({(col, row): c for (row, col), c in f_inv.items()}, twoj1, twoj2, twoj)
 
 
-def _twisted_cgc(twoj1, twoj2, twoj, twist, transpose):
-    """table[m1, m2, m] = sum_{s1,s2} C(s1, s2, m) T[(m1, m2), (s1, s2)].
-
-    T is twist(twoj1, twoj2), transposed when transpose is set: one pass
-    over the classical items C(s1, s2, m), each spread down column
-    (s1, s2) of T, and the sums that cancel are dropped at the end.
-    """
-    split = (lambda k: k) if transpose else (lambda k: k[::-1])
-    cols = rows(twist(twoj1, twoj2).items(), split)
-    table = {}
-    for (twos1, twos2, twom), c in cgc_classical(twoj1, twoj2, twoj).items():
-        for (twom1, twom2), a in cols.get((twos1, twos2), ()):
-            key = (twom1, twom2, twom)
-            table[key] = table.get(key, ZERO) + c * a
-    return {k: v for k, v in table.items() if v}
+def _twisted_cgc(twist, twoj1, twoj2, twoj):
+    """table[m1, m2, m] = sum_{s1,s2} twist[(m1, m2), (s1, s2)] C(s1, s2, m),
+    one matmul with the classical table C as a matrix."""
+    classical = {((s1, s2), m): c for (s1, s2, m), c in cgc_classical(twoj1, twoj2, twoj).items()}
+    return {(m1, m2, m): c for ((m1, m2), m), c in matmul(twist, classical).items()}

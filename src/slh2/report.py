@@ -17,10 +17,11 @@ class Report:
                 case["rhs"] = rhs
         self.cases.append(case)
 
-    def record(self, params, lhs_value, rhs_value):
-        """Add a case comparing two values, keeping the repr of both sides on failure."""
+    def record(self, params, lhs_value, rhs_value, text=repr):
+        """Add a case comparing two values, keeping the text of both sides
+        on failure."""
         ok = lhs_value == rhs_value
-        self.add(params, ok, None if ok else repr(lhs_value), None if ok else repr(rhs_value))
+        self.add(params, ok, None if ok else text(lhs_value), None if ok else text(rhs_value))
         return ok
 
     def extend(self, other: "Report"):

@@ -216,6 +216,10 @@ PINNED = [
      0, "6dfd62e0b7549b781ec27202fee06705d5e806de590ae6ac83c378ddc552ee9c"),
     (["verify", "--suite", "rtt", "--max-twoj", "2", "--format", "text"],
      0, "3058b473c74e150c92048f7d7a94d6eebca8d7e85f2388dfad98eea9c394ecf8"),
+    (["verify", "--suite", "corep", "--max-twoj", "5", "--format", "text"],
+     0, "b4a3ad5f67ecaa0c82be56eed4d9fb861756995ca39fe812ef880b18f785f74f"),
+    (["verify", "--suite", "corep", "--ring", "gl", "--max-twoj", "5", "--format", "text"],
+     0, "b4a3ad5f67ecaa0c82be56eed4d9fb861756995ca39fe812ef880b18f785f74f"),
 ]
 
 

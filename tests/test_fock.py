@@ -208,6 +208,13 @@ def test_unknown_letter_raises(word, letter):
         eval_free([(word, ONE)], 0)
 
 
+def test_one_letter_word_is_the_letter_itself():
+    # no product by the identity, and no second cached copy of the letter
+    for g in range(4):
+        for n in range(4):
+            assert fock.eval_letters((g,), n) is fock.twisted_letter(g, n)
+
+
 def test_evaluate_identity():
     assert evaluate(parse("7", GL), 3) == FockOp.identity(3).scaled(rational(7))
 

@@ -149,6 +149,7 @@ def test_memo_keys_are_cores(monkeypatch):
     from slh2 import dfun
     from slh2 import hopfcheck as hc
     from slh2.dfun import ORDERED1, dmatrix
+    from test_hopfcheck import tensor_mul
 
     _fresh_memos(monkeypatch)
     monkeypatch.setattr(dfun, "_TERM_MEMO", {})
@@ -161,7 +162,7 @@ def test_memo_keys_are_cores(monkeypatch):
         # carry v and u powers, through the same engine product
         assert hc.check_corep(3, ring=ring).ok
     p, q = parse("v*x + h*u", SL), parse("y*u - v^2", SL)
-    assert hc.coproduct(p) * hc.coproduct(q) == hc.coproduct(p * q)
+    assert tensor_mul(hc.coproduct(p), hc.coproduct(q), SL) == hc.coproduct(p * q)
     assert hc.wigner_check(1, 2, 1).ok
     # dmatrix and the coproduct multiply by linear factors; wigner_check
     # and the tensor product (both in SL) multiply by longer words
