@@ -34,6 +34,8 @@ def _run_suite(args) -> Report:
         raise ValueError(f"--max-twoj does not apply to --suite {suite}")
     if suite != "fock" and (args.nmax is not None or args.with_g is not None):
         raise ValueError(f"--nmax and --with-g apply to --suite fock only, not {suite}")
+    if args.max_twoj is not None and args.max_twoj < 0:
+        raise ValueError(f"--max-twoj must be non-negative, not {args.max_twoj}")
     k = 2 if args.max_twoj is None else args.max_twoj
     if suite == "corep":
         out = Report("corep")

@@ -64,7 +64,10 @@ nodes at 2j = 6).  Caution: a lower SL entry is sigma of the formula,
 not the formula evaluated.  tests/test_dfun.py checks that the two
 agree for SL ordered1 with 2j <= 10 and for ordered2, jacobi and
 classical with 2j <= 8; no proof that each closed form commutes with
-sigma is given here.
+sigma is given here.  The caution reaches the products of the suites
+too: in SL, hopfcheck takes half of its D D and D-entry-times-letter
+products as sigma of their partners, which is exact for the entries as
+built, and so as far as a lower entry is the formula.
 
 The lift to GL.  Let delta = xy - uv - h xv be the quantum determinant.
 In GL, dfunc takes each ordered1 and ordered2 entry as

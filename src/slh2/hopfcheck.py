@@ -45,6 +45,23 @@ omega or mho, with P = D^{j -+ 1/2} (x) T.  The paper writes them s
 times these sides, s = sqrt(2j) for i-iv, -sqrt(2j+2) for v and vii and
 +sqrt(2j+2) for vi and viii.
 
+The sigma-partner products.  Let sigma swap x and y and fix v, u and
+h; in SL it is an algebra automorphism, NCPoly.swap_xy is sigma on
+SL-normal terms, and dfunc builds sigma(D^j_{m'm}) = D^j_{-m,-m'}.  So
+in SL
+
+    D_{k1m1} D_{k2m2} = sigma(D_{-m1,-k1} D_{-m2,-k2})
+    D_{km} g          = sigma(D_{-m,-k} sigma(g))
+
+and the engine's normal form is unique, so swap_xy of the partner's
+product is the product itself.  _dprod and _dletter multiply the member
+of each pair whose index tuple, (k1, m1, k2, m2) or (m', m), is the
+larger, and a self-partner, with the engine; the other member is
+swap_xy of its partner's cached product.  Both members are cached, so
+no read repeats a swap.  Every case is still computed and reported;
+sigma drops products, not cases.  GL multiplies every pair, since sigma
+needs a rewrite there.
+
 Besides the D D products of _dprod, two caches keep sums from being
 rebuilt.  The lru cache _rel3 holds the case records (no polynomials)
 of rel3 per spin pair: rel3 does not depend on the j of a wigner_check
@@ -61,7 +78,7 @@ from math import gcd
 
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
-from .kernel import add_into, rad_neg, scale_into
+from .kernel import add_into, ints, rad_neg, scale_into
 from .ncalg import GL, LETTER_WORDS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_basis, r_matrix, rows, triangle
 from .report import Report
@@ -78,8 +95,8 @@ _DELTA_GEN = {
 
 
 def tensor(*polys):
-    """The outer product p1 (x) p2 (x) ... of NCPoly factors, as flat
-    tensor terms."""
+    """The outer product p1 (x) p2 (x) ... of one or more NCPoly factors,
+    as flat tensor terms."""
     out = {}
     _spread(out, [p._terms for p in polys])
     return out
@@ -97,17 +114,37 @@ def tensor_text(terms):
     return " + ".join(bits)
 
 
-def _spread(out, slot_terms, q=1, r=1, i=0, prefix=()):
-    """out += q * sqrt(r) * h^i * (x) slot_terms, expanded into flat tensor
-    terms; each slot is a flat NCPoly term dict, such as a memo entry."""
-    if not slot_terms:
-        add_into(out, prefix + (r, i), q)
-        return
-    head, *rest = slot_terms
-    for k, m in head.items():
-        g = gcd(r, k[-2])
-        p = q * m if g == 1 else q * m * g
-        _spread(out, rest, p, (r // g) * (k[-2] // g), i + k[-1], prefix + (k[:-2],))
+def _spread(out, slot_terms):
+    """out += the outer product of one or more slots, each a flat NCPoly
+    term dict such as a memo entry, as flat tensor terms.  A fold over
+    the slots but the last extends each partial term (words, radicand,
+    h_power, q) by one word under the gcd rule; the last slot's terms are
+    summed into out under the int rule, with no call per term."""
+    *head, last = slot_terms
+    partial = [((), 1, 0, 1)]
+    for terms in head:
+        partial = [
+            (words + (k[:-2],), (r // g) * (k[-2] // g), i + k[-1], q * m if g == 1 else q * m * g)
+            for words, r, i, q in partial
+            for k, m in terms.items()
+            for g in (gcd(r, k[-2]),)
+        ]
+    tail = [(k[:-2], k[-2], k[-1], m) for k, m in last.items()]
+    get = out.get
+    for words, r, i, q in partial:
+        for w, rk, ik, m in tail:
+            g = gcd(r, rk)
+            p = q * m if g == 1 else q * m * g
+            key = (*words, w, (r // g) * (rk // g), i + ik)
+            s = get(key)
+            if s is not None:
+                p = s + p
+                if not p:
+                    del out[key]
+                    continue
+            if type(p) is not int and p.denominator == 1:
+                p = int(p)
+            out[key] = p
 
 
 _DELTA_MEMO = {GL: {}, SL: {}}
@@ -139,11 +176,19 @@ def coproduct(p: NCPoly) -> dict:
     """Algebra-homomorphism extension of the generator coproduct, as flat
     2-slot terms {(w1, w2, radicand, h_power): q}."""
     out = {}
+    get = out.get
     for k, q in p._terms.items():
-        # memo entries have radicand 1: only the h-power moves
+        # memo entries have radicand 1 and int values: only the h-power moves
         r, i = k[4:]
         for (w1, w2, _, j), m in _word_coproduct(k[:4], p.ring).items():
-            add_into(out, (w1, w2, r, i + j), q * m)
+            key = (w1, w2, r, i + j)
+            s = get(key, 0) + q * m
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    if any(type(q) is not int for q in p._terms.values()):
+        ints(out)
     return out
 
 
@@ -191,9 +236,22 @@ def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
 
 @lru_cache(maxsize=None)
 def _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring):
+    """D^{j1}_{k1m1} D^{j2}_{k2m2}.  In SL the member of a sigma pair with
+    the smaller index tuple is sigma of its partner's product (see the
+    module docstring)."""
+    if ring == SL:
+        partner = _sigma_index(twok1, twom1) + _sigma_index(twok2, twom2)
+        if (twok1, twom1, twok2, twom2) < partner:
+            a1, b1, a2, b2 = partner
+            return _dprod(twoj1, a1, b1, twoj2, a2, b2, ring).swap_xy()
     return dfunc(twoj1, twok1, twom1, ORDERED1, ring) * dfunc(
         twoj2, twok2, twom2, ORDERED1, ring
     )
+
+
+def _sigma_index(twomp, twom):
+    """The indices of sigma(D^j_{m'm}) = D^j_{-m,-m'}."""
+    return -twom, -twomp
 
 
 def _dref(twoj, twomp, twom, ring):
@@ -325,6 +383,8 @@ def _rel3(twoj1, twoj2, ring):
 
 # twoj -> {(twomp, twom, g, ring): D^j_{m'm} times g}
 _DLETTER_MEMO = {}
+# sigma on the generators, sigma(T_ab) = T_{-b,-a}: x <-> y, v and u fixed
+_SIGMA_GEN = {t: _GEN_AT[-b, -a] for (a, b), t in _GEN_AT.items()}
 
 
 def _dletter(twoj, twomp, twom, g, ring):
@@ -336,7 +396,12 @@ def _dletter(twoj, twomp, twom, g, ring):
     if hit is None:
         if abs(twomp) > twoj or abs(twom) > twoj:
             return NCPoly.zero(ring)
-        hit = memo[key] = dfunc(twoj, twomp, twom, ORDERED1, ring) * NCPoly.generator(g, ring)
+        partner = _sigma_index(twomp, twom)
+        if ring == SL and (twomp, twom) < partner:
+            hit = _dletter(twoj, *partner, _SIGMA_GEN[g], ring).swap_xy()
+        else:
+            hit = dfunc(twoj, twomp, twom, ORDERED1, ring) * NCPoly.generator(g, ring)
+        memo[key] = hit
     return hit
 
 

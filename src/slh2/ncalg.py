@@ -26,7 +26,8 @@ stays a witness independent of this table.
 
 The engine works per normal word and per power of h (the graded setting
 of Bergman's diamond lemma).  Every product of words goes through _mul:
-NCPoly products, normal_form and the slots of the hopfcheck tensors.  On
+NCPoly products, normal_form, the prefix forms of
+pbwcheck.confluence_check and the slots of the hopfcheck tensors.  On
 a memo miss _mul calls _word_mul_word on two cores: by one letter that
 applies a rule (memo _MEMO), by a longer word it folds over the letters
 (memo _WW_MEMO).  Every rule coefficient is +-1 times a power of h, so
@@ -51,7 +52,8 @@ so the all-int path pays one type check per term pair.
 
 NCPoly.swap_xy is the x <-> y automorphism sigma on SL terms: a
 relabeling of each key's x and y slots, which dfun uses to build half
-of each SL D-matrix.
+of each SL D-matrix and hopfcheck half of the SL products its suites
+read.
 
 lift_to_gl(p, n) is the GL element of degree n over an SL polynomial p:
 each term c_w w of p times the power of the quantum determinant delta

@@ -96,6 +96,10 @@ def test_cgc_triangle_error(capsys):
         ["verify", "--suite", "fock", "--nmax", "-1"],
         ["verify", "--suite", "recurrence", "--max-twoj", "0"],
         ["verify", "--suite", "corep", "--max-twoj", "-1"],
+        ["verify", "--suite", "rtt", "--max-twoj", "-1"],
+        ["verify", "--suite", "wigner", "--max-twoj", "-1"],
+        ["verify", "--suite", "recurrence", "--max-twoj", "-1"],
+        ["verify", "--suite", "ortho", "--max-twoj", "-1"],
         ["normalform", "1/0"],
         ["normalform", "g"],
         ["normalform", "h*g"],
@@ -116,6 +120,10 @@ def test_cgc_triangle_error(capsys):
         "fock-neg",
         "no-recurrence",
         "no-corep",
+        "rtt-neg",
+        "wigner-neg",
+        "recurrence-neg",
+        "ortho-neg",
         "zero-denominator",
         "symbol-g",
         "symbol-g-product",
@@ -220,6 +228,9 @@ PINNED = [
      0, "b4a3ad5f67ecaa0c82be56eed4d9fb861756995ca39fe812ef880b18f785f74f"),
     (["verify", "--suite", "corep", "--ring", "gl", "--max-twoj", "5", "--format", "text"],
      0, "b4a3ad5f67ecaa0c82be56eed4d9fb861756995ca39fe812ef880b18f785f74f"),
+    # --max-twoj 0: no spin pair, the spin-1/2 FRT cases alone
+    (["verify", "--suite", "rtt", "--max-twoj", "0"],
+     0, "0a0efb548cb80e62cbc517cb6c4f0426f1544a3f4fcb602cfbc1083fa9f09a68"),
 ]
 
 

@@ -313,8 +313,8 @@ def test_corep_failure_text_is_pinned(ring):
 
 def test_wigner_sums_run_over_ints(monkeypatch):
     # the twisted CGCs are rational, but lincomb clears their denominators
-    # before the hot loop: every coefficient reaching kernel.scale_into,
-    # from the engine or from the tensors, is int
+    # before the hot loop: every coefficient that the engine's sums
+    # (lincomb) pass to kernel.scale_into is int
     from slh2 import kernel, ncalg
 
     seen = []
@@ -323,8 +323,7 @@ def test_wigner_sums_run_over_ints(monkeypatch):
         seen.extend(coef.values())
         return kernel.scale_into(dst, terms, coef)
 
-    for module in (ncalg, hc):
-        monkeypatch.setattr(module, "scale_into", spy)
+    monkeypatch.setattr(ncalg, "scale_into", spy)
     assert any(q.denominator != 1 for _, c in hc.omega(2, 2, 2).items() for q in c.raw().values())
     assert hc.wigner_check(2, 2, 2).ok
     assert seen and {type(q) for q in seen} == {int}
@@ -713,35 +712,66 @@ def test_recurrence_iv_shifted_coefficient_is_forced():
     assert not bad.is_zero()
 
 
+def _spy_products(monkeypatch):
+    """Record every NCPoly product (d, g) and every swap_xy input."""
+    calls, swaps = [], []
+    mul, swap = NCPoly.__mul__, NCPoly.swap_xy
+
+    def spy_mul(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    def spy_swap(self):
+        swaps.append(self)
+        return swap(self)
+
+    monkeypatch.setattr(NCPoly, "__mul__", spy_mul)
+    monkeypatch.setattr(NCPoly, "swap_xy", spy_swap)
+    return calls, swaps
+
+
+def _canonical(*index_pairs):
+    """Whether the SL engine multiplies this member of a sigma pair itself:
+    its index tuple is at least its partner's, with (k, m) -> (-m, -k)."""
+    flat = tuple(i for pair in index_pairs for i in pair)
+    return flat >= tuple(i for k, m in index_pairs for i in (-m, -k))
+
+
 @pytest.mark.parametrize("ring, twoj", [(SL, 1), (SL, 2), (SL, 3), (GL, 2)])
 def test_recurrences_multiply_each_entry_and_letter_once(monkeypatch, ring, twoj):
     # with the D-matrices built, the only products are _dletter misses:
-    # an in-band D-entry times one generator, one per distinct pair the
-    # table rows read, and none for an entry the tables leave out
-    from slh2.ncalg import LETTER_WORDS
+    # an in-band D-entry times one generator, and none for an entry the
+    # tables leave out.  GL multiplies each distinct pair the table rows
+    # read once.  SL multiplies each canonical pair read once, and every
+    # other pair read is swap_xy of its cached sigma partner, which is
+    # read as well: at sl-1, 27 products for 39 pairs
+    from slh2.dfun import ORDERED1, dfunc
 
     for t in range(max(twoj - 1, 0), twoj + 2):
         dmatrix(t, ring=ring)
     want = set()
     for which in hc.RING_RECURRENCES[ring]:
         want |= _products_read(which, twoj, ring)
-    calls = []
-    mul = NCPoly.__mul__
-
-    def spy(self, other):
-        calls.append((self, other))
-        return mul(self, other)
-
-    monkeypatch.setattr(NCPoly, "__mul__", spy)
+    made = {key for key in want if ring == GL or _canonical(key[1:3])}
+    swapped = want - made
+    partner = {key: (key[0], -key[2], -key[1], hc._SIGMA_GEN[key[3]]) for key in swapped}
+    assert set(partner.values()) <= made
+    calls, swaps = _spy_products(monkeypatch)
     hc._DLETTER_MEMO.clear()
     for _ in range(2):
         for which in hc.RING_RECURRENCES[ring]:
             assert hc.recurrence_check(which, twoj, ring).ok
-    assert len(calls) == len(want) == sum(map(len, hc._DLETTER_MEMO.values())) > 0
-    letters = {w + (1, 0) for w in LETTER_WORDS}
-    for d, g in calls:
-        assert not d.is_zero() and len(g._terms) == 1 and set(g._terms) <= letters
-        assert g._terms[next(iter(g._terms))] == 1
+    if (ring, twoj) == (SL, 1):
+        assert (len(made), len(want)) == (27, 39)
+    assert len(calls) == len(made) > 0 and (ring == GL or swapped)
+    assert sorted(map(repr, calls)) == sorted(
+        repr((dfunc(j, mp, m, ORDERED1, ring), NCPoly.generator(g, ring))) for j, mp, m, g in made
+    )
+    memo = {(j,) + key[:3]: p for j, spin in hc._DLETTER_MEMO.items() for key, p in spin.items()}
+    assert set(memo) == want
+    assert sorted(map(repr, swaps)) == sorted(repr(memo[partner[key]]) for key in swapped)
+    for key in swapped:
+        assert memo[key] == memo[partner[key]].swap_xy()
 
 
 def test_dletter_keeps_only_the_spins_still_read():
@@ -958,20 +988,115 @@ def test_rtt_detects_a_wrong_intertwiner(monkeypatch):
 @pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
 def test_rtt_multiplies_each_entry_pair_once(monkeypatch, pair):
     # with the D-matrices built, rtt_check's only products are _dprod
-    # misses: both sides read their D D products from the memo
+    # misses, and each pair of D-entries that a side reads is one miss.
+    # The engine multiplies each canonical pair read once; every other
+    # pair read is swap_xy of its cached sigma partner, read as well
+    from slh2.dfun import ORDERED1, dfunc
+    from slh2.rep import pair_basis, r_matrix
+
+    twoj1, twoj2 = pair
     for twoj in pair:
         dmatrix(twoj)
-    calls = []
-    mul = NCPoly.__mul__
-
-    def spy(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(NCPoly, "__mul__", spy)
+    read = set()
+    for (m1, m2), (s1, s2) in r_matrix(twoj1, twoj2):
+        for k1, k2 in pair_basis(twoj1, twoj2):
+            read.add((twoj1, s1, k1, twoj2, s2, k2))  # row (m1, m2) of R
+            read.add((twoj2, k2, m2, twoj1, k1, m1))  # column (s1, s2) of R
+    made = {ix for ix in read if _canonical(ix[1:3], ix[4:6])}
+    swapped = read - made
+    partner = {ix: (ix[0], -ix[2], -ix[1], ix[3], -ix[5], -ix[4]) for ix in swapped}
+    assert swapped and set(partner.values()) <= made
+    calls, swaps = _spy_products(monkeypatch)
     hc._dprod.cache_clear()
     assert hc.rtt_check(*pair).ok
-    assert len(calls) == hc._dprod.cache_info().misses > 0
+    assert hc._dprod.cache_info().misses == len(read)
+    assert len(calls) == len(made)
+    assert sorted(map(repr, calls)) == sorted(
+        repr((dfunc(a, k1, m1, ORDERED1, SL), dfunc(b, k2, m2, ORDERED1, SL)))
+        for a, k1, m1, b, k2, m2 in made
+    )
+    assert sorted(map(repr, swaps)) == sorted(repr(hc._dprod(*partner[ix], SL)) for ix in swapped)
+    for ix in swapped:
+        assert hc._dprod(*ix, SL) == hc._dprod(*partner[ix], SL).swap_xy()
+
+
+def _entries(twoj_max):
+    """(2j, 2m', 2m) of every D-entry with 2j <= twoj_max."""
+    from slh2.rep import magnetics
+
+    return [(j, mp, m) for j in range(twoj_max + 1) for mp in magnetics(j) for m in magnetics(j)]
+
+
+def test_sigma_products_equal_the_plain_products():
+    # every D D product with 2j1, 2j2 <= 4 and every D-entry times a
+    # letter with 2j <= 5, made cold so that each non-canonical member
+    # is swap_xy of its partner, equals the plain NCPoly product
+    from slh2.dfun import ORDERED1, dfunc
+
+    hc._dprod.cache_clear()
+    hc._DLETTER_MEMO.clear()
+    d = lambda j, mp, m: dfunc(j, mp, m, ORDERED1, SL)
+    entries = _entries(4)
+    pairs = [(e1, e2) for e1 in entries for e2 in entries]
+    assert len(pairs) == 3025
+    for (j1, k1, m1), (j2, k2, m2) in pairs:
+        assert hc._dprod(j1, k1, m1, j2, k2, m2, SL) == d(j1, k1, m1) * d(j2, k2, m2)
+    letters = [(e, g) for e in _entries(5) for g in hc._GEN_AT.values()]
+    assert len(letters) == 364
+    for (j, mp, m), g in letters:
+        assert hc._dletter(j, mp, m, g, SL) == d(j, mp, m) * NCPoly.generator(g, SL)
+    hc._DLETTER_MEMO.clear()
+
+
+def test_sigma_products_equal_the_naive_rewriter():
+    # independent oracle: each D D product with 2j1 + 2j2 <= 3 is the sum
+    # over the word pairs of its factors of the naive normal form of the
+    # concatenated word, with no engine product
+    from slh2.pbwcheck import naive_normal_form
+
+    hc._dprod.cache_clear()
+    entries = _entries(3)
+    for (j1, k1, m1), (j2, k2, m2) in product(entries, entries):
+        if j1 + j2 > 3:
+            continue
+        want = {}
+        for w1, c1 in dmatrix(j1).entry(k1, m1).terms().items():
+            for w2, c2 in dmatrix(j2).entry(k2, m2).terms().items():
+                for w, c in naive_normal_form(word_letters(w1) + word_letters(w2), SL).items():
+                    want[w] = want.get(w, ZERO) + c1 * c2 * c
+        want = {w: c for w, c in want.items() if not c.is_zero()}
+        assert hc._dprod(j1, k1, m1, j2, k2, m2, SL).terms() == want, (j1, k1, m1, j2, k2, m2)
+
+
+def test_gl_products_make_no_sigma_swap(monkeypatch):
+    # sigma needs a rewrite in GL: its products are all made by the engine
+    for twoj in range(4):
+        dmatrix(twoj, ring=GL)
+    calls, swaps = _spy_products(monkeypatch)
+    hc._dprod.cache_clear()
+    hc._DLETTER_MEMO.clear()
+    assert hc.rtt_check(1, 2, GL).ok
+    for which in hc.RING_RECURRENCES[GL]:
+        assert hc.recurrence_check(which, 2, GL).ok
+    assert calls and not swaps
+    hc._dprod.cache_clear()
+    hc._DLETTER_MEMO.clear()
+
+
+def test_sigma_products_detect_a_wrong_partner(monkeypatch):
+    # mutation: with the partner of D_{km} read as D_{-k,-m} in place of
+    # D_{-m,-k}, a swapped product is a transposed one, and the suites
+    # that read the swapped products must fail
+    monkeypatch.setattr(hc, "_sigma_index", lambda twomp, twom: (-twomp, -twom))
+    hc._dprod.cache_clear()
+    hc._DLETTER_MEMO.clear()
+    try:
+        assert not hc.rtt_check(1, 2).ok
+        assert not hc.ortho_like_check(2).ok
+        assert not hc.recurrence_check("i", 2).ok
+    finally:
+        hc._dprod.cache_clear()
+        hc._DLETTER_MEMO.clear()
 
 
 def test_suites_build_no_product_with_zero_coefficient():

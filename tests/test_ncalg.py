@@ -123,6 +123,33 @@ def test_engine_matches_naive_exhaustive_len5():
             ), (w, ring)
 
 
+def test_prefix_forms_equal_normal_form_exhaustive_len5():
+    # confluence_check builds each word's engine normal form from its
+    # prefix's form on a stack; every word up to length 5 comes in the
+    # check's order with the form normal_form gives it
+    words = [w for n in range(1, 6) for w in product(range(4), repeat=n)]
+    for ring in (GL, SL):
+        got = list(pbwcheck._engine_forms(ring, 5))
+        assert [w for w, _ in got] == words
+        for w, form in got:
+            assert form == normal_form([(w, 1)], ring)._terms, (w, ring)
+
+
+def test_confluence_detects_a_wrong_engine_form(monkeypatch):
+    # negative control: one word's engine form doubled must fail the
+    # "engine agrees" law in both rings and leave the peaks alone
+    forms = pbwcheck._engine_forms
+
+    def wrong(ring, maxlen):
+        for w, form in forms(ring, maxlen):
+            yield w, ({k: 2 * q for k, q in form.items()} if w == (2, 1, 0) else form)
+
+    monkeypatch.setattr(pbwcheck, "_engine_forms", wrong)
+    rep = pbwcheck.confluence_check(3)
+    failed = [(c["params"]["ring"], c["params"]["law"]) for c in rep.cases if not c["pass"]]
+    assert failed == [(GL, "engine agrees"), (SL, "engine agrees")]
+
+
 def _v_core_u_words(count, seed):
     """Seeded words of length 6..10: a v-run, random letters, a u-run."""
     rng = random.Random(seed)
