@@ -13,6 +13,9 @@ Grammar (whitespace ignored):
 parse time.  Parsed input is normalized eagerly, so two spellings of the
 same ring element always parse to the identical NCPoly.  The text printer
 is the inverse of the parser on normal forms: parse(render_text(p)) == p.
+An exponent must be below kernel.EXP_LIMIT, the bound of the degree
+field of a flat key: a longer word cannot be stored, so the parser
+refuses such a power before it multiplies.
 """
 
 import json
@@ -21,6 +24,7 @@ from typing import NamedTuple
 
 from . import ncalg
 from ._rat import Q
+from .kernel import EXP_LIMIT
 from .ncalg import NCPoly
 from .scalar import H, RadScalar, sqrt_nat
 
@@ -104,6 +108,8 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             tok = self.take("int", "a natural number exponent")
+            if int(tok[1]) >= EXP_LIMIT:
+                raise ParseError(f"exponent {tok[1]} is not below the limit {EXP_LIMIT}", tok[2])
             value = value ** int(tok[1])
         return value
 

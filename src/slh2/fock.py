@@ -63,6 +63,7 @@ from math import gcd
 from ._rat import Q, num
 from . import ncalg
 from .dfun import ORDERED1, check_indices, dfunc, iter_klmn
+from .kernel import h_power, radicand
 from .ncalg import GL, NCPoly, normal_form
 from .rep import _binom, magnetics
 from .report import Report
@@ -154,10 +155,11 @@ class FockOp:
             coef = RadScalar.coerce(coef)
             if coef.is_zero() or not op.data:
                 continue
-            terms = list(coef.terms())
-            if len(terms) != 1:
+            monos = coef.raw()
+            if len(monos) != 1:
                 raise ValueError(f"a FockOp scales by one monomial q*sqrt(r)*h^k, not {coef!r}")
-            r, k, q = terms[0]
+            (mono, q), = monos.items()
+            r, k = radicand(mono), h_power(mono)
             g = gcd(op.rad, r)
             term_key = (op.offset - k, (op.rad // g) * (r // g))
             if key is None:

@@ -10,13 +10,23 @@ extended as an algebra homomorphism, with counit eps(x) = eps(y) = 1,
 eps(u) = eps(v) = 0.  Compatibility with the defining relations is itself
 part of the test surface, not an assumption.
 
-A tensor is a plain dict of flat terms {(w_1, ..., w_n, radicand,
-h_power): q}, the NCPoly layout with n words in place of one; tensor
+A tensor is a plain dict of 2-slot flat terms {key: q}, the NCPoly
+layout with a word in each of the two slot fields of the key; tensor
 builds one from NCPoly factors and tensor_text prints it.  coproduct
-returns the 2-slot dict and counit a RadScalar.  Delta of a word is
-Delta(the word without its last letter) times Delta(its last letter),
-two slot products through ncalg._mul per pair of terms, memoised in
-_DELTA_MEMO as {(w1, w2, 1, h_power): int}.
+returns the 2-slot dict and counit a RadScalar; the counit test of a
+term is a mask of its v and u fields.  Delta of a word is Delta(the
+word without its last letter) times Delta(its last letter), two slot
+products through ncalg._mul per pair of terms, memoised in _DELTA_MEMO
+per word key with radicand 1 and int values, so the coproduct of a term
+adds one shift, its radicand and h power, to each memo key.
+
+Delta commutes with sigma up to the flip tau of the two slots:
+Delta sigma = tau (sigma (x) sigma) Delta, since sigma swaps T_11 with
+T_22 of T = [[x, u], [v, y]] and fixes T_12 and T_21.  On a packed key
+tau (sigma (x) sigma) is a permutation of the word fields, so in SL
+check_corep takes Delta of each entry with m' + m < 0, which is sigma of
+D_{-m,-m'} (see dfun), as that image of its partner's coproduct; every
+case is still computed and reported, and GL calls no sigma.
 
 The suites verify, by exact symbolic expansion: the corepresentation law
 for D^j, the twisted product law and its corollaries, the eight
@@ -76,10 +86,13 @@ drops the products of spins below 2j - 1, which a loop up in 2j (as
 from functools import lru_cache
 from math import gcd
 
+from . import kernel as K
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
-from .kernel import add_into, ints, rad_neg, scale_into
-from .ncalg import GL, LETTER_WORDS, SL, U, V, X, Y, NCPoly, _mul
+from .kernel import DEG_FIELD, DEG_SHIFT, EXP_LIMIT, LOW_MASK, RAD_LIMIT, RAD_MASK, RAD_ONE, RAD_SHIFT
+from .kernel import WORD_MASK, add_into, check_degree, check_radicand, ints, rad_neg, scale_into
+from .kernel import swap_slots, swap_xy
+from .ncalg import GL, LETTER_KEYS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_basis, r_matrix, rows, triangle
 from .report import Report
 from .scalar import ONE, ZERO, RadScalar
@@ -95,47 +108,60 @@ _DELTA_GEN = {
 
 
 def tensor(*polys):
-    """The outer product p1 (x) p2 (x) ... of one or more NCPoly factors,
-    as flat tensor terms."""
+    """The outer product p1 or p1 (x) p2 of one or two NCPoly factors, as
+    flat tensor terms."""
+    if not 1 <= len(polys) <= K.SLOTS:
+        raise ValueError(f"a flat tensor has 1 to {K.SLOTS} factors, not {len(polys)}")
+    if len(polys) == 1:
+        return dict(polys[0]._terms)
     out = {}
-    _spread(out, [p._terms for p in polys])
+    _spread(out, polys[0]._terms, polys[1]._terms)
     return out
 
 
 def tensor_text(terms):
-    """Flat tensor terms as text, (c)*[w_1 (x) ... (x) w_n] per word tuple
+    """Flat 2-slot tensor terms as text, (c)*[w_1 (x) w_2] per word pair
     in sorted order, or 0."""
     if not terms:
         return "0"
     bits = []
-    for words, c in sorted(ncalg.grouped(terms).items()):
+    for words, c in sorted(ncalg.grouped(terms, 2).items()):
         tag = " (x) ".join(ncalg.word_str(w) or "1" for w in words)
         bits.append(f"({c!r})*[{tag}]")
     return " + ".join(bits)
 
 
-def _spread(out, slot_terms):
-    """out += the outer product of one or more slots, each a flat NCPoly
-    term dict such as a memo entry, as flat tensor terms.  A fold over
-    the slots but the last extends each partial term (words, radicand,
-    h_power, q) by one word under the gcd rule; the last slot's terms are
-    summed into out under the int rule, with no call per term."""
-    *head, last = slot_terms
-    partial = [((), 1, 0, 1)]
-    for terms in head:
-        partial = [
-            (words + (k[:-2],), (r // g) * (k[-2] // g), i + k[-1], q * m if g == 1 else q * m * g)
-            for words, r, i, q in partial
-            for k, m in terms.items()
-            for g in (gcd(r, k[-2]),)
-        ]
-    tail = [(k[:-2], k[-2], k[-1], m) for k, m in last.items()]
+def _spread(out, left, right):
+    """out += left (x) right for two flat NCPoly term dicts, such as memo
+    entries, as flat tensor terms under the gcd and int rules, with no
+    call per term.  A right term k with word w moves to slot 1 as
+    k + w * (2^WORD_BITS - 1), and a pair's key is the sum of its two
+    keys with the radicand field set to the pair's radicand."""
+    tail = []
+    top = 0
+    for k, m in right.items():
+        tail.append((k + (k & WORD_MASK) * WORD_MASK, k >> RAD_SHIFT & RAD_MASK, m))
+        deg = k & DEG_FIELD
+        if deg > top:
+            top = deg
+    limit = (EXP_LIMIT << DEG_SHIFT) - top
     get = out.get
-    for words, r, i, q in partial:
-        for w, rk, ik, m in tail:
-            g = gcd(r, rk)
-            p = q * m if g == 1 else q * m * g
-            key = (*words, w, (r // g) * (rk // g), i + ik)
+    for k, q in left.items():
+        if k & DEG_FIELD >= limit:
+            check_degree(((k & DEG_FIELD) + top) >> DEG_SHIFT)
+        r = k >> RAD_SHIFT & RAD_MASK
+        base = k - RAD_ONE
+        for shift, rk, m in tail:
+            if r == 1:
+                key = base + shift
+                p = q * m
+            else:
+                g = gcd(r, rk)
+                rn = (r // g) * (rk // g)
+                if rn >= RAD_LIMIT:
+                    check_radicand(rn)
+                key = base + shift + ((rn - r - rk + 1) << RAD_SHIFT)
+                p = q * m if g == 1 else q * m * g
             s = get(key)
             if s is not None:
                 p = s + p
@@ -150,38 +176,43 @@ def _spread(out, slot_terms):
 _DELTA_MEMO = {GL: {}, SL: {}}
 
 
-def _word_coproduct(exps, ring):
-    """Delta of a normal word: Delta(the word without its last letter)
-    times Delta(the last letter), slot by slot, memoised per word."""
+def _word_coproduct(word, ring):
+    """Delta of a normal word, given as its word fields: Delta(the word
+    without its last letter) times Delta(the last letter), slot by slot,
+    memoised per word."""
     memo = _DELTA_MEMO[ring]
-    hit = memo.get(exps)
+    hit = memo.get(word)
     if hit is None:
-        if not any(exps):
-            hit = {((0, 0, 0, 0), (0, 0, 0, 0), 1, 0): 1}
+        if not word:
+            hit = {RAD_ONE: 1}
         else:
+            exps = K.word(word)
             g = max(i for i in range(4) if exps[i])
-            head = _word_coproduct(exps[:g] + (exps[g] - 1,) + exps[g + 1 :], ring)
+            head = _word_coproduct(word - (1 << g * K.EXP_BITS), ring)
             hit = {}
-            for (w1, w2, r, i), q in head.items():
+            for k, q in head.items():
+                w1, w2, _, i = K.unpack(k, 2)
                 for g1, g2 in _DELTA_GEN[g]:
-                    _spread(hit, [
-                        _mul({w1 + (r, i): q}, {LETTER_WORDS[g1] + (1, 0): 1}, ring),
-                        _mul({w2 + (1, 0): 1}, {LETTER_WORDS[g2] + (1, 0): 1}, ring),
-                    ])
-        memo[exps] = hit
+                    _spread(
+                        hit,
+                        _mul({K.pack((w1,), 1, i): q}, {LETTER_KEYS[g1]: 1}, ring),
+                        _mul({K.pack((w2,)): 1}, {LETTER_KEYS[g2]: 1}, ring),
+                    )
+        memo[word] = hit
     return hit
 
 
 def coproduct(p: NCPoly) -> dict:
     """Algebra-homomorphism extension of the generator coproduct, as flat
-    2-slot terms {(w1, w2, radicand, h_power): q}."""
+    2-slot terms."""
     out = {}
     get = out.get
     for k, q in p._terms.items():
-        # memo entries have radicand 1 and int values: only the h-power moves
-        r, i = k[4:]
-        for (w1, w2, _, j), m in _word_coproduct(k[:4], p.ring).items():
-            key = (w1, w2, r, i + j)
+        # memo entries have radicand 1 and int values: the term's radicand
+        # replaces 1 and its h power adds, one shift for every memo key
+        shift = K.scalar_part(k) - RAD_ONE
+        for mk, m in _word_coproduct(k & WORD_MASK, p.ring).items():
+            key = mk + shift
             s = get(key, 0) + q * m
             if s:
                 out[key] = s
@@ -192,12 +223,23 @@ def coproduct(p: NCPoly) -> dict:
     return out
 
 
+def sigma_coproduct(delta):
+    """tau (sigma (x) sigma) of a 2-slot SL tensor: Delta(sigma(p)) from
+    delta = Delta(p), a relabeling of each key's word fields."""
+    return {swap_slots(swap_xy(k)): q for k, q in delta.items()}
+
+
+# the v and u fields of the slot-0 word: the counit of a word is 1 when
+# both are 0, else 0
+_VU_FIELDS = WORD_MASK & (K.V_FIELDS | K.U_FIELDS)
+
+
 def counit(p: NCPoly) -> RadScalar:
     """eps(x) = eps(y) = 1, eps(u) = eps(v) = 0, extended multiplicatively."""
     out = {}
     for k, q in p._terms.items():
-        if k[V] == k[U] == 0:
-            add_into(out, k[4:], q)
+        if not k & _VU_FIELDS:
+            add_into(out, K.scalar_part(k), q)
     return RadScalar(out)
 
 
@@ -211,13 +253,26 @@ def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
     rep = Report("corep")
     d = dmatrix(twoj, scheme, ring)
     mags = list(magnetics(twoj))
+    deltas = {}
+
+    def delta(twomp, twom):
+        # in SL an entry with m' + m < 0 is sigma of D_{-m,-m'}
+        hit = deltas.get((twomp, twom))
+        if hit is None:
+            if ring == SL and twomp + twom < 0:
+                hit = sigma_coproduct(delta(*_sigma_index(twomp, twom)))
+            else:
+                hit = coproduct(d.entry(twomp, twom))
+            deltas[(twomp, twom)] = hit
+        return hit
+
     for twomp in mags:
         for twom in mags:
             entry = d.entry(twomp, twom)
-            lhs = coproduct(entry)
+            lhs = delta(twomp, twom)
             rhs = {}
             for twok in mags:
-                _spread(rhs, [d.entry(twomp, twok)._terms, d.entry(twok, twom)._terms])
+                _spread(rhs, d.entry(twomp, twok)._terms, d.entry(twok, twom)._terms)
             rep.record(
                 {"twoj": twoj, "twomp": twomp, "twom": twom, "law": "coproduct"},
                 lhs,
@@ -548,11 +603,11 @@ def _free_rtt_elements():
     """LHS - RHS of the (1/2,1/2) RTT identities in the free algebra.
 
     Vectors over the 16 length-two free words with polynomial coefficients
-    in h, as flat terms {(g1, g2, radicand, h_power): q}; no rewriting is
-    applied.
+    in h, as 2-slot flat terms with the word g1 g2 as the letter g1 in
+    slot 0 and g2 in slot 1; no rewriting is applied.
     """
     vecs = []
-    for _, _, lhs, rhs in _rtt(1, 1, lambda ja, a, b, jb, c, d: (_GEN_AT[a, b], _GEN_AT[c, d], 1, 0)):
+    for _, _, lhs, rhs in _rtt(1, 1, lambda ja, a, b, jb, c, d: _free_key((_GEN_AT[a, b], _GEN_AT[c, d]))):
         vec = {}
         for sign, side in ((1, lhs), (-1, rhs)):
             for c, word in side:
@@ -562,20 +617,26 @@ def _free_rtt_elements():
     return vecs
 
 
+def _free_key(letters):
+    """The 2-slot key of a free word of length two, one letter a slot."""
+    return K.pack([ncalg.LETTER_WORDS[g] for g in letters])
+
+
 def _free_defining_relations():
     """The six rewrite rules as free-algebra elements (pair - replacement)."""
     vecs = []
     for pair, repl in ncalg.GL_RULES.items():
-        vec = {pair + (1, 0): 1}
+        vec = {_free_key(pair): 1}
         for word, coef in repl:
-            scale_into(vec, {word + (1, 0): -1}, coef.raw())
+            scale_into(vec, {_free_key(word): -1}, coef.raw())
         vecs.append(vec)
     return vecs
 
 
 def _coef(vec, word):
-    """The coefficient {(radicand, h_power): q} of a free word in vec."""
-    return {k[-2:]: q for k, q in vec.items() if k[:-2] == word}
+    """The scalar coefficient of a free word, given as its word and degree
+    fields, in vec."""
+    return {k - word: q for k, q in vec.items() if k & LOW_MASK == word}
 
 
 def _reduce(vec, basis):
@@ -593,7 +654,7 @@ def _echelon(vecs):
     for vec in vecs:
         vec = _reduce(vec, basis)
         if vec:
-            pivot = min(vec)[:-2]
+            pivot = min(vec) & LOW_MASK
             basis.append((pivot, _coef(vec, pivot), vec))
     return basis
 

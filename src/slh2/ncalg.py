@@ -2,8 +2,9 @@
 
 Generators are ordered v < x < y < u with weights 1, 2, 2, 3.  A word is
 normal when its letters are non-decreasing, i.e. of shape v^a x^b y^c u^d;
-the exponent tuple (a, b, c, d) is the internal key.  The six defining
-commutation relations become rewrite rules on descending adjacent pairs:
+the exponent tuple (a, b, c, d) names it, and the word fields of a kernel
+flat key hold it.  The six defining commutation relations become rewrite
+rules on descending adjacent pairs:
 
     xv -> vx - h v^2            yx -> xy - h xv + h yv
     yv -> vy - h v^2            ux -> xu + h(xy - uv - h xv - x^2)
@@ -37,21 +38,26 @@ The memos are keyed on word cores.  No rule has v as its left letter and
 none has u as its right letter, so v^a W and W u^d are normal whenever W
 is, and a rewrite of w1 w2 = v^a (w1' w2') u^d happens inside the core
 product w1' w2', where w1' is w1 with its v-power zeroed and w2' is w2
-with its u-power zeroed.  _mul looks up NF(w1' w2') and adds a to the
-v-slot and d to the u-slot of each output key; words that differ only in
-those powers share one entry.  A core w1' times the word 1 is w1' and
-has no entry.
+with its u-power zeroed.  A core is a bit mask of a flat key's word
+fields, and the memo key is the two cores in one int.  _mul looks up
+NF(w1' w2') and adds one shift per term pair to each output key: a to
+the v field and d to the u field (with a + d to the degree), the pair's
+h powers and its radicand; words that differ only in those powers share
+one entry.  A core w1' times the word 1 is w1' and has no entry.
 
 The flat-term format and its gcd and int rules belong to kernel; scaled
 sums, lincomb and normal_form go through kernel.scale_into.  _mul, the
 product of two flat term dicts, is one loop over term pairs: each pair's
 scalar product times each term of the memoised word product, summed
-straight into the output dict with no call per output term.  It passes
-its output through kernel.ints once when an input value was not an int,
-so the all-int path pays one type check per term pair.
+straight into the output dict with no call per output term.  It checks
+the degree field once per input term (each output word is at most as
+long as its two factors together, since no rule lengthens a word) and
+the radicand once per term pair.  It passes its output through
+kernel.ints once when an input value was not an int, so the all-int
+path pays one type check per input term.
 
 NCPoly.swap_xy is the x <-> y automorphism sigma on SL terms: a
-relabeling of each key's x and y slots, which dfun uses to build half
+relabeling of each key's x and y fields, which dfun uses to build half
 of each SL D-matrix and hopfcheck half of the SL products its suites
 read.
 
@@ -72,8 +78,11 @@ cancels exactly when it did over the rationals.
 from functools import lru_cache
 from math import gcd
 
-from .kernel import add_into, ints, rad_add, rad_div, rad_neg, scale_into
-from ._rat import qstr
+from . import kernel as K
+from .kernel import DEG_FIELD, DEG_ONE, DEG_SHIFT, EXP_LIMIT, EXP_MASK, H_SHIFT, RAD_LIMIT, RAD_MASK
+from .kernel import RAD_ONE, RAD_SHIFT, WORD_BITS, WORD_MASK, add_into, check_degree, check_radicand
+from .kernel import ints, rad_add, rad_div, rad_neg, scale_into
+from ._rat import num, qstr
 from .scalar import ONE, ZERO, H, RadScalar
 
 V, X, Y, U = 0, 1, 2, 3
@@ -143,83 +152,125 @@ def word_sort_key(exps):
     return (word_weight(exps), word_letters(exps))
 
 
+@lru_cache(maxsize=None)
+def _word_view(w):
+    """(word_sort_key, word_str) of the word fields w of a 1-slot key."""
+    exps = K.word(w)
+    return word_sort_key(exps), word_str(exps)
+
+
 # ---------------------------------------------------------------------
 # The rewrite engine, on flat term dicts (see NCPoly).  Memo entries are
-# shared per ring and must never be mutated.  Every flat key, of an
-# NCPoly or of a hopfcheck tensor, ends in (radicand, h_power).
+# shared per ring and must never be mutated.
 # ---------------------------------------------------------------------
 
-# the one-letter words v, x, y, u as exponent tuples, by generator index
+# the one-letter words v, x, y, u as exponent tuples and as flat keys,
+# by generator index
 LETTER_WORDS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+LETTER_KEYS = tuple(K.pack((w,)) for w in LETTER_WORDS)
+
+# the cores of a left and of a right word: the slot-0 word fields
+# without the v field and without the u field
+_CORE_LEFT = WORD_MASK & ~K.V_FIELDS
+_CORE_RIGHT = WORD_MASK & ~K.U_FIELDS
+_ONE_LETTER = frozenset(k & WORD_MASK for k in LETTER_KEYS)
+# what a pair's shift keeps of a left key (the v field, radicand and h
+# power) and of a right key (the u field, radicand and h power)
+_KEEP_LEFT = ~(_CORE_LEFT | DEG_FIELD)
+_KEEP_RIGHT = ~(_CORE_RIGHT | DEG_FIELD)
+_U_SHIFT = 3 * K.EXP_BITS
 
 _MEMO = {GL: {}, SL: {}}
 _WW_MEMO = {GL: {}, SL: {}}
 
 
-def _memo(w2, ring):
-    """The memo of products by w2: _MEMO for one letter, else _WW_MEMO."""
-    return (_MEMO if sum(w2) == 1 else _WW_MEMO)[ring]
+def _memo(core2, ring):
+    """The memo of products by core2: _MEMO for one letter, else _WW_MEMO."""
+    return (_MEMO if core2 in _ONE_LETTER else _WW_MEMO)[ring]
 
 
-def _word_mul_word(w1, w2, ring):
-    """The miss path of _mul: the normal form of the core w1 times the
-    core w2, as flat terms, stored in the memo _mul has already read."""
-    if not any(w2):
+def _word_mul_word(core1, core2, ring):
+    """The miss path of _mul: the normal form of the core core1 times the
+    core core2, as flat terms, stored in the memo _mul has already read."""
+    w1 = K.word(core1)
+    key1 = core1 + (sum(w1) << DEG_SHIFT) + RAD_ONE
+    if not core2:
         # w1 1 is normal already and needs no memo entry; 1 w2 is kept,
         # since with_ring passes words that the ring rewrites
-        return {w1 + (1, 0): 1}
-    if sum(w2) != 1:
-        res = _times_letters({w1 + (1, 0): 1}, word_letters(w2), ring)
+        return {key1: 1}
+    if core2 not in _ONE_LETTER:
+        res = _times_letters({key1: 1}, word_letters(K.word(core2)), ring)
     else:
-        g = w2.index(1)
+        g = K.word(core2).index(1)
         last = max((i for i in range(4) if w1[i]), default=None)
         rule = RULES[ring].get((last, g))
         if rule is None:
             # w1 g is already normal
-            res = {w1[:g] + (w1[g] + 1,) + w1[g + 1 :] + (1, 0): 1}
+            res = {key1 + K.LETTER_STEPS[g]: 1}
         else:
             # w1 = base last; fold each replacement word of (last, g) onto base
-            base = w1[:last] + (w1[last] - 1,) + w1[last + 1 :] + (1, 0)
+            base = key1 - K.LETTER_STEPS[last]
             res = {}
             for word, coef in rule:
                 scale_into(res, _times_letters({base: 1}, word, ring), coef.raw())
-    _memo(w2, ring)[(w1, w2)] = res
+    _memo(core2, ring)[core2 << WORD_BITS | core1] = res
     return res
 
 
 def _times_letters(terms, letters, ring):
     """terms times each letter in turn, as flat terms."""
     for g in letters:
-        terms = _mul(terms, {LETTER_WORDS[g] + (1, 0): 1}, ring)
+        terms = _mul(terms, {LETTER_KEYS[g]: 1}, ring)
     return terms
 
 
 def _mul(t1, t2, ring):
     """The product of two flat term dicts: one loop over term pairs, each
     word product looked up on the cores (see the module docstring) and
-    made by _word_mul_word on a miss."""
+    made by _word_mul_word on a miss, its keys moved by one shift."""
     out = {}
     get = out.get
     rational = False
     right = []
+    top = 0
     for k2, q2 in t2.items():
-        core2 = k2[:3] + (0,)
-        right.append((core2, k2[3], k2[4], k2[5], q2, _memo(core2, ring).get))
+        core2 = k2 & _CORE_RIGHT
+        # the u power with its degree, the h power and the radicand; the
+        # memo entry's radicand 1 and the left radicand r1 make r1 + r2 - 1
+        shift2 = (k2 & _KEEP_RIGHT) + (k2 >> _U_SHIFT & EXP_MASK) * DEG_ONE - 2 * RAD_ONE
+        look = _memo(core2, ring).get
+        right.append((core2, core2 << WORD_BITS, shift2, k2 >> RAD_SHIFT & RAD_MASK, q2, look))
+        deg = k2 & DEG_FIELD
+        if deg > top:
+            top = deg
+        if type(q2) is not int:
+            rational = True
+    limit = (EXP_LIMIT << DEG_SHIFT) - top
     for k1, q1 in t1.items():
-        a1, r1, i1 = k1[0], k1[4], k1[5]
-        core1 = (0,) + k1[1:4]
-        for core2, d2, r2, i2, q2, look in right:
-            g = gcd(r1, r2)
-            r = (r1 // g) * (r2 // g)
-            q = q1 * q2 if g == 1 else q1 * q2 * g
-            if type(q) is not int:
-                rational = True
-            i = i1 + i2
-            prod = look((core1, core2))
+        if k1 & DEG_FIELD >= limit:
+            check_degree(((k1 & DEG_FIELD) + top) >> DEG_SHIFT)
+        if type(q1) is not int:
+            rational = True
+        core1 = k1 & _CORE_LEFT
+        # the v power with its degree, the h power and the radicand
+        shift1 = (k1 & _KEEP_LEFT) + (k1 & EXP_MASK) * DEG_ONE
+        r1 = k1 >> RAD_SHIFT & RAD_MASK
+        for core2, memo_key, shift2, r2, q2, look in right:
+            if r1 == 1:
+                shift = shift1 + shift2
+                q = q1 * q2
+            else:
+                g = gcd(r1, r2)
+                r = (r1 // g) * (r2 // g)
+                if r >= RAD_LIMIT:
+                    check_radicand(r)
+                shift = shift1 + shift2 + ((r - r1 - r2 + 1) << RAD_SHIFT)
+                q = q1 * q2 if g == 1 else q1 * q2 * g
+            prod = look(memo_key | core1)
             if prod is None:
                 prod = _word_mul_word(core1, core2, ring)
-            for (a, b, c, d, _, j), m in prod.items():
-                key = (a + a1, b, c, d + d2, r, i + j)
+            for pk, m in prod.items():
+                key = pk + shift
                 s = get(key, 0) + q * m
                 if s:
                     out[key] = s
@@ -230,12 +281,14 @@ def _mul(t1, t2, ring):
     return out
 
 
-def grouped(terms):
-    """Flat terms as {key[:-2]: RadScalar}, built on each call."""
+def grouped(terms, slots=1):
+    """Flat terms of the given number of slots as {words: RadScalar},
+    built on each call; the words of a 1-slot key are its exponent tuple
+    (a, b, c, d), those of a 2-slot key a pair of such tuples."""
     out = {}
     for k, q in terms.items():
-        out.setdefault(k[:-2], {})[k[-2:]] = q
-    return {w: RadScalar(t) for w, t in out.items()}
+        out.setdefault(k & K.LOW_MASK, {})[K.scalar_part(k)] = q
+    return {K.unpack(w, slots)[:-2]: RadScalar(t) for w, t in out.items()}
 
 
 def _as_letters(word):
@@ -247,11 +300,12 @@ def _as_letters(word):
 
 
 class NCPoly:
-    """Noncommutative polynomial in normal form: one flat dict
-    {(a, b, c, d, radicand, h_power): q} for q * sqrt(radicand) * h^h_power
-    * v^a x^b y^c u^d: the 1-slot flat terms of kernel, so q is an int
-    when it is integral and equality is structural.  terms() and the
-    lookups build RadScalar coefficients when called.
+    """Noncommutative polynomial in normal form: one flat dict {key: q}
+    for q * sqrt(radicand) * h^h_power * v^a x^b y^c u^d, with a, b, c,
+    d, the radicand and the h power in the fields of the int key: the
+    1-slot flat terms of kernel, so q is an int when it is integral and
+    equality is structural.  terms() and the lookups build RadScalar
+    coefficients when called.
     """
 
     __slots__ = ("ring", "_terms")
@@ -268,14 +322,14 @@ class NCPoly:
 
     @staticmethod
     def one(ring):
-        return NCPoly(check_ring(ring), {(0, 0, 0, 0, 1, 0): 1})
+        return NCPoly(check_ring(ring), {RAD_ONE: 1})
 
     @staticmethod
     def from_terms(ring, terms):
         """The polynomial with the given {normal word: RadScalar} terms."""
         out = {}
         for w, c in terms.items():
-            scale_into(out, {w + (1, 0): 1}, c.raw())
+            scale_into(out, {K.pack((w,)): 1}, c.raw())
         return NCPoly(check_ring(ring), out)
 
     @staticmethod
@@ -287,7 +341,7 @@ class NCPoly:
         letters = _as_letters(name if isinstance(name, str) else (name,))
         if len(letters) != 1:
             raise ValueError(f"not a generator: {name!r}")
-        return NCPoly(check_ring(ring), {LETTER_WORDS[letters[0]] + (1, 0): 1})
+        return NCPoly(check_ring(ring), {LETTER_KEYS[letters[0]]: 1})
 
     # -- views --
 
@@ -376,17 +430,16 @@ class NCPoly:
         """sigma(self), for sigma the algebra automorphism that swaps x and
         y and fixes v, u and h.  An SL-normal word never holds both x and
         y, so its image v^a y^b x^c u^d is the normal word (a, c, b, d):
-        sigma swaps the x and y slots of each key and keeps the values,
+        sigma swaps the x and y fields of each key and keeps the values,
         with no product.  In GL the image of a word holding both would
         need a rewrite, which this does not make."""
         if self.ring != SL:
             raise ValueError("swap_xy relabels SL terms only; in GL sigma needs a rewrite")
-        return NCPoly(SL, {(a, c, b, d, r, i): q for (a, b, c, d, r, i), q in self._terms.items()})
+        swap = K.swap_xy
+        return NCPoly(SL, {swap(k): q for k, q in self._terms.items()})
 
     def specialize(self, h_value):
-        return NCPoly.from_terms(
-            self.ring, {w: c.specialize(h_value) for w, c in self.terms().items()}
-        )
+        return NCPoly(self.ring, K.specialized(self._terms, num(h_value)))
 
     def with_ring(self, ring):
         """Re-normalize into the given ring.
@@ -407,15 +460,15 @@ class NCPoly:
         coefficient as RadScalar.to_json writes it."""
         groups = {}
         for k, q in self._terms.items():
-            w = k[:4]
+            w = k & WORD_MASK
+            item = (k >> RAD_SHIFT & RAD_MASK, k >> H_SHIFT, q)
             group = groups.get(w)
             if group is None:
-                groups[w] = [(k[4], k[5], q)]
+                groups[w] = [item]
             else:
-                group.append((k[4], k[5], q))
+                group.append(item)
         terms = []
-        for w in sorted(groups, key=word_sort_key):
-            group = groups[w]
+        for (_, word), group in sorted((_word_view(w), g) for w, g in groups.items()):
             if len(group) > 1:
                 group.sort()
             coef = []
@@ -426,7 +479,7 @@ class NCPoly:
                     poly = []
                     coef.append({"rad": r, "poly": poly})
                 poly.append({"h": i, "g": 0, "q": qstr(q)})
-            terms.append({"word": word_str(w), "coef": {"terms": coef}})
+            terms.append({"word": word, "coef": {"terms": coef}})
         return {"ring": self.ring, "terms": terms}
 
     @staticmethod
@@ -452,7 +505,7 @@ def normal_form(pairs, ring) -> NCPoly:
     check_ring(ring)
     out = {}
     for word, coef in pairs:
-        terms = _times_letters({(0, 0, 0, 0, 1, 0): 1}, _as_letters(word), ring)
+        terms = _times_letters({RAD_ONE: 1}, _as_letters(word), ring)
         scale_into(out, terms, RadScalar.coerce(coef).raw())
     return NCPoly(ring, out)
 
@@ -519,9 +572,9 @@ def lift_to_gl(p, degree) -> NCPoly:
         raise ValueError(f"the degree of a lift must be a non-negative integer, not {degree!r}")
     parts = {}
     for k, q in p._terms.items():
-        gap = degree - (k[0] + k[1] + k[2] + k[3])
+        gap = degree - K.degree(k)
         if gap < 0 or gap % 2:
-            raise ValueError(f"the word {word_str(k[:4]) or '1'} cannot lift to degree {degree}")
+            raise ValueError(f"the word {word_str(K.word(k)) or '1'} cannot lift to degree {degree}")
         parts.setdefault(gap // 2, {})[k] = q
     delta = quantum_determinant(GL)._terms
     out = {}

@@ -7,8 +7,11 @@ kernel.scale_into), which makes it a usable oracle for it.  It reads ncalg.RULES
 into an int table {pair: ((word, h_power, n), ...)} each time a check
 runs, so a patched RULES reaches it too; every rule coefficient is n * h^k
 with n an int (int_rules raises otherwise).  A normal form is then int
-flat terms {(a, b, c, d, 1, h_power): n}, the key layout of NCPoly: each
-step shifts h powers and sums ints, with no scalar arithmetic.
+terms {(a, b, c, d, 1, h_power): n}, the tuple that kernel.unpack makes
+of an NCPoly key: each step shifts h powers and sums ints, with no
+scalar arithmetic.  The rewriter keeps these tuple keys on purpose, so
+that its terms never pass through the engine's packed-key arithmetic;
+confluence_check unpacks each engine form where it compares the two.
 Confluence is checked as joinability of every one-step peak (reduce the
 same word at two different positions, then normalize); together with the
 termination measure this gives confluence by Newman's lemma.  The engine
@@ -20,9 +23,11 @@ on a stack and only the trailing letters that changed are multiplied.
 import random
 from itertools import product
 
+from . import kernel as K
 from . import ncalg
 from .ncalg import GL, SL, NCPoly, RINGS, U, V, X, Y
 from .report import Report
+from .scalar import RadScalar
 
 
 def int_rules(ring):
@@ -32,12 +37,12 @@ def int_rules(ring):
         rows = []
         for word, coef in repl:
             monos = list(coef.raw().items())
-            if len(monos) != 1 or monos[0][0][0] != 1 or monos[0][1].denominator != 1:
+            if len(monos) != 1 or K.radicand(monos[0][0]) != 1 or monos[0][1].denominator != 1:
                 raise ValueError(
                     f"rule {pair} -> {word}: coefficient {coef!r} is not an int times a power of h"
                 )
-            (_, i), q = monos[0]
-            rows.append((word, i, int(q)))
+            k, q = monos[0]
+            rows.append((word, K.h_power(k), int(q)))
         table[pair] = tuple(rows)
     return table
 
@@ -94,7 +99,10 @@ def _poly_naive(steps, rules, memo):
 
 def naive_normal_form(letters, ring):
     """The naive normal form as {normal word: RadScalar}; engine-independent."""
-    return ncalg.grouped(_naive(tuple(letters), int_rules(ring), _NAIVE_MEMO[ring]))
+    out = {}
+    for (a, b, c, d, r, i), n in _naive(tuple(letters), int_rules(ring), _NAIVE_MEMO[ring]).items():
+        out.setdefault((a, b, c, d), {})[K.scalar_key(r, i)] = n
+    return {w: RadScalar(t) for w, t in out.items()}
 
 
 SAMPLES, SAMPLE_MAXLEN, SAMPLE_SEED = 300, 6, 11  # termination_check's random words
@@ -137,7 +145,7 @@ def _engine_forms(ring, maxlen):
     times its last letter, the chain ncalg.normal_form multiplies; only
     the trailing letters that changed since the last word are
     multiplied again."""
-    stack, last = [{(0, 0, 0, 0, 1, 0): 1}], ()
+    stack, last = [{K.RAD_ONE: 1}], ()
     for n in range(1, maxlen + 1):
         for w in product(range(4), repeat=n):
             keep = 0
@@ -145,7 +153,7 @@ def _engine_forms(ring, maxlen):
                 keep += 1
             del stack[keep + 1 :]
             for g in w[keep:]:
-                stack.append(ncalg._mul(stack[-1], {ncalg.LETTER_WORDS[g] + (1, 0): 1}, ring))
+                stack.append(ncalg._mul(stack[-1], {ncalg.LETTER_KEYS[g]: 1}, ring))
             last = w
             yield w, stack[-1]
 
@@ -167,7 +175,7 @@ def confluence_check(maxlen=4) -> Report:
         for w, form in _engine_forms(ring, maxlen):
             total += 1
             base = _naive(w, rules, memo)
-            if base != form:
+            if base != {K.unpack(k, 1): q for k, q in form.items()}:
                 disagreements += 1
             joins = [
                 _poly_naive(rewrite_at(w, p, rules), rules, memo)

@@ -5,7 +5,9 @@ A RadScalar is a finite sum
     sum  q * sqrt(r) * h^i
 
 with r squarefree positive and q a nonzero rational, stored as the flat
-kernel dict {(r, i): q}: the 0-slot flat terms, an integral q as an int.
+kernel dict {key(r, i): q}: the 0-slot flat terms, whose int key holds
+r and i in its radicand and h-power fields (kernel.scalar_key), an
+integral q as an int.
 Distinct square roots are linearly independent over Q(h), so equality is
 structural equality of the reduced form and no approximation ever
 happens.
@@ -19,6 +21,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import kernel as K
+from .kernel import H_SHIFT, RAD_MASK, RAD_SHIFT
 from ._rat import Q, num, qparse, qstr
 
 
@@ -28,8 +31,9 @@ class RadScalar:
     __slots__ = ("_t", "_hash")
 
     def __init__(self, terms):
-        # terms: {(squarefree_radicand, hpow): nonzero rational},
-        # already reduced; use the constructors below rather than raw dicts.
+        # terms: {kernel.scalar_key(squarefree_radicand, hpow): nonzero
+        # rational}, already reduced; use the constructors below rather
+        # than raw dicts.
         self._t = terms
         self._hash = None
 
@@ -42,7 +46,7 @@ class RadScalar:
             return ZERO
         if q == 1:
             return ONE
-        return RadScalar({(1, 0): q})
+        return RadScalar({K.RAD_ONE: q})
 
     @staticmethod
     def coerce(x) -> "RadScalar":
@@ -57,7 +61,7 @@ class RadScalar:
 
     def is_rational(self) -> bool:
         """True when the value is a plain rational number."""
-        return not self._t or (len(self._t) == 1 and (1, 0) in self._t)
+        return not self._t or (len(self._t) == 1 and K.RAD_ONE in self._t)
 
     def rational_value(self):
         """The value as a rational; raises if radicals or h survive."""
@@ -65,12 +69,11 @@ class RadScalar:
             return 0
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
-        return self._t[(1, 0)]
+        return self._t[K.RAD_ONE]
 
     def terms(self):
-        """Iterate (radicand, hpow, coefficient) in canonical order."""
-        for (r, i), q in sorted(self._t.items()):
-            yield r, i, q
+        """The (radicand, hpow, coefficient) triples in canonical order."""
+        return sorted([(k >> RAD_SHIFT & RAD_MASK, k >> H_SHIFT, q) for k, q in self._t.items()])
 
     def raw(self):
         return self._t
@@ -151,11 +154,7 @@ class RadScalar:
 
         Radicands are untouched (the roots are numeric already).
         """
-        hq = num(h_value)
-        out = {}
-        for (r, i), q in self._t.items():
-            K.add_into(out, (r, 0), q * hq**i)
-        return RadScalar(out)
+        return RadScalar(K.specialized(self._t, num(h_value)))
 
     # -- encodings ----------------------------------------------------
 
@@ -195,12 +194,12 @@ def sqrt_nat(n: int) -> RadScalar:
     s, r = K.sqrt_split(n)
     if r == 1:
         return RadScalar.from_rational(s)
-    return RadScalar({(r, 0): s})
+    return RadScalar({K.scalar_key(r, 0): s})
 
 
 ZERO = RadScalar({})
-ONE = RadScalar({(1, 0): 1})
-H = RadScalar({(1, 1): 1})
+ONE = RadScalar({K.RAD_ONE: 1})
+H = RadScalar({K.RAD_ONE + K.H_ONE: 1})
 
 
 def rational(p, q=1) -> RadScalar:

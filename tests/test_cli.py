@@ -111,6 +111,10 @@ def test_cgc_triangle_error(capsys):
         ["verify", "--suite", "ortho", "--max-twoj", "0", "--nmax", "9"],
         ["verify", "--suite", "corep", "--with-g"],
         ["verify", "--suite", "pbw", "--nmax", "4"],
+        ["normalform", "v^99999999999999999999"],
+        ["normalform", "h^256"],
+        ["normalform", "v^200*u^100"],
+        ["normalform", "sqrt(614889782588491410)*sqrt(53)"],
     ],
     ids=[
         "jacobi-gl",
@@ -135,6 +139,10 @@ def test_cgc_triangle_error(capsys):
         "nmax-ortho",
         "with-g-corep",
         "nmax-pbw",
+        "exponent-huge",
+        "exponent-at-limit",
+        "word-past-degree-field",
+        "radicand-past-field",
     ],
 )
 def test_invalid_input_exit_2(capsys, argv):
@@ -306,6 +314,16 @@ def test_byte_identical_across_processes(child_env):
     ]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_python_m_slh2_runs_the_cli(child_env):
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-m", "slh2", "normalform", "x*v"], capture_output=True, text=True, env=child_env
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "-h*v^2 + v*x\n", "")
 
 
 def test_out_file(tmp_path, capsys):

@@ -434,7 +434,7 @@ def _dropping_a_power(lift):
     """lift with one power of the determinant too few on each word shorter
     than the degree."""
     def dropped(p, degree):
-        top = NCPoly(SL, {k: q for k, q in p._terms.items() if sum(k[:4]) == degree})
+        top = NCPoly.from_terms(SL, {w: c for w, c in p.terms().items() if sum(w) == degree})
         return lift(top, degree) + lift(p - top, max(degree - 2, 0))
 
     return dropped

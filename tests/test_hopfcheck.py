@@ -24,15 +24,19 @@ from slh2.kernel import add_into, rad_add, rad_sub, scale_into, sqrt_split
 from slh2._rat import Q
 from slh2.scalar import H, ONE, ZERO, sqrt_nat
 
+from flatkeys import pack, unpack, unpacked
+
 
 def _slot_polys(k, q, ring):
-    """A flat tensor term as one NCPoly per slot, its scalar in the first."""
-    return [NCPoly(ring, {k[0] + k[-2:]: q})] + [NCPoly(ring, {w + (1, 0): 1}) for w in k[1:-2]]
+    """A flat 2-slot tensor term as one NCPoly per slot, its scalar in the
+    first."""
+    w1, w2, r, i = unpack(k, 2)
+    return [NCPoly(ring, {pack((w1,), r, i): q}), NCPoly(ring, {pack((w2,)): 1})]
 
 
 def tensor_mul(t1, t2, ring):
-    """Test oracle: the slotwise product of two flat tensors of one arity,
-    each term pair a tensor of NCPoly products."""
+    """Test oracle: the slotwise product of two flat 2-slot tensors, each
+    term pair a tensor of NCPoly products."""
     out = {}
     for k1, q1 in t1.items():
         for k2, q2 in t2.items():
@@ -42,20 +46,25 @@ def tensor_mul(t1, t2, ring):
 
 
 def _coproduct_at(t, slot, ring):
-    """Test oracle: Delta applied to one slot of a flat tensor."""
+    """Test oracle: Delta applied to one slot of a flat 2-slot tensor, as
+    3-slot terms {(w1, w2, w3, radicand, h_power): q}."""
     out = {}
     for k, q in t.items():
-        for d, m in hc.coproduct(NCPoly(ring, {k[slot] + k[-2:]: q})).items():
-            add_into(out, k[:slot] + d[:2] + k[slot + 1 : -2] + d[2:], m)
+        *words, r, i = unpack(k, 2)
+        for d, m in hc.coproduct(NCPoly(ring, {pack((words[slot],), r, i): q})).items():
+            d = unpack(d, 2)
+            add_into(out, (*words[:slot], *d[:2], *words[slot + 1 :], *d[2:]), m)
     return out
 
 
 def _counit_at(t, slot, ring):
-    """Test oracle: eps applied to one slot of a flat tensor."""
+    """Test oracle: eps applied to one slot of a flat 2-slot tensor, as
+    1-slot flat terms."""
     out = {}
     for k, q in t.items():
-        for rad_h, m in hc.counit(NCPoly(ring, {k[slot] + k[-2:]: q})).raw().items():
-            add_into(out, k[:slot] + k[slot + 1 : -2] + rad_h, m)
+        *words, r, i = unpack(k, 2)
+        for rad_h, m in hc.counit(NCPoly(ring, {pack((words[slot],), r, i): q})).raw().items():
+            add_into(out, pack((words[1 - slot],), *unpack(rad_h, 0)), m)
     return out
 
 
@@ -64,7 +73,7 @@ def test_tensor_sums_store_ints():
     for ring in (GL, SL):
         x, y = gen("x", ring), gen("y", ring)
         t = hc.tensor(x.scaled(half), x.scaled(2))
-        assert t == {((0, 1, 0, 0), (0, 1, 0, 0), 1, 0): 1}
+        assert unpacked(t, 2) == {((0, 1, 0, 0), (0, 1, 0, 0), 1, 0): 1}
         assert [type(q) for q in t.values()] == [int]
         c = hc.counit(x.scaled(half) + y.scaled(half))
         assert c == ONE and [type(q) for q in c.raw().values()] == [int]
@@ -72,7 +81,7 @@ def test_tensor_sums_store_ints():
         assert [type(q) for q in eps.values()] == [int]
         p = parse("1/2*x*y + 1/2*u*v - 1/3*h*x*v + 3/2*v", ring)
         delta = hc.coproduct(p)
-        for tp in (delta, _coproduct_at(delta, 1, ring), scale_into({}, delta, {(1, 0): Q(2, 3)})):
+        for tp in (delta, _coproduct_at(delta, 1, ring), scale_into({}, delta, {pack(()): Q(2, 3)})):
             assert all((type(q) is int) == (q.denominator == 1) for q in tp.values())
 
 
@@ -100,9 +109,10 @@ def _sigma_tensor(t, flip=True):
     """tau (sigma (x) sigma) on a 2-slot SL tensor, or sigma (x) sigma
     when flip is False."""
     sig = {}
-    for (w1, w2, r, i), q in t.items():
+    for k, q in t.items():
+        w1, w2, r, i = unpack(k, 2)
         w1, w2 = (w1[0], w1[2], w1[1], w1[3]), (w2[0], w2[2], w2[1], w2[3])
-        sig[(w2, w1, r, i) if flip else (w1, w2, r, i)] = q
+        sig[pack((w2, w1) if flip else (w1, w2), r, i)] = q
     return sig
 
 
@@ -207,19 +217,22 @@ def test_tensor_arithmetic():
     r2, r3, r6 = (sqrt_nat(n) for n in (2, 3, 6))
     # the radicands of the slots meet by the gcd rule
     assert hc.tensor(x.scaled(r2), v.scaled(r3)) == scale_into({}, hc.tensor(x, v), r6.raw())
-    assert hc.tensor(x.scaled(r2), v.scaled(r2 * H)) == {((0, 1, 0, 0), (1, 0, 0, 0), 1, 1): 2}
-    # arity 3 with radicals in every slot: the slots multiply in the ring
+    assert unpacked(hc.tensor(x.scaled(r2), v.scaled(r2 * H)), 2) == {((0, 1, 0, 0), (1, 0, 0, 0), 1, 1): 2}
+    # radicals in both slots of both factors: the slots multiply in the ring
     y, u = gen("y", GL), gen("u", GL)
-    left = (u.scaled(r2) + x, y.scaled(r3), v + x.scaled(r6))
-    right = (x.scaled(r3), v.scaled(r6) + u, y.scaled(r2) - v)
+    left = (u.scaled(r2) + x, y.scaled(r3) + v.scaled(r6))
+    right = (x.scaled(r3) + y, v.scaled(r6) + u.scaled(r2))
     want = hc.tensor(*(p * q for p, q in zip(left, right)))
     assert tensor_mul(hc.tensor(*left), hc.tensor(*right), GL) == want
+    # a flat key holds two words
+    with pytest.raises(ValueError, match="1 to 2 factors"):
+        hc.tensor(x, y, v)
     # flat keys: two words, a squarefree radicand and an h-power; no zero value
     for ring in (GL, SL):
         for entry in (p for row in dmatrix(3, ring=ring).entries for p in row):
             t = hc.coproduct(entry)
             assert t
-            for k, q in t.items():
+            for k, q in unpacked(t, 2).items():
                 assert len(k) == 4 and all(len(w) == 4 for w in k[:-2])
                 r, i = k[-2:]
                 assert type(r) is int and type(i) is int and sqrt_split(r) == (1, r)
@@ -236,16 +249,22 @@ def test_corep_small(twoj):
 def test_corep_detects_a_wrong_coproduct(monkeypatch):
     # negative control: with Delta(x) = x (x) x the corepresentation law
     # must fail, so a vacuous pass would be caught; the digest pins the
-    # failing report text byte for byte
+    # failing report text byte for byte.  The coproducts of the entries
+    # with m' + m < 0 are tau (sigma (x) sigma) of their partners', so
+    # the lower entries (-1, 0) and (-1, -1) fail with their partners
+    # (0, 1) and (1, 1), and (0, -1) shows the image of (1, 0)'s
     from slh2.ncalg import X
 
     monkeypatch.setitem(hc._DELTA_GEN, X, ((X, X),))
     monkeypatch.setattr(hc, "_DELTA_MEMO", {GL: {}, SL: {}})
     rep = hc.check_corep(2, ring=SL)
-    assert rep.failed == 6 and rep.passed == 12
+    assert rep.failed == 8 and rep.passed == 10
+    assert [(c["params"]["twomp"], c["params"]["twom"]) for c in rep.cases if not c["pass"]] == [
+        (2, 2), (2, 0), (2, -2), (0, 2), (0, 0), (0, -2), (-2, 0), (-2, -2)
+    ]
     text = json.dumps(rep.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "66e9779953c6f66534559ebfd151434d3b192ba23e197b50100168112ad64c40"
+        "a81e6a0740c46933bc50fc5eda7b39c2002f63341dc8c144bdb672068d005f6b"
     )
 
 
@@ -297,14 +316,16 @@ def test_corep_failure_text_is_pinned(ring):
     for r in (SL, GL):  # build every entry, mirrors and lifts, before the change
         dmatrix(2, ring=r)
     terms = dfunc(2, 2, 2, ORDERED1, ring)._terms
-    key = min(terms)
+    key = min(terms, key=unpack)
     q = terms[key]
     terms[key] = 2 * q
     try:
         rep = hc.check_corep(2, ring=ring)
     finally:
         terms[key] = q
-    assert (rep.failed, rep.passed) == (6, 12)
+    # in SL the coproduct of D_{-1,-1} is tau (sigma (x) sigma) of that of
+    # D_{1,1}, so the doubled coefficient fails its case too
+    assert (rep.failed, rep.passed) == ((7, 11) if ring == SL else (6, 12))
     case = rep.first_failure()
     assert case["params"] == {"twoj": 2, "twomp": 2, "twom": 2, "law": "coproduct"}
     assert (case["lhs"], case["rhs"]) == _COREP_FAILURE[ring]
@@ -898,7 +919,7 @@ def test_recurrence_detects_a_wrong_d_entry(ring):
     from slh2.dfun import ORDERED1, dfunc
 
     terms = dfunc(4, 2, -2, ORDERED1, ring)._terms
-    key = min(terms)
+    key = min(terms, key=unpack)
     q = terms[key]
     hc._DLETTER_MEMO.clear()
     terms[key] = 2 * q
@@ -1154,3 +1175,47 @@ def test_report_json_shape():
     assert set(obj) == {"suite", "cases", "passed", "failed"}
     assert obj["failed"] == 0
     assert all(c["pass"] for c in obj["cases"])
+
+
+# Delta sigma = tau (sigma (x) sigma) Delta: check_corep takes the
+# coproducts of the SL entries with m' + m < 0 from their partners'.
+
+
+@pytest.mark.parametrize("scheme", ["ordered1", "ordered2", "jacobi", "classical"])
+def test_sigma_coproduct_equals_the_coproduct_of_each_sl_entry(scheme):
+    seen = 0
+    for twoj in range(7):
+        d = dmatrix(twoj, scheme, SL)
+        for twomp in range(twoj, -twoj - 1, -2):
+            for twom in range(twoj, -twoj - 1, -2):
+                partner = d.entry(-twom, -twomp)
+                assert hc.sigma_coproduct(hc.coproduct(partner)) == hc.coproduct(d.entry(twomp, twom))
+                seen += 1
+    assert seen == 140
+
+
+def test_corep_takes_the_lower_sl_coproducts_from_their_partners(monkeypatch):
+    made, images = [], []
+    coproduct, sigma_coproduct = hc.coproduct, hc.sigma_coproduct
+    monkeypatch.setattr(hc, "coproduct", lambda p: made.append(p) or coproduct(p))
+    monkeypatch.setattr(hc, "sigma_coproduct", lambda t: images.append(t) or sigma_coproduct(t))
+    for twoj in range(5):
+        assert hc.check_corep(twoj).ok
+    # 55 entries for 2j <= 4, of which 20 have m' + m < 0
+    assert (len(made), len(images)) == (35, 20)
+    made.clear()
+    images.clear()
+    for twoj in range(4):
+        assert hc.check_corep(twoj, ring=GL).ok
+    assert (len(made), len(images)) == (30, 0)
+
+
+def test_corep_fails_with_the_flip_dropped(monkeypatch):
+    # without tau, sigma (x) sigma of a partner's coproduct is not the
+    # coproduct of the entry: sigma is a coalgebra anti-map
+    assert hc.check_corep(2).ok
+    monkeypatch.setattr(hc, "swap_slots", lambda key: key)
+    rep = hc.check_corep(2)
+    assert not rep.ok
+    failed = [(c["params"]["twomp"], c["params"]["twom"]) for c in rep.cases if not c["pass"]]
+    assert failed and all(twomp + twom < 0 for twomp, twom in failed)

@@ -130,7 +130,7 @@ def test_constructors_hold_ints():
     ):
         _assert_int_rule(s)
     assert [type(q) for q in (H * H).raw().values()] == [int]
-    assert sqrt_nat(8).raw() == {(2, 0): 2} and type(sqrt_nat(8).raw()[2, 0]) is int
+    assert list(sqrt_nat(8).terms()) == [(2, 0, 2)] and type(list(sqrt_nat(8).terms())[0][2]) is int
     assert type(ZERO.rational_value()) is int
 
 
@@ -144,7 +144,7 @@ def test_equality_is_componentwise(a, b):
     # structural equality relies on the canonical form: squarefree
     # radicands and no zero coefficient
     for c in (a + b, a * b):
-        for (r, _), q in c.raw().items():
+        for r, _, q in c.terms():
             assert sqrt_split(r) == (1, r) and q
 
 
@@ -259,6 +259,8 @@ def test_sqrt_of_a_square_is_rational():
 
 
 def _rand_rad(rng):
+    """Random 0-slot terms as {(radicand, h_power): q}; _packed makes
+    kernel terms of them."""
     return {
         (rng.choice([1, 2, 3, 5, 6, 10]), rng.randint(0, 3)):
             Q(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 5))
@@ -266,10 +268,18 @@ def _rand_rad(rng):
     }
 
 
+def _packed(terms):
+    return {kernel.scalar_key(r, i): q for (r, i), q in terms.items()}
+
+
+def _unpacked(terms):
+    return {(kernel.radicand(k), kernel.h_power(k)): q for k, q in terms.items()}
+
+
 def test_inputs_never_mutated():
     rng = random.Random(3)
     for _ in range(200):
-        a, b = _rand_rad(rng), _rand_rad(rng)
+        a, b = _packed(_rand_rad(rng)), _packed(_rand_rad(rng))
         snap_a, snap_b = dict(a), dict(b)
         kernel.rad_add(a, b)
         kernel.rad_mul(a, b)
@@ -306,7 +316,7 @@ def test_rad_mul_matches_the_reference_loop():
     rng = random.Random(11)
     for _ in range(500):
         a, b = _rand_rad(rng), _rand_rad(rng)
-        got = kernel.rad_mul(a, b)
-        assert got == _reference_rad_mul(a, b)
+        got = kernel.rad_mul(_packed(a), _packed(b))
+        assert _unpacked(got) == _reference_rad_mul(a, b)
         for q in got.values():
             assert q and (type(q) is int) == (q.denominator == 1)
