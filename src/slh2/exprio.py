@@ -15,7 +15,9 @@ same ring element always parse to the identical NCPoly.  The text printer
 is the inverse of the parser on normal forms: parse(render_text(p)) == p.
 An exponent must be below kernel.EXP_LIMIT, the bound of the degree
 field of a flat key: a longer word cannot be stored, so the parser
-refuses such a power before it multiplies.
+refuses such a power before it multiplies.  A sqrt argument must be
+below kernel.RAD_LIMIT, the bound of the radicand field, so that no
+argument takes longer to factor than one below 2^64.
 """
 
 import json
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 from . import ncalg
 from ._rat import Q
-from .kernel import EXP_LIMIT
+from .kernel import EXP_LIMIT, RAD_LIMIT
 from .ncalg import NCPoly
 from .scalar import H, RadScalar, sqrt_nat
 
@@ -142,6 +144,8 @@ class _Parser:
             if text == "sqrt":
                 self.take("(", "'('")
                 arg = self.take("int", "a natural number radicand")
+                if int(arg[1]) >= RAD_LIMIT:
+                    raise ParseError(f"sqrt argument {arg[1]} is not below the limit {RAD_LIMIT}", arg[2])
                 self.take(")", "')'")
                 return NCPoly.scalar(sqrt_nat(int(arg[1])), self.ring)
             raise ParseError(f"unknown symbol {text!r}", pos)

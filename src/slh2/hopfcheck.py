@@ -16,9 +16,13 @@ builds one from NCPoly factors and tensor_text prints it.  coproduct
 returns the 2-slot dict and counit a RadScalar; the counit test of a
 term is a mask of its v and u fields.  Delta of a word is Delta(the
 word without its last letter) times Delta(its last letter), two slot
-products through ncalg._mul per pair of terms, memoised in _DELTA_MEMO
-per word key with radicand 1 and int values, so the coproduct of a term
-adds one shift, its radicand and h power, to each memo key.
+products through ncalg._mul per pair of terms put together by
+kernel.outer_into, memoised in _DELTA_MEMO per word key with radicand 1
+and int values.  The coproduct of a polynomial is kernel.scale_into of
+each term's memo entry by the term's scalar part and value, and tensor
+and the right sides of check_corep are outer_into too: this module
+has no pair loop and no radicand rule of its own, and moves no word
+between slots.
 
 Delta commutes with sigma up to the flip tau of the two slots:
 Delta sigma = tau (sigma (x) sigma) Delta, since sigma swaps T_11 with
@@ -84,13 +88,11 @@ drops the products of spins below 2j - 1, which a loop up in 2j (as
 """
 
 from functools import lru_cache
-from math import gcd
 
 from . import kernel as K
 from . import ncalg
 from .dfun import ORDERED1, dfunc, dmatrix
-from .kernel import DEG_FIELD, DEG_SHIFT, EXP_LIMIT, LOW_MASK, RAD_LIMIT, RAD_MASK, RAD_ONE, RAD_SHIFT
-from .kernel import WORD_MASK, add_into, check_degree, check_radicand, ints, rad_neg, scale_into
+from .kernel import LOW_MASK, RAD_ONE, WORD_MASK, add_into, outer_into, rad_neg, scale_into
 from .kernel import swap_slots, swap_xy
 from .ncalg import GL, LETTER_KEYS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_basis, r_matrix, rows, triangle
@@ -114,9 +116,7 @@ def tensor(*polys):
         raise ValueError(f"a flat tensor has 1 to {K.SLOTS} factors, not {len(polys)}")
     if len(polys) == 1:
         return dict(polys[0]._terms)
-    out = {}
-    _spread(out, polys[0]._terms, polys[1]._terms)
-    return out
+    return outer_into({}, polys[0]._terms, polys[1]._terms)
 
 
 def tensor_text(terms):
@@ -129,48 +129,6 @@ def tensor_text(terms):
         tag = " (x) ".join(ncalg.word_str(w) or "1" for w in words)
         bits.append(f"({c!r})*[{tag}]")
     return " + ".join(bits)
-
-
-def _spread(out, left, right):
-    """out += left (x) right for two flat NCPoly term dicts, such as memo
-    entries, as flat tensor terms under the gcd and int rules, with no
-    call per term.  A right term k with word w moves to slot 1 as
-    k + w * (2^WORD_BITS - 1), and a pair's key is the sum of its two
-    keys with the radicand field set to the pair's radicand."""
-    tail = []
-    top = 0
-    for k, m in right.items():
-        tail.append((k + (k & WORD_MASK) * WORD_MASK, k >> RAD_SHIFT & RAD_MASK, m))
-        deg = k & DEG_FIELD
-        if deg > top:
-            top = deg
-    limit = (EXP_LIMIT << DEG_SHIFT) - top
-    get = out.get
-    for k, q in left.items():
-        if k & DEG_FIELD >= limit:
-            check_degree(((k & DEG_FIELD) + top) >> DEG_SHIFT)
-        r = k >> RAD_SHIFT & RAD_MASK
-        base = k - RAD_ONE
-        for shift, rk, m in tail:
-            if r == 1:
-                key = base + shift
-                p = q * m
-            else:
-                g = gcd(r, rk)
-                rn = (r // g) * (rk // g)
-                if rn >= RAD_LIMIT:
-                    check_radicand(rn)
-                key = base + shift + ((rn - r - rk + 1) << RAD_SHIFT)
-                p = q * m if g == 1 else q * m * g
-            s = get(key)
-            if s is not None:
-                p = s + p
-                if not p:
-                    del out[key]
-                    continue
-            if type(p) is not int and p.denominator == 1:
-                p = int(p)
-            out[key] = p
 
 
 _DELTA_MEMO = {GL: {}, SL: {}}
@@ -188,12 +146,12 @@ def _word_coproduct(word, ring):
         else:
             exps = K.word(word)
             g = max(i for i in range(4) if exps[i])
-            head = _word_coproduct(word - (1 << g * K.EXP_BITS), ring)
+            head = _word_coproduct(word - (LETTER_KEYS[g] & WORD_MASK), ring)
             hit = {}
             for k, q in head.items():
                 w1, w2, _, i = K.unpack(k, 2)
                 for g1, g2 in _DELTA_GEN[g]:
-                    _spread(
+                    outer_into(
                         hit,
                         _mul({K.pack((w1,), 1, i): q}, {LETTER_KEYS[g1]: 1}, ring),
                         _mul({K.pack((w2,)): 1}, {LETTER_KEYS[g2]: 1}, ring),
@@ -206,20 +164,8 @@ def coproduct(p: NCPoly) -> dict:
     """Algebra-homomorphism extension of the generator coproduct, as flat
     2-slot terms."""
     out = {}
-    get = out.get
     for k, q in p._terms.items():
-        # memo entries have radicand 1 and int values: the term's radicand
-        # replaces 1 and its h power adds, one shift for every memo key
-        shift = K.scalar_part(k) - RAD_ONE
-        for mk, m in _word_coproduct(k & WORD_MASK, p.ring).items():
-            key = mk + shift
-            s = get(key, 0) + q * m
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    if any(type(q) is not int for q in p._terms.values()):
-        ints(out)
+        scale_into(out, _word_coproduct(k & WORD_MASK, p.ring), {K.scalar_part(k): q})
     return out
 
 
@@ -272,7 +218,7 @@ def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
             lhs = delta(twomp, twom)
             rhs = {}
             for twok in mags:
-                _spread(rhs, d.entry(twomp, twok)._terms, d.entry(twok, twom)._terms)
+                outer_into(rhs, d.entry(twomp, twok)._terms, d.entry(twok, twom)._terms)
             rep.record(
                 {"twoj": twoj, "twomp": twomp, "twom": twom, "law": "coproduct"},
                 lhs,

@@ -41,12 +41,16 @@ Two rules keep the format canonical:
   so a Fraction does not make every later product rational.  _rat.num
   is the same rule for a single value.
 
-scale_into, the product of flat terms by a scalar, is the one product
-loop: rad_mul is its 0-slot case, and the ncalg engine and the row
-steps of rtt_frt_check sum through it.
+scale_into, the product of flat terms by flat terms whose keys it adds
+whole, is the one product loop: rad_mul is its 0-slot case; outer_into,
+the outer product of two 1-slot term dicts, moves the right words to
+slot 1 and sums through it; and hopfcheck.coproduct, ncalg.lincomb and
+the row steps of hopfcheck.rtt_frt_check reach it too.  Only the
+engine's ncalg._mul, which also reads the memo per term pair, keeps a
+pair loop of its own.
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 from ._rat import Q
 
@@ -192,14 +196,16 @@ def add_into(dst, key, q):
 
 
 def scale_into(dst, terms, coef):
-    """dst += coef * terms for flat terms and a scalar coef, under both
-    rules; returns dst.  A term of radicand r moves to the key k + delta
-    and its value is multiplied by f = qc * g, for g the gcd of r and the
-    radicand of the coef term; delta and f are computed again only where
-    the radicand changes from one term to the next, so once for terms of
-    one radicand.  The first product of a key is stored as it is (0 + p
-    would build a new Fraction), and the int rule is applied to the
-    stored value, sum or product."""
+    """dst += coef * terms for flat terms and flat coef terms, under both
+    rules; returns dst.  The whole key of a coef term is added, so coef
+    is a scalar or, in outer_into, words in the slot that terms leaves
+    empty.  A term of radicand r moves to the key k + delta and its value
+    is multiplied by f = qc * g, for g the gcd of r and the radicand of
+    the coef term; delta and f are computed again only where the radicand
+    changes from one term to the next, so once for terms of one radicand.
+    The first product of a key is stored as it is (0 + p would build a
+    new Fraction), and the int rule is applied to the stored value, sum
+    or product."""
     get = dst.get
     for kc, qc in coef.items():
         rc = kc >> RAD_SHIFT & RAD_MASK
@@ -226,6 +232,17 @@ def scale_into(dst, terms, coef):
             if type(p) is not int and p.denominator == 1:
                 p = int(p)
             dst[key] = p
+    return dst
+
+
+def outer_into(dst, left, right):
+    """dst += left (x) right for two 1-slot flat term dicts, as 2-slot
+    terms; returns dst.  Each right key moves its word to slot 1 by one
+    step, k + w * (2^WORD_BITS - 1) for its word fields w, and the
+    longest words of the two sides are checked together, once."""
+    if left and right:
+        check_degree((max(k & DEG_FIELD for k in left) + max(k & DEG_FIELD for k in right)) >> DEG_SHIFT)
+        scale_into(dst, left, {k + (k & WORD_MASK) * WORD_MASK: q for k, q in right.items()})
     return dst
 
 
@@ -268,14 +285,17 @@ def rad_mul(a, b):
 
 
 def sqrt_split(n):
-    """n = s*s*r with r squarefree; returns (s, r).  Trial division."""
+    """n = s*s*r with r squarefree; returns (s, r).  Trial division by
+    each d with d^3 at most the cofactor left: the cofactor then has no
+    prime factor below d and is below d^3, so it is 1, p, p^2 or pq, and
+    isqrt tells p^2 from the squarefree rest."""
     if n < 0:
         raise ValueError("radicand must be non-negative")
     if n == 0:
         return 0, 1
     s, r = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -285,4 +305,7 @@ def sqrt_split(n):
             if e % 2:
                 r *= d
         d += 1 if d == 2 else 2
+    t = isqrt(n)
+    if t * t == n:
+        return s * t, r
     return s, r * n

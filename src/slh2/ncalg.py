@@ -43,7 +43,8 @@ fields, and the memo key is the two cores in one int.  _mul looks up
 NF(w1' w2') and adds one shift per term pair to each output key: a to
 the v field and d to the u field (with a + d to the degree), the pair's
 h powers and its radicand; words that differ only in those powers share
-one entry.  A core w1' times the word 1 is w1' and has no entry.
+one entry.  A core w1' times the word 1, the core of a power of u, is
+stored as {w1': 1} like any other entry.
 
 The flat-term format and its gcd and int rules belong to kernel; scaled
 sums, lincomb and normal_form go through kernel.scale_into.  _mul, the
@@ -195,10 +196,10 @@ def _word_mul_word(core1, core2, ring):
     w1 = K.word(core1)
     key1 = core1 + (sum(w1) << DEG_SHIFT) + RAD_ONE
     if not core2:
-        # w1 1 is normal already and needs no memo entry; 1 w2 is kept,
-        # since with_ring passes words that the ring rewrites
-        return {key1: 1}
-    if core2 not in _ONE_LETTER:
+        # w1 1 is w1; a left word 1 takes the paths below, since
+        # with_ring passes right words that the ring rewrites
+        res = {key1: 1}
+    elif core2 not in _ONE_LETTER:
         res = _times_letters({key1: 1}, word_letters(K.word(core2)), ring)
     else:
         g = K.word(core2).index(1)

@@ -165,7 +165,7 @@ class RadScalar:
     def from_json(obj) -> "RadScalar":
         out = ZERO
         for term in obj["terms"]:
-            rad = sqrt_nat(term["rad"])
+            rad = sqrt_nat(K.check_radicand(term["rad"]))
             for mono in term["poly"]:
                 if mono["g"]:
                     raise ValueError(f"a scalar has no power of g, found g^{mono['g']}")

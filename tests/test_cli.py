@@ -115,6 +115,7 @@ def test_cgc_triangle_error(capsys):
         ["normalform", "h^256"],
         ["normalform", "v^200*u^100"],
         ["normalform", "sqrt(614889782588491410)*sqrt(53)"],
+        ["normalform", "sqrt(18446744073709551616)"],
     ],
     ids=[
         "jacobi-gl",
@@ -143,6 +144,7 @@ def test_cgc_triangle_error(capsys):
         "exponent-at-limit",
         "word-past-degree-field",
         "radicand-past-field",
+        "sqrt-past-radicand-field",
     ],
 )
 def test_invalid_input_exit_2(capsys, argv):
@@ -324,6 +326,18 @@ def test_python_m_slh2_runs_the_cli(child_env):
         [sys.executable, "-m", "slh2", "normalform", "x*v"], capture_output=True, text=True, env=child_env
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "-h*v^2 + v*x\n", "")
+
+
+def test_sqrt_of_the_largest_prime_below_2_64(child_env):
+    import subprocess
+    import sys
+
+    # factoring the argument must not take the square root of it in steps
+    done = subprocess.run(
+        [sys.executable, "-m", "slh2", "normalform", "sqrt(18446744073709551557)"],
+        capture_output=True, text=True, env=child_env, timeout=30,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "sqrt(18446744073709551557)\n", "")
 
 
 def test_out_file(tmp_path, capsys):

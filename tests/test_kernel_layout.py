@@ -132,6 +132,43 @@ def test_scale_into_moves_each_key_by_its_delta(terms, coef):
     assert all((type(q) is int) == (q.denominator == 1) for q in got.values())
 
 
+_outer_terms = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+              st.sampled_from([1, 2, 3, 6, 10, 15]), st.integers(0, 2)),
+    st.one_of(st.integers(-3, 3).filter(bool), st.integers(-5, 5).filter(bool).map(lambda n: Q(n, 2))),
+    max_size=5,
+)
+
+
+def _outer_oracle(left, right):
+    """left (x) right on tuple keys, by the gcd rule, with no key arithmetic."""
+    out = {}
+    for (*w1, r1, i1), q1 in left.items():
+        for (*w2, r2, i2), q2 in right.items():
+            g = gcd(r1, r2)
+            key = (tuple(w1), tuple(w2), (r1 // g) * (r2 // g), i1 + i2)
+            out[key] = out.get(key, 0) + q1 * q2 * g
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_outer_terms, _outer_terms, st.data())
+def test_outer_into_matches_the_tuple_oracle(left, right, data):
+    want = _outer_oracle(left, right)
+    # dst holds some of the products already, some negated so that they
+    # cancel to zero
+    pre = {k: data.draw(st.sampled_from([-q, q, 1])) for k, q in want.items() if data.draw(st.booleans())}
+    dst = flatkeys.packed(pre, 2)
+    pl, pr = flatkeys.packed(left), flatkeys.packed(right)
+    copies = dict(pl), dict(pr)
+    assert K.outer_into(dst, pl, pr) is dst
+    for k, q in pre.items():
+        want[k] = want.get(k, 0) + q
+    assert flatkeys.unpacked(dst, 2) == {k: q for k, q in want.items() if q}
+    assert (pl, pr) == copies
+    assert all((type(q) is int) == (q.denominator == 1) for q in dst.values())
+
+
 # ---------------------------------------------------------------------
 # the guards
 # ---------------------------------------------------------------------
@@ -179,7 +216,7 @@ def test_radicands_are_checked_where_they_are_made():
     with pytest.raises(ValueError, match="radicand"):
         x.scaled(big) * y.scaled(p53)  # _mul
     with pytest.raises(ValueError, match="radicand"):
-        hc.tensor(x.scaled(big), y.scaled(p53))  # the tensor spread
+        hc.tensor(x.scaled(big), y.scaled(p53))  # outer_into
     with pytest.raises(ValueError, match="radicand"):
         ncalg.lincomb([(p53, x.scaled(big))], GL)
     # a shared factor keeps the product inside the field

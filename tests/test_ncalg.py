@@ -198,11 +198,16 @@ def test_memo_keys_are_cores(monkeypatch):
     # and the tensor product (both in SL) multiply by longer words
     assert ncalg._MEMO[GL] and ncalg._MEMO[SL] and ncalg._WW_MEMO[SL]
     for ring in (GL, SL):
-        # no v on the left word, no u on the right word, no word 1 right
-        for key in list(ncalg._MEMO[ring]) + list(ncalg._WW_MEMO[ring]):
+        # no v on the left word, no u on the right word; a right word 1
+        # (the core of a power of u) leaves the left word as it is
+        memos = {**ncalg._MEMO[ring], **ncalg._WW_MEMO[ring]}
+        for key, prod in memos.items():
             # the two cores of a memo key, the right word in the high bits
             w2, w1 = map(flatkeys.word, divmod(key, 1 << kernel.WORD_BITS))
-            assert w1[ncalg.V] == 0 and w2[ncalg.U] == 0 and any(w2), (w1, w2)
+            assert w1[ncalg.V] == 0 and w2[ncalg.U] == 0, (w1, w2)
+            if not any(w2):
+                assert prod == {flatkeys.pack((w1,)): 1}, (w1, prod)
+        assert any(not key >> kernel.WORD_BITS for key in memos)
 
 
 def _fresh_memos(monkeypatch):

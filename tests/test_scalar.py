@@ -42,6 +42,54 @@ def test_sqrt_nat(n, s, r):
     assert sqrt_nat(n) == sqrt_nat(r).scaled(s) if s else sqrt_nat(n).is_zero()
 
 
+def _trial_division(n):
+    """sqrt_split by trial division with every d up to the square root of
+    the cofactor left."""
+    if n == 0:
+        return 0, 1
+    s, r = 1, 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                r *= d
+        d += 1 if d == 2 else 2
+    return s, r * n
+
+
+def test_sqrt_split_matches_trial_division():
+    for n in range(20000):
+        assert sqrt_split(n) == _trial_division(n), n
+    rng = random.Random(1)
+    # the square, the cube and the product of primes near 10^6, around
+    # the last trial divisor
+    edges = [999983**2, 1000003**2, 999983 * 1000003, 101**3, 2 * 101**3, 7 * 999983**2]
+    for n in edges + [rng.randrange(1, 10**12) for _ in range(300)]:
+        assert sqrt_split(n) == _trial_division(n), n
+
+
+def test_sqrt_split_near_the_radicand_limit():
+    # the largest primes below 2^64 and 2^32
+    p64, p32, q32 = 2**64 - 59, 2**32 - 5, 2**32 - 17
+    assert sqrt_split(p64) == (1, p64)
+    assert sqrt_split(p32 * p32) == (p32, 1)
+    assert sqrt_split(p32 * q32) == (1, p32 * q32)
+    assert sqrt_split(12 * p32 * p32) == (2 * p32, 3)
+
+
+def test_from_json_refuses_a_radicand_past_its_field():
+    big = {"terms": [{"rad": kernel.RAD_LIMIT, "poly": [{"h": 0, "g": 0, "q": "1/1"}]}]}
+    with pytest.raises(ValueError, match="radicand"):
+        RadScalar.from_json(big)
+    big["terms"][0]["rad"] = kernel.RAD_LIMIT - 59
+    assert RadScalar.from_json(big) == sqrt_nat(kernel.RAD_LIMIT - 59)
+
+
 def test_sqrt_multiplicative_upto_100():
     for a in range(101):
         for b in range(101):
