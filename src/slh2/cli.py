@@ -125,10 +125,10 @@ def _cmd_cgc(args):
 
 
 def _cgc_json(table):
-    """A coupling table {(twom1, twom2, twom): c}, keys descending."""
+    """A coupling table {((twom1, twom2), twom): c}, keys descending."""
     return [
         {"twom1": m1, "twom2": m2, "twom": m, "value": c.to_json()}
-        for (m1, m2, m), c in sorted(table.items(), reverse=True)
+        for ((m1, m2), m), c in sorted(table.items(), reverse=True)
     ]
 
 

@@ -141,10 +141,11 @@ def check_indices(twoj, twomp, twom):
 
 
 def norm_factor(twoj, twomp, twom) -> RadScalar:
-    out = sqrt_nat(factorial((twoj + twomp) // 2))
-    out = out * sqrt_nat(factorial((twoj - twomp) // 2))
-    out = out * sqrt_nat(factorial((twoj + twom) // 2))
-    return out * sqrt_nat(factorial((twoj - twom) // 2))
+    """sqrt((j+m')! (j-m')! (j+m)! (j-m)!), one square root of the product."""
+    return sqrt_nat(
+        factorial((twoj + twomp) // 2) * factorial((twoj - twomp) // 2)
+        * factorial((twoj + twom) // 2) * factorial((twoj - twom) // 2)
+    )
 
 
 def _lin(ring, parts):
@@ -339,7 +340,7 @@ def _jacobi_form(twoj, twomp, twom):
         # t runs from m - m' down to 2m + 1 in the y factors
         term = _run(_v_run(term, va), _y, range(-d, -d + s, -1))
     p, q = (twomp, twom) if d >= 0 else (twom, twomp)
-    nrm = sqrt_nat(comb((twoj + p) // 2, a)) * sqrt_nat(comb((twoj - q) // 2, a))
+    nrm = sqrt_nat(comb((twoj + p) // 2, a) * comb((twoj - q) // 2, a))
     return term.scaled(nrm.scaled(Q(1, den)))
 
 

@@ -39,8 +39,8 @@ relations (including that at spin (1/2, 1/2) the RTT system spans exactly
 the six defining relations).
 
 With P = D^{j1} (x) D^{j2} on the product basis and the twisted CGC
-tables Omega^j, mho^j as matrices with rows (m1, m2) and columns m, the
-product law and its corollaries read
+tables Omega^j, mho^j, which rep returns as matrices with rows (m1, m2)
+and columns m, the product law and its corollaries read
 
     mho^{j'}T P Omega^j = delta_{jj'} D^j      P Omega^j = Omega^j D^j
     mho^jT P = D^j mho^jT                      P = sum_j Omega^j D^j mho^jT
@@ -49,8 +49,8 @@ and RTT reads R T1 T2 = T2 T1 R.  Each law is written once, as an
 entrywise contraction: _rel reads rel1 and rel2 for wigner_check and
 the recurrences, _rtt reads R for rtt_check and the free-algebra span
 check, and ortho1 and ortho2 share one loop.  rep.rows reads a coupling
-table or R once per call into rows (or columns), and each entry is one
-ncalg.lincomb over a row.
+table or R, or its rep.transpose, once per call into rows (or columns),
+and each entry is one ncalg.lincomb over a row.
 
 The recurrences couple D^{j -+ 1/2} with T = D^{1/2} = [[x, u], [v, y]]:
 each is rel1 (i, ii, v, vi) or rel2 (iii, iv, vii, viii) at the spins
@@ -96,6 +96,7 @@ from .kernel import LOW_MASK, RAD_ONE, WORD_MASK, add_into, outer_into, rad_neg,
 from .kernel import swap_slots, swap_xy
 from .ncalg import GL, LETTER_KEYS, SL, U, V, X, Y, NCPoly, _mul
 from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_basis, r_matrix, rows, triangle
+from .rep import transpose
 from .report import Report
 from .scalar import ONE, ZERO, RadScalar
 
@@ -264,16 +265,6 @@ def _need_determinant_one(ring, what):
         raise ValueError(f"{what} assume determinant 1 (SL ring)")
 
 
-def _by_pair(key):
-    """(m1, m2, m) -> row (m1, m2), column m: the CGC table as a matrix."""
-    return key[:2], key[2]
-
-
-def _by_m(key):
-    """(m1, m2, m) -> row m, column (m1, m2): the transposed table."""
-    return key[2], key[:2]
-
-
 def _rel(table, twoj, pairs, d, prod, ring):
     """The two sides of rel1 or rel2 at the rows `pairs` of a coupling
     table C of spin twoj/2: yields ((k1, k2), m, lhs, rhs) with
@@ -284,8 +275,7 @@ def _rel(table, twoj, pairs, d, prod, ring):
     rel1 is this with C = Omega^j, d = D^j and prod = P; rel2 is it with
     C = mho^j and d, prod reading each index pair reversed.
     """
-    items = table.items()
-    pair_rows, m_rows = rows(items, _by_pair), rows(items, _by_m)
+    pair_rows, m_rows = rows(table), rows(transpose(table))
     for k1, k2 in pairs:
         row = pair_rows.get((k1, k2), ())
         for m in magnetics(twoj):
@@ -320,17 +310,17 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
         omega(twoj1, twoj2, twoj), twoj, pairs, lambda mp, m: _dref(twoj, mp, m, ring),
         lambda k1, m1, k2, m2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring), ring,
     ):
-        acc[(k1, k2, m)] = rhs
+        acc[(k1, k2), m] = rhs
         rel1.record({"law": "rel1", **spins, "twok1": k1, "twok2": k2, "twom": m}, lhs, rhs)
 
-    # product law: delta_{j,j'} D^j_{m'm} = sum_{k1,k2} mho^{j'}_{k1,k2,m'} A[k1,k2,m]
+    # product law: delta_{j,j'} D^j_{m'm} = sum_{k1,k2} mho^{j'}[(k1,k2),m'] A[(k1,k2),m]
     for twojp in triangle(twoj1, twoj2):
-        mhp_m = rows(mho(twoj1, twoj2, twojp).items(), _by_m)
+        mhp_m = rows(transpose(mho(twoj1, twoj2, twojp)))
         params = {"law": "product", **spins, "twojp": twojp}
         for twomp in magnetics(twojp):
             row = mhp_m.get(twomp, ())
             for twom in magnetics(twoj):
-                rhs = ncalg.lincomb(((c, acc[(k1, k2, twom)]) for (k1, k2), c in row), ring)
+                rhs = ncalg.lincomb(((c, acc[pair, twom]) for pair, c in row), ring)
                 lhs = _dref(twoj, twomp, twom, ring) if twojp == twoj else NCPoly.zero(ring)
                 rep.record({**params, "twomp": twomp, "twom": twom}, lhs, rhs)
     rep.extend(rel1)
@@ -353,8 +343,7 @@ def _rel3(twoj1, twoj2, ring):
     rep = Report("wigner")
     m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
     tables = [
-        (twojs, rows(omega(twoj1, twoj2, twojs).items(), _by_pair),
-         rows(mho(twoj1, twoj2, twojs).items(), _by_pair))
+        (twojs, rows(omega(twoj1, twoj2, twojs)), rows(mho(twoj1, twoj2, twojs)))
         for twojs in triangle(twoj1, twoj2)
     ]
     for twok1 in m1s:
@@ -485,19 +474,16 @@ def ortho_like_check(twoj, ring=SL) -> Report:
     ortho2 reads F^-1 transposed and each D index pair reversed."""
     _need_determinant_one(ring, "the orthogonality-like relations")
     rep = Report("ortho")
-    for law, matrix, split, names, prod in (
-        ("ortho1", f_matrix, lambda k: k, ("twok1", "twok2"),
+    basis = pair_basis(twoj, twoj)
+    for law, matrix, names, prod in (
+        ("ortho1", f_matrix(twoj, twoj), ("twok1", "twok2"),
          lambda a1, b1, a2, b2: _dprod(twoj, a1, b1, twoj, a2, b2, ring)),
-        ("ortho2", f_inv_matrix, lambda k: k[::-1], ("twom1", "twom2"),
+        ("ortho2", transpose(f_inv_matrix(twoj, twoj)), ("twom1", "twom2"),
          lambda a1, b1, a2, b2: _dprod(twoj, b1, a1, twoj, b2, a2, ring)),
     ):
         # the entry at column (a1, -a1) of each row a, zeros left out
-        diag = {}
-        for key, c in matrix(twoj, twoj).items():
-            a, b = split(key)
-            if b == (a[0], -a[0]):
-                diag[a] = c
-        for a1, a2 in pair_basis(twoj, twoj):
+        diag = {(a1, a2): c for a1, a2 in basis if (c := matrix.get(((a1, a2), (a1, -a1))))}
+        for a1, a2 in basis:
             lhs = ncalg.lincomb(
                 ((c.scaled(_sign(a1 - b1)), prod(a1, b1, a2, b2)) for (b1, b2), c in diag.items()),
                 ring,
@@ -521,8 +507,8 @@ def _rtt(twoj1, twoj2, prod):
 
     where prod(ja, a, b, jb, c, d) stands for D^{ja}_{ab} D^{jb}_{cd}.
     """
-    r_items = r_matrix(twoj1, twoj2).items()
-    r_rows, r_cols = rows(r_items, lambda k: k), rows(r_items, lambda k: k[::-1])
+    r = r_matrix(twoj1, twoj2)
+    r_rows, r_cols = rows(r), rows(transpose(r))
     pairs = pair_basis(twoj1, twoj2)
     for m1, m2 in pairs:
         row = r_rows.get((m1, m2), ())

@@ -586,16 +586,3 @@ def lift_to_gl(p, degree) -> NCPoly:
             add_into(out, k, q)
     return NCPoly(GL, out)
 
-
-def count_normal_words(degree: int, ring=GL) -> int:
-    """Number of normal words of the given total length, by enumeration."""
-    check_ring(ring)
-    n = 0
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            for c in range(degree + 1 - a - b):
-                d = degree - a - b - c
-                if ring == SL and b and c:
-                    continue
-                n += 1
-    return n

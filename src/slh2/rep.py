@@ -11,10 +11,12 @@ below is finite.
 Conventions: J0|jm> = 2m|jm>, J+-|jm> = sqrt((j-+m)(j+-m+1)) |j,m+-1>,
 which realize [J0, J+-] = +-2 J+- and [J+, J-] = J0 exactly.
 
-Every matrix is a plain dict keyed by (row, column) with its zero entries
-left out: {(2m', 2m): RadScalar} on one spin (the twist series) and
-{((2m1, 2m2), (2s1, 2s2)): RadScalar} on a product of two (F, F^-1, R).
-A coupling table is {(2m1, 2m2, 2m): RadScalar}.  The twist series has
+Every table is a plain dict keyed by (row, column) with its zero entries
+left out: {(2m', 2m): RadScalar} on one spin (the twist series),
+{((2m1, 2m2), (2s1, 2s2)): RadScalar} on a product of two (F, F^-1, R)
+and {((2m1, 2m2), 2m): RadScalar} from the product basis to spin j (the
+coupling tables C, Omega = F C and mho = (F^-1)^T C), so matmul,
+transpose and rows take each of them as it is.  The twist series has
 the closed form, for k = 0 .. j - m,
 
     (1 - 2h J+)^e [m + k, m] = (-2h)^k binom(e, k)
@@ -75,22 +77,25 @@ def pair_basis(twoj1, twoj2):
     return [(m1, m2) for m1 in magnetics(twoj1) for m2 in magnetics(twoj2)]
 
 
-def rows(items, split):
-    """A sparse table read once into rows {row: [(col, c), ...]}, where
-    split(key) = (row, col); zero entries are left out.  A contraction
-    over one index of the table is then a sum over one row."""
+def rows(matrix):
+    """A sparse matrix read once into rows {row: [(col, c), ...]}, zero
+    entries left out.  A contraction over one index of the matrix is then
+    a sum over one row."""
     out = {}
-    for key, c in items:
+    for (row, col), c in matrix.items():
         if not c.is_zero():
-            row, col = split(key)
             out.setdefault(row, []).append((col, c))
     return out
+
+
+def transpose(matrix):
+    return {(col, row): c for (row, col), c in matrix.items()}
 
 
 def matmul(a: dict, b: dict) -> dict:
     """The product of two sparse matrices {(row, col): c}, zeros left out:
     each entry of a meets the row of b its column names."""
-    b_rows = rows(b.items(), lambda k: k)
+    b_rows = rows(b)
     out = {}
     for (row, mid), c in a.items():
         for col, d in b_rows.get(mid, ()):
@@ -133,8 +138,8 @@ def r_matrix(twoj1: int, twoj2: int) -> dict:
 
 
 # ---------------------------------------------------------------------
-# Clebsch-Gordan coefficients: each table is a plain dict
-# {(twom1, twom2, twom): RadScalar} for fixed (j1, j2, j), zeros left out
+# Clebsch-Gordan coefficients: each table is a matrix
+# {((twom1, twom2), twom): RadScalar} for fixed (j1, j2, j), zeros left out
 # ---------------------------------------------------------------------
 
 
@@ -159,17 +164,15 @@ def _check_triangle(twoj1, twoj2, twoj):
 
 @lru_cache(maxsize=None)
 def cgc_classical(twoj1: int, twoj2: int, twoj: int) -> dict:
-    """Classical sl(2) CGC by the closed finite sum, Condon-Shortley phases."""
+    """Classical sl(2) CGC by the closed finite sum, Condon-Shortley phases;
+    each entry takes one square root of its product of factorials."""
     _check_triangle(twoj1, twoj2, twoj)
     f = factorial
     ja = (twoj1 + twoj2 - twoj) // 2
     jb = (twoj1 - twoj2 + twoj) // 2
     jc = (-twoj1 + twoj2 + twoj) // 2
     jt = (twoj1 + twoj2 + twoj) // 2 + 1
-    pref = sqrt_nat(twoj + 1)
-    for m in (f(ja), f(jb), f(jc), f(jt)):
-        pref = pref * sqrt_nat(m)
-    pref = pref.scaled(Q(1, f(jt)))
+    pref = (twoj + 1) * f(ja) * f(jb) * f(jc) * f(jt)
     table = {}
     for twom in magnetics(twoj):
         for twom1 in magnetics(twoj1):
@@ -182,9 +185,6 @@ def cgc_classical(twoj1: int, twoj2: int, twoj: int) -> dict:
             b2 = (twoj2 - twom2) // 2
             am = (twoj + twom) // 2
             bm = (twoj - twom) // 2
-            root = pref
-            for m_ in (f(a1), f(b1), f(a2), f(b2), f(am), f(bm)):
-                root = root * sqrt_nat(m_)
             # van der Waerden sum bounds
             t1 = (twoj - twoj2 + twom1) // 2  # j - j2 + m1
             t2 = (twoj - twoj1 - twom2) // 2  # j - j1 - m2
@@ -195,26 +195,19 @@ def cgc_classical(twoj1: int, twoj2: int, twoj: int) -> dict:
                 den = f(k) * f(ja - k) * f(b1 - k) * f(a2 - k) * f(t1 + k) * f(t2 + k)
                 s += Q(-1 if k % 2 else 1, den)
             if s:
-                table[(twom1, twom2, twom)] = root.scaled(s)
+                root = sqrt_nat(pref * f(a1) * f(b1) * f(a2) * f(b2) * f(am) * f(bm))
+                table[((twom1, twom2), twom)] = root.scaled(s / f(jt))
     return table
 
 
 @lru_cache(maxsize=None)
 def omega(twoj1: int, twoj2: int, twoj: int) -> dict:
     """Coupling CGC of the twisted algebra: F times the classical table."""
-    return _twisted_cgc(f_matrix(twoj1, twoj2), twoj1, twoj2, twoj)
+    return matmul(f_matrix(twoj1, twoj2), cgc_classical(twoj1, twoj2, twoj))
 
 
 @lru_cache(maxsize=None)
 def mho(twoj1: int, twoj2: int, twoj: int) -> dict:
     """Decoupling CGC of the twisted algebra: (F^-1)^T times the classical
     table."""
-    f_inv = f_inv_matrix(twoj1, twoj2)
-    return _twisted_cgc({(col, row): c for (row, col), c in f_inv.items()}, twoj1, twoj2, twoj)
-
-
-def _twisted_cgc(twist, twoj1, twoj2, twoj):
-    """table[m1, m2, m] = sum_{s1,s2} twist[(m1, m2), (s1, s2)] C(s1, s2, m),
-    one matmul with the classical table C as a matrix."""
-    classical = {((s1, s2), m): c for (s1, s2, m), c in cgc_classical(twoj1, twoj2, twoj).items()}
-    return {(m1, m2, m): c for ((m1, m2), m), c in matmul(twist, classical).items()}
+    return matmul(transpose(f_inv_matrix(twoj1, twoj2)), cgc_classical(twoj1, twoj2, twoj))

@@ -12,7 +12,7 @@ from slh2 import fock, hopfcheck, pbwcheck
 from slh2._rat import Q
 from slh2.dfun import JACOBI, ORDERED1, ORDERED2, dfunc, dmatrix
 from slh2.exprio import parse
-from slh2.ncalg import GL, SL, NCPoly, count_normal_words, gen, quantum_determinant
+from slh2.ncalg import GL, SL, NCPoly, gen, quantum_determinant
 from slh2.rep import (
     f_inv_matrix,
     f_matrix,
@@ -131,8 +131,9 @@ def test_criterion_08_orthogonality_like():
 
 def test_criterion_09_rewrite_engine():
     ok = pbwcheck.confluence_check(maxlen=4).ok
+    rules = pbwcheck.int_rules(GL)
     for n in range(7):
-        if count_normal_words(n, GL) != comb(n + 3, 3):
+        if pbwcheck.irreducible_count(n, rules) != comb(n + 3, 3):
             ok = False
     d = quantum_determinant(GL)
     for name in "vxyu":
@@ -208,9 +209,8 @@ def test_criterion_11_representation_layer():
                     for m in magnetics(j1):
                         for mp in magnetics(j2):
                             acc = ZERO
-                            for m1 in magnetics(a):
-                                for m2 in magnetics(b):
-                                    acc = acc + mht.get((m1, m2, m), ZERO) * omt.get((m1, m2, mp), ZERO)
+                            for pair in pair_basis(a, b):
+                                acc = acc + mht.get((pair, m), ZERO) * omt.get((pair, mp), ZERO)
                             want = ONE if (j1 == j2 and m == mp) else ZERO
                             if acc != want:
                                 ok = False

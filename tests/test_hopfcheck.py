@@ -362,7 +362,7 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
     hc._rel3.cache_clear()
     hc._DLETTER_MEMO.clear()
     bad = dict(rep.omega(1, 1, 2))
-    bad[(1, -1, 0)] = bad[(1, -1, 0)] * 2
+    bad[(1, -1), 0] = bad[(1, -1), 0] * 2
     monkeypatch.setattr(hc, "omega", lambda *spins: bad if spins == (1, 1, 2) else rep.omega(*spins))
     try:
         report = hc.wigner_check(1, 1, 2, SL)
@@ -412,8 +412,7 @@ def _rel3_reference(twoj1, twoj2, ring=SL):
     spins = {"twoj1": twoj1, "twoj2": twoj2}
     m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
     tables = [
-        (twojs, rows(omega(twoj1, twoj2, twojs).items(), hc._by_pair),
-         rows(mho(twoj1, twoj2, twojs).items(), hc._by_pair))
+        (twojs, rows(omega(twoj1, twoj2, twojs)), rows(mho(twoj1, twoj2, twojs)))
         for twojs in triangle(twoj1, twoj2)
     ]
     for twok1 in m1s:
@@ -503,12 +502,12 @@ def test_wigner_classical_limit():
             rhs = NCPoly.zero(SL)
             for k1 in magnetics(twoj1):
                 for k2 in magnetics(twoj2):
-                    ck = cgc.get((k1, k2, twomp), ZERO)
+                    ck = cgc.get(((k1, k2), twomp), ZERO)
                     if ck.is_zero():
                         continue
                     for m1 in magnetics(twoj1):
                         for m2 in magnetics(twoj2):
-                            cm = cgc.get((m1, m2, twom), ZERO)
+                            cm = cgc.get(((m1, m2), twom), ZERO)
                             if cm.is_zero():
                                 continue
                             d1 = dfunc(twoj1, k1, m1, ORDERED1, SL)
@@ -650,7 +649,7 @@ def _table_terms(which, twoj, twok, twom):
     raising, law, t = hc._RELATIONS[which]
     twojp = twoj + 1 if raising else twoj - 1
     lhs, rhs = {}, {}
-    for (m1, m2, m), c in (omega if law == "rel1" else mho)(twojp, 1, twoj).items():
+    for ((m1, m2), m), c in (omega if law == "rel1" else mho)(twojp, 1, twoj).items():
         if (m1, m2) == (twok - t, t):
             lhs[(twoj, m, twom, None) if law == "rel1" else (twoj, twom, m, None)] = c
         if m == twom and abs(twok - t) <= twojp:
@@ -823,7 +822,7 @@ def test_recurrence_detects_a_wrong_letter_coefficient(monkeypatch):
     from slh2 import rep
 
     good = rep.omega(1, 1, 2)
-    bad = {key: -c if (key[0] - key[2], key[1]) == (1, 1) else c for key, c in good.items()}
+    bad = {((m1, m2), m): -c if (m1 - m, m2) == (1, 1) else c for ((m1, m2), m), c in good.items()}
     assert sum(bad[key] != c for key, c in good.items()) == 2
     monkeypatch.setattr(hc, "omega", lambda *spins: bad if spins == (1, 1, 2) else rep.omega(*spins))
     # rel3 reads the table too: its cached records are cleared before the
@@ -884,7 +883,7 @@ def test_recurrence_pairs_are_spin_half_cgcs():
             om, mh = omega(twojp, 1, twoj), mho(twojp, 1, twoj)
             for twom in magnetics(twoj):
                 (a, _, _), (b, _, _) = _recurrence_terms_reference(which, twoj, twoj, twom)[1]
-                for key, want in (((twom - 1, 1, twom), a), ((twom + 1, -1, twom), b)):
+                for key, want in ((((twom - 1, 1), twom), a), (((twom + 1, -1), twom), b)):
                     c = cgc.get(key, ZERO)
                     assert want == scale * c, (twoj, which, key)
                     assert om.get(key, ZERO) == mh.get(key, ZERO) == c, (twoj, which, key)
@@ -901,7 +900,7 @@ def test_recurrence_detects_a_wrong_raising_sign(monkeypatch):
         def read(*spins):
             if spins != (3, 1, 2):
                 return table(*spins)
-            return {key: -c if key[0] - key[2] == 1 else c for key, c in table(*spins).items()}
+            return {(pair, m): -c if pair[0] - m == 1 else c for (pair, m), c in table(*spins).items()}
         return read
 
     monkeypatch.setattr(hc, "omega", flipped(rep.omega))

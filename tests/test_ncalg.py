@@ -13,7 +13,6 @@ from slh2.ncalg import (
     GL,
     SL,
     NCPoly,
-    count_normal_words,
     gen,
     lincomb,
     normal_form,
@@ -71,11 +70,19 @@ def test_ring_mismatch_raises():
 
 
 def test_count_normal_words():
-    assert count_normal_words(0) == 1
-    assert count_normal_words(1) == 4
-    assert count_normal_words(3) == 20
+    # the words no GL rule rewrites, counted over their last letter, are
+    # the words with no reducible position, and number comb(n + 3, 3)
+    rules = pbwcheck.int_rules(GL)
+    assert pbwcheck.irreducible_count(0, rules) == 1
+    assert pbwcheck.irreducible_count(1, rules) == 4
+    assert pbwcheck.irreducible_count(3, rules) == 20
     for n in range(7):
-        assert count_normal_words(n, GL) == comb(n + 3, 3)
+        assert pbwcheck.irreducible_count(n, rules) == comb(n + 3, 3)
+    for n in range(6):
+        words = product(range(4), repeat=n)
+        assert pbwcheck.irreducible_count(n, rules) == sum(
+            not pbwcheck.reducible_positions(w, rules) for w in words
+        )
 
 
 def test_sl_normal_words_never_mix_x_and_y():
@@ -228,6 +235,25 @@ def test_changed_rule_coefficient_breaks_a_peak(monkeypatch):
     rep = pbwcheck.confluence_check(maxlen=4)
     failed = [c["params"] for c in rep.cases if not c["pass"]]
     assert failed == [{"ring": GL, "words": 340, "law": "peaks rejoin"}]
+
+
+def _flatness_failures(monkeypatch, rules):
+    monkeypatch.setattr(ncalg, "RULES", rules)
+    return [c["params"]["degree"] for c in pbwcheck.flatness_check().cases if not c["pass"]]
+
+
+def test_flatness_fails_without_a_rule(monkeypatch):
+    # with uy left as it is, each word holding it is irreducible as well
+    rules = {ring: dict(table) for ring, table in ncalg.RULES.items()}
+    del rules[GL][(ncalg.U, ncalg.Y)]
+    assert _flatness_failures(monkeypatch, rules) == list(range(2, pbwcheck.FLAT_MAXDEG + 1))
+
+
+def test_flatness_fails_with_a_rule_on_an_ascending_pair(monkeypatch):
+    # vx -> xv rewrites a normal word, which leaves too few irreducible ones
+    rules = {ring: dict(table) for ring, table in ncalg.RULES.items()}
+    rules[GL][(ncalg.V, ncalg.X)] = (((ncalg.X, ncalg.V), ONE),)
+    assert _flatness_failures(monkeypatch, rules) == list(range(2, pbwcheck.FLAT_MAXDEG + 1))
 
 
 def test_rule_table_rejects_a_non_integral_coefficient(monkeypatch):

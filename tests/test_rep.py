@@ -254,14 +254,14 @@ def test_quantum_yang_baxter():
 
 
 def test_cgc_stretched():
-    assert cgc_classical(1, 1, 2).get((1, 1, 2), ZERO) == ONE
+    assert cgc_classical(1, 1, 2).get(((1, 1), 2), ZERO) == ONE
 
 
 def test_cgc_singlet():
     t = cgc_classical(1, 1, 0)
     r = sqrt_nat(2).scaled(Q(1, 2))
-    assert t.get((1, -1, 0), ZERO) == r
-    assert t.get((-1, 1, 0), ZERO) == -r
+    assert t.get(((1, -1), 0), ZERO) == r
+    assert t.get(((-1, 1), 0), ZERO) == -r
 
 
 def test_triangle_lists_the_coupled_spins():
@@ -286,20 +286,20 @@ def test_cgc_singlet_closed_form():
         root = sqrt_nat(twoj + 1).scaled(Q(1, twoj + 1))  # 1/sqrt(2j+1)
         for twos in magnetics(twoj):
             want = root if ((twoj - twos) // 2) % 2 == 0 else -root
-            assert t.get((twos, -twos, 0), ZERO) == want
+            assert t.get(((twos, -twos), 0), ZERO) == want
 
 
 def test_cgc_negation_symmetry():
     for (a, b, c) in ((1, 1, 2), (1, 1, 0), (2, 1, 1), (2, 2, 2), (3, 2, 1)):
         t = cgc_classical(a, b, c)
         sign = -1 if ((a + b - c) // 2) % 2 else 1
-        for (m1, m2, m), val in t.items():
-            assert t.get((-m1, -m2, -m), ZERO) == (val if sign > 0 else -val)
+        for ((m1, m2), m), val in t.items():
+            assert t.get(((-m1, -m2), -m), ZERO) == (val if sign > 0 else -val)
 
 
 def _coupled_vector(table, twom):
     """|(j1 j2) j m> as a vector {(m1, m2): c} over the product basis."""
-    return {(m1, m2): c for (m1, m2, m), c in table.items() if m == twom}
+    return {pair: c for (pair, m), c in table.items() if m == twom}
 
 
 def _apply(mat, vec):
@@ -332,7 +332,7 @@ def test_cgc_defining_properties():
             # highest weight state is annihilated by J+
             assert _apply(jp, top) == {}
             # Condon-Shortley: the m1 = j1 component of the top state is > 0
-            lead = t.get((twoj1, twoj - twoj1, twoj), ZERO)
+            lead = t.get(((twoj1, twoj - twoj1), twoj), ZERO)
             terms = list(lead.terms())
             assert len(terms) == 1 and terms[0][2] > 0
             # lowering: J- |j m> = sqrt((j+m)(j-m+1)) |j m-1>
@@ -377,7 +377,7 @@ def test_omega_mho_classical_limit():
 
 
 def test_omega_stretched():
-    assert omega(1, 1, 2).get((1, 1, 2), ZERO) == ONE
+    assert omega(1, 1, 2).get(((1, 1), 2), ZERO) == ONE
 
 
 def test_mho_is_omega_negated():
@@ -385,9 +385,9 @@ def test_mho_is_omega_negated():
         om, mh = omega(a, b, c), mho(a, b, c)
         sign = -1 if ((a + b - c) // 2) % 2 else 1
         seen = {k for k, _ in om.items()} | {k for k, _ in mh.items()}
-        for (m1, m2, m) in seen:
-            want = om.get((-m1, -m2, -m), ZERO)
-            assert mh.get((m1, m2, m), ZERO) == (want if sign > 0 else -want)
+        for (m1, m2), m in seen:
+            want = om.get(((-m1, -m2), -m), ZERO)
+            assert mh.get(((m1, m2), m), ZERO) == (want if sign > 0 else -want)
 
 
 def test_biorthogonality():
@@ -403,9 +403,8 @@ def test_biorthogonality():
                 for m in magnetics(j1):
                     for mp in magnetics(j2):
                         acc = ZERO
-                        for m1 in magnetics(a):
-                            for m2 in magnetics(b):
-                                acc = acc + mh.get((m1, m2, m), ZERO) * om.get((m1, m2, mp), ZERO)
+                        for pair in pair_basis(a, b):
+                            acc = acc + mh.get((pair, m), ZERO) * om.get((pair, mp), ZERO)
                         want = ONE if (j1 == j2 and m == mp) else ZERO
                         assert acc == want
 
@@ -413,8 +412,31 @@ def test_biorthogonality():
 def test_omega_selection_rule():
     # the twist only raises the second slot, so entries need m1 + m2 >= m
     om = omega(2, 2, 2)
-    for (m1, m2, m), _ in om.items():
+    for ((m1, m2), m), _ in om.items():
         assert m1 + m2 >= m
+
+
+_TABLES = [
+    (power_one_minus, (3, Q(1, 2)), magnetics(3), magnetics(3)),
+    (f_matrix, (2, 3), pair_basis(2, 3), pair_basis(2, 3)),
+    (f_inv_matrix, (2, 3), pair_basis(2, 3), pair_basis(2, 3)),
+    (r_matrix, (2, 3), pair_basis(2, 3), pair_basis(2, 3)),
+    (cgc_classical, (2, 3, 3), pair_basis(2, 3), magnetics(3)),
+    (omega, (2, 3, 3), pair_basis(2, 3), magnetics(3)),
+    (mho, (2, 3, 3), pair_basis(2, 3), magnetics(3)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, row_basis, col_basis", _TABLES, ids=[spec[0].__name__ for spec in _TABLES]
+)
+def test_every_table_is_a_sparse_matrix(build, args, row_basis, col_basis):
+    # one format for every table: {(row, col): RadScalar}, zeros left out
+    table = build(*args)
+    assert table
+    for (row, col), c in table.items():
+        assert row in row_basis and col in col_basis
+        assert type(c) is RadScalar and not c.is_zero()
 
 
 @pytest.mark.parametrize("build", [f_matrix, f_inv_matrix, r_matrix])
