@@ -15,14 +15,15 @@ layout with a word in each of the two slot fields of the key; tensor
 builds one from NCPoly factors and tensor_text prints it.  coproduct
 returns the 2-slot dict and counit a RadScalar; the counit test of a
 term is a mask of its v and u fields.  Delta of a word is Delta(the
-word without its last letter) times Delta(its last letter), two slot
-products through ncalg._mul per pair of terms put together by
-kernel.outer_into, memoised in _DELTA_MEMO per word key with radicand 1
-and int values.  The coproduct of a polynomial is kernel.scale_into of
-each term's memo entry by the term's scalar part and value, and tensor
-and the right sides of check_corep are outer_into too: this module
-has no pair loop and no radicand rule of its own, and moves no word
-between slots.
+word without its last letter) times Delta(its last letter): the head's
+slot-0 terms are grouped by their slot-1 word, and each group and each
+letter pair of Delta(letter) make two slot products through ncalg._mul,
+put together by kernel.outer_into.  It is memoised in _DELTA_MEMO per
+word key with radicand 1 and int values.  The coproduct of a
+polynomial is kernel.scale_into of each term's memo entry by the term's
+scalar part and value, and tensor and the right sides of check_corep
+are outer_into too: this module has no pair loop and no radicand rule
+of its own, and moves no word between slots.
 
 Delta commutes with sigma up to the flip tau of the two slots:
 Delta sigma = tau (sigma (x) sigma) Delta, since sigma swaps T_11 with
@@ -76,6 +77,28 @@ no read repeats a swap.  Every case is still computed and reported;
 sigma drops products, not cases.  GL multiplies every pair, since sigma
 needs a rewrite there.
 
+The sigma-partner sums.  sigma maps whole cases of three laws onto
+cases of the same call, so in SL each sigma pair of cases is summed
+once and the partner's two sides are sigma of the summed case's sides,
+times a sign:
+
+    rel2 (m1, m2, m')        = s sigma(rel1 ((-m1, -m2), -m'))
+    rel3 rhs (k1, m1, k2, m2) = sigma(rel3 rhs (-m1, -k1, -m2, -k2))
+    ortho2 lhs (m1, m2)      = sigma(ortho1 lhs (-m1, -m2))
+
+with s = (-1)^(j1+j2-j).  Each holds on a premise about the tables the
+call reads, which the call checks exactly before it derives anything:
+mho^j[(m1, m2), m] = s Omega^j[(-m1, -m2), -m] for every j read
+(_mho_is_sigma_omega), and F^-1[(b1,-b1),(b1,b2)] = F[(-b1,-b2),(-b1,b1)]
+for ortho.  Where it fails the law is summed directly, so a wrong or
+patched table fails as it would without sigma.  Every case is still
+recorded, in the same order.  Three laws stay direct on purpose: the
+right sides of check_corep are what cross-checks the left sides it takes
+as sigma images; the recurrences iii, iv, vii and viii are sigma images
+of ii, i, vi and v, but of other calls, whose sums a later call could
+not trust; and sigma reverses the order of D1 D2, so an rtt case has
+no partner.
+
 Besides the D D products of _dprod, two caches keep sums from being
 rebuilt.  The lru cache _rel3 holds the case records (no polynomials)
 of rel3 per spin pair: rel3 does not depend on the j of a wigner_check
@@ -88,6 +111,7 @@ drops the products of spins below 2j - 1, which a loop up in 2j (as
 """
 
 from functools import lru_cache
+from itertools import product
 
 from . import kernel as K
 from . import ncalg
@@ -147,14 +171,17 @@ def _word_coproduct(word, ring):
         else:
             exps = K.word(word)
             g = max(i for i in range(4) if exps[i])
-            head = _word_coproduct(word - (LETTER_KEYS[g] & WORD_MASK), ring)
-            hit = {}
-            for k, q in head.items():
+            # the head's slot-0 terms, grouped by their slot-1 word
+            by_w2 = {}
+            for k, q in _word_coproduct(word - (LETTER_KEYS[g] & WORD_MASK), ring).items():
                 w1, w2, _, i = K.unpack(k, 2)
+                by_w2.setdefault(w2, {})[K.pack((w1,), 1, i)] = q
+            hit = {}
+            for w2, left in by_w2.items():
                 for g1, g2 in _DELTA_GEN[g]:
                     outer_into(
                         hit,
-                        _mul({K.pack((w1,), 1, i): q}, {LETTER_KEYS[g1]: 1}, ring),
+                        _mul(left, {LETTER_KEYS[g1]: 1}, ring),
                         _mul({K.pack((w2,)): 1}, {LETTER_KEYS[g2]: 1}, ring),
                     )
         memo[word] = hit
@@ -256,6 +283,11 @@ def _sigma_index(twomp, twom):
     return -twom, -twomp
 
 
+def _sign(twodiff):
+    """(-1)^(k - m) for twodiff = 2(k - m)."""
+    return -1 if (twodiff // 2) % 2 else 1
+
+
 def _dref(twoj, twomp, twom, ring):
     return dfunc(twoj, twomp, twom, ORDERED1, ring)
 
@@ -284,6 +316,26 @@ def _rel(table, twoj, pairs, d, prod, ring):
             yield (k1, k2), m, lhs, rhs
 
 
+def _sigma_sides(sides, sign):
+    """sign times sigma of both sides of a case."""
+    return [side.swap_xy() if sign > 0 else -side.swap_xy() for side in sides]
+
+
+def _mho_is_sigma_omega(twoj1, twoj2, twoj):
+    """The premise of the sigma-partner sums of wigner_check and _rel3,
+    checked exactly on the tables read:
+
+        mho^j[(m1, m2), m] = s Omega^j[(-m1, -m2), -m],   s = (-1)^(j1+j2-j)
+
+    Both tables leave their zeros out, so equal sizes and a match for each
+    mho entry make the negation of the indices a bijection."""
+    om, mh = omega(twoj1, twoj2, twoj), mho(twoj1, twoj2, twoj)
+    sign = _sign(twoj1 + twoj2 - twoj)
+    return len(om) == len(mh) and all(
+        om.get(((-m1, -m2), -m)) == (c if sign > 0 else -c) for ((m1, m2), m), c in mh.items()
+    )
+
+
 def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     """The twisted product law for D^j plus its three corollaries.
 
@@ -296,22 +348,30 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
         rel2     mho^jT P = D^j mho^jT
         rel3     P = sum_j Omega^j D^j mho^jT
 
-    _rel reads rel1 and rel2; the product law contracts rel1's right side
+    _rel reads rel1; the product law contracts rel1's right side
     A = P Omega^j with each mho^{j'}, so rel1's cases are recorded as
-    they are made and reported after it.  rel3 does not depend on j:
-    the report copies the records _rel3 builds once per spin pair.  SL
-    only: the singlet projection of the product law is D = 1.
+    they are made and reported after it.  When mho^j is s Omega^j with
+    its indices negated, s = (-1)^(j1+j2-j) (_mho_is_sigma_omega), the
+    rel2 case ((-k1, -k2), -m) is recorded with the rel1 case ((k1, k2),
+    m), its sides s sigma of rel1's; negating every index reverses the
+    order of the cases.  Else _rel reads rel2 off mho^j.  rel3 does not
+    depend on j: the report copies the records _rel3 builds once per spin
+    pair.  SL only: the singlet projection of the product law is D = 1.
     """
     _need_determinant_one(ring, "the product law and its corollaries")
-    rep, rel1, acc = Report("wigner"), Report("wigner"), {}
+    rep, rel1, rel2, acc = Report("wigner"), Report("wigner"), Report("wigner"), {}
     pairs = pair_basis(twoj1, twoj2)
     spins = {"twoj1": twoj1, "twoj2": twoj2, "twoj": twoj}
+    sigma, sign = _mho_is_sigma_omega(twoj1, twoj2, twoj), _sign(twoj1 + twoj2 - twoj)
     for (k1, k2), m, lhs, rhs in _rel(
         omega(twoj1, twoj2, twoj), twoj, pairs, lambda mp, m: _dref(twoj, mp, m, ring),
         lambda k1, m1, k2, m2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring), ring,
     ):
         acc[(k1, k2), m] = rhs
         rel1.record({"law": "rel1", **spins, "twok1": k1, "twok2": k2, "twom": m}, lhs, rhs)
+        if sigma:
+            rel2.record({"law": "rel2", **spins, "twom1": -k1, "twom2": -k2, "twomp": -m},
+                        *_sigma_sides((lhs, rhs), sign))
 
     # product law: delta_{j,j'} D^j_{m'm} = sum_{k1,k2} mho^{j'}[(k1,k2),m'] A[(k1,k2),m]
     for twojp in triangle(twoj1, twoj2):
@@ -325,13 +385,21 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
                 rep.record({**params, "twomp": twomp, "twom": twom}, lhs, rhs)
     rep.extend(rel1)
 
-    for (m1, m2), mp, lhs, rhs in _rel(
-        mho(twoj1, twoj2, twoj), twoj, pairs, lambda m, mp: _dref(twoj, mp, m, ring),
-        lambda m1, k1, m2, k2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring), ring,
-    ):
-        rep.record({"law": "rel2", **spins, "twom1": m1, "twom2": m2, "twomp": mp}, lhs, rhs)
+    if sigma:
+        rel2.cases.reverse()
+    else:
+        for (m1, m2), mp, lhs, rhs in _rel(
+            mho(twoj1, twoj2, twoj), twoj, pairs, lambda m, mp: _dref(twoj, mp, m, ring),
+            lambda m1, k1, m2, k2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring), ring,
+        ):
+            rel2.record({"law": "rel2", **spins, "twom1": m1, "twom2": m2, "twomp": mp}, lhs, rhs)
+    rep.extend(rel2)
     rep.cases.extend({**case, "params": dict(case["params"])} for case in _rel3(twoj1, twoj2, ring))
     return rep
+
+
+# the indices of a rel3 case, in the order of its params and of its loops
+_REL3_INDICES = ("twok1", "twom1", "twok2", "twom2")
 
 
 @lru_cache(maxsize=None)
@@ -339,30 +407,42 @@ def _rel3(twoj1, twoj2, ring):
     """The case records of rel3 for one spin pair, which callers copy:
 
         D^{j1}_{k1m1} D^{j2}_{k2m2} = sum_{j,m,m'} mho^j Omega^j D^j_{m'm}
+
+    When _mho_is_sigma_omega holds for every j, the right side at (k1,
+    m1, k2, m2) is sigma of the right side at (-m1, -k1, -m2, -k2), the
+    sign s^2 = 1: each sum records both members of its pair, and a
+    self-partner alone.  The records are then sorted into loop order,
+    every index descending.
     """
     rep = Report("wigner")
-    m1s, m2s = list(magnetics(twoj1)), list(magnetics(twoj2))
     tables = [
         (twojs, rows(omega(twoj1, twoj2, twojs)), rows(mho(twoj1, twoj2, twojs)))
         for twojs in triangle(twoj1, twoj2)
     ]
-    for twok1 in m1s:
-        for twom1 in m1s:
-            params = {"law": "rel3", "twoj1": twoj1, "twoj2": twoj2, "twok1": twok1, "twom1": twom1}
-            for twok2 in m2s:
-                for twom2 in m2s:
-                    rhs = ncalg.lincomb(
-                        ((cm * co, _dref(twojs, twomp, twom, ring))
-                         for twojs, oms, mhs in tables
-                         for twom, cm in mhs.get((twom1, twom2), ())
-                         for twomp, co in oms.get((twok1, twok2), ())),
-                        ring,
-                    )
-                    rep.record(
-                        {**params, "twok2": twok2, "twom2": twom2},
-                        _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring),
-                        rhs,
-                    )
+    sigma = all(_mho_is_sigma_omega(twoj1, twoj2, twojs) for twojs in triangle(twoj1, twoj2))
+
+    def record(case, rhs):
+        twok1, twom1, twok2, twom2 = case
+        params = {"law": "rel3", "twoj1": twoj1, "twoj2": twoj2, **dict(zip(_REL3_INDICES, case))}
+        rep.record(params, _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring), rhs)
+
+    m1s, m2s = magnetics(twoj1), magnetics(twoj2)
+    for case in product(m1s, m1s, m2s, m2s):
+        twok1, twom1, twok2, twom2 = case
+        partner = (-twom1, -twok1, -twom2, -twok2)
+        if sigma and partner > case:
+            continue  # the loop met the partner first and recorded both
+        rhs = ncalg.lincomb(
+            ((cm * co, _dref(twojs, twomp, twom, ring))
+             for twojs, oms, mhs in tables
+             for twom, cm in mhs.get((twom1, twom2), ())
+             for twomp, co in oms.get((twok1, twok2), ())),
+            ring,
+        )
+        record(case, rhs)
+        if sigma and partner != case:
+            record(partner, rhs.swap_xy())
+    rep.cases.sort(key=lambda c: [-c["params"][name] for name in _REL3_INDICES])
     return tuple(rep.cases)
 
 
@@ -458,11 +538,6 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
 # ---------------------------------------------------------------------
 
 
-def _sign(twodiff):
-    """(-1)^(k - m) for twodiff = 2(k - m)."""
-    return -1 if (twodiff // 2) % 2 else 1
-
-
 def ortho_like_check(twoj, ring=SL) -> Report:
     """The orthogonality-like relations, one row of F or F^-1 each:
 
@@ -471,18 +546,27 @@ def ortho_like_check(twoj, ring=SL) -> Report:
         ortho2  sum_{k1,k2} (-1)^(m1-k1) F^-1[(k1,-k1),(k1,k2)] D_{k1m1} D_{k2m2}
                     = F^-1[(m1,-m1),(m1,m2)]
 
-    ortho2 reads F^-1 transposed and each D index pair reversed."""
+    ortho2 reads F^-1 transposed and each D index pair reversed.  When
+    F^-1[(b1,-b1),(b1,b2)] = F[(-b1,-b2),(-b1,b1)] for every b, checked
+    exactly, the ortho2 case (-k1, -k2) is recorded with the ortho1 case
+    (k1, k2), its sides sigma of ortho1's, and the order of those cases
+    reversed; else ortho2 is summed."""
     _need_determinant_one(ring, "the orthogonality-like relations")
-    rep = Report("ortho")
+    rep, ortho2 = Report("ortho"), Report("ortho")
     basis = pair_basis(twoj, twoj)
-    for law, matrix, names, prod in (
-        ("ortho1", f_matrix(twoj, twoj), ("twok1", "twok2"),
-         lambda a1, b1, a2, b2: _dprod(twoj, a1, b1, twoj, a2, b2, ring)),
-        ("ortho2", transpose(f_inv_matrix(twoj, twoj)), ("twom1", "twom2"),
-         lambda a1, b1, a2, b2: _dprod(twoj, b1, a1, twoj, b2, a2, ring)),
-    ):
+
+    def diagonal(matrix):
         # the entry at column (a1, -a1) of each row a, zeros left out
-        diag = {(a1, a2): c for a1, a2 in basis if (c := matrix.get(((a1, a2), (a1, -a1))))}
+        return {(a1, a2): c for a1, a2 in basis if (c := matrix.get(((a1, a2), (a1, -a1))))}
+
+    f_diag, f_inv_diag = diagonal(f_matrix(twoj, twoj)), diagonal(transpose(f_inv_matrix(twoj, twoj)))
+    sigma = f_inv_diag == {(-b1, -b2): c for (b1, b2), c in f_diag.items()}
+    laws = [("ortho1", f_diag, ("twok1", "twok2"),
+             lambda a1, b1, a2, b2: _dprod(twoj, a1, b1, twoj, a2, b2, ring))]
+    if not sigma:
+        laws.append(("ortho2", f_inv_diag, ("twom1", "twom2"),
+                     lambda a1, b1, a2, b2: _dprod(twoj, b1, a1, twoj, b2, a2, ring)))
+    for law, diag, names, prod in laws:
         for a1, a2 in basis:
             lhs = ncalg.lincomb(
                 ((c.scaled(_sign(a1 - b1)), prod(a1, b1, a2, b2)) for (b1, b2), c in diag.items()),
@@ -490,6 +574,11 @@ def ortho_like_check(twoj, ring=SL) -> Report:
             )
             rhs = NCPoly.scalar(diag.get((a1, a2), ZERO), ring)
             rep.record({"law": law, "twoj": twoj, names[0]: a1, names[1]: a2}, lhs, rhs)
+            if sigma:
+                ortho2.record({"law": "ortho2", "twoj": twoj, "twom1": -a1, "twom2": -a2},
+                              *_sigma_sides((lhs, rhs), 1))
+    ortho2.cases.reverse()
+    rep.extend(ortho2)
     return rep
 
 

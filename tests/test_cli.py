@@ -241,6 +241,12 @@ PINNED = [
     # --max-twoj 0: no spin pair, the spin-1/2 FRT cases alone
     (["verify", "--suite", "rtt", "--max-twoj", "0"],
      0, "0a0efb548cb80e62cbc517cb6c4f0426f1544a3f4fcb602cfbc1083fa9f09a68"),
+    # the classical scheme is not a corepresentation: the text of its
+    # failing sides, both of them, is pinned
+    (["verify", "--suite", "corep", "--scheme", "classical", "--max-twoj", "3", "--format", "text"],
+     1, "8a2d71edc4d0ed61955954e418356541d78c3b0831c1ed088b914cde208a9490"),
+    (["verify", "--suite", "wigner", "--max-twoj", "3", "--format", "text"],
+     0, "7af49d8583b9e8912a337d401ef33445d755db63233a91cd8f37e687505ff2ea"),
 ]
 
 

@@ -401,6 +401,122 @@ def test_rel2_detects_a_decoupling_table_read_as_omega(monkeypatch):
     }
 
 
+def _law_counts(report, laws):
+    """(failed, cases) per law of a report."""
+    return {law: (sum(not c["pass"] for c in report.cases if c["params"]["law"] == law),
+                  sum(c["params"]["law"] == law for c in report.cases)) for law in laws}
+
+
+def test_rel2_detects_a_decoupling_entry_with_its_sign_flipped(monkeypatch):
+    # negative control of the sigma premise: with one entry of mho(1, 2, 1)
+    # negated, mho is no longer s Omega with its indices negated (s = -1
+    # here), so rel2 must be summed off the patched table and fail, not
+    # derived from rel1, which still passes; the counts and the digest are
+    # those of the direct sums
+    from slh2 import rep
+
+    hc._rel3.cache_clear()
+    bad = dict(rep.mho(1, 2, 1))
+    bad[(1, 0), 1] = -bad[(1, 0), 1]
+    monkeypatch.setattr(hc, "mho", lambda *spins: bad if spins == (1, 2, 1) else rep.mho(*spins))
+    try:
+        report = hc.wigner_check(1, 2, 1)
+    finally:
+        hc._rel3.cache_clear()
+    assert _law_counts(report, ("product", "rel1", "rel2", "rel3")) == {
+        "product": (2, 12), "rel1": (0, 12), "rel2": (7, 12), "rel3": (5, 36),
+    }
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aab858d5240f23fa2ad5b2ef7cf76c56c342ef69693dc5c829d251fd5bc1a3a0"
+    )
+
+
+def _recorded_sides(monkeypatch):
+    """A list that collects (law, params, lhs, rhs) of every case a Report
+    records from here on."""
+    from slh2.report import Report
+
+    seen = []
+    record = Report.record
+
+    def spy(self, params, lhs, rhs, text=repr):
+        seen.append((params.get("law"), params, lhs, rhs))
+        return record(self, params, lhs, rhs, text)
+
+    monkeypatch.setattr(Report, "record", spy)
+    return seen
+
+
+def _by_params(seen, law):
+    return {tuple(sorted(params.items())): (lhs, rhs) for name, params, lhs, rhs in seen if name == law}
+
+
+def test_wigner_sides_equal_the_direct_sums(monkeypatch):
+    # every rel2 and rel3 case of wigner_check, made as sigma of a partner
+    # case, has the two sides of its direct sum: rel2 through _rel off mho,
+    # rel3 through _rel3_reference; every spin pair with 2j1, 2j2 <= 4 and
+    # every j, so both signs s = +-1 occur
+    from slh2.rep import magnetics, mho, pair_basis, triangle
+
+    seen = _recorded_sides(monkeypatch)
+    for twoj1, twoj2 in product(range(5), repeat=2):
+        pairs = pair_basis(twoj1, twoj2)
+        hc._rel3.cache_clear()
+        seen.clear()
+        for twoj in triangle(twoj1, twoj2):
+            report = hc.wigner_check(twoj1, twoj2, twoj)
+            assert report.ok
+            want = {}
+            for (m1, m2), mp, lhs, rhs in hc._rel(
+                mho(twoj1, twoj2, twoj), twoj, pairs, lambda m, mp: hc._dref(twoj, mp, m, SL),
+                lambda m1, k1, m2, k2: hc._dprod(twoj1, k1, m1, twoj2, k2, m2, SL), SL,
+            ):
+                params = {"law": "rel2", "twoj1": twoj1, "twoj2": twoj2, "twoj": twoj,
+                          "twom1": m1, "twom2": m2, "twomp": mp}
+                want[tuple(sorted(params.items()))] = lhs, rhs
+            got = {k: v for k, v in _by_params(seen, "rel2").items() if dict(k)["twoj"] == twoj}
+            assert len(got) == len(pairs) * len(magnetics(twoj))
+            assert got == want, (twoj1, twoj2, twoj)
+            order = [tuple(sorted(c["params"].items())) for c in report.cases if c["params"]["law"] == "rel2"]
+            assert order == list(want)
+        got = _by_params(seen, "rel3")
+        seen.clear()
+        _rel3_reference(twoj1, twoj2)
+        assert got == _by_params(seen, "rel3") and len(got) == len(pairs) ** 2
+
+
+@pytest.mark.parametrize("spins", [(1, 1, 0), (1, 1, 2), (1, 2, 1), (2, 2, 2), (2, 3, 3)])
+def test_wigner_sums_each_sigma_pair_once(monkeypatch, spins):
+    # with the D-matrices built, wigner_check's only lincombs are its
+    # sums: one per product-law case, two per rel1 case, none for rel2
+    # and one per sigma pair of rel3 cases, (N + S) / 2 of the N cases
+    # with S self-partners.  With mho patched to omega the premise fails
+    # and rel2 and every rel3 case are summed
+    from slh2 import ncalg, rep
+    from slh2.rep import triangle
+
+    twoj1, twoj2, twoj = spins
+    for spin in (twoj1, twoj2, *triangle(twoj1, twoj2)):
+        dmatrix(spin)
+    sums = []
+    lincomb = ncalg.lincomb
+    monkeypatch.setattr(ncalg, "lincomb", lambda pairs, ring: sums.append(1) or lincomb(pairs, ring))
+    n_pairs, n_m = (twoj1 + 1) * (twoj2 + 1), twoj + 1
+    product_law = sum(twojp + 1 for twojp in triangle(twoj1, twoj2)) * n_m
+    try:
+        hc._rel3.cache_clear()
+        assert hc.wigner_check(*spins).ok
+        assert len(sums) == product_law + 2 * n_pairs * n_m + (n_pairs ** 2 + n_pairs) // 2
+        sums.clear()
+        hc._rel3.cache_clear()
+        monkeypatch.setattr(hc, "mho", rep.omega)
+        hc.wigner_check(*spins)
+        assert len(sums) == product_law + 4 * n_pairs * n_m + n_pairs ** 2
+    finally:
+        hc._rel3.cache_clear()
+
+
 def _rel3_reference(twoj1, twoj2, ring=SL):
     """rel3 as wigner_check built it inline for every j, kept as the
     reference for the cached _rel3."""
@@ -984,6 +1100,55 @@ def test_ortho_classical_limit_is_orthogonality():
             assert acc.specialize(h_value=0) == want, (twok1, twok2)
 
 
+def test_ortho_sides_equal_the_direct_sums(monkeypatch):
+    # every case of ortho_like_check for 2j <= 5, the ortho2 cases made
+    # as sigma of ortho1 cases, has the sides of a direct loop over the
+    # rows of F and F^-1
+    from slh2 import ncalg
+    from slh2.rep import f_inv_matrix, f_matrix, pair_basis
+
+    seen = _recorded_sides(monkeypatch)
+    index = lambda params: (params["law"], *[v for k, v in params.items() if k not in ("law", "twoj")])
+    for twoj in range(6):
+        seen.clear()
+        report = hc.ortho_like_check(twoj)
+        assert report.ok
+        f, f_inv = f_matrix(twoj, twoj), f_inv_matrix(twoj, twoj)
+        basis = pair_basis(twoj, twoj)
+        sign = lambda a1, b1: -1 if ((a1 - b1) // 2) % 2 else 1
+        want = {}
+        for a1, a2 in basis:
+            lhs = ncalg.lincomb(
+                ((c.scaled(sign(a1, m1)), hc._dprod(twoj, a1, m1, twoj, a2, m2, SL))
+                 for m1, m2 in basis if (c := f.get(((m1, m2), (m1, -m1))))), SL)
+            want["ortho1", a1, a2] = lhs, NCPoly.scalar(f.get(((a1, a2), (a1, -a1)), ZERO), SL)
+        for a1, a2 in basis:
+            lhs = ncalg.lincomb(
+                ((c.scaled(sign(a1, k1)), hc._dprod(twoj, k1, a1, twoj, k2, a2, SL))
+                 for k1, k2 in basis if (c := f_inv.get(((k1, -k1), (k1, k2))))), SL)
+            want["ortho2", a1, a2] = lhs, NCPoly.scalar(f_inv.get(((a1, -a1), (a1, a2)), ZERO), SL)
+        assert {index(params): (lhs, rhs) for _, params, lhs, rhs in seen} == want, twoj
+        assert [index(c["params"]) for c in report.cases] == list(want)
+
+
+def test_ortho2_detects_a_wrong_inverse_twist(monkeypatch):
+    # negative control of the sigma premise: with one diagonal entry of
+    # F^-1 at 2j = 2 doubled, F^-1[(b1,-b1),(b1,b2)] is no longer
+    # F[(-b1,-b2),(-b1,b1)], so ortho2 must be summed off the patched
+    # table and fail, while ortho1 passes
+    from slh2 import rep
+
+    bad = dict(rep.f_inv_matrix(2, 2))
+    bad[(-2, 2), (-2, 0)] = bad[(-2, 2), (-2, 0)] * 2
+    monkeypatch.setattr(hc, "f_inv_matrix", lambda *spins: bad if spins == (2, 2) else rep.f_inv_matrix(*spins))
+    report = hc.ortho_like_check(2)
+    assert _law_counts(report, ("ortho1", "ortho2")) == {"ortho1": (0, 9), "ortho2": (9, 9)}
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "42c6e9f9d51ef3caf0b741f8acf2dbad2396bd4ea68256ba042bb26e1351c8c2"
+    )
+
+
 @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2)])
 def test_rtt(pair):
     rep = hc.rtt_check(*pair)
@@ -1124,14 +1289,17 @@ def test_suites_build_no_product_with_zero_coefficient():
     # coefficient is non-zero; the miss counts pin that.  wigner (1, 2, 3)
     # and the left side of rtt (1, 2) need every product D^{1/2} D^1 of
     # the 6 x 6 entry pairs, the right side of rtt every D^1 D^{1/2}:
-    # 2 x 36 misses
+    # 2 x 36 misses.  ortho1 at 2j = 2 reads the 9 rows times the 4
+    # non-zero diagonal entries of F, 36 products, 7 of which are made as
+    # sigma of a partner it does not read; ortho2 is sigma of ortho1 and
+    # reads no product
     hc._dprod.cache_clear()
     hc.wigner_check(1, 2, 3)
     hc.rtt_check(1, 2)
     assert hc._dprod.cache_info().misses == 72
     hc._dprod.cache_clear()
     hc.ortho_like_check(2)
-    assert hc._dprod.cache_info().misses == 56  # of 81 entry pairs
+    assert hc._dprod.cache_info().misses == 43  # of 81 entry pairs
 
 
 def test_rtt_spans_defining_relations():

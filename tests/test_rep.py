@@ -381,13 +381,32 @@ def test_omega_stretched():
 
 
 def test_mho_is_omega_negated():
-    for (a, b, c) in ((1, 1, 0), (2, 1, 1)):
+    # mho[(m1, m2), m] = (-1)^(j1+j2-j) omega[(-m1, -m2), -m] on every
+    # triple with 2j1, 2j2 <= 8: the premise of the sigma-partner sums of
+    # the product law's rel2 and rel3
+    triples = [(a, b, c) for a in range(9) for b in range(9) for c in triangle(a, b)]
+    assert len(triples) == 285
+    for (a, b, c) in triples:
         om, mh = omega(a, b, c), mho(a, b, c)
         sign = -1 if ((a + b - c) // 2) % 2 else 1
         seen = {k for k, _ in om.items()} | {k for k, _ in mh.items()}
         for (m1, m2), m in seen:
             want = om.get(((-m1, -m2), -m), ZERO)
             assert mh.get(((m1, m2), m), ZERO) == (want if sign > 0 else -want)
+
+
+def test_inverse_twist_diagonal_is_the_twist_diagonal_negated():
+    # F^-1[(b1, -b1), (b1, b2)] = F[(-b1, -b2), (-b1, b1)] for 2j <= 8,
+    # zeros included: the premise of the sigma-partner sums of ortho2
+    for twoj in range(9):
+        f, f_inv = f_matrix(twoj, twoj), f_inv_matrix(twoj, twoj)
+        nonzero = 0
+        for b1, b2 in pair_basis(twoj, twoj):
+            want = f.get(((-b1, -b2), (-b1, b1)), ZERO)
+            assert f_inv.get(((b1, -b1), (b1, b2)), ZERO) == want
+            nonzero += not want.is_zero()
+        # the 2j + 1 ones at b2 = -b1, and powers of h beyond them
+        assert nonzero > twoj + 1 if twoj else nonzero == 1
 
 
 def test_biorthogonality():
