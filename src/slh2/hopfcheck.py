@@ -66,16 +66,16 @@ SL-normal terms, and dfunc builds sigma(D^j_{m'm}) = D^j_{-m,-m'}.  So
 in SL
 
     D_{k1m1} D_{k2m2} = sigma(D_{-m1,-k1} D_{-m2,-k2})
-    D_{km} g          = sigma(D_{-m,-k} sigma(g))
 
 and the engine's normal form is unique, so swap_xy of the partner's
-product is the product itself.  _dprod and _dletter multiply the member
-of each pair whose index tuple, (k1, m1, k2, m2) or (m', m), is the
-larger, and a self-partner, with the engine; the other member is
-swap_xy of its partner's cached product.  Both members are cached, so
-no read repeats a swap.  Every case is still computed and reported;
-sigma drops products, not cases.  GL multiplies every pair, since sigma
-needs a rewrite there.
+product is the product itself.  _dprod multiplies the member of each
+pair whose index tuple (k1, m1, k2, m2) is the larger, and a
+self-partner, with the engine; the other member is swap_xy of its
+partner's memoised product.  Both members are memoised, so no read
+repeats a swap.  A recurrence's D^{j'} (x) T is the spin pair (j',
+1/2), where a generator T_ab has the partner sigma(T_ab) = T_{-b,-a}.
+Every case is still computed and reported; sigma drops products, not
+cases.  GL multiplies every pair, since sigma needs a rewrite there.
 
 The sigma-partner sums.  sigma maps whole cases of three laws onto
 cases of the same call, so in SL each sigma pair of cases is summed
@@ -99,15 +99,14 @@ of ii, i, vi and v, but of other calls, whose sums a later call could
 not trust; and sigma reverses the order of D1 D2, so an rtt case has
 no partner.
 
-Besides the D D products of _dprod, two caches keep sums from being
-rebuilt.  The lru cache _rel3 holds the case records (no polynomials)
-of rel3 per spin pair: rel3 does not depend on the j of a wigner_check
-call.  _dletter holds a D-entry times one generator, the terms of a
-recurrence's right side, so relations that read the same entry and
-letter share the product; an entry outside the band is zero and is not
-stored.  Its memo _DLETTER_MEMO is kept per spin: recurrence_check at 2j
-drops the products of spins below 2j - 1, which a loop up in 2j (as
-`slh2 verify` runs) never reads again.
+One memo holds the D D products: _DPROD_MEMO, per spin pair and ring,
+which _dprod fills for wigner_check, _rel3, rtt_check, ortho_like_check
+and the recurrences alike.  An index outside the band of j1 reads zero
+and is not stored.  recurrence_check at 2j drops the pairs (j', 1/2)
+with 2j' below 2j - 1, which a loop up in 2j (as `slh2 verify` runs)
+never reads again.  Besides it, the lru cache _rel3 holds the case
+records (no polynomials) of rel3 per spin pair: rel3 does not depend on
+the j of a wigner_check call.
 """
 
 from functools import lru_cache
@@ -263,19 +262,31 @@ def check_corep(twoj, scheme=ORDERED1, ring=SL) -> Report:
     return rep
 
 
-@lru_cache(maxsize=None)
+# (twoj1, twoj2, ring) -> {(k1, m1, k2, m2): D^{j1}_{k1m1} D^{j2}_{k2m2}}
+_DPROD_MEMO = {}
+
+
 def _dprod(twoj1, twok1, twom1, twoj2, twok2, twom2, ring):
-    """D^{j1}_{k1m1} D^{j2}_{k2m2}.  In SL the member of a sigma pair with
-    the smaller index tuple is sigma of its partner's product (see the
-    module docstring)."""
-    if ring == SL:
+    """D^{j1}_{k1m1} D^{j2}_{k2m2}, memoised per spin pair; zero, and not
+    stored, when k1 or m1 is outside the band of j1.  In SL the member of
+    a sigma pair with the smaller index tuple is sigma of its partner's
+    product (see the module docstring)."""
+    if abs(twok1) > twoj1 or abs(twom1) > twoj1:
+        return NCPoly.zero(ring)
+    spins, case = (twoj1, twoj2, ring), (twok1, twom1, twok2, twom2)
+    memo = _DPROD_MEMO.get(spins)
+    if memo is None:
+        memo = _DPROD_MEMO[spins] = {}
+    hit = memo.get(case)
+    if hit is None:
         partner = _sigma_index(twok1, twom1) + _sigma_index(twok2, twom2)
-        if (twok1, twom1, twok2, twom2) < partner:
+        if ring == SL and case < partner:
             a1, b1, a2, b2 = partner
-            return _dprod(twoj1, a1, b1, twoj2, a2, b2, ring).swap_xy()
-    return dfunc(twoj1, twok1, twom1, ORDERED1, ring) * dfunc(
-        twoj2, twok2, twom2, ORDERED1, ring
-    )
+            hit = _dprod(twoj1, a1, b1, twoj2, a2, b2, ring).swap_xy()
+        else:
+            hit = _dref(twoj1, twok1, twom1, ring) * _dref(twoj2, twok2, twom2, ring)
+        memo[case] = hit
+    return hit
 
 
 def _sigma_index(twomp, twom):
@@ -297,16 +308,24 @@ def _need_determinant_one(ring, what):
         raise ValueError(f"{what} assume determinant 1 (SL ring)")
 
 
-def _rel(table, twoj, pairs, d, prod, ring):
-    """The two sides of rel1 or rel2 at the rows `pairs` of a coupling
-    table C of spin twoj/2: yields ((k1, k2), m, lhs, rhs) with
+def _rel(law, twoj1, twoj2, twoj, pairs, ring):
+    """The two sides of rel1 or rel2 at the spins (j1, j2, j), at the rows
+    `pairs` of its coupling table C: yields ((k1, k2), m, lhs, rhs) with
 
-        lhs = sum_{m'} C[(k1, k2), m'] d(m', m)
-        rhs = sum_{m1, m2} C[(m1, m2), m] prod(k1, m1, k2, m2)
+        lhs = sum_{m'} C[(k1, k2), m'] D^j_{m'm}
+        rhs = sum_{m1, m2} C[(m1, m2), m] D^{j1}_{k1m1} D^{j2}_{k2m2}
 
-    rel1 is this with C = Omega^j, d = D^j and prod = P; rel2 is it with
-    C = mho^j and d, prod reading each index pair reversed.
+    rel1 is this with C = Omega^j; rel2 is it with C = mho^j and each
+    index pair of a D-entry read reversed.
     """
+    if law == "rel1":
+        table = omega(twoj1, twoj2, twoj)
+        d = lambda mp, m: _dref(twoj, mp, m, ring)
+        prod = lambda k1, m1, k2, m2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring)
+    else:
+        table = mho(twoj1, twoj2, twoj)
+        d = lambda mp, m: _dref(twoj, m, mp, ring)
+        prod = lambda k1, m1, k2, m2: _dprod(twoj1, m1, k1, twoj2, m2, k2, ring)
     pair_rows, m_rows = rows(table), rows(transpose(table))
     for k1, k2 in pairs:
         row = pair_rows.get((k1, k2), ())
@@ -363,10 +382,7 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     pairs = pair_basis(twoj1, twoj2)
     spins = {"twoj1": twoj1, "twoj2": twoj2, "twoj": twoj}
     sigma, sign = _mho_is_sigma_omega(twoj1, twoj2, twoj), _sign(twoj1 + twoj2 - twoj)
-    for (k1, k2), m, lhs, rhs in _rel(
-        omega(twoj1, twoj2, twoj), twoj, pairs, lambda mp, m: _dref(twoj, mp, m, ring),
-        lambda k1, m1, k2, m2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring), ring,
-    ):
+    for (k1, k2), m, lhs, rhs in _rel("rel1", twoj1, twoj2, twoj, pairs, ring):
         acc[(k1, k2), m] = rhs
         rel1.record({"law": "rel1", **spins, "twok1": k1, "twok2": k2, "twom": m}, lhs, rhs)
         if sigma:
@@ -388,10 +404,7 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     if sigma:
         rel2.cases.reverse()
     else:
-        for (m1, m2), mp, lhs, rhs in _rel(
-            mho(twoj1, twoj2, twoj), twoj, pairs, lambda m, mp: _dref(twoj, mp, m, ring),
-            lambda m1, k1, m2, k2: _dprod(twoj1, k1, m1, twoj2, k2, m2, ring), ring,
-        ):
+        for (m1, m2), mp, lhs, rhs in _rel("rel2", twoj1, twoj2, twoj, pairs, ring):
             rel2.record({"law": "rel2", **spins, "twom1": m1, "twom2": m2, "twomp": mp}, lhs, rhs)
     rep.extend(rel2)
     rep.cases.extend({**case, "params": dict(case["params"])} for case in _rel3(twoj1, twoj2, ring))
@@ -451,30 +464,6 @@ def _rel3(twoj1, twoj2, ring):
 # ---------------------------------------------------------------------
 
 
-# twoj -> {(twomp, twom, g, ring): D^j_{m'm} times g}
-_DLETTER_MEMO = {}
-# sigma on the generators, sigma(T_ab) = T_{-b,-a}: x <-> y, v and u fixed
-_SIGMA_GEN = {t: _GEN_AT[-b, -a] for (a, b), t in _GEN_AT.items()}
-
-
-def _dletter(twoj, twomp, twom, g, ring):
-    """D^j_{m'm} times the generator g, shared by the recurrences; zero
-    outside the magnetic band."""
-    memo = _DLETTER_MEMO.setdefault(twoj, {})
-    key = (twomp, twom, g, ring)
-    hit = memo.get(key)
-    if hit is None:
-        if abs(twomp) > twoj or abs(twom) > twoj:
-            return NCPoly.zero(ring)
-        partner = _sigma_index(twomp, twom)
-        if ring == SL and (twomp, twom) < partner:
-            hit = _dletter(twoj, *partner, _SIGMA_GEN[g], ring).swap_xy()
-        else:
-            hit = dfunc(twoj, twomp, twom, ORDERED1, ring) * NCPoly.generator(g, ring)
-        memo[key] = hit
-    return hit
-
-
 # relation -> (raising, law, t): the spin j' = j -+ 1/2 it reads, its law
 # of wigner_check and the table pair (k - t, t) whose rows it reads
 _RELATIONS = {
@@ -499,11 +488,12 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
         iii, iv, vii, viii  rel2 of mho(j', 1/2, j), t = 1/2, -1/2
 
     P is D^{j'} (x) T with T = D^{1/2} = [[x, u], [v, y]], each product
-    one _dletter.  The paper writes each relation as s times these sides,
-    with s = sqrt(2j) for i-iv, -sqrt(2j+2) for v and vii and
-    +sqrt(2j+2) for vi and viii.  k (twok) runs one step beyond the
-    magnetic band on both sides, where a row of the table or a D^{j'}
-    entry is empty and the instance reads 0 = 0.  The relations v-viii
+    one _dprod at the spins (j', 1/2).  The paper writes each relation as
+    s times these sides, with s = sqrt(2j) for i-iv, -sqrt(2j+2) for v
+    and vii and +sqrt(2j+2) for vi and viii.  k (twok) runs one step
+    beyond the magnetic band on both sides, where a row of the table is
+    empty or _dprod reads a D^{j'} entry outside the band as 0, and the
+    instance reads 0 = 0.  The relations v-viii
     use D = 1 and are SL statements, refused in GL; i-iv hold in GL as
     well.
     """
@@ -516,19 +506,13 @@ def recurrence_check(which, twoj, ring=SL) -> Report:
     rep = Report("recurrence")
     if twoj < 1:
         raise ValueError("recurrences relate spins j and j -+ 1/2; need 2j >= 1")
-    # at 2j the relations read D^{j -+ 1/2}: a loop up in 2j reads no
-    # product of a spin below 2j - 1 again
-    for spin in [spin for spin in _DLETTER_MEMO if spin < twoj - 1]:
-        del _DLETTER_MEMO[spin]
+    # at 2j the relations read D^{j -+ 1/2} T: a loop up in 2j reads no
+    # product D^{j'} T with 2j' below 2j - 1 again
+    for spins in [spins for spins in _DPROD_MEMO if spins[1] == 1 and spins[0] < twoj - 1]:
+        del _DPROD_MEMO[spins]
     twojp = twoj + 1 if raising else twoj - 1
-    if law == "rel1":
-        table, d = omega(twojp, 1, twoj), lambda mp, m: _dref(twoj, mp, m, ring)
-        prod = lambda k1, m1, k2, m2: _dletter(twojp, k1, m1, _GEN_AT[k2, m2], ring)
-    else:
-        table, d = mho(twojp, 1, twoj), lambda m, mp: _dref(twoj, mp, m, ring)
-        prod = lambda k1, m1, k2, m2: _dletter(twojp, m1, k1, _GEN_AT[m2, k2], ring)
     pairs = [(twok - t, t) for twok in range(-twoj - 2, twoj + 4, 2)]
-    for (k1, _), twom, lhs, rhs in _rel(table, twoj, pairs, d, prod, ring):
+    for (k1, _), twom, lhs, rhs in _rel(law, twojp, 1, twoj, pairs, ring):
         rep.record({"which": which, "twoj": twoj, "twok": k1 + t, "twom": twom}, lhs, rhs)
     return rep
 

@@ -358,9 +358,8 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
     # rel3 reads the table too: its cached records are cleared before the
     # patch, and after it, so that the bad rel3 reaches no later test
     rep.omega.cache_clear()
-    hc._dprod.cache_clear()
+    hc._DPROD_MEMO.clear()
     hc._rel3.cache_clear()
-    hc._DLETTER_MEMO.clear()
     bad = dict(rep.omega(1, 1, 2))
     bad[(1, -1), 0] = bad[(1, -1), 0] * 2
     monkeypatch.setattr(hc, "omega", lambda *spins: bad if spins == (1, 1, 2) else rep.omega(*spins))
@@ -368,12 +367,27 @@ def test_wigner_detects_a_wrong_cgc(monkeypatch):
         report = hc.wigner_check(1, 1, 2, SL)
     finally:
         hc._rel3.cache_clear()
-        hc._DLETTER_MEMO.clear()
+        hc._DPROD_MEMO.clear()
     assert report.failed == 14 and report.passed == 38
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a1bddc0fa3e7037ce16d476bdfd96cdcaf0daf52adc35e22873624620640899d"
     )
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+def test_gl_rel1_and_rel2_hold_at_the_top_spin_only(pair):
+    # in GL (no determinant condition) rel1 and rel2 hold at j = j1 + j2,
+    # as the lowering recurrences do at (j - 1/2, 1/2, j), and fail at
+    # every lower j, whose coupled states carry the determinant
+    from slh2.rep import pair_basis, triangle
+
+    twoj1, twoj2 = pair
+    for twoj in triangle(twoj1, twoj2):
+        for law in ("rel1", "rel2"):
+            cases = list(hc._rel(law, twoj1, twoj2, twoj, pair_basis(twoj1, twoj2), GL))
+            failed = sum(lhs != rhs for *_, lhs, rhs in cases)
+            assert cases and (failed == 0) == (twoj == twoj1 + twoj2), (law, twoj, failed)
 
 
 def test_rel2_detects_a_decoupling_table_read_as_omega(monkeypatch):
@@ -457,7 +471,7 @@ def test_wigner_sides_equal_the_direct_sums(monkeypatch):
     # case, has the two sides of its direct sum: rel2 through _rel off mho,
     # rel3 through _rel3_reference; every spin pair with 2j1, 2j2 <= 4 and
     # every j, so both signs s = +-1 occur
-    from slh2.rep import magnetics, mho, pair_basis, triangle
+    from slh2.rep import magnetics, pair_basis, triangle
 
     seen = _recorded_sides(monkeypatch)
     for twoj1, twoj2 in product(range(5), repeat=2):
@@ -468,10 +482,7 @@ def test_wigner_sides_equal_the_direct_sums(monkeypatch):
             report = hc.wigner_check(twoj1, twoj2, twoj)
             assert report.ok
             want = {}
-            for (m1, m2), mp, lhs, rhs in hc._rel(
-                mho(twoj1, twoj2, twoj), twoj, pairs, lambda m, mp: hc._dref(twoj, mp, m, SL),
-                lambda m1, k1, m2, k2: hc._dprod(twoj1, k1, m1, twoj2, k2, m2, SL), SL,
-            ):
+            for (m1, m2), mp, lhs, rhs in hc._rel("rel2", twoj1, twoj2, twoj, pairs, SL):
                 params = {"law": "rel2", "twoj1": twoj1, "twoj2": twoj2, "twoj": twoj,
                           "twom1": m1, "twom2": m2, "twomp": mp}
                 want[tuple(sorted(params.items()))] = lhs, rhs
@@ -873,58 +884,115 @@ def _canonical(*index_pairs):
     return flat >= tuple(i for k, m in index_pairs for i in (-m, -k))
 
 
+# the index (a, b) of each generator T_ab
+_GEN_INDEX = {g: ab for ab, g in hc._GEN_AT.items()}
+
+
+def _letter_products_read(which, twoj, ring):
+    """_products_read as _dprod keys them: (spin, row, col, a, b) of each
+    D-entry times T_ab."""
+    return {(j, mp, m, *_GEN_INDEX[g]) for j, mp, m, g in _products_read(which, twoj, ring)}
+
+
+def _dprod_entries():
+    """Every memoised product as (2j1, k1, m1, 2j2, k2, m2, ring)."""
+    return {
+        (j1, k1, m1, j2, k2, m2, ring)
+        for (j1, j2, ring), memo in hc._DPROD_MEMO.items()
+        for k1, m1, k2, m2 in memo
+    }
+
+
 @pytest.mark.parametrize("ring, twoj", [(SL, 1), (SL, 2), (SL, 3), (GL, 2)])
 def test_recurrences_multiply_each_entry_and_letter_once(monkeypatch, ring, twoj):
-    # with the D-matrices built, the only products are _dletter misses:
-    # an in-band D-entry times one generator, and none for an entry the
-    # tables leave out.  GL multiplies each distinct pair the table rows
-    # read once.  SL multiplies each canonical pair read once, and every
-    # other pair read is swap_xy of its cached sigma partner, which is
-    # read as well: at sl-1, 27 products for 39 pairs
+    # with the D-matrices built, the only products are _dprod misses at
+    # the spins (j', 1/2): an in-band D-entry times one generator T_ab,
+    # and none for an entry the tables leave out.  GL multiplies each
+    # distinct pair the table rows read once.  SL multiplies each
+    # canonical pair read once, and every other pair read is swap_xy of
+    # its memoised sigma partner, which is read as well: at sl-1, 23
+    # products for 39 pairs.  The sigma partner of D_{m'm} T_ab is
+    # D_{-m,-m'} T_{-b,-a}, so a self-partner D-entry times x is the
+    # partner of its product with y, and only one of the two is made
     from slh2.dfun import ORDERED1, dfunc
 
     for t in range(max(twoj - 1, 0), twoj + 2):
         dmatrix(t, ring=ring)
     want = set()
     for which in hc.RING_RECURRENCES[ring]:
-        want |= _products_read(which, twoj, ring)
-    made = {key for key in want if ring == GL or _canonical(key[1:3])}
+        want |= _letter_products_read(which, twoj, ring)
+    made = {key for key in want if ring == GL or _canonical(key[1:3], key[3:5])}
     swapped = want - made
-    partner = {key: (key[0], -key[2], -key[1], hc._SIGMA_GEN[key[3]]) for key in swapped}
+    partner = {key: (key[0], -key[2], -key[1], -key[4], -key[3]) for key in swapped}
     assert set(partner.values()) <= made
     calls, swaps = _spy_products(monkeypatch)
-    hc._DLETTER_MEMO.clear()
+    hc._DPROD_MEMO.clear()
     for _ in range(2):
         for which in hc.RING_RECURRENCES[ring]:
             assert hc.recurrence_check(which, twoj, ring).ok
     if (ring, twoj) == (SL, 1):
-        assert (len(made), len(want)) == (27, 39)
+        assert (len(made), len(want)) == (23, 39)
     assert len(calls) == len(made) > 0 and (ring == GL or swapped)
     assert sorted(map(repr, calls)) == sorted(
-        repr((dfunc(j, mp, m, ORDERED1, ring), NCPoly.generator(g, ring))) for j, mp, m, g in made
+        repr((dfunc(j, mp, m, ORDERED1, ring), NCPoly.generator(hc._GEN_AT[a, b], ring)))
+        for j, mp, m, a, b in made
     )
-    memo = {(j,) + key[:3]: p for j, spin in hc._DLETTER_MEMO.items() for key, p in spin.items()}
+    assert all(spins[1:] == (1, ring) for spins in hc._DPROD_MEMO)
+    memo = {(j, *key): p for (j, _, _), spin in hc._DPROD_MEMO.items() for key, p in spin.items()}
     assert set(memo) == want
     assert sorted(map(repr, swaps)) == sorted(repr(memo[partner[key]]) for key in swapped)
     for key in swapped:
         assert memo[key] == memo[partner[key]].swap_xy()
 
 
-def test_dletter_keeps_only_the_spins_still_read():
-    # a loop up in 2j keeps the products of spins 2j - 1 and up: after
-    # 2j = 1..6, those of D^{5/2} (read at 2j = 4 and 6), D^3 (at 2j = 5)
-    # and D^{7/2} (at 2j = 6), each read pair once
-    hc._DLETTER_MEMO.clear()
+def test_dprod_memo_keeps_only_the_spin_pairs_still_read():
+    # a loop up in 2j keeps the products D^{j'} T with 2j' >= 2j - 1:
+    # after 2j = 1..6, those of D^{5/2} (read at 2j = 4 and 6), D^3 (at
+    # 2j = 5) and D^{7/2} (at 2j = 6), each read pair once
+    hc._DPROD_MEMO.clear()
     read = {}
     for twoj in range(1, 7):
         for which in hc.RECURRENCES:
             assert hc.recurrence_check(which, twoj, SL).ok
-            for j, mp, m, g in _products_read(which, twoj, SL):
-                read.setdefault(j, set()).add((mp, m, g, SL))
+            for j, mp, m, a, b in _letter_products_read(which, twoj, SL):
+                read.setdefault(j, set()).add((mp, m, a, b))
     assert sum(map(len, read.values())) == 814
-    left = {spin: set(memo) for spin, memo in hc._DLETTER_MEMO.items()}
+    assert sorted(hc._DPROD_MEMO) == [(spin, 1, SL) for spin in (5, 6, 7)]
+    left = {spin: set(memo) for (spin, _, _), memo in hc._DPROD_MEMO.items()}
     assert left == {spin: read[spin] for spin in (5, 6, 7)}
     assert [len(left[spin]) for spin in (5, 6, 7)] == [144, 195, 255]
+
+
+@pytest.mark.parametrize("ring", [SL, GL])
+def test_recurrence_products_equal_the_letter_oracle(ring):
+    # every D^{j'} T product the recurrences read for 2j <= 5, sigma
+    # images included, is the D-entry times its generator
+    from slh2.dfun import ORDERED1, dfunc
+
+    hc._DPROD_MEMO.clear()
+    checked = set()
+    for twoj in range(1, 6):
+        for which in hc.RING_RECURRENCES[ring]:
+            assert hc.recurrence_check(which, twoj, ring).ok
+        for (j, twoj2, r), memo in hc._DPROD_MEMO.items():
+            assert (twoj2, r) == (1, ring)
+            for (mp, m, a, b), p in memo.items():
+                assert p == dfunc(j, mp, m, ORDERED1, ring) * NCPoly.generator(hc._GEN_AT[a, b], ring)
+                checked.add((j, mp, m, a, b))
+    assert {j for j, *_ in checked} == set(range(7 if ring == SL else 5))
+    hc._DPROD_MEMO.clear()
+
+
+def test_dprod_outside_the_band_is_zero_and_not_stored():
+    # an index outside the band of j1, as a recurrence reads one step
+    # beyond it, reads zero with no product made and no entry stored
+    hc._DPROD_MEMO.clear()
+    for ring in (SL, GL):
+        for j1, k1, m1 in [(3, 5, 1), (3, 1, -5), (2, 4, 4), (0, 2, 0), (4, 6, -6)]:
+            for k2, m2 in hc._GEN_AT:
+                assert hc._dprod(j1, k1, m1, 1, k2, m2, ring) == NCPoly.zero(ring)
+            assert hc._dprod(j1, k1, m1, 2, 0, 2, ring).is_zero()
+    assert hc._DPROD_MEMO == {}
 
 
 def test_recurrence_detects_a_wrong_letter_coefficient(monkeypatch):
@@ -1036,7 +1104,7 @@ def test_recurrence_detects_a_wrong_d_entry(ring):
     terms = dfunc(4, 2, -2, ORDERED1, ring)._terms
     key = min(terms, key=unpack)
     q = terms[key]
-    hc._DLETTER_MEMO.clear()
+    hc._DPROD_MEMO.clear()
     terms[key] = 2 * q
     try:
         failed = {
@@ -1046,22 +1114,22 @@ def test_recurrence_detects_a_wrong_d_entry(ring):
         }
     finally:
         terms[key] = q
-        hc._DLETTER_MEMO.clear()
+        hc._DPROD_MEMO.clear()
     assert all(failed.values()), failed
 
 
-def test_unknown_recurrence_keeps_the_dletter_memo():
+def test_unknown_recurrence_keeps_the_dprod_memo():
     # the name is checked before the ring and before the per-spin eviction
-    hc._DLETTER_MEMO.clear()
+    hc._DPROD_MEMO.clear()
     for twoj in range(1, 5):
         for which in hc.RECURRENCES:
             assert hc.recurrence_check(which, twoj, SL).ok
-    before = {spin: dict(memo) for spin, memo in hc._DLETTER_MEMO.items()}
-    assert sorted(before) == [3, 4, 5]
+    before = {spins: dict(memo) for spins, memo in hc._DPROD_MEMO.items()}
+    assert sorted(before) == [(3, 1, SL), (4, 1, SL), (5, 1, SL)]
     for ring in (SL, GL):
         with pytest.raises(ValueError, match="unknown recurrence 'ix'"):
             hc.recurrence_check("ix", 9, ring)
-    assert hc._DLETTER_MEMO == before
+    assert hc._DPROD_MEMO == before
 
 
 def test_recurrence_v_relates_spin_half_to_one():
@@ -1173,7 +1241,8 @@ def test_rtt_detects_a_wrong_intertwiner(monkeypatch):
 @pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
 def test_rtt_multiplies_each_entry_pair_once(monkeypatch, pair):
     # with the D-matrices built, rtt_check's only products are _dprod
-    # misses, and each pair of D-entries that a side reads is one miss.
+    # misses, and each pair of D-entries that a side reads is one entry
+    # of the memo.
     # The engine multiplies each canonical pair read once; every other
     # pair read is swap_xy of its cached sigma partner, read as well
     from slh2.dfun import ORDERED1, dfunc
@@ -1192,9 +1261,9 @@ def test_rtt_multiplies_each_entry_pair_once(monkeypatch, pair):
     partner = {ix: (ix[0], -ix[2], -ix[1], ix[3], -ix[5], -ix[4]) for ix in swapped}
     assert swapped and set(partner.values()) <= made
     calls, swaps = _spy_products(monkeypatch)
-    hc._dprod.cache_clear()
+    hc._DPROD_MEMO.clear()
     assert hc.rtt_check(*pair).ok
-    assert hc._dprod.cache_info().misses == len(read)
+    assert _dprod_entries() == {ix + (SL,) for ix in read}
     assert len(calls) == len(made)
     assert sorted(map(repr, calls)) == sorted(
         repr((dfunc(a, k1, m1, ORDERED1, SL), dfunc(b, k2, m2, ORDERED1, SL)))
@@ -1218,19 +1287,18 @@ def test_sigma_products_equal_the_plain_products():
     # is swap_xy of its partner, equals the plain NCPoly product
     from slh2.dfun import ORDERED1, dfunc
 
-    hc._dprod.cache_clear()
-    hc._DLETTER_MEMO.clear()
+    hc._DPROD_MEMO.clear()
     d = lambda j, mp, m: dfunc(j, mp, m, ORDERED1, SL)
     entries = _entries(4)
     pairs = [(e1, e2) for e1 in entries for e2 in entries]
     assert len(pairs) == 3025
     for (j1, k1, m1), (j2, k2, m2) in pairs:
         assert hc._dprod(j1, k1, m1, j2, k2, m2, SL) == d(j1, k1, m1) * d(j2, k2, m2)
-    letters = [(e, g) for e in _entries(5) for g in hc._GEN_AT.values()]
+    letters = [(e, ab) for e in _entries(5) for ab in hc._GEN_AT]
     assert len(letters) == 364
-    for (j, mp, m), g in letters:
-        assert hc._dletter(j, mp, m, g, SL) == d(j, mp, m) * NCPoly.generator(g, SL)
-    hc._DLETTER_MEMO.clear()
+    for (j, mp, m), (a, b) in letters:
+        assert hc._dprod(j, mp, m, 1, a, b, SL) == d(j, mp, m) * NCPoly.generator(hc._GEN_AT[a, b], SL)
+    hc._DPROD_MEMO.clear()
 
 
 def test_sigma_products_equal_the_naive_rewriter():
@@ -1239,7 +1307,7 @@ def test_sigma_products_equal_the_naive_rewriter():
     # concatenated word, with no engine product
     from slh2.pbwcheck import naive_normal_form
 
-    hc._dprod.cache_clear()
+    hc._DPROD_MEMO.clear()
     entries = _entries(3)
     for (j1, k1, m1), (j2, k2, m2) in product(entries, entries):
         if j1 + j2 > 3:
@@ -1258,14 +1326,12 @@ def test_gl_products_make_no_sigma_swap(monkeypatch):
     for twoj in range(4):
         dmatrix(twoj, ring=GL)
     calls, swaps = _spy_products(monkeypatch)
-    hc._dprod.cache_clear()
-    hc._DLETTER_MEMO.clear()
+    hc._DPROD_MEMO.clear()
     assert hc.rtt_check(1, 2, GL).ok
     for which in hc.RING_RECURRENCES[GL]:
         assert hc.recurrence_check(which, 2, GL).ok
     assert calls and not swaps
-    hc._dprod.cache_clear()
-    hc._DLETTER_MEMO.clear()
+    hc._DPROD_MEMO.clear()
 
 
 def test_sigma_products_detect_a_wrong_partner(monkeypatch):
@@ -1273,33 +1339,31 @@ def test_sigma_products_detect_a_wrong_partner(monkeypatch):
     # D_{-m,-k}, a swapped product is a transposed one, and the suites
     # that read the swapped products must fail
     monkeypatch.setattr(hc, "_sigma_index", lambda twomp, twom: (-twomp, -twom))
-    hc._dprod.cache_clear()
-    hc._DLETTER_MEMO.clear()
+    hc._DPROD_MEMO.clear()
     try:
         assert not hc.rtt_check(1, 2).ok
         assert not hc.ortho_like_check(2).ok
         assert not hc.recurrence_check("i", 2).ok
     finally:
-        hc._dprod.cache_clear()
-        hc._DLETTER_MEMO.clear()
+        hc._DPROD_MEMO.clear()
 
 
 def test_suites_build_no_product_with_zero_coefficient():
     # the suites multiply D-entries only where a coupling or twist
-    # coefficient is non-zero; the miss counts pin that.  wigner (1, 2, 3)
+    # coefficient is non-zero; the memo sizes pin that.  wigner (1, 2, 3)
     # and the left side of rtt (1, 2) need every product D^{1/2} D^1 of
     # the 6 x 6 entry pairs, the right side of rtt every D^1 D^{1/2}:
     # 2 x 36 misses.  ortho1 at 2j = 2 reads the 9 rows times the 4
     # non-zero diagonal entries of F, 36 products, 7 of which are made as
     # sigma of a partner it does not read; ortho2 is sigma of ortho1 and
     # reads no product
-    hc._dprod.cache_clear()
+    hc._DPROD_MEMO.clear()
     hc.wigner_check(1, 2, 3)
     hc.rtt_check(1, 2)
-    assert hc._dprod.cache_info().misses == 72
-    hc._dprod.cache_clear()
+    assert len(_dprod_entries()) == 72
+    hc._DPROD_MEMO.clear()
     hc.ortho_like_check(2)
-    assert hc._dprod.cache_info().misses == 43  # of 81 entry pairs
+    assert len(_dprod_entries()) == 43  # of 81 entry pairs
 
 
 def test_rtt_spans_defining_relations():

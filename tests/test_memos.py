@@ -111,7 +111,7 @@ def test_every_cache_a_run_fills_is_a_named_memo_or_an_lru_cache(child_env):
         "slh2.ncalg._WW_MEMO",
         "slh2.dfun._TERM_MEMO",
         "slh2.hopfcheck._DELTA_MEMO",
-        "slh2.hopfcheck._DLETTER_MEMO",
+        "slh2.hopfcheck._DPROD_MEMO",
         "slh2.pbwcheck._NAIVE_MEMO",
     } <= set(grown)
     assert [name for name, memo in grown.items() if not memo] == []

@@ -191,7 +191,8 @@ def test_memo_keys_are_cores(monkeypatch):
     _fresh_memos(monkeypatch)
     monkeypatch.setattr(dfun, "_TERM_MEMO", {})
     monkeypatch.setattr(hc, "_DELTA_MEMO", {GL: {}, SL: {}})
-    for cache in (dfun.dfunc, hc._dprod, hc._rel3):
+    monkeypatch.setattr(hc, "_DPROD_MEMO", {})
+    for cache in (dfun.dfunc, hc._rel3):
         cache.cache_clear()
     for ring in (GL, SL):
         dmatrix(6, ORDERED1, ring)
