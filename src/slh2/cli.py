@@ -5,11 +5,13 @@ or run verification suites (verify).  All output goes to stdout unless
 --out is given; reports are machine-readable JSON by default.  Exit status
 is 0 on success or all-pass, 1 on verification failure, 2 on usage errors
 (bad arguments, an --out path that cannot be written, or any ValueError
-the library raises on invalid input).
+the library raises on invalid input), and 141 when the reader of stdout
+closes it early (`slh2 verify ... | head`), which ends the run quietly.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import dfun, exprio, fock, hopfcheck, ncalg, pbwcheck, rep
@@ -256,7 +258,15 @@ def run(argv=None) -> int:
 
 
 def main():  # console entry point
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # end as a process that SIGPIPE ends (128 + 13), and point stdout at
+        # devnull so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

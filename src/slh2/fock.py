@@ -22,7 +22,10 @@ Matrices are stored so that every product is a product of Python ints:
 
 * Keys.  A FockOp maps row * dim(src) + col to its entry, one int per
   nonzero entry, so no (row, col) tuple is built, hashed or scanned by
-  the garbage collector; rows() splits a key with one divmod.
+  the garbage collector; cols() splits a key with one divmod.
+* Products.  A o B visits the entries of B column by column and reads
+  the columns of A (Gustavson's column-driven product), so the work
+  follows nnz(B): on the vacuum, B is a vector.
 * Basis.  A FockOp works in the unnormalized occupation basis
   (a_1^1)^n11 ... (a_2^2)^n22 |0>, which is the normalized one scaled by
   the diagonal sqrt(n11! n21! n12! n22!).  There a creation has
@@ -37,6 +40,15 @@ Matrices are stored so that every product is a product of Python ints:
   products add offsets, and scaling by h^k lowers c by k.  (This is the
   weight grading v=1, x=y=2, u=3, h=1 of the GL ring, as c = 3 - weight
   per letter.)
+* Twist series.  J+ and K+ are each two commuting hops A + B on
+  disjoint modes, so no power of them is multiplied out: entry (t, s) of
+  (1 - 2h P)^e, t being s with i quanta moved by A and k - i by B, is
+
+      (-2h)^k binom(e, k) binom(k, i) perm(s_A, i) perm(s_B, k - i),
+
+  s_A and s_B the quanta in the source modes of A and B.  A twisted
+  letter is its creation applied to such a series, which only moves
+  the rows of the series.
 * Evaluation at h = 2.  With the power of h fixed by (i, j, c), an entry
   is stored as q * 2^d, d = w(i) - w(j) - c; this is exact, and it is an
   int for every series term, because 4^k binom(e, k) is an integer for e
@@ -58,7 +70,7 @@ Matrices are stored so that every product is a product of Python ints:
 
 import random
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd, perm
 
 from ._rat import Q, num
 from . import ncalg
@@ -68,8 +80,6 @@ from .ncalg import GL, NCPoly, normal_form
 from .rep import _binom, magnetics
 from .report import Report
 from .scalar import H, ONE, RadScalar
-
-_TWO_H = H + H
 
 # boson modes in state order, and the weight of one quantum in each
 A11, A21, A12, A22 = 0, 1, 2, 3
@@ -109,7 +119,7 @@ class FockOp:
     entries is zero whatever its offset and radicand.
     """
 
-    __slots__ = ("src", "dst", "data", "offset", "rad", "_rows")
+    __slots__ = ("src", "dst", "data", "offset", "rad", "_cols")
 
     def __init__(self, src, dst, data, offset=0, rad=1):
         self.src = src
@@ -117,18 +127,18 @@ class FockOp:
         self.data = data  # {row * dim(src) + col: nonzero int or Fraction}
         self.offset = offset
         self.rad = rad
-        self._rows = None
+        self._cols = None
 
-    def rows(self):
-        """{row: [(col, value), ...]}, built once per operator."""
-        if self._rows is None:
-            rows = {}
+    def cols(self):
+        """{col: [(row, value), ...]}, built once per operator."""
+        if self._cols is None:
+            cols = {}
             width = dim(self.src)
             for k, v in self.data.items():
                 i, j = divmod(k, width)
-                rows.setdefault(i, []).append((j, v))
-            self._rows = rows
-        return self._rows
+                cols.setdefault(j, []).append((i, v))
+            self._cols = cols
+        return self._cols
 
     @staticmethod
     def zero(src, dst):
@@ -196,15 +206,17 @@ class FockOp:
                 f"grade mismatch: composing {self.src}->{self.dst} after "
                 f"{other.src}->{other.dst}"
             )
-        by_row = other.rows()
+        # column-driven: visit other's entries, read self's columns
+        by_col = self.cols()
         width = dim(other.src)
+        height = dim(self.dst)
         data = {}
-        for ci, row in self.rows().items():
-            acc = [0] * width
-            for b, v in row:
-                for aj, w in by_row.get(b, ()):
-                    acc[aj] += v * w
-            for k, p in enumerate(acc, ci * width):
+        for aj, col in other.cols().items():
+            acc = [0] * height
+            for b, w in col:
+                for ci, v in by_col.get(b, ()):
+                    acc[ci] += v * w
+            for k, p in zip(range(aj, height * width, width), acc):
                 if p:
                     data[k] = p
         g = gcd(self.rad, other.rad)
@@ -238,54 +250,35 @@ class FockOp:
         )
 
 
-def _hop(n, moves):
-    """Number-conserving bilinear: sum of single-quantum hops.
-
-    moves is a sequence of (from_mode, to_mode) that all change the weight
-    by the same amount; the amplitude of one hop is n_from.
-    """
-    (shift,) = {MODE_WEIGHT[dst_m] - MODE_WEIGHT[src_m] for src_m, dst_m in moves}
-    idx = state_index(n)
-    width = dim(n)
-    data = {}
-    for j, s in enumerate(states(n)):
-        for src_m, dst_m in moves:
-            if s[src_m] == 0:
-                continue
-            t = list(s)
-            t[src_m] -= 1
-            t[dst_m] += 1
-            k = idx[tuple(t)] * width + j
-            data[k] = data.get(k, 0) + s[src_m]
-    return FockOp(n, n, data, shift)
-
-
-@lru_cache(maxsize=None)
-def j_plus(n):
-    return _hop(n, ((A11, A21), (A12, A22)))
-
-
-@lru_cache(maxsize=None)
-def k_plus(n):
-    return _hop(n, ((A12, A11), (A22, A21)))
+# P = J+ or K+ as two commuting hops (from_mode, to_mode) on disjoint modes
+_PLUS_HOPS = {"j": ((A11, A21), (A12, A22)), "k": ((A12, A11), (A22, A21))}
 
 
 @lru_cache(maxsize=None)
 def _one_minus_pow(which, n, exponent):
-    """(1 - 2h P)^exponent with P = J+ or K+ on grade n; finite series."""
-    plus = j_plus(n) if which == "j" else k_plus(n)
+    """(1 - 2h P)^exponent with P = J+ or K+ on grade n, by the closed form
+    of the module docstring.  At h = 2 the coefficient of term k is the int
+    (-4)^k binom(e, k), and the offset stays 0."""
+    (a_src, a_dst), (b_src, b_dst) = _PLUS_HOPS[which]
     e = Q(exponent)
-    power = FockOp.identity(n)
-    terms = [(ONE, power)]
-    coef = ONE
-    k = 0
-    while True:
-        k += 1
-        power = power * plus
-        if power.is_zero():
-            return FockOp.lincomb(n, n, terms)
-        coef = coef * (-_TWO_H)
-        terms.append((coef.scaled(_binom(e, k)), power))
+    coef = [num((-4) ** k * _binom(e, k)) for k in range(n + 1)]
+    idx = state_index(n)
+    width = dim(n)
+    data = {}
+    for col, s in enumerate(states(n)):
+        for i in range(s[a_src] + 1):
+            for j in range(s[b_src] + 1):
+                c = coef[i + j]
+                if not c:
+                    continue
+                t = list(s)
+                t[a_src] -= i
+                t[a_dst] += i
+                t[b_src] -= j
+                t[b_dst] += j
+                amp = comb(i + j, i) * perm(s[a_src], i) * perm(s[b_src], j)
+                data[idx[tuple(t)] * width + col] = c * amp
+    return FockOp(n, n, data)
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +309,13 @@ def twisted_letter(g: int, n: int) -> FockOp:
     if g not in _LETTER_FACTORS:
         raise ValueError(f"not a generator index: {g!r}; the letters are 0..3 (v, x, y, u)")
     occ, lc, rc = _LETTER_FACTORS[g]
-    return _creation_monomial(occ, n) * exp_lr(n, lc, rc)
+    # the creation C_g is a 0/1 injection: C_g exp_lr moves row i of exp_lr
+    # to the row of states(n)[i] + occ
+    twist = exp_lr(n, lc, rc)
+    width = dim(n)
+    rows = [row * width for row in _created_rows(occ, n)]
+    data = {rows[k // width] + k % width: v for k, v in twist.data.items()}
+    return FockOp(n, n + 1, data, twist.offset + weight(occ), twist.rad)
 
 
 def twisted_generators(n: int):
@@ -359,14 +358,17 @@ def evaluate(p: NCPoly, n: int) -> FockOp:
     return eval_free([(ncalg.word_letters(w), coef) for w, coef in p.terms().items()], n)
 
 
+def _created_rows(occ, n: int):
+    """The index of states(n)[i] + occ in grade n + |occ|, for each i."""
+    idx = state_index(n + sum(occ))
+    return [idx[tuple(a + b for a, b in zip(s, occ))] for s in states(n)]
+
+
 @lru_cache(maxsize=None)
 def _creation_monomial(occ, n: int) -> FockOp:
     """(a11)^K (a21)^L (a12)^M (a22)^N as a grade n -> n+|occ| matrix."""
-    idx = state_index(n + sum(occ))
     width = dim(n)
-    data = {}
-    for j, s in enumerate(states(n)):
-        data[idx[tuple(a + b for a, b in zip(s, occ))] * width + j] = 1
+    data = {row * width + j: 1 for j, row in enumerate(_created_rows(occ, n))}
     return FockOp(n, n + sum(occ), data, weight(occ))
 
 

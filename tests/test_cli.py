@@ -346,6 +346,25 @@ def test_sqrt_of_the_largest_prime_below_2_64(child_env):
     assert (done.returncode, done.stdout, done.stderr) == (0, "sqrt(18446744073709551557)\n", "")
 
 
+def test_closed_stdout_ends_the_run_quietly(child_env):
+    import os
+    import subprocess
+    import sys
+
+    # the read end is closed before the child writes, as `| head -c 100`
+    # does once it has its bytes: the write fails with EPIPE every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "slh2", "verify", "--suite", "rtt", "--max-twoj", "1", "--ring", "gl"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code = cli.run(["dmatrix", "--twoj", "1", "--out", str(target)])

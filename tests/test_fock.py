@@ -1,4 +1,5 @@
-from math import comb, factorial
+import random
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -19,7 +20,7 @@ from slh2.fock import (
     two_parameter_generators,
 )
 from slh2.ncalg import GL, SL, NCPoly, normal_form
-from slh2.rep import magnetics
+from slh2.rep import _binom, magnetics
 from slh2.scalar import H, ONE, ZERO, RadScalar, rational, sqrt_nat
 
 V, X, Y, U = ncalg.V, ncalg.X, ncalg.Y, ncalg.U
@@ -77,7 +78,29 @@ def entry(op, dst_state, src_state):
 
 
 # the bilinears the library does not use, built here as test oracles:
-# J-, K- as hops, J0, K0 and the grade operators z_L, z_R as diagonals
+# J+-, K+- as hops, J0, K0 and the grade operators z_L, z_R as diagonals
+def _hop(n, moves):
+    """Number-conserving bilinear: sum of single-quantum hops.
+
+    moves is a sequence of (from_mode, to_mode) that all change the weight
+    by the same amount; the amplitude of one hop is n_from.
+    """
+    (shift,) = {fock.MODE_WEIGHT[dst_m] - fock.MODE_WEIGHT[src_m] for src_m, dst_m in moves}
+    idx = fock.state_index(n)
+    width = fock.dim(n)
+    data = {}
+    for j, s in enumerate(fock.states(n)):
+        for src_m, dst_m in moves:
+            if s[src_m] == 0:
+                continue
+            t = list(s)
+            t[src_m] -= 1
+            t[dst_m] += 1
+            k = idx[tuple(t)] * width + j
+            data[k] = data.get(k, 0) + s[src_m]
+    return FockOp(n, n, data, shift)
+
+
 def _diag(n, value):
     width = fock.dim(n)
     data = {}
@@ -88,12 +111,20 @@ def _diag(n, value):
     return FockOp(n, n, data)
 
 
+def j_plus(n):
+    return _hop(n, ((A11, A21), (A12, A22)))
+
+
+def k_plus(n):
+    return _hop(n, ((A12, A11), (A22, A21)))
+
+
 def j_minus(n):
-    return fock._hop(n, ((A21, A11), (A22, A12)))
+    return _hop(n, ((A21, A11), (A22, A12)))
 
 
 def k_minus(n):
-    return fock._hop(n, ((A11, A12), (A21, A22)))
+    return _hop(n, ((A11, A12), (A21, A22)))
 
 
 def j0(n):
@@ -151,8 +182,8 @@ def test_annihilate_vacuum_rejected():
 def test_bilinear_su2_pairs():
     two = RadScalar.from_rational(2)
     for n in range(4):
-        jp, jm, jz = fock.j_plus(n), j_minus(n), j0(n)
-        kp, km, kz = fock.k_plus(n), k_minus(n), k0(n)
+        jp, jm, jz = j_plus(n), j_minus(n), j0(n)
+        kp, km, kz = k_plus(n), k_minus(n), k0(n)
         assert jz * jp - jp * jz == jp.scaled(two)
         assert jp * jm - jm * jp == jz
         assert kz * kp - kp * kz == kp.scaled(two)
@@ -367,8 +398,8 @@ def test_jacobi_variable_change_identity(twomp, twom):
 
 
 def _tensor_commutator(side, dop, twoj, n):
-    lift = {"jp": fock.j_plus, "jm": j_minus, "j0": j0,
-            "kp": fock.k_plus, "km": k_minus, "k0": k0,
+    lift = {"jp": j_plus, "jm": j_minus, "j0": j0,
+            "kp": k_plus, "km": k_minus, "k0": k0,
             "zl": z_l, "zr": z_r}[side]
     return lift(n + twoj) * dop - dop * lift(n)
 
@@ -617,7 +648,7 @@ def test_entry_is_the_normalized_amplitude():
                 for to in range(4):
                     if to == m or not s[m]:
                         continue
-                    hop = fock._hop(n, ((m, to),))
+                    hop = _hop(n, ((m, to),))
                     moved = _bumped(s, (m, -1), (to, 1))
                     assert entry(hop, moved, s) == sqrt_nat(s[m] * (s[to] + 1))
                     assert entry(hop, s, s) == ZERO
@@ -722,3 +753,109 @@ def test_determinant_undeformed_to_grade_6():
     rep = fock.determinant_check(6)
     assert rep.ok, rep.first_failure()
     assert [c["params"] for c in rep.cases] == [{"grade": n} for n in range(7)]
+
+
+# ---------------------------------------------------------------------
+# the product-free kernels against the paths they replaced
+# ---------------------------------------------------------------------
+
+EXPONENTS = [Q(0), Q(1, 2), Q(-1, 2), Q(1), Q(-1), Q(3, 2), Q(-3, 2), Q(-2)]
+
+
+def _series_by_products(plus, n, e):
+    """(1 - 2h P)^e as the finite binomial series, one product per power."""
+    power = FockOp.identity(n)
+    terms = [(ONE, power)]
+    coef = ONE
+    k = 0
+    while True:
+        k += 1
+        power = power * plus
+        if power.is_zero():
+            return FockOp.lincomb(n, n, terms)
+        coef = coef * -(H + H)
+        terms.append((coef.scaled(_binom(e, k)), power))
+
+
+@pytest.mark.parametrize("which,plus", [("j", j_plus), ("k", k_plus)])
+def test_closed_series_equals_the_series_by_products(which, plus):
+    for n in range(8):
+        for e in EXPONENTS:
+            got = fock._one_minus_pow(which, n, e)
+            want = _series_by_products(plus(n), n, e)
+            assert got == want, (which, n, e)
+            assert (got.offset, got.rad) == (want.offset, want.rad) == (0, 1)
+            assert all(type(v) is int for v in got.data.values())
+
+
+def test_twisted_letter_equals_creation_times_twist():
+    for g, (occ, lc, rc) in fock._LETTER_FACTORS.items():
+        for n in range(6):
+            got = fock.twisted_letter(g, n)
+            want = fock._creation_monomial(occ, n) * exp_lr(n, lc, rc)
+            assert got == want, (g, n)
+            assert (got.offset, got.rad) == (want.offset, want.rad)
+
+
+def _random_op(rng, src, dst, density):
+    width = fock.dim(src)
+    data = {}
+    for k in range(fock.dim(dst) * width):
+        if rng.random() < density:
+            data[k] = rng.choice((rng.randint(-9, 9) or 1, Q(rng.randint(1, 9), rng.randint(2, 5))))
+    return FockOp(src, dst, data, rng.randint(-3, 3), rng.choice((1, 2, 3, 6)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_driven_product_equals_dense_reference(seed):
+    rng = random.Random(seed)
+    # grade 0 gives a width-1 right operand; density 0 an empty one
+    for src, mid, dst in [(0, 0, 1), (0, 2, 3), (1, 1, 2), (2, 1, 3), (1, 3, 2)]:
+        for dl, dr in [(0.3, 0.3), (0.05, 0.6), (0.6, 0.05), (0, 0.4), (0.4, 0)]:
+            left = _random_op(rng, mid, dst, dl)
+            right = _random_op(rng, src, mid, dr)
+            got = left * right
+            g = gcd(left.rad, right.rad)
+            want = [[v * g for v in row] for row in _dense_mul(_dense(left), _dense(right))]
+            assert _dense(got) == want
+            assert (got.src, got.dst) == (src, dst)
+            assert got.offset == left.offset + right.offset
+            assert got.rad == (left.rad // g) * (right.rad // g)
+            assert 0 not in got.data.values()
+
+
+# negative controls: a closed series with one amplitude wrong must fail
+# each check that reads the twist
+@pytest.fixture
+def cold_twist_caches():
+    cached = (fock._one_minus_pow, fock.exp_lr, fock.twisted_letter, fock.eval_letters)
+
+    def clear():
+        for f in cached:
+            f.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def _sign_flipped(real):
+    # 4^k in place of (-4)^k: term k has h-degree k, so its entries change sign
+    def mutant(which, n, e):
+        op = real(which, n, e)
+        w, st = fock.dim(n), fock.states(n)
+        parity = lambda k: (fock.weight(st[k // w]) - fock.weight(st[k % w])) % 2
+        return FockOp(n, n, {k: -v if parity(k) else v for k, v in op.data.items()})
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutation", ["no-binom(i+j,i)", "4^k"])
+def test_mutated_closed_series_fails_the_checks(monkeypatch, cold_twist_caches, mutation):
+    if mutation == "4^k":
+        monkeypatch.setattr(fock, "_one_minus_pow", _sign_flipped(fock._one_minus_pow))
+    else:
+        monkeypatch.setattr(fock, "comb", lambda n, k: 1)
+    assert not fock.relations_check(3).ok
+    assert not fock.homomorphism_check(nmax=3, words=40, maxlen=4, seed=3).ok
+    assert not fock.twisted_dop_check(2, 3).ok
