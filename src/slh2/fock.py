@@ -26,6 +26,12 @@ Matrices are stored so that every product is a product of Python ints:
 * Products.  A o B visits the entries of B column by column and reads
   the columns of A (Gustavson's column-driven product), so the work
   follows nnz(B): on the vacuum, B is a vector.
+* Sums.  A sum starts from its first nonzero operand, copied in one
+  pass (scaled by one comprehension unless its scale is 1); the later
+  operands add into that copy.  A nonzero operand times a nonzero scale
+  has no zero entry, so the zeros are filtered out only once a second
+  operand was added.  `evaluate` reads the flat terms of a polynomial:
+  each key names its word and the one monomial q sqrt(r) h^k of it.
 * Basis.  A FockOp works in the unnormalized occupation basis
   (a_1^1)^n11 ... (a_2^2)^n22 |0>, which is the normalized one scaled by
   the diagonal sqrt(n11! n21! n12! n22!).  There a creation has
@@ -75,7 +81,8 @@ from math import comb, gcd, perm
 from ._rat import Q, num
 from . import ncalg
 from .dfun import ORDERED1, check_indices, dfunc, iter_klmn
-from .kernel import h_power, radicand
+from .kernel import WORD_MASK, degree, h_power, radicand, scalar_part
+from .kernel import word as kernel_word
 from .ncalg import GL, NCPoly, normal_form
 from .rep import _binom, magnetics
 from .report import Report
@@ -108,6 +115,19 @@ def dim(n: int) -> int:
 
 def weight(state) -> int:
     return sum(k * w for k, w in zip(state, MODE_WEIGHT))
+
+
+def _monomial(coef):
+    """(q, mono) for a coefficient q * sqrt(r) * h^k, mono the scalar key
+    of sqrt(r) * h^k; (0, 0) for zero."""
+    coef = RadScalar.coerce(coef)
+    monos = coef.raw()
+    if not monos:
+        return 0, 0
+    if len(monos) > 1:
+        raise ValueError(f"a FockOp scales by one monomial q*sqrt(r)*h^k, not {coef!r}")
+    (mono, q), = monos.items()
+    return q, mono
 
 
 class FockOp:
@@ -157,18 +177,21 @@ class FockOp:
         rational too).  Every nonzero term must have the same h-offset and
         radicand; otherwise the sum raises ValueError.
         """
-        data = {}
+        return FockOp._sum(src, dst, ((*_monomial(coef), op) for coef, op in pairs))
+
+    @staticmethod
+    def _sum(src, dst, terms):
+        """The sum of q * sqrt(r) * h^k * op over (q, mono, op) triples,
+        mono the scalar key of sqrt(r) * h^k: the body of lincomb, which
+        evaluate calls with the monomials of its flat terms."""
+        data = None
         key = None
-        for coef, op in pairs:
+        summed = False
+        for q, mono, op in terms:
             if op.src != src or op.dst != dst:
                 raise ValueError("grade mismatch in FockOp sum")
-            coef = RadScalar.coerce(coef)
-            if coef.is_zero() or not op.data:
+            if not q or not op.data:
                 continue
-            monos = coef.raw()
-            if len(monos) != 1:
-                raise ValueError(f"a FockOp scales by one monomial q*sqrt(r)*h^k, not {coef!r}")
-            (mono, q), = monos.items()
             r, k = radicand(mono), h_power(mono)
             g = gcd(op.rad, r)
             term_key = (op.offset - k, (op.rad // g) * (r // g))
@@ -180,11 +203,19 @@ class FockOp:
                     f"{key} and {term_key}"
                 )
             q = num(q * (g << k))
-            for ij, v in op.data.items():
-                data[ij] = data.get(ij, 0) + v * q
+            if data is None:
+                # the first operand, copied: the sum owns its dict
+                data = dict(op.data) if q == 1 else {ij: v * q for ij, v in op.data.items()}
+            else:
+                get = data.get
+                for ij, v in op.data.items():
+                    data[ij] = get(ij, 0) + v * q
+                summed = True
         if key is None:
             return FockOp.zero(src, dst)
-        return FockOp(src, dst, {ij: v for ij, v in data.items() if v}, *key)
+        if summed:
+            data = {ij: v for ij, v in data.items() if v}
+        return FockOp(src, dst, data, *key)
 
     def __add__(self, other):
         return FockOp.lincomb(self.src, self.dst, ((1, self), (1, other)))
@@ -335,15 +366,26 @@ def eval_letters(letters, n: int) -> FockOp:
     return twisted_letter(letters[0], n + len(letters) - 1) * head
 
 
+def _top_grade(words, n: int) -> int:
+    """n plus the common length of the words; ValueError if they differ."""
+    degrees = {len(letters) for letters in words}
+    if len(degrees) > 1:
+        raise ValueError(f"grade-homogeneous terms only: mixed degrees {sorted(degrees)}")
+    return n + max(degrees, default=0)
+
+
 def eval_free(terms, n: int) -> FockOp:
     """Evaluate a formal combination [(letters, coef), ...] of free words;
     no terms give the zero map on grade n."""
     terms = [(tuple(ltrs), c) for ltrs, c in terms]
-    degrees = {len(letters) for letters, _ in terms}
-    if len(degrees) > 1:
-        raise ValueError(f"grade-homogeneous terms only: mixed degrees {sorted(degrees)}")
-    pairs = [(coef, eval_letters(letters, n)) for letters, coef in terms]
-    return FockOp.lincomb(n, n + max(degrees, default=0), pairs)
+    top = _top_grade([letters for letters, _ in terms], n)
+    return FockOp.lincomb(n, top, [(coef, eval_letters(letters, n)) for letters, coef in terms])
+
+
+@lru_cache(maxsize=None)
+def _word_letters(word):
+    """The letters of the slot-0 word fields of a flat key."""
+    return ncalg.word_letters(kernel_word(word))
 
 
 def evaluate(p: NCPoly, n: int) -> FockOp:
@@ -351,11 +393,29 @@ def evaluate(p: NCPoly, n: int) -> FockOp:
 
     Only GL-tagged polynomials are accepted: the realization has central
     determinant a_1^1 a_2^2 - a_2^1 a_1^2, not 1, so the SL quotient does
-    not act on this space.
+    not act on this space.  Each flat key of p is one word and one
+    monomial of its coefficient, so a word with two keys has a
+    coefficient that is not one monomial, and raises.
     """
     if p.ring != GL:
         raise ValueError("the Fock realization only represents the GL ring")
-    return eval_free([(ncalg.word_letters(w), coef) for w, coef in p.terms().items()], n)
+    terms = p._terms
+    words = [key & WORD_MASK for key in terms]
+    letters = [_word_letters(w) for w in words]
+    top = _top_grade(letters, n)
+    if len(set(words)) < len(words):
+        raise ValueError(
+            "a FockOp scales by one monomial q*sqrt(r)*h^k, and a word of "
+            f"{p!r} has a coefficient of more terms"
+        )
+    return FockOp._sum(
+        n,
+        top,
+        [
+            (q, scalar_part(key), eval_letters(ltrs, n))
+            for ltrs, (key, q) in zip(letters, terms.items())
+        ],
+    )
 
 
 def _created_rows(occ, n: int):
@@ -468,15 +528,26 @@ def _check_nmax(nmax):
         raise ValueError(f"grade cutoff nmax={nmax} must be non-negative")
 
 
+def _first_mismatch(nmax, left, right):
+    """The texts (lhs, rhs) of both operators at the first grade n <= nmax
+    where left(n) != right(n), or (None, None) when there is none."""
+    for n in range(nmax + 1):
+        a, b = left(n), right(n)
+        if a != b:
+            return f"grade {n}: {a!r}", f"grade {n}: {b!r}"
+    return None, None
+
+
 def relations_check(nmax: int = 4) -> Report:
-    """All six defining relations for the twisted generators, grades <= nmax."""
+    """All six defining relations for the twisted generators, grades <= nmax;
+    a failing case keeps the nonzero operator's repr as its lhs."""
     _check_nmax(nmax)
     rep = Report("fock-relations")
     for name, combo in _GL_FREE_RELATIONS.items():
         terms = [(_letters(w), c) for w, c in combo]
         for n in range(nmax + 1):
             op = eval_free(terms, n)
-            rep.add({"relation": name, "grade": n}, op.is_zero())
+            rep.add({"relation": name, "grade": n}, op.is_zero(), repr(op))
     return rep
 
 
@@ -486,15 +557,14 @@ def determinant_check(nmax: int = 4) -> Report:
     rep = Report("fock-determinant")
     terms = [(_letters("xy"), ONE), (_letters("uv"), -ONE), (_letters("xv"), -H)]
     for n in range(nmax + 1):
-        rep.add(
-            {"grade": n},
-            (eval_free(terms, n) - determinant_op(n)).is_zero(),
-        )
+        op = eval_free(terms, n) - determinant_op(n)
+        rep.add({"grade": n}, op.is_zero(), repr(op))
     return rep
 
 
 def homomorphism_check(nmax: int = 4, words: int = 200, maxlen: int = 4, seed: int = 7) -> Report:
-    """evaluate(normal_form(w)) equals direct evaluation of w, random words."""
+    """evaluate(normal_form(w)) equals direct evaluation of w, random words;
+    a failing case keeps both operators at the first grade that differs."""
     _check_nmax(nmax)
     rep = Report("fock-homomorphism")
     rng = random.Random(seed)
@@ -502,31 +572,35 @@ def homomorphism_check(nmax: int = 4, words: int = 200, maxlen: int = 4, seed: i
         length = rng.randint(1, maxlen)
         letters = tuple(rng.randrange(4) for _ in range(length))
         p = normal_form([(letters, ONE)], GL)
-        ok = True
-        for n in range(nmax + 1):
-            if evaluate(p, n) != eval_letters(letters, n):
-                ok = False
-                break
-        rep.add(
-            {"word": "".join(ncalg.GEN_NAMES[g] for g in letters), "index": i},
-            ok,
+        lhs, rhs = _first_mismatch(
+            nmax, lambda n: evaluate(p, n), lambda n: eval_letters(letters, n)
         )
+        word = "".join(ncalg.GEN_NAMES[g] for g in letters)
+        rep.add({"word": word, "index": i}, lhs is None, lhs, rhs)
     return rep
 
 
 def twisted_dop_check(max_twoj: int = 2, nmax: int = 3) -> Report:
     """The ordered closed form evaluates to D0 e^{-m' sigma_L + m sigma_R};
-    an entry with a word of length other than 2j fails."""
+    an entry with a word of length other than 2j fails.  A failing case
+    keeps both operators at the first grade that differs, or the word
+    lengths."""
     _check_nmax(nmax)
     rep = Report("fock-dfunction")
     for twoj in range(max_twoj + 1):
         for twomp in magnetics(twoj):
             for twom in magnetics(twoj):
                 p = dfunc(twoj, twomp, twom, ORDERED1, GL)
-                ok = all(sum(w) == twoj for w in p.terms()) and all(
-                    evaluate(p, n) == twisted_dop(twoj, twomp, twom, n) for n in range(nmax + 1)
-                )
-                rep.add({"twoj": twoj, "twomp": twomp, "twom": twom}, ok)
+                lengths = {degree(k) for k in p._terms}
+                if lengths - {twoj}:
+                    lhs, rhs = f"word lengths {sorted(lengths)}", f"2j = {twoj}"
+                else:
+                    lhs, rhs = _first_mismatch(
+                        nmax,
+                        lambda n: evaluate(p, n),
+                        lambda n: twisted_dop(twoj, twomp, twom, n),
+                    )
+                rep.add({"twoj": twoj, "twomp": twomp, "twom": twom}, lhs is None, lhs, rhs)
     return rep
 
 

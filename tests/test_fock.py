@@ -1,9 +1,10 @@
+import itertools
 import random
 from math import comb, factorial, gcd
 
 import pytest
 
-from slh2 import fock, ncalg
+from slh2 import fock, kernel, ncalg
 from slh2._rat import Q
 from slh2.dfun import CLASSICAL, ORDERED1, dfunc
 from slh2.exprio import parse
@@ -859,3 +860,206 @@ def test_mutated_closed_series_fails_the_checks(monkeypatch, cold_twist_caches, 
     assert not fock.relations_check(3).ok
     assert not fock.homomorphism_check(nmax=3, words=40, maxlen=4, seed=3).ok
     assert not fock.twisted_dop_check(2, 3).ok
+
+
+# ---------------------------------------------------------------------
+# sums: FockOp.lincomb against a dense reference, and evaluate against
+# the grouped-terms path it replaced
+# ---------------------------------------------------------------------
+
+
+def _coef(q, r, k):
+    """The coefficient q * sqrt(r) * h^k."""
+    return RadScalar.coerce(q) * sqrt_nat(r) * H**k
+
+
+def _dense_lincomb(terms, src, dst):
+    """The naive sum at h = 2: every entry of every operand times its scale."""
+    out = [[0] * fock.dim(src) for _ in range(fock.dim(dst))]
+    for (q, r, k), op in terms:
+        scale = q * gcd(op.rad, r) * 2**k
+        for i, row in enumerate(_dense(op)):
+            for j, v in enumerate(row):
+                out[i][j] += v * scale
+    return out
+
+
+def _check_sum(terms, src, dst, offset, rad):
+    got = FockOp.lincomb(src, dst, [(_coef(*c), op) for c, op in terms])
+    assert _dense(got) == _dense_lincomb(terms, src, dst)
+    assert (got.src, got.dst) == (src, dst)
+    assert 0 not in got.data.values()
+    assert all(got.data is not op.data for _, op in terms)
+    if got.data:
+        assert (got.offset, got.rad) == (offset, rad)
+    return got
+
+
+def _operand(rng, src, dst, density, offset, rad, r, k):
+    """A random operator that a scale q sqrt(r) h^k takes to (offset, rad)."""
+    g = gcd(rad, r)
+    data = _random_op(rng, src, dst, density).data
+    return FockOp(src, dst, data, offset + k, (rad // g) * (r // g))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lincomb_equals_dense_reference(seed):
+    rng = random.Random(seed)
+    for src, dst in [(0, 1), (1, 2), (2, 3), (1, 3), (2, 2)]:
+        offset, rad = rng.randint(-3, 3), rng.choice((1, 2, 3, 6))
+
+        def scale():
+            q = rng.choice((1, 1, -1, rng.randint(-9, 9) or 2, Q(rng.randint(-9, 9) or 1, rng.randint(2, 7))))
+            return q, rng.choice((1, 2, 3, 6)), rng.randint(0, 2)
+
+        def operand(c, density=0.4):
+            return _operand(rng, src, dst, density, offset, rad, c[1], c[2])
+
+        for q in (1, Q(3, 7), -2):
+            # a single operand: a copy, scaled unless q = 1
+            c = (q, rng.choice((1, 2, 3, 6)), rng.randint(0, 2))
+            _check_sum([(c, operand(c))], src, dst, offset, rad)
+        for _ in range(6):
+            # up to four operands, with zero coefficients and empty operands
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                c = scale()
+                if rng.random() < 0.2:
+                    c = (0,) + c[1:]
+                terms.append((c, operand(c, rng.choice((0, 0.1, 0.5)))))
+            _check_sum(terms, src, dst, offset, rad)
+        # entire cancellation, also with a zero term between the two
+        c = scale()
+        a = operand(c)
+        neg = (-c[0],) + c[1:]
+        assert _check_sum([(c, a), (neg, a)], src, dst, offset, rad).is_zero()
+        assert _check_sum([(c, a), ((0, 1, 0), a), (neg, a)], src, dst, offset, rad).is_zero()
+        # partial cancellation: b is -a on every other entry of a, plus others
+        b = operand((1, 1, 0))
+        for ij in sorted(a.data)[::2]:
+            b.data[ij] = -a.data[ij] * c[0] * gcd(a.rad, c[1]) * 2 ** c[2]
+        got = _check_sum([(c, a), ((1, 1, 0), b)], src, dst, offset, rad)
+        assert got.data.keys().isdisjoint(sorted(a.data)[::2])
+
+
+def test_single_operand_sum_owns_its_dict():
+    # the operand may be a cached operator: the sum must copy its dict
+    for n in range(3):
+        op = eval_letters((X, V), n)
+        before = dict(op.data)
+        zero = FockOp.zero(n, n + 2)
+        sums = [
+            op.scaled(1),
+            op.scaled(ONE),
+            op + zero,
+            zero + op,
+            op - zero,
+            FockOp.lincomb(n, n + 2, [(0, eval_letters((V, X), n)), (1, op)]),
+        ]
+        for s in sums:
+            assert s == op and (s.offset, s.rad) == (op.offset, op.rad)
+            assert s.data is not op.data
+            s.data.clear()
+        assert eval_letters((X, V), n).data == before
+        assert op.scaled(Q(1, 3)).data == {ij: Q(v, 3) for ij, v in before.items()}
+        assert (-op).data == {ij: -v for ij, v in before.items()}
+
+
+def _evaluate_by_terms(p, n):
+    """The path evaluate replaced: p.terms() grouped per word, through eval_free."""
+    return eval_free([(ncalg.word_letters(w), c) for w, c in p.terms().items()], n)
+
+
+def test_evaluate_equals_the_grouped_terms_path():
+    polys = [
+        dfunc(twoj, twomp, twom, ORDERED1, GL)
+        for twoj in range(5)
+        for twomp in magnetics(twoj)
+        for twom in magnetics(twoj)
+    ]
+    polys += [
+        normal_form([(letters, ONE)], GL)
+        for length in range(5)
+        for letters in itertools.product(range(4), repeat=length)
+    ]
+    assert len(polys) == 55 + 341
+    for p in polys:
+        for n in range(4):
+            got, want = evaluate(p, n), _evaluate_by_terms(p, n)
+            assert got == want, (p, n)
+            assert (got.src, got.dst, got.offset, got.rad) == (want.src, want.dst, want.offset, want.rad)
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("(1+h)*x", "one monomial"),
+        ("(1+sqrt(2))*x", "one monomial"),
+        ("x + v", "unlike terms"),
+        ("sqrt(2)*x + sqrt(3)*y", "unlike terms"),
+        ("1 + x", "mixed degrees"),
+        ("(1+h) + x", "mixed degrees"),
+    ],
+)
+def test_evaluate_rejects(text, match):
+    p = parse(text, GL)
+    for n in range(3):
+        with pytest.raises(ValueError, match=match):
+            evaluate(p, n)
+        with pytest.raises(ValueError):
+            _evaluate_by_terms(p, n)
+
+
+def _caught(check):
+    """Whether a check fails a case or raises ValueError."""
+    try:
+        return not check().ok
+    except ValueError:
+        return True
+
+
+def test_evaluate_without_the_h_power_of_a_key_fails_the_checks(monkeypatch):
+    # negative control: each key's monomial read as sqrt(r) alone
+    monkeypatch.setattr(fock, "scalar_part", lambda key: key & kernel.RAD_FIELD)
+    assert _caught(lambda: fock.homomorphism_check(nmax=3, words=40, maxlen=4, seed=3))
+    assert _caught(lambda: fock.twisted_dop_check(2, 3))
+
+
+def _at_grade(f, grade, change):
+    return lambda *args: change(f(*args)) if args[-1] == grade else f(*args)
+
+
+@pytest.mark.parametrize("suite", ["homomorphism", "dfunction", "relations"])
+def test_failing_fock_cases_name_the_grade_and_both_operators(monkeypatch, suite):
+    times_h = lambda op: op.scaled(H)
+    if suite == "homomorphism":
+        monkeypatch.setattr(fock, "evaluate", _at_grade(fock.evaluate, 2, times_h))
+        rep = fock.homomorphism_check(nmax=3, words=3, maxlen=3, seed=3)
+    elif suite == "dfunction":
+        monkeypatch.setattr(fock, "twisted_dop", _at_grade(fock.twisted_dop, 2, times_h))
+        rep = fock.twisted_dop_check(1, 3)
+    else:
+        table = _mutated_relation(
+            fock._GL_FREE_RELATIONS, "[v,x]=hv2", ("vv", -H), ("vv", -(H + H))
+        )
+        monkeypatch.setattr(fock, "_GL_FREE_RELATIONS", table)
+        rep = fock.relations_check(3)
+    case = rep.first_failure()
+    assert case is not None
+    if suite == "relations":
+        # the nonzero operator of the relation at its first grade
+        assert case["params"] == {"relation": "[v,x]=hv2", "grade": 0}
+        assert set(case) == {"params", "pass", "lhs"}
+        assert case["lhs"].startswith("FockOp(0->2, nnz=1,"), case
+    else:
+        assert case["lhs"].startswith("grade 2: FockOp(2->"), case
+        assert case["rhs"].startswith("grade 2: FockOp(2->"), case
+        # the mutated side has one h more, so its offset is one less
+        lhs, rhs = (int(case[side].split("offset=")[1].split(",")[0]) for side in ("lhs", "rhs"))
+        mutated, plain = (lhs, rhs) if suite == "homomorphism" else (rhs, lhs)
+        assert mutated == plain - 1
+    assert all(set(c) == {"params", "pass"} for c in rep.cases if c["pass"])
+
+
+def test_passing_fock_cases_keep_no_sides():
+    assert all(set(c) == {"params", "pass"} for c in fock.fock_suite(2, with_g=True).cases)
