@@ -25,53 +25,45 @@ def _spin_pairs(max_twoj):
     ]
 
 
+# suite -> (the options it reads, its Reports for (args, k)), k the value
+# of --max-twoj
+SUITES = {
+    "corep": (("max_twoj", "scheme"), lambda args, k: (
+        hopfcheck.check_corep(twoj, args.scheme, args.ring) for twoj in range(k + 1))),
+    "wigner": (("max_twoj",), lambda args, k: (
+        hopfcheck.wigner_check(a, b, twoj, args.ring)
+        for a, b in _spin_pairs(k) for twoj in rep.triangle(a, b))),
+    "recurrence": (("max_twoj",), lambda args, k: (
+        hopfcheck.recurrence_check(which, twoj, args.ring)
+        for twoj in range(1, k + 1) for which in hopfcheck.RING_RECURRENCES[args.ring])),
+    "ortho": (("max_twoj",), lambda args, k: (
+        hopfcheck.ortho_like_check(twoj, args.ring) for twoj in range(k + 1))),
+    "rtt": (("max_twoj",), lambda args, k: [
+        *(hopfcheck.rtt_check(a, b, args.ring) for a, b in _spin_pairs(k)), hopfcheck.rtt_frt_check()]),
+    "pbw": ((), lambda args, k: [pbwcheck.pbw_suite()]),
+    "fock": (("nmax", "with_g"), lambda args, k: [
+        fock.fock_suite(4 if args.nmax is None else args.nmax, bool(args.with_g))]),
+}
+
+# the options that only some suites read, with the value each holds when
+# it is not given (--scheme reads ordered1 then, as every other suite does)
+_UNSET = {"max_twoj": None, "scheme": dfun.ORDERED1, "nmax": None, "with_g": None}
+
+
 def _run_suite(args) -> Report:
     """The report of the chosen suite.  An option given explicitly to a
     suite that does not read it is a usage error; the defaults of
     --max-twoj (2), --nmax (4) and --with-g (off) are set here."""
-    suite = args.suite
-    if suite != "corep" and args.scheme != dfun.ORDERED1:
-        raise ValueError(f"--scheme applies to --suite corep only; {suite} reads {dfun.ORDERED1}")
-    if suite in ("pbw", "fock") and args.max_twoj is not None:
-        raise ValueError(f"--max-twoj does not apply to --suite {suite}")
-    if suite != "fock" and (args.nmax is not None or args.with_g is not None):
-        raise ValueError(f"--nmax and --with-g apply to --suite fock only, not {suite}")
+    reads, reports = SUITES[args.suite]
+    for option, unset in _UNSET.items():
+        if option not in reads and getattr(args, option) != unset:
+            raise ValueError(f"--{option.replace('_', '-')} does not apply to --suite {args.suite}")
     if args.max_twoj is not None and args.max_twoj < 0:
         raise ValueError(f"--max-twoj must be non-negative, not {args.max_twoj}")
-    k = 2 if args.max_twoj is None else args.max_twoj
-    if suite == "corep":
-        out = Report("corep")
-        for twoj in range(k + 1):
-            out.extend(hopfcheck.check_corep(twoj, args.scheme, args.ring))
-        return out
-    if suite == "wigner":
-        out = Report("wigner")
-        for a, b in _spin_pairs(k):
-            for twoj in rep.triangle(a, b):
-                out.extend(hopfcheck.wigner_check(a, b, twoj, args.ring))
-        return out
-    if suite == "recurrence":
-        out = Report("recurrence")
-        for twoj in range(1, k + 1):
-            for which in hopfcheck.RING_RECURRENCES[args.ring]:
-                out.extend(hopfcheck.recurrence_check(which, twoj, args.ring))
-        return out
-    if suite == "ortho":
-        out = Report("ortho")
-        for twoj in range(k + 1):
-            out.extend(hopfcheck.ortho_like_check(twoj, args.ring))
-        return out
-    if suite == "rtt":
-        out = Report("rtt")
-        for a, b in _spin_pairs(k):
-            out.extend(hopfcheck.rtt_check(a, b, args.ring))
-        out.extend(hopfcheck.rtt_frt_check())
-        return out
-    if suite == "pbw":
-        return pbwcheck.pbw_suite()
-    if suite == "fock":
-        return fock.fock_suite(4 if args.nmax is None else args.nmax, bool(args.with_g))
-    raise ValueError(f"unknown suite {suite!r}")
+    out = Report(args.suite)
+    for report in reports(args, 2 if args.max_twoj is None else args.max_twoj):
+        out.extend(report)
+    return out
 
 
 def _report_text(report: Report) -> str:
@@ -231,7 +223,7 @@ def build_parser():
     p.add_argument(
         "--suite",
         required=True,
-        choices=("corep", "wigner", "recurrence", "ortho", "rtt", "pbw", "fock"),
+        choices=tuple(SUITES),
     )
     # None tells an explicit value from the default; see _run_suite
     p.add_argument("--max-twoj", type=int)

@@ -12,9 +12,12 @@ The exponents run over non-negative integers constrained by
   K + L = j + m,   M + N = j - m,   K + M = j + m',  L + N = j - m',
 
 and every product factor is an explicit linear polynomial in the
-generators; empty products are 1.  The equality of all these forms, entry
-by entry after normal ordering, is one of the central verified facts of
-the package.
+generators; empty products are 1.  A factor is made straight as flat
+terms (_lin): one key per generator, its letter key plus the h power
+of its coefficient, with an int value, and no scalar arithmetic; the
+run v^n is one product by the word v^n.  The equality of all these
+forms, entry by entry after normal ordering, is one of the central
+verified facts of the package.
 
 An ordered term of degree K + L + M + N is a term of degree one less
 times one more linear factor, so the terms of all spins form a trie, and
@@ -105,9 +108,10 @@ from math import comb, factorial, lcm
 from ._rat import Q
 from . import ncalg
 from .exprio import render_latex, render_text
-from .ncalg import GL, SL, NCPoly
+from .kernel import H_ONE, pack
+from .ncalg import GL, LETTER_KEYS, SL, U, V, X, Y, NCPoly
 from .rep import check_spin, magnetics
-from .scalar import H, RadScalar, sqrt_nat
+from .scalar import RadScalar, sqrt_nat
 
 ORDERED1 = "ordered1"
 ORDERED2 = "ordered2"
@@ -148,16 +152,11 @@ def norm_factor(twoj, twomp, twom) -> RadScalar:
     )
 
 
-def _lin(ring, parts):
-    """Linear combination of generators: parts holds (name, coefficient) pairs."""
-    return ncalg.lincomb(((c, NCPoly.generator(name, ring)) for name, c in parts), ring)
-
-
-def _hmul(k: int) -> RadScalar:
-    return H.scaled(k)
-
-
-_H2 = H * H
+def _lin(ring, *parts):
+    """The linear factor sum of c h^k g over its (g, c, k) parts, for a
+    generator index g and an int c, as flat terms: one key a part, a zero
+    part left out."""
+    return NCPoly(ring, {LETTER_KEYS[g] + k * H_ONE: c for g, c, k in parts if c})
 
 
 def _jacobi_ints(n: int, alpha: int, beta: int, z: NCPoly):
@@ -195,17 +194,17 @@ def jacobi_poly(n: int, alpha: int, beta: int, z: NCPoly) -> NCPoly:
 
 def _x(ring, t):
     """x + h t v."""
-    return _lin(ring, [("x", 1), ("v", _hmul(t))])
+    return _lin(ring, (X, 1, 0), (V, t, 1))
 
 
 def _y(ring, t):
     """y - h t v."""
-    return _lin(ring, [("y", 1), ("v", -_hmul(t))])
+    return _lin(ring, (Y, 1, 0), (V, -t, 1))
 
 
 def _u(ring, t):
     """u + h t x + h t y + h^2 t^2 v."""
-    return _lin(ring, [("u", 1), ("x", _hmul(t)), ("y", _hmul(t)), ("v", _H2.scaled(t * t))])
+    return _lin(ring, (U, 1, 0), (X, t, 1), (Y, t, 1), (V, t * t, 2))
 
 
 def _run(term, factor, ts):
@@ -216,11 +215,8 @@ def _run(term, factor, ts):
 
 
 def _v_run(term, n):
-    """term * v^n."""
-    v = NCPoly.generator("v", term.ring)
-    for _ in range(n):
-        term = term * v
-    return term
+    """term * v^n, one product by the word v^n."""
+    return term * NCPoly(term.ring, {pack(((n, 0, 0, 0),)): 1}) if n else term
 
 
 # The ordered terms as a trie: the parent of a node drops its last factor.
@@ -234,16 +230,10 @@ def _ordered1_parent(K, L, M, N, ring):
     if M:
         s = M - 1
         return (K, L, s, 0), _lin(
-            ring,
-            [
-                ("u", 1),
-                ("x", -_hmul(K + L - s)),
-                ("y", _hmul(K - L + s)),
-                ("v", -_H2.scaled(K * K - (L - s) ** 2)),
-            ],
+            ring, (U, 1, 0), (X, s - K - L, 1), (Y, K - L + s, 1), (V, (L - s) ** 2 - K * K, 2)
         )
     if L:
-        return (K, L - 1, 0, 0), NCPoly.generator("v", ring)
+        return (K, L - 1, 0, 0), _lin(ring, (V, 1, 0))
     return (K - 1, 0, 0, 0), _x(ring, K - 1)
 
 
@@ -251,7 +241,7 @@ def _ordered2_parent(K, L, M, N, ring):
     """(parent, last factor) of the ordered2 node (K, L, M, N) != 0, the
     product U_M X_{K,M} Y_{K,M,N} v^L."""
     if L:
-        return (K, L - 1, M, N), NCPoly.generator("v", ring)
+        return (K, L - 1, M, N), _lin(ring, (V, 1, 0))
     if N:
         return (K, 0, M, N - 1), _y(ring, K - M - N + 1)
     if K:

@@ -13,6 +13,9 @@ Grammar (whitespace ignored):
 parse time.  Parsed input is normalized eagerly, so two spellings of the
 same ring element always parse to the identical NCPoly.  The text printer
 is the inverse of the parser on normal forms: parse(render_text(p)) == p.
+The text and LaTeX printers are one printer with a style; it reads the
+flat terms of p through ncalg.word_groups, so they list the words and
+the monomials of each coefficient in the order NCPoly.to_json writes.
 An exponent must be below kernel.EXP_LIMIT, the bound of the degree
 field of a flat key: a longer word cannot be stored, so the parser
 refuses such a power before it multiplies.  A sqrt argument must be
@@ -207,16 +210,16 @@ def _signed_sum(style, pieces):
     return " ".join(out) or "0"
 
 
-def _scalar(c, style):
-    return _signed_sum(style, (_monomial(style, *t) for t in c.terms()))
+def _scalar(monos, style):
+    """The sum of (radicand, h_power, q) monomials."""
+    return _signed_sum(style, (_monomial(style, *t) for t in monos))
 
 
 def _render(p, style):
     pieces = []
-    for exps, coef in p.sorted_terms():
-        monos = list(coef.terms())
+    for exps, monos in ncalg.word_groups(p._terms):
         if len(monos) > 1:
-            sign, factors = "", [f"({_scalar(coef, style)})"]
+            sign, factors = "", [f"({_scalar(monos, style)})"]
         else:
             sign, factors = _monomial(style, *monos[0])
         factors += (_power(style, g, e) for g, e in zip(ncalg.GEN_NAMES, exps) if e)
@@ -226,7 +229,7 @@ def _render(p, style):
 
 def scalar_text(c: RadScalar) -> str:
     """Render a RadScalar in the expression grammar."""
-    return _scalar(c, _TEXT)
+    return _scalar(c.terms(), _TEXT)
 
 
 def render_text(p: NCPoly) -> str:

@@ -148,8 +148,11 @@ def tensor_text(terms):
     in sorted order, or 0."""
     if not terms:
         return "0"
+    groups = {}
+    for k, q in terms.items():
+        groups.setdefault(k & LOW_MASK, {})[K.scalar_part(k)] = q
     bits = []
-    for words, c in sorted(ncalg.grouped(terms, 2).items()):
+    for words, c in sorted((K.unpack(w, 2)[:-2], RadScalar(t)) for w, t in groups.items()):
         tag = " (x) ".join(ncalg.word_str(w) or "1" for w in words)
         bits.append(f"({c!r})*[{tag}]")
     return " + ".join(bits)

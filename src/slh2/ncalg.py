@@ -69,6 +69,12 @@ is central, so the lift is homogeneous and maps back to p under
 GL -> SL (delta -> 1), which is injective on each degree; dfun lifts
 its SL entries with it and gives the proof.
 
+word_groups is the one print order of 1-slot terms: the terms per word,
+the words by word_sort_key and each word's terms by radicand, then h
+power.  NCPoly.to_json, the text and LaTeX printers of exprio, terms()
+and coefficient() all read it; only hopfcheck.tensor_text orders its
+2-slot terms itself.
+
 lincomb, the sum of scaled polynomials that the constructions and the
 suites use, accumulates over ints: its coefficients are multiplied by
 the lcm den of their denominators, and the output is divided by den
@@ -83,8 +89,8 @@ from . import kernel as K
 from .kernel import DEG_FIELD, DEG_ONE, DEG_SHIFT, EXP_LIMIT, EXP_MASK, H_SHIFT, RAD_LIMIT, RAD_MASK
 from .kernel import RAD_ONE, RAD_SHIFT, WORD_BITS, WORD_MASK, add_into, check_degree, check_radicand
 from .kernel import ints, rad_add, rad_div, rad_neg, scale_into
-from ._rat import num, qstr
-from .scalar import ONE, ZERO, H, RadScalar
+from ._rat import num
+from .scalar import ONE, ZERO, H, RadScalar, terms_json
 
 V, X, Y, U = 0, 1, 2, 3
 GEN_NAMES = "vxyu"
@@ -96,8 +102,7 @@ SL = "sl"
 RINGS = (GL, SL)
 
 _MINUS_H = -H
-_H2 = H * H
-_MINUS_H2 = -_H2
+_MINUS_H2 = -(H * H)
 
 # The rule table.  Each entry maps a reducible pair to its replacement as
 # (word, coefficient) pairs; words are tuples of generator indices.
@@ -154,10 +159,34 @@ def word_sort_key(exps):
 
 
 @lru_cache(maxsize=None)
-def _word_view(w):
-    """(word_sort_key, word_str) of the word fields w of a 1-slot key."""
+def _word_order(w):
+    """word_sort_key of the word fields w of a 1-slot key, with the
+    exponent tuple appended (it never decides the order)."""
     exps = K.word(w)
-    return word_sort_key(exps), word_str(exps)
+    return word_sort_key(exps) + (exps,)
+
+
+def word_groups(terms):
+    """The 1-slot flat terms per word in print order: [(exps, [(radicand,
+    h_power, q), ...]), ...], the words by word_sort_key and each group
+    by radicand, then h power (the pair is unique per word, so q is never
+    compared).  JSON, text, LaTeX and the RadScalar views all read it."""
+    groups = {}
+    for k, q in terms.items():
+        w = k & WORD_MASK
+        item = (k >> RAD_SHIFT & RAD_MASK, k >> H_SHIFT, q)
+        group = groups.get(w)
+        if group is None:
+            groups[w] = [item]
+        else:
+            group.append(item)
+    out = []
+    for w in sorted(groups, key=_word_order):
+        group = groups[w]
+        if len(group) > 1:
+            group.sort()
+        out.append((_word_order(w)[-1], group))
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -282,16 +311,6 @@ def _mul(t1, t2, ring):
     return out
 
 
-def grouped(terms, slots=1):
-    """Flat terms of the given number of slots as {words: RadScalar},
-    built on each call; the words of a 1-slot key are its exponent tuple
-    (a, b, c, d), those of a 2-slot key a pair of such tuples."""
-    out = {}
-    for k, q in terms.items():
-        out.setdefault(k & K.LOW_MASK, {})[K.scalar_part(k)] = q
-    return {K.unpack(w, slots)[:-2]: RadScalar(t) for w, t in out.items()}
-
-
 def _as_letters(word):
     """Accept a generator-name string or a sequence of generator indices."""
     letters = tuple(GEN_INDEX.get(g, g) for g in word) if isinstance(word, str) else tuple(word)
@@ -335,7 +354,9 @@ class NCPoly:
 
     @staticmethod
     def scalar(coef, ring):
-        return NCPoly.from_terms(ring, {(0, 0, 0, 0): RadScalar.coerce(coef)})
+        """coef times the word 1: a scalar's keys are the keys of the empty
+        word, so the polynomial shares the coefficient's flat dict."""
+        return NCPoly(check_ring(ring), RadScalar.coerce(coef).raw())
 
     @staticmethod
     def generator(name, ring):
@@ -347,11 +368,12 @@ class NCPoly:
     # -- views --
 
     def terms(self):
-        """The terms as {normal word: RadScalar}, built on each call."""
-        return grouped(self._terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms().items(), key=lambda t: word_sort_key(t[0]))
+        """The terms as {normal word: RadScalar} in print order, built on
+        each call."""
+        return {
+            exps: RadScalar({K.scalar_key(r, i): q for r, i, q in group})
+            for exps, group in word_groups(self._terms)
+        }
 
     def coefficient(self, word):
         word = _as_letters(word)
@@ -454,34 +476,15 @@ class NCPoly:
     # -- encodings --
 
     def to_json(self):
-        """Written in one pass over the flat terms: grouped by word with one
-        dict lookup a term, the words in word_sort_key order, a group
-        sorted by radicand and h power only when it holds more than one
-        term (the pair is unique per word, so q is never compared), each
-        coefficient as RadScalar.to_json writes it."""
-        groups = {}
-        for k, q in self._terms.items():
-            w = k & WORD_MASK
-            item = (k >> RAD_SHIFT & RAD_MASK, k >> H_SHIFT, q)
-            group = groups.get(w)
-            if group is None:
-                groups[w] = [item]
-            else:
-                group.append(item)
-        terms = []
-        for (_, word), group in sorted((_word_view(w), g) for w, g in groups.items()):
-            if len(group) > 1:
-                group.sort()
-            coef = []
-            last = None
-            for r, i, q in group:
-                if r != last:
-                    last = r
-                    poly = []
-                    coef.append({"rad": r, "poly": poly})
-                poly.append({"h": i, "g": 0, "q": qstr(q)})
-            terms.append({"word": word, "coef": {"terms": coef}})
-        return {"ring": self.ring, "terms": terms}
+        """The words in print order (word_groups), each coefficient as
+        RadScalar.to_json writes it."""
+        return {
+            "ring": self.ring,
+            "terms": [
+                {"word": word_str(exps), "coef": terms_json(group)}
+                for exps, group in word_groups(self._terms)
+            ],
+        }
 
     @staticmethod
     def from_json(obj):

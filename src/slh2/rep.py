@@ -28,10 +28,9 @@ the square root being the amplitude of J+^k |jm>.
 from functools import lru_cache
 from math import factorial
 
-from ._rat import Q
-from .scalar import ZERO, H, sqrt_nat
-
-_TWO_H = H + H
+from ._rat import Q, num
+from .kernel import scalar_key, sqrt_split
+from .scalar import ZERO, RadScalar, sqrt_nat
 
 
 def magnetics(twoj):
@@ -68,7 +67,8 @@ def power_one_minus(twoj: int, exponent) -> dict:
             c = _binom(e, k)
             if c:
                 amp = factorial(a) // factorial(a - k) * factorial(b + k) // factorial(b)
-                out[(twom + 2 * k, twom)] = ((-_TWO_H) ** k * sqrt_nat(amp)).scaled(c)
+                s, r = sqrt_split(amp)
+                out[(twom + 2 * k, twom)] = RadScalar({scalar_key(r, k): num((-2) ** k * s * c)})
     return out
 
 

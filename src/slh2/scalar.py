@@ -17,9 +17,6 @@ carries every CGC normalization, every sqrt((j+m)!...) factor and every
 power of h appearing in the algebra relations.
 """
 
-from itertools import groupby
-from operator import itemgetter
-
 from . import kernel as K
 from .kernel import H_SHIFT, RAD_MASK, RAD_SHIFT
 from ._rat import Q, num, qparse, qstr
@@ -180,13 +177,17 @@ class RadScalar:
 
 
 def terms_json(terms):
-    """The JSON of a scalar from its (radicand, h_power, q) terms, sorted."""
-    return {
-        "terms": [
-            {"rad": r, "poly": [{"h": i, "g": 0, "q": qstr(q)} for _, i, q in monos]}
-            for r, monos in groupby(terms, key=itemgetter(0))
-        ]
-    }
+    """The JSON of a scalar from its (radicand, h_power, q) terms, sorted:
+    one pass, a new radicand opening the next group."""
+    out = []
+    last = None
+    for r, i, q in terms:
+        if r != last:
+            last = r
+            poly = []
+            out.append({"rad": r, "poly": poly})
+        poly.append({"h": i, "g": 0, "q": qstr(q)})
+    return {"terms": out}
 
 
 def sqrt_nat(n: int) -> RadScalar:

@@ -151,6 +151,31 @@ def test_invalid_input_exit_2(capsys, argv):
     _assert_usage_error(capsys, argv)
 
 
+# each option of `verify` that only some suites read, given explicitly
+_SUITE_OPTION_ARGS = {
+    "max_twoj": ["--max-twoj", "1"],
+    "scheme": ["--scheme", "ordered2"],
+    "nmax": ["--nmax", "2"],
+    "with_g": ["--with-g"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_verify_refuses_each_option_its_suite_does_not_read(capsys, suite):
+    reads, _ = cli.SUITES[suite]
+    assert set(reads) <= set(_SUITE_OPTION_ARGS)
+    for option, args in _SUITE_OPTION_ARGS.items():
+        if option not in reads:
+            _assert_usage_error(capsys, ["verify", "--suite", suite, *args])
+
+
+def test_verify_reads_scheme_ordered1_as_not_given(capsys):
+    code, out = run(capsys, "verify", "--suite", "wigner", "--scheme", "ordered1", "--max-twoj", "1")
+    report = json.loads(out)
+    assert code == 0 and report["suite"] == "wigner"
+    assert report["failed"] == 0 and report["passed"] == len(report["cases"]) > 0
+
+
 def test_out_unwritable_exit_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     _assert_usage_error(capsys, ["dmatrix", "--twoj", "2", "--out", str(target)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -231,6 +232,45 @@ def _oracle_ordered2(K, L, M, N, ring):
 
 
 _ORACLES = {ORDERED1: _oracle_ordered1, ORDERED2: _oracle_ordered2}
+
+
+def _assert_factor(got, want):
+    assert got == want
+    assert all(type(q) is int for q in got._terms.values()), got._terms
+
+
+@pytest.mark.parametrize("ring", [SL, GL])
+def test_linear_factors_equal_sums_of_scaled_generators(ring):
+    # the factors of dfun are flat terms; _lin above sums the generators
+    # scaled by RadScalar coefficients, as they were built before
+    hh = H * H
+    for t in range(-8, 9):
+        _assert_factor(dfun._x(ring, t), _lin(ring, x=1, v=H.scaled(t)))
+        _assert_factor(dfun._y(ring, t), _lin(ring, y=1, v=H.scaled(-t)))
+        _assert_factor(dfun._u(ring, t), _lin(ring, u=1, x=H.scaled(t), y=H.scaled(t), v=hh.scaled(t * t)))
+    for K, L, s in itertools.product(range(7), repeat=3):
+        parent, factor = dfun._ordered1_parent(K, L, s + 1, 0, ring)
+        assert parent == (K, L, s, 0)
+        want = _lin(
+            ring, u=1, x=H.scaled(s - K - L), y=H.scaled(K - L + s), v=hh.scaled((L - s) ** 2 - K * K)
+        )
+        _assert_factor(factor, want)
+    for parent_of in (dfun._ordered1_parent, dfun._ordered2_parent):
+        _assert_factor(parent_of(1, 2, 0, 0, ring)[1], gen("v", ring))
+
+
+@pytest.mark.parametrize("ring", [SL, GL])
+def test_v_run_equals_products_by_v(ring):
+    terms = [
+        NCPoly.one(ring),
+        NCPoly.zero(ring),
+        parse("(x + h*v)^2*u - sqrt(2)*y + 1/3", ring),
+        parse("u*y*x - h^2*sqrt(6)*x*x", ring),
+        dfunc(4, 2, 0, ORDERED1, ring),
+    ]
+    for term in terms:
+        for n in range(6):
+            assert dfun._v_run(term, n) == _v_run(term, n), (term, n)
 
 
 def _nodes(degree):

@@ -6,9 +6,9 @@ from math import comb
 
 import pytest
 
-from slh2 import kernel, ncalg, pbwcheck
+from slh2 import exprio, kernel, ncalg, pbwcheck
 from slh2._rat import Q, qstr
-from slh2.exprio import parse
+from slh2.exprio import parse, render_latex, render_text
 from slh2.ncalg import (
     GL,
     SL,
@@ -550,7 +550,9 @@ def _old_to_json(p):
     return {"ring": p.ring, "terms": [{"word": word_str(w), "coef": coef_json(c)} for w, c in rows]}
 
 
-def test_to_json_matches_grouped_path():
+def _random_polys():
+    """The zero of each ring and 200 seeded random polynomials: radicands,
+    h powers, Fractions, both rings, up to 12 terms in a random order."""
     rng = random.Random(23)
     polys = [NCPoly.zero(GL), NCPoly.zero(SL)]
     for _ in range(200):
@@ -564,9 +566,88 @@ def test_to_json_matches_grouped_path():
             q = int(q) if q.denominator == 1 else q
             terms[(a, b, c, d, rng.choice((1, 2, 3, 5, 6, 30)), rng.randint(0, 4))] = q
         polys.append(NCPoly(ring, packed(terms)))
+    return polys
+
+
+def test_to_json_matches_grouped_path():
+    polys = _random_polys()
     for p in polys:
         assert json.dumps(p.to_json()) == json.dumps(_old_to_json(p))
     assert polys[0].to_json() == {"ring": GL, "terms": []}
+
+
+# The views as they were read before ncalg.word_groups: the flat terms
+# grouped into {word: RadScalar} with no order, then sorted by word, kept
+# as oracles.
+
+
+def _old_terms(p):
+    out = {}
+    for k, q in p._terms.items():
+        a, b, c, d, r, i = unpack(k)
+        out.setdefault((a, b, c, d), {})[flatkeys.pack((), r, i)] = q
+    return {w: RadScalar(t) for w, t in out.items()}
+
+
+def _old_render(p, style):
+    pieces = []
+    for exps, coef in sorted(_old_terms(p).items(), key=lambda t: word_sort_key(t[0])):
+        monos = coef.terms()
+        if len(monos) > 1:
+            inner = exprio._signed_sum(style, (exprio._monomial(style, *t) for t in monos))
+            sign, factors = "", [f"({inner})"]
+        else:
+            sign, factors = exprio._monomial(style, *monos[0])
+        factors += (exprio._power(style, g, e) for g, e in zip(ncalg.GEN_NAMES, exps) if e)
+        pieces.append((sign, factors))
+    return exprio._signed_sum(style, pieces)
+
+
+def _joined(texts):
+    """The sum of rendered one-word polynomials, in the given order."""
+    out = texts[0]
+    for t in texts[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
+def test_printers_match_the_sorted_terms_path():
+    for p in _random_polys():
+        assert render_text(p) == _old_render(p, exprio._TEXT)
+        assert render_latex(p) == _old_render(p, exprio._LATEX)
+
+
+def test_json_text_and_latex_list_the_words_in_one_order():
+    for p in _random_polys()[2:]:
+        words = [t["word"] for t in p.to_json()["terms"]]
+        assert words == [word_str(exps) for exps in p.terms()]
+        parts = [
+            NCPoly(p.ring, {k: q for k, q in p._terms.items() if word_str(unpack(k)[:4]) == w}) for w in words
+        ]
+        assert sum(len(part._terms) for part in parts) == len(p._terms)
+        for render in (render_text, render_latex):
+            assert render(p) == _joined([render(part) for part in parts])
+
+
+def test_views_match_the_grouped_path():
+    rng = random.Random(29)
+    for p in _random_polys():
+        old = _old_terms(p)
+        assert p.terms() == old
+        assert list(p.terms()) == sorted(old, key=word_sort_key)
+        absent = [(0, 0, 0, 0), (4, 0, 0, 0), (1, 2, 0, 3)]
+        absent += [(rng.randint(0, 3), rng.randint(0, 3), 0, rng.randint(0, 3)) for _ in range(4)]
+        for exps in list(old) + absent:
+            if p.ring == SL and exps[1] and exps[2]:
+                continue
+            assert p.coefficient(ncalg.word_letters(exps)) == old.get(exps, ZERO), exps
+        assert p.constant() == old.get((0, 0, 0, 0), ZERO)
+    coefs = [0, 1, -7, Fraction(-3, 4), H, sqrt_nat(12) - H * H * 5, (sqrt_nat(6) + Q(1, 2)) * (H + 1)]
+    for ring in (GL, SL):
+        for c in coefs:
+            old = NCPoly.from_terms(ring, {(0, 0, 0, 0): RadScalar.coerce(c)})
+            assert NCPoly.scalar(c, ring) == old
+            assert NCPoly.scalar(c, ring).constant() == RadScalar.coerce(c)
 
 
 # sigma: the algebra automorphism that swaps x and y and fixes v, u and h.
