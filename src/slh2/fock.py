@@ -84,7 +84,8 @@ from .dfun import ORDERED1, check_indices, dfunc, iter_klmn
 from .kernel import WORD_MASK, degree, h_power, radicand, scalar_part
 from .kernel import word as kernel_word
 from .ncalg import GL, NCPoly, normal_form
-from .rep import _binom, magnetics
+from .pbwcheck import _check_maxlen
+from .rep import _binom, check_spin, magnetics
 from .report import Report
 from .scalar import H, ONE, RadScalar
 
@@ -566,6 +567,10 @@ def homomorphism_check(nmax: int = 4, words: int = 200, maxlen: int = 4, seed: i
     """evaluate(normal_form(w)) equals direct evaluation of w, random words;
     a failing case keeps both operators at the first grade that differs."""
     _check_nmax(nmax)
+    _check_maxlen(maxlen)
+    if words < 1:
+        # with no word drawn the report would be empty
+        raise ValueError(f"word count words={words} must be at least 1")
     rep = Report("fock-homomorphism")
     rng = random.Random(seed)
     for i in range(words):
@@ -585,6 +590,7 @@ def twisted_dop_check(max_twoj: int = 2, nmax: int = 3) -> Report:
     an entry with a word of length other than 2j fails.  A failing case
     keeps both operators at the first grade that differs, or the word
     lengths."""
+    check_spin(max_twoj)
     _check_nmax(nmax)
     rep = Report("fock-dfunction")
     for twoj in range(max_twoj + 1):

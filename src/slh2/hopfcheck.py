@@ -53,6 +53,20 @@ check, and ortho1 and ortho2 share one loop.  rep.rows reads a coupling
 table or R, or its rep.transpose, once per call into rows (or columns),
 and each entry is one ncalg.lincomb over a row.
 
+The product law follows from rel1 and the scalar biorthogonality
+mho^{j'}T Omega^j = delta_{jj'} I.  With E = P Omega^j - Omega^j D^j the
+residual of rel1,
+
+    mho^{j'}T P Omega^j = B D^j + mho^{j'}T E,    B = mho^{j'}T Omega^j
+
+exactly, whatever the tables and the D-entries.  wigner_check sums the
+right side: B from the scalar tables, D^j entries, and E only at the
+rel1 cases that fail.  Its sides are the polynomials of the direct
+contraction, pass or fail, so no direct path is needed: a wrong entry of
+D fails rel1 and its residual carries the failure, and a wrong entry of
+mho or Omega makes B wrong.  On correct code E = 0, and each side is one
+D^j entry or 0.
+
 The recurrences couple D^{j -+ 1/2} with T = D^{1/2} = [[x, u], [v, y]]:
 each is rel1 (i, ii, v, vi) or rel2 (iii, iv, vii, viii) at the spins
 (j -+ 1/2, 1/2), read by _rel at the rows of one pair (k - t, t) of
@@ -110,7 +124,7 @@ the j of a wigner_check call.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from . import kernel as K
 from . import ncalg
@@ -118,8 +132,8 @@ from .dfun import ORDERED1, dfunc, dmatrix
 from .kernel import LOW_MASK, RAD_ONE, WORD_MASK, add_into, outer_into, rad_neg, scale_into
 from .kernel import swap_slots, swap_xy
 from .ncalg import GL, LETTER_KEYS, SL, U, V, X, Y, NCPoly, _mul
-from .rep import f_inv_matrix, f_matrix, magnetics, mho, omega, pair_basis, r_matrix, rows, triangle
-from .rep import transpose
+from .rep import f_inv_matrix, f_matrix, magnetics, matmul, mho, omega, pair_basis, r_matrix, rows
+from .rep import transpose, triangle
 from .report import Report
 from .scalar import ONE, ZERO, RadScalar
 
@@ -370,9 +384,16 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
         rel2     mho^jT P = D^j mho^jT
         rel3     P = sum_j Omega^j D^j mho^jT
 
-    _rel reads rel1; the product law contracts rel1's right side
-    A = P Omega^j with each mho^{j'}, so rel1's cases are recorded as
-    they are made and reported after it.  When mho^j is s Omega^j with
+    _rel reads rel1, whose cases are recorded as they are made and
+    reported after the product law's.  The product law is summed as
+
+        mho^{j'}T P Omega^j = B D^j + mho^{j'}T E,    B = mho^{j'}T Omega^j
+
+    with E = P Omega^j - Omega^j D^j the residual of rel1, kept at its
+    failing cases only (see the module docstring).  The identity is
+    exact for any tables and any D, so each side is the polynomial of the
+    direct contraction, pass or fail, and no direct path is kept; on
+    correct code each is one D^j entry or 0.  When mho^j is s Omega^j with
     its indices negated, s = (-1)^(j1+j2-j) (_mho_is_sigma_omega), the
     rel2 case ((-k1, -k2), -m) is recorded with the rel1 case ((k1, k2),
     m), its sides s sigma of rel1's; negating every index reverses the
@@ -381,25 +402,30 @@ def wigner_check(twoj1, twoj2, twoj, ring=SL) -> Report:
     pair.  SL only: the singlet projection of the product law is D = 1.
     """
     _need_determinant_one(ring, "the product law and its corollaries")
-    rep, rel1, rel2, acc = Report("wigner"), Report("wigner"), Report("wigner"), {}
+    rep, rel1, rel2, residuals = Report("wigner"), Report("wigner"), Report("wigner"), {}
     pairs = pair_basis(twoj1, twoj2)
     spins = {"twoj1": twoj1, "twoj2": twoj2, "twoj": twoj}
     sigma, sign = _mho_is_sigma_omega(twoj1, twoj2, twoj), _sign(twoj1 + twoj2 - twoj)
     for (k1, k2), m, lhs, rhs in _rel("rel1", twoj1, twoj2, twoj, pairs, ring):
-        acc[(k1, k2), m] = rhs
-        rel1.record({"law": "rel1", **spins, "twok1": k1, "twok2": k2, "twom": m}, lhs, rhs)
+        if not rel1.record({"law": "rel1", **spins, "twok1": k1, "twok2": k2, "twom": m}, lhs, rhs):
+            residuals[(k1, k2), m] = rhs - lhs
         if sigma:
             rel2.record({"law": "rel2", **spins, "twom1": -k1, "twom2": -k2, "twomp": -m},
                         *_sigma_sides((lhs, rhs), sign))
 
-    # product law: delta_{j,j'} D^j_{m'm} = sum_{k1,k2} mho^{j'}[(k1,k2),m'] A[(k1,k2),m]
+    # product law: delta_{j,j'} D^j_{m'm} = sum_{m''} B[m',m''] D^j_{m''m}
+    # + sum_{k1,k2} mho^{j'}[(k1,k2),m'] E[(k1,k2),m]
     for twojp in triangle(twoj1, twoj2):
-        mhp_m = rows(transpose(mho(twoj1, twoj2, twojp)))
+        mhp_t = transpose(mho(twoj1, twoj2, twojp))
+        b_rows, mhp_m = rows(matmul(mhp_t, omega(twoj1, twoj2, twoj))), rows(mhp_t)
         params = {"law": "product", **spins, "twojp": twojp}
         for twomp in magnetics(twojp):
             row = mhp_m.get(twomp, ())
             for twom in magnetics(twoj):
-                rhs = ncalg.lincomb(((c, acc[pair, twom]) for pair, c in row), ring)
+                rhs = ncalg.lincomb(chain(
+                    ((c, _dref(twoj, mpp, twom, ring)) for mpp, c in b_rows.get(twomp, ())),
+                    ((c, residuals[pair, twom]) for pair, c in row if (pair, twom) in residuals),
+                ), ring)
                 lhs = _dref(twoj, twomp, twom, ring) if twojp == twoj else NCPoly.zero(ring)
                 rep.record({**params, "twomp": twomp, "twom": twom}, lhs, rhs)
     rep.extend(rel1)

@@ -571,6 +571,24 @@ def test_negative_grade_cutoff_rejected(check):
         check(-1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"maxlen": 0}, "word length cutoff maxlen=0 must be at least 1"),
+    ({"words": -1}, "word count words=-1 must be at least 1"),
+    ({"words": 0}, "word count words=0 must be at least 1"),
+])
+def test_homomorphism_check_rejects_an_empty_draw(kwargs, message):
+    # maxlen = 0 would fail inside random.randint, and words < 1 would
+    # give an empty report without saying why
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fock.homomorphism_check(nmax=1, **kwargs)
+
+
+def test_twisted_dop_check_rejects_a_negative_spin():
+    # max_twoj = -1 would loop over no spin and give an empty report
+    with pytest.raises(ValueError, match=r"^spin -1/2 must be non-negative$"):
+        fock.twisted_dop_check(-1, 2)
+
+
 # ---------------------------------------------------------------------
 # the integer representation: basis, offsets, radicands, mutations
 # ---------------------------------------------------------------------

@@ -426,7 +426,8 @@ def test_rel2_detects_a_decoupling_entry_with_its_sign_flipped(monkeypatch):
     # negated, mho is no longer s Omega with its indices negated (s = -1
     # here), so rel2 must be summed off the patched table and fail, not
     # derived from rel1, which still passes; the counts and the digest are
-    # those of the direct sums
+    # those of the direct sums.  rel1 passes, so there is no residual: the
+    # product law fails through B = mho^T Omega alone
     from slh2 import rep
 
     hc._rel3.cache_clear()
@@ -444,6 +445,39 @@ def test_rel2_detects_a_decoupling_entry_with_its_sign_flipped(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "aab858d5240f23fa2ad5b2ef7cf76c56c342ef69693dc5c829d251fd5bc1a3a0"
     )
+
+
+@pytest.mark.parametrize("pair, failed, digest", [
+    ((1, 1), {"product": (1, 16), "rel1": (3, 16), "rel2": (3, 16), "rel3": (18, 32)},
+     "a17667a85d4d859976aa64f47594956d5eed425587773321168f55130b3524f6"),
+    ((2, 2), {"product": (64, 81), "rel1": (38, 81), "rel2": (38, 81), "rel3": (75, 243)},
+     "dd62ebee9e2a03b62cd730568ff1330da9b1481afd03ad8ff240cddb47fc0d57"),
+])
+def test_wigner_detects_a_wrong_d_entry(monkeypatch, pair, failed, digest):
+    # negative control: with the v u coefficient of D^1_{0,0} doubled as
+    # _dref reads it (D^j at j = 1, and P at (2, 2)), rel1 fails and its
+    # residuals carry the failure into the product law, whose rhs reads
+    # D^j through B too; the counts and digest, those of the direct
+    # contraction, pin the reports of every j of the spin pair
+    from slh2.rep import triangle
+    from slh2.report import Report
+
+    good = hc._dref
+    bad = good(2, 0, 0, SL) + gen("v", SL) * gen("u", SL) * 2
+    monkeypatch.setattr(hc, "_dref", lambda *ix: bad if ix == (2, 0, 0, SL) else good(*ix))
+    hc._DPROD_MEMO.clear()
+    hc._rel3.cache_clear()
+    try:
+        reports = [hc.wigner_check(*pair, twoj) for twoj in triangle(*pair)]
+    finally:
+        hc._rel3.cache_clear()
+        hc._DPROD_MEMO.clear()
+    every_j = Report("wigner")
+    for report in reports:
+        every_j.extend(report)
+    assert _law_counts(every_j, ("product", "rel1", "rel2", "rel3")) == failed
+    text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _recorded_sides(monkeypatch):
@@ -495,6 +529,65 @@ def test_wigner_sides_equal_the_direct_sums(monkeypatch):
         seen.clear()
         _rel3_reference(twoj1, twoj2)
         assert got == _by_params(seen, "rel3") and len(got) == len(pairs) ** 2
+
+
+def _product_reference(twoj1, twoj2, twoj, ring=SL):
+    """The product law summed directly, as the reference for wigner_check:
+    each column of mho^{j'} contracted with the rel1 right sides A = P
+    Omega^j, as {params: (lhs, rhs)}."""
+    from slh2 import ncalg
+    from slh2.rep import magnetics, mho, pair_basis, rows, transpose, triangle
+
+    rel1 = hc._rel("rel1", twoj1, twoj2, twoj, pair_basis(twoj1, twoj2), ring)
+    acc = {(pair, m): rhs for pair, m, _, rhs in rel1}
+    want = {}
+    for twojp in triangle(twoj1, twoj2):
+        mhp_m = rows(transpose(mho(twoj1, twoj2, twojp)))
+        for twomp in magnetics(twojp):
+            for twom in magnetics(twoj):
+                rhs = ncalg.lincomb(((c, acc[pair, twom]) for pair, c in mhp_m.get(twomp, ())), ring)
+                lhs = hc._dref(twoj, twomp, twom, ring) if twojp == twoj else NCPoly.zero(ring)
+                params = {"law": "product", "twoj1": twoj1, "twoj2": twoj2, "twoj": twoj,
+                          "twojp": twojp, "twomp": twomp, "twom": twom}
+                want[tuple(sorted(params.items()))] = lhs, rhs
+    return want
+
+
+def test_product_law_sides_equal_the_direct_contraction(monkeypatch):
+    # each product-law side of wigner_check, B D^j plus the residuals of
+    # failing rel1 cases, equals mho^{j'}T applied to the rel1 right
+    # sides; every spin pair with 2j1, 2j2 <= 4 and every j and j'
+    from slh2.rep import triangle
+
+    seen = _recorded_sides(monkeypatch)
+    for twoj1, twoj2 in product(range(5), repeat=2):
+        for twoj in triangle(twoj1, twoj2):
+            seen.clear()
+            assert hc.wigner_check(twoj1, twoj2, twoj).ok
+            got = _by_params(seen, "product")
+            assert got and got == _product_reference(twoj1, twoj2, twoj), (twoj1, twoj2, twoj)
+
+
+@pytest.mark.parametrize("twoj", [1, 3, 5])
+def test_product_law_reads_no_rel1_right_side(monkeypatch, twoj):
+    # on correct code every rel1 case passes, so no residual is kept: no
+    # sum of wigner_check reads a rel1 right side
+    from slh2 import ncalg
+
+    seen = _recorded_sides(monkeypatch)
+    read = []
+    lincomb = ncalg.lincomb
+
+    def spy(pairs, ring):
+        pairs = list(pairs)
+        read.extend(p for _, p in pairs)
+        return lincomb(pairs, ring)
+
+    monkeypatch.setattr(ncalg, "lincomb", spy)
+    assert hc.wigner_check(2, 3, twoj).ok
+    rel1_rhs = {id(rhs) for law, _, _, rhs in seen if law == "rel1"}
+    assert len(rel1_rhs) == 12 * (twoj + 1)
+    assert read and not rel1_rhs & {id(p) for p in read}
 
 
 @pytest.mark.parametrize("spins", [(1, 1, 0), (1, 1, 2), (1, 2, 1), (2, 2, 2), (2, 3, 3)])
